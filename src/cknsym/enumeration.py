@@ -4,7 +4,8 @@ A configuration in dimension n picks a pinwheel level alpha and block
 multiplicities (m_1, ..., m_k), k = floor(n/2) - 1, subject to the budget
 0 < 2*(2*chi + sum m_j (j+1)) <= n with chi = 1 exactly when alpha > 0.
 Regimes with a nonzero shared weight exponent additionally forbid a
-one-dimensional leftover tail.  Counting is done two ways on purpose: a
+one-dimensional leftover tail; ``symmetry.admissibility_violation`` is the
+one statement of these rules.  Counting is done two ways on purpose: a
 partition-style dynamic program for the count alone, and explicit
 enumeration for the configurations themselves; tests pin them together.
 
@@ -22,7 +23,7 @@ from typing import Iterable, Iterator
 
 from .codes import DistinctVerdict, distinct_guaranteed
 from .kvdoc import format_kv, parse_kv, require_keys
-from .symmetry import REGIMES, InvalidConfigError, SymmetryConfig, k_of
+from .symmetry import REGIMES, InvalidConfigError, SymmetryConfig, admissibility_violation, k_of
 
 EXACT_CLIQUE_LIMIT = 20
 
@@ -37,16 +38,6 @@ def _multiplicity_tuples(k: int, budget: int) -> Iterator[tuple[int, ...]]:
         for count in range(remaining // width + 1):
             yield from rec(slot + 1, remaining - count * width, prefix + (count,))
     yield from rec(0, budget, ())
-
-
-def _admissible(n: int, alpha: int, m: tuple[int, ...], regime: str) -> bool:
-    chi = 1 if alpha > 0 else 0
-    s = 2 * chi + sum(mj * (j + 2) for j, mj in enumerate(m))
-    if not 0 < 2 * s <= n:
-        return False
-    if regime == "a_eq_b_nonzero" and n - 2 * s == 1:
-        return False
-    return True
 
 
 def enumerate_configs(n: int, regime: str = "a_less_b",
@@ -66,17 +57,19 @@ def enumerate_configs(n: int, regime: str = "a_less_b",
         if budget < 0:
             continue
         for m in _multiplicity_tuples(k, budget):
-            if _admissible(n, alpha, m, regime):
+            try:
                 out.append(SymmetryConfig(n, alpha, m, regime=regime))
+            except InvalidConfigError:
+                pass  # the budget admits it, the admissibility rule does not
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _partition_counts(k: int, budget: int) -> tuple[int, ...]:
-    """ways[s] = number of (m_1..m_k) with sum m_j (j+1) = s, parts 2..k+1."""
+def _partition_counts(widths: tuple[int, ...], budget: int) -> tuple[int, ...]:
+    """ways[s] = number of ways to write s as a sum of parts from ``widths``."""
     ways = [0] * (budget + 1)
     ways[0] = 1
-    for width in range(2, k + 2):
+    for width in widths:
         for s in range(width, budget + 1):
             ways[s] += ways[s - width]
     return tuple(ways)
@@ -95,14 +88,9 @@ def count_configs(n: int, regime: str = "a_less_b", alpha_max: int = 0) -> int:
         budget = n // 2 - 2 * chi
         if budget < 0:
             continue
-        ways = _partition_counts(k, budget)
-        for s_blocks, w in enumerate(ways):
-            s = 2 * chi + s_blocks
-            if s == 0:
-                continue
-            if regime == "a_eq_b_nonzero" and n - 2 * s == 1:
-                continue
-            total += w
+        ways = _partition_counts(tuple(range(2, k + 2)), budget)
+        total += sum(w for s_blocks, w in enumerate(ways)
+                     if admissibility_violation(n, 2 * chi + s_blocks, regime) is None)
     return total
 
 
@@ -117,27 +105,14 @@ def _prime_widths(k: int) -> tuple[int, ...]:
 def prime_restricted_count(n: int) -> int:
     """Count level-zero configurations whose blocks all have prime width.
 
-    The half-dimension budget applies as usual, and the single excluded
-    total is the one that would leave a one-dimensional tail.
+    Block sums are filtered by the a_eq_b_nonzero admissibility rule: the
+    half-dimension budget, and no one-dimensional leftover tail.
     """
     if n < 4:
         raise InvalidConfigError(f"need n >= 4, got n={n}")
-    k = k_of(n)
-    widths = _prime_widths(k)
-    budget = n // 2
-    ways = [0] * (budget + 1)
-    ways[0] = 1
-    for width in widths:
-        for s in range(width, budget + 1):
-            ways[s] += ways[s - width]
-    total = 0
-    for s, w in enumerate(ways):
-        if s == 0:
-            continue
-        if 2 * s == n - 1:
-            continue
-        total += w
-    return total
+    ways = _partition_counts(_prime_widths(k_of(n)), n // 2)
+    return sum(w for s, w in enumerate(ways)
+               if admissibility_violation(n, s, "a_eq_b_nonzero") is None)
 
 
 def prime_restricted_asymptotic(n: int) -> float:

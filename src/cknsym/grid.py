@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -90,10 +92,6 @@ class BallGrid:
     def cell_volume(self) -> float:
         return self.h ** self.n
 
-    @cached_property
-    def interior_count(self) -> int:
-        return int(np.count_nonzero(self.mask))
-
     def points(self) -> np.ndarray:
         """All nodes as an (N^n, n) array, C order."""
         return self.coords.reshape(self.n, -1).T
@@ -154,41 +152,72 @@ def backward_diffs_adjoint(grid: BallGrid, stack: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# persistence: one JSON header line, then raw little-endian float64, C order
+# persistence: one JSON header line, then raw little-endian float64, C order.
+# Fields and solver checkpoints share this container; they differ only in
+# the format tag, the array count and the extra header keys.
 
 
-def save_field(path: str | Path, grid: BallGrid, values: np.ndarray) -> None:
-    if values.shape != grid.shape:
-        raise GridError(f"field shape {values.shape} does not match grid {grid.shape}")
-    header = {
-        "format": FIELD_FORMAT,
-        "version": FIELD_VERSION,
-        "n": grid.n,
-        "points_per_axis": grid.points_per_axis,
-        "radius": grid.radius,
-        "dtype": "<f8",
-    }
-    payload = np.ascontiguousarray(values, dtype="<f8").tobytes()
-    with open(path, "wb") as fh:
+def write_arrays(path: str | Path, fmt: str, version: int, grid: BallGrid,
+                 fields: Sequence[np.ndarray], **extra) -> None:
+    """Write grid-shaped arrays under one header, replacing ``path`` atomically.
+
+    The header records the array count as ``arrays`` when it is not 1.  The
+    bytes go to a sibling temporary file first, so a run killed mid-write
+    leaves the previous file intact.
+    """
+    for values in fields:
+        if values.shape != grid.shape:
+            raise GridError(f"field shape {values.shape} does not match grid {grid.shape}")
+    header = {"format": fmt, "version": version, "n": grid.n,
+              "points_per_axis": grid.points_per_axis, "radius": grid.radius,
+              "dtype": "<f8", **extra}
+    if len(fields) != 1:
+        header["arrays"] = len(fields)
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
-        fh.write(payload)
+        for values in fields:
+            fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
+    os.replace(tmp, path)
 
 
-def load_field(path: str | Path) -> tuple[BallGrid, np.ndarray]:
+def read_arrays(path: str | Path, fmt: str, version: int,
+                counts: tuple[int, ...] = (1,)) -> tuple[dict, BallGrid, list[np.ndarray]]:
+    """Header, grid and arrays of a ``write_arrays`` file; GridError if malformed.
+
+    ``counts`` lists the array counts (header key ``arrays``) the caller accepts.
+    """
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()
     try:
         header = json.loads(header_line.decode("ascii"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise GridError(f"unreadable field header: {exc}") from exc
-    if header.get("format") != FIELD_FORMAT:
-        raise GridError(f"not a field file: format={header.get('format')!r}")
-    if header.get("version") != FIELD_VERSION:
-        raise GridError(f"unsupported field version {header.get('version')!r}")
-    grid = BallGrid(int(header["n"]), int(header["points_per_axis"]), float(header["radius"]))
-    expected = int(np.prod(grid.shape)) * 8
-    if len(payload) != expected:
-        raise GridError(f"field payload has {len(payload)} bytes, expected {expected}")
-    values = np.frombuffer(payload, dtype="<f8").reshape(grid.shape).copy()
-    return grid, values
+        raise GridError(f"unreadable {fmt} header: {exc}") from exc
+    if not isinstance(header, dict) or header.get("format") != fmt:
+        raise GridError(f"not a {fmt} file")
+    if header.get("version") != version:
+        raise GridError(f"unsupported {fmt} version {header.get('version')!r}")
+    try:
+        grid = BallGrid(int(header["n"]), int(header["points_per_axis"]),
+                        float(header["radius"]))
+        count = int(header.get("arrays", 1))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise GridError(f"malformed {fmt} header: {exc!r}") from exc
+    if count not in counts:
+        raise GridError(f"{fmt} file holds {count} arrays, expected one of {counts}")
+    size = math.prod(grid.shape)
+    if len(payload) != count * size * 8:
+        raise GridError(f"{fmt} payload has {len(payload)} bytes, expected {count * size * 8}")
+    flat = np.frombuffer(payload, dtype="<f8")
+    arrays = [flat[i * size:(i + 1) * size].reshape(grid.shape).copy() for i in range(count)]
+    return header, grid, arrays
+
+
+def save_field(path: str | Path, grid: BallGrid, values: np.ndarray) -> None:
+    write_arrays(path, FIELD_FORMAT, FIELD_VERSION, grid, [values])
+
+
+def load_field(path: str | Path) -> tuple[BallGrid, np.ndarray]:
+    _, grid, arrays = read_arrays(path, FIELD_FORMAT, FIELD_VERSION)
+    return grid, arrays[0]

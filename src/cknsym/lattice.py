@@ -17,7 +17,6 @@ the value of the sign character on the group element it realises.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,11 +69,6 @@ def _embed(n: int, start: int, local: SignedPerm) -> SignedPerm:
         src[start + i] = start + local.source[i]
         sgn[start + i] = local.signs[i]
     return SignedPerm(tuple(src), tuple(sgn))
-
-
-def _quarter_turn_pair() -> SignedPerm:
-    # (x, y) -> (-y, x), i.e. multiplication by i on one complex pair
-    return SignedPerm((1, 0), (-1, 1))
 
 
 def _sync_quarter_turn(width: int) -> SignedPerm:
@@ -186,6 +180,3 @@ def apply_perm_to_grid(values: np.ndarray, perm: SignedPerm) -> np.ndarray:
         inv[src] = i
     return np.ascontiguousarray(np.transpose(v, axes=inv))
 
-
-def perm_angle_steps(rotation_order: int) -> list[float]:
-    return [2.0 * math.pi * k / rotation_order for k in range(rotation_order)]

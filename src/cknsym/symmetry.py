@@ -58,6 +58,23 @@ def k_of(n: int) -> int:
     return n // 2 - 1
 
 
+def admissibility_violation(n: int, s: int, regime: str) -> str | None:
+    """Why weighted block sum s is inadmissible in dimension n, or None.
+
+    This is the one admissibility rule: SymmetryConfig enforces it, and
+    enumeration and counting filter candidate sums through it.
+    """
+    if not 0 < 2 * s <= n:
+        return f"size condition violated: need 0 < {s} <= {n}/2"
+    if regime == "a_eq_b_nonzero":
+        if n == 5:
+            return "n = 5 is excluded under a_eq_b_nonzero (the tail condition cannot hold)"
+        if n - 2 * s == 1:
+            return (f"tail condition violated under a_eq_b_nonzero: leftover width is 1 "
+                    f"(2*{s} == n - 1 = {n - 1})")
+    return None
+
+
 def _wrap_angle(theta: float) -> float:
     theta = math.fmod(theta, TWO_PI)
     return theta + TWO_PI if theta < 0.0 else theta
@@ -103,18 +120,9 @@ class SymmetryConfig:
         s = self.weighted_block_sum
         if self.alpha == 0 and s == 0:
             raise InvalidConfigError("alpha = 0 requires at least one block (m != 0)")
-        if not (0 < 2 * s <= self.n):
-            raise InvalidConfigError(
-                f"size condition violated: need 0 < {s} <= {self.n}/2 for (n={self.n}, "
-                f"alpha={self.alpha}, m={m})")
-        if self.regime == "a_eq_b_nonzero":
-            if self.n == 5:
-                raise InvalidConfigError(
-                    "n = 5 is excluded under a_eq_b_nonzero (the tail condition cannot hold)")
-            if not self.tail_condition_holds:
-                raise InvalidConfigError(
-                    f"tail condition violated under a_eq_b_nonzero: leftover width is 1 "
-                    f"(2*{s} == n - 1 = {self.n - 1})")
+        why = admissibility_violation(self.n, s, self.regime)
+        if why is not None:
+            raise InvalidConfigError(f"{why} for (n={self.n}, alpha={self.alpha}, m={m})")
 
     @property
     def k(self) -> int:
@@ -154,10 +162,6 @@ class BlockSpan:
     ell: int
     start: int
     length: int
-
-    @property
-    def start_one_based(self) -> int:
-        return self.start + 1
 
     @property
     def stop(self) -> int:

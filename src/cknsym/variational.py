@@ -24,7 +24,6 @@ so they appear as a reported bias diagnostic, never inside the projection.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -40,6 +39,8 @@ from .grid import (
     field_from_function,
     forward_diffs,
     forward_diffs_adjoint,
+    read_arrays,
+    write_arrays,
 )
 from .kvdoc import format_kv, parse_kv
 from .lattice import LatticeElement, apply_perm_to_grid, lattice_subgroup
@@ -131,6 +132,9 @@ class DiscreteEnergy:
     are assembled with the exact roll-based difference adjoints and masked
     back onto the interior, making them true derivatives of the discrete
     value: finite-difference tests hold to square-root machine precision.
+
+    ``evaluate`` is the one energy pass: one build of the masked stacks
+    yields K, B and both node gradients; the other methods are views.
     """
 
     def __init__(self, grid: BallGrid, params: ProblemParams, eps: float | None = None):
@@ -161,13 +165,33 @@ class DiscreteEnergy:
             return np.ones_like(sq)
         return (sq + self.eps ** 2) ** ((p - 2.0) / 2.0)
 
-    def kinetic(self, u: np.ndarray) -> float:
+    def _stacks(self, u: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Masked field, forward and backward stacks, and their nodewise |.|^2."""
         g = self.grid
         u = u * g.mask_f  # off-ball values are gauge: the form reads zeros there
         fw = forward_diffs(g, u)
         bw = backward_diffs(g, u)
-        dens = self._psi(np.sum(fw * fw, axis=0)) + self._psi(np.sum(bw * bw, axis=0))
-        return float(0.5 * g.cell_volume * np.sum(self._w_grad * dens))
+        return u, fw, bw, np.sum(fw * fw, axis=0), np.sum(bw * bw, axis=0)
+
+    def _kinetic(self, sf: np.ndarray, sb: np.ndarray) -> float:
+        dens = self._psi(sf) + self._psi(sb)
+        return float(0.5 * self.grid.cell_volume * np.sum(self._w_grad * dens))
+
+    def evaluate(self, u: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
+        """(K, B, dK/du, dB/du) from one build of the difference stacks."""
+        g = self.grid
+        q = self.params.q
+        u, fw, bw, sf, sb = self._stacks(u)
+        wf = self._sigma(sf) * self._w_grad
+        wb = self._sigma(sb) * self._w_grad
+        gk = forward_diffs_adjoint(g, wf[None] * fw) + backward_diffs_adjoint(g, wb[None] * bw)
+        gk *= 0.5 * self.params.p * g.cell_volume
+        gb = q * g.cell_volume * self._w_pot * np.abs(u) ** (q - 2.0) * u
+        return self._kinetic(sf, sb), self.potential(u), gk * g.mask_f, gb * g.mask_f
+
+    def kinetic(self, u: np.ndarray) -> float:
+        _, _, _, sf, sb = self._stacks(u)
+        return self._kinetic(sf, sb)
 
     def potential(self, u: np.ndarray) -> float:
         q = self.params.q
@@ -176,23 +200,9 @@ class DiscreteEnergy:
     def value(self, u: np.ndarray) -> float:
         return self.kinetic(u) / self.params.p - self.potential(u) / self.params.q
 
-    def gradient_parts(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Node derivatives of the kinetic and potential terms separately."""
-        g = self.grid
-        q = self.params.q
-        u = u * g.mask_f  # matches the masked reads in kinetic/potential
-        fw = forward_diffs(g, u)
-        bw = backward_diffs(g, u)
-        sf = self._sigma(np.sum(fw * fw, axis=0)) * self._w_grad
-        sb = self._sigma(np.sum(bw * bw, axis=0)) * self._w_grad
-        kin = forward_diffs_adjoint(g, sf[None] * fw) + backward_diffs_adjoint(g, sb[None] * bw)
-        kin *= 0.5 * self.params.p * g.cell_volume
-        pot = q * g.cell_volume * self._w_pot * np.abs(u) ** (q - 2.0) * u
-        return kin * g.mask_f, pot * g.mask_f
-
     def gradient(self, u: np.ndarray) -> np.ndarray:
         """d value / d node, exactly; vanishes off the interior mask."""
-        gk, gb = self.gradient_parts(u)
+        _, _, gk, gb = self.evaluate(u)
         return gk / self.params.p - gb / self.params.q
 
     def quotient(self, u: np.ndarray) -> float:
@@ -203,12 +213,16 @@ class DiscreteEnergy:
             raise VariationalError("quotient needs a nonzero field inside the ball")
         return k / b ** (self.params.p / self.params.q)
 
+    def quotient_and_gradient(self, u: np.ndarray) -> tuple[float, np.ndarray]:
+        """The quotient and its node gradient from one energy pass."""
+        k, b, gk, gb = self.evaluate(u)
+        if not (k > 0 and b > 0):
+            raise VariationalError("quotient needs a nonzero field inside the ball")
+        r = self.params.p / self.params.q
+        return k / b ** r, (gk - r * (k / b) * gb) / b ** r
+
     def quotient_gradient(self, u: np.ndarray) -> np.ndarray:
-        p, q = self.params.p, self.params.q
-        k = self.kinetic(u)
-        b = self.potential(u)
-        gk, gb = self.gradient_parts(u)
-        return (gk - (p / q) * (k / b) * gb) / b ** (p / q)
+        return self.quotient_and_gradient(u)[1]
 
     def level_from_quotient(self, quotient: float) -> float:
         """J value on the Nehari manifold along the ray realizing the quotient."""
@@ -227,12 +241,8 @@ class DiscreteEnergy:
         each iteration is elementwise arithmetic, not a gradient assembly.
         """
         g = self.grid
-        u = u * g.mask_f
-        fw = forward_diffs(g, u)
-        bw = backward_diffs(g, u)
-        sf = np.sum(fw * fw, axis=0)
-        sb = np.sum(bw * bw, axis=0)
-        k = float(0.5 * g.cell_volume * np.sum(self._w_grad * (self._psi(sf) + self._psi(sb))))
+        u, _, _, sf, sb = self._stacks(u)
+        k = self._kinetic(sf, sb)
         b = self.potential(u)
         if not (k > 0 and b > 0):
             raise VariationalError("Nehari scaling needs a nonzero field inside the ball")
@@ -790,47 +800,26 @@ def _save_checkpoint(path: str | Path, cfg: SymmetryConfig, grid: BallGrid,
     # the spectral-step memory is part of the solver state: restoring it
     # makes a resumed run retrace the uninterrupted trajectory
     arrays = [u] if prev_u is None else [u, prev_u, prev_d]
-    header = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "n": cfg.n, "alpha": cfg.alpha, "m": list(cfg.m), "regime": cfg.regime,
-        "points_per_axis": grid.points_per_axis, "radius": grid.radius,
-        "solver_exponent": solver_exponent,
-        "iteration": iteration, "step": step,
-        "arrays": len(arrays),
-        "history": [float(v) for v in history],
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
-        for arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    write_arrays(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, grid, arrays,
+                 alpha=cfg.alpha, m=list(cfg.m), regime=cfg.regime,
+                 solver_exponent=solver_exponent, iteration=iteration, step=step,
+                 history=[float(v) for v in history])
 
 
 def load_checkpoint(path: str | Path) -> dict:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("ascii"))
-        payload = fh.read()
-    if header.get("format") != CHECKPOINT_FORMAT:
-        raise VariationalError(f"not a checkpoint: format={header.get('format')!r}")
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise VariationalError(f"unsupported checkpoint version {header.get('version')!r}")
-    cfg = SymmetryConfig(header["n"], header["alpha"], tuple(header["m"]),
-                         regime=header["regime"])
-    grid = BallGrid(header["n"], header["points_per_axis"], header["radius"])
-    count = int(header.get("arrays", 1))
-    size = int(np.prod(grid.shape))
-    flat = np.frombuffer(payload, dtype="<f8")
-    if flat.size != count * size:
-        raise VariationalError(
-            f"checkpoint payload holds {flat.size} values, header promises {count * size}")
-    arrays = [flat[i * size:(i + 1) * size].reshape(grid.shape).copy()
-              for i in range(count)]
-    prev_u, prev_d = (arrays[1], arrays[2]) if count == 3 else (None, None)
+    try:
+        header, grid, arrays = read_arrays(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
+                                           counts=(1, 3))
+        cfg = SymmetryConfig(grid.n, header["alpha"], tuple(header["m"]),
+                             regime=header["regime"])
+        state = {"solver_exponent": float(header["solver_exponent"]),
+                 "iteration": int(header["iteration"]), "step": float(header["step"]),
+                 "history": [float(v) for v in header["history"]]}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise VariationalError(f"unusable checkpoint {path}: {exc}") from exc
+    prev_u, prev_d = (arrays[1], arrays[2]) if len(arrays) == 3 else (None, None)
     return {"config": cfg, "grid": grid, "field": arrays[0],
-            "prev_field": prev_u, "prev_direction": prev_d,
-            "solver_exponent": float(header["solver_exponent"]),
-            "iteration": int(header["iteration"]), "step": float(header["step"]),
-            "history": [float(v) for v in header["history"]]}
+            "prev_field": prev_u, "prev_direction": prev_d, **state}
 
 
 def _relative_residual(energy: DiscreteEnergy, u: np.ndarray, gq: np.ndarray,
@@ -859,6 +848,11 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     symmetry demands; without them a coarse lattice admits spurious isolated
     concentration bumps whose discrete energy undercuts the symmetric level
     and drifts under refinement.
+
+    Each line-search trial costs one energy pass, which yields its quotient
+    and, if accepted, the next gradient.  A class that projects the seed
+    below 1e-8 of its peak is {0} (the circle averages force f = -f on a
+    block of odd complex width) and is refused as unsupported.
 
     Deterministic: the seed is closed-form, the loop draws no randomness,
     and reruns with identical inputs produce identical reports.  The solver
@@ -909,19 +903,24 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
         prev_u: np.ndarray | None = state["prev_field"]
         prev_d: np.ndarray | None = state["prev_direction"]
     else:
-        u = project(seed_field(cfg, grid, options.seed_offset, options.seed_width))
+        seed = seed_field(cfg, grid, options.seed_offset, options.seed_width)
+        u = project(seed)
         peak = float(np.max(np.abs(u)))
-        if peak == 0.0:
-            raise VariationalError("seed field vanishes after projection")
+        seed_peak = float(np.max(np.abs(seed)))
+        if peak <= 1e-8 * seed_peak:
+            raise UnsupportedConfigError(
+                f"the working class is {{0}}: projecting the seed onto it (circle "
+                f"averages, then lattice symmetrization) leaves {peak / seed_peak:.2g} "
+                f"of its peak, so there is no sign-changing candidate to certify")
         u = u / peak
         start_iter = 0
         step = 0.0  # set from the first gradient below
-        history = [energy.level_from_quotient(energy.quotient(u))]
         prev_u = None
         prev_d = None
 
-    quot = energy.quotient(u)
-    gq = energy.quotient_gradient(u)
+    quot, gq = energy.quotient_and_gradient(u)
+    if resume_from is None:
+        history = [energy.level_from_quotient(quot)]
     d = project(gq)  # in-class descent direction; the residual is measured on it
     if step <= 0.0:
         step = options.initial_step * float(np.linalg.norm(u) / np.linalg.norm(d))
@@ -964,13 +963,12 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
             if peak > 0.0:
                 v = v / peak
                 try:
-                    val = energy.quotient(v)
+                    val, gv = energy.quotient_and_gradient(v)
                 except VariationalError:
                     val = math.inf
                 if val < quot - 1e-4 * trial_step * slope:
                     prev_u, prev_d = u, d
-                    u, quot, accepted = v, val, True
-                    gq = energy.quotient_gradient(u)
+                    u, quot, gq, accepted = v, val, gv, True
                     d = project(gq)
                     history.append(energy.level_from_quotient(val))
                     step = trial_step
@@ -989,8 +987,7 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
         _save_checkpoint(options.checkpoint_path, cfg, grid, q_solver,
                          it, step, u, history, prev_u, prev_d)
 
-    gq = energy.quotient_gradient(u)
-    d = project(gq)
+    # d is still the projected quotient gradient at the final iterate
     rel = _relative_residual(energy, u, d, quot)
     min_rel = min(min_rel, rel)
     w = energy.nehari_project(u) * grid.mask_f

@@ -233,3 +233,31 @@ def test_solve_rejects_invalid_grid(tmp_path):
     doc = write_doc(tmp_path / "solve.kv",
                     "n: 4\nalpha: 0\nm: 1\npoints_per_axis: 8\n")
     assert run("solve", "--config", doc, "--out", str(tmp_path / "out")) == 2
+
+
+def test_solve_refuses_the_zero_class(tmp_path, capsys):
+    doc = write_doc(tmp_path / "solve.kv",
+                    "n: 6\nalpha: 0\nm: 0,1\npoints_per_axis: 5\nmax_iters: 1\n")
+    assert run("solve", "--config", doc, "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "out" / "report.txt").exists()
+
+
+@pytest.mark.parametrize("corruption", ["garbage", "missing-n", "truncated"])
+def test_solve_resume_from_a_corrupt_checkpoint_is_a_validation_error(
+        tmp_path, capsys, corruption):
+    part = write_doc(tmp_path / "part.kv", SOLVE_DOC + "checkpoint_every: 4\n")
+    assert run("solve", "--config", part, "--out", str(tmp_path / "part")) == 0
+    good = (tmp_path / "part" / "checkpoint.dat").read_bytes()
+    header, payload = good.split(b"\n", 1)
+    data = {"garbage": b"\xff\xfe\x00garbage" + bytes(range(256)),
+            "missing-n": header.replace(b'"n": 4, ', b"") + b"\n" + payload,
+            "truncated": good[:-5]}[corruption]
+    bad = tmp_path / "bad.dat"
+    bad.write_bytes(data)
+    capsys.readouterr()
+    doc = write_doc(tmp_path / "resume.kv", SOLVE_DOC + f"resume: {bad}\n")
+    assert run("solve", "--config", doc, "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -17,6 +17,7 @@ from cknsym.grid import (
     forward_diffs_adjoint,
     load_field,
     save_field,
+    write_arrays,
 )
 
 
@@ -161,3 +162,22 @@ def test_load_field_rejects_corrupt_files(tmp_path):
     garbled.write_bytes(b"\xff\xfe not json\n" + b"\x00" * 64)
     with pytest.raises(GridError):
         load_field(garbled)
+
+
+def test_field_header_format_is_stable(tmp_path):
+    path = tmp_path / "field.dat"
+    save_field(path, BallGrid(2, 9), np.zeros((9, 9)))
+    header = path.read_bytes().split(b"\n", 1)[0]
+    assert header == (b'{"dtype": "<f8", "format": "cknsym-field", "n": 2, '
+                      b'"points_per_axis": 9, "radius": 1.0, "version": 1}')
+
+
+def test_failed_write_keeps_the_previous_file(tmp_path):
+    grid = BallGrid(2, 9)
+    path = tmp_path / "field.dat"
+    save_field(path, grid, np.ones(grid.shape))
+    before = path.read_bytes()
+    unconvertible = np.full(grid.shape, "x", dtype=object)
+    with pytest.raises(ValueError):
+        write_arrays(path, "cknsym-field", 1, grid, [np.zeros(grid.shape), unconvertible])
+    assert path.read_bytes() == before

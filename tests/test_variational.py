@@ -6,7 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from cknsym.grid import BallGrid, field_from_function
+from cknsym.grid import (
+    BallGrid,
+    backward_diffs,
+    backward_diffs_adjoint,
+    field_from_function,
+    forward_diffs,
+    forward_diffs_adjoint,
+)
 from cknsym.lattice import lattice_subgroup
 from cknsym.symmetry import SymmetryConfig
 from cknsym.variational import (
@@ -172,6 +179,46 @@ def test_quotient_gradient_consistency(p):
     exact = node_pairing(energy.quotient_gradient(u), h)
     fd = (energy.quotient(u + eps * h) - energy.quotient(u - eps * h)) / (2 * eps)
     assert fd == pytest.approx(exact, rel=1e-5)
+
+
+def _oracle_energy_parts(energy, u):
+    """K, B and both node gradients by the separate stack builds of the
+    original kinetic/gradient_parts implementation; the one-pass kernel must
+    reproduce them bit for bit."""
+    g = energy.grid
+    q = energy.params.q
+    u = u * g.mask_f
+    fw = forward_diffs(g, u)
+    bw = backward_diffs(g, u)
+    dens = energy._psi(np.sum(fw * fw, axis=0)) + energy._psi(np.sum(bw * bw, axis=0))
+    kin_value = float(0.5 * g.cell_volume * np.sum(energy._w_grad * dens))
+    fw = forward_diffs(g, u)
+    bw = backward_diffs(g, u)
+    sf = energy._sigma(np.sum(fw * fw, axis=0)) * energy._w_grad
+    sb = energy._sigma(np.sum(bw * bw, axis=0)) * energy._w_grad
+    kin = forward_diffs_adjoint(g, sf[None] * fw) + backward_diffs_adjoint(g, sb[None] * bw)
+    kin *= 0.5 * energy.params.p * g.cell_volume
+    pot = q * g.cell_volume * energy._w_pot * np.abs(u) ** (q - 2.0) * u
+    pot_value = float(g.cell_volume * np.sum(energy._w_pot * np.abs(u) ** q))
+    return kin_value, pot_value, kin * g.mask_f, pot * g.mask_f
+
+
+@pytest.mark.parametrize("params", [PARAMS4, ProblemParams(4, 3.0, 0.1, 0.3)])
+def test_energy_pass_matches_the_separate_builds_bit_for_bit(params):
+    energy = DiscreteEnergy(GRID4, params)
+    rng = np.random.default_rng(6)
+    for _ in range(3):
+        u = random_bumps(GRID4, rng)
+        u[~GRID4.mask] = rng.uniform(-1.0, 1.0)  # off-ball gauge must not leak in
+        k, b, gk, gb = energy.evaluate(u)
+        k0, b0, gk0, gb0 = _oracle_energy_parts(energy, u)
+        assert (k, b) == (k0, b0)
+        assert np.array_equal(gk, gk0) and np.array_equal(gb, gb0)
+        assert (energy.kinetic(u), energy.potential(u)) == (k0, b0)
+        r = params.p / params.q
+        quot, gq = energy.quotient_and_gradient(u)
+        assert quot == energy.quotient(u) == k0 / b0 ** r
+        assert np.array_equal(gq, (gk0 - r * (k0 / b0) * gb0) / b0 ** r)
 
 
 # --------------------------------------------------------------------------
@@ -565,6 +612,44 @@ def test_resume_rejects_a_vanishing_checkpoint_field(tmp_path):
                      np.zeros(GRID4.shape), [1.0])
     with pytest.raises(VariationalError):
         solve(CFG4, GRID4, resume_from=cp)
+
+
+def test_solver_refuses_the_zero_class():
+    # one block of odd complex width: the circle averages force f = -f
+    cfg = SymmetryConfig(6, 0, (0, 1))
+    with pytest.raises(UnsupportedConfigError, match="working class is"):
+        solve(cfg, BallGrid(6, 5, 1.0), options=SolveOptions(max_iters=1))
+
+
+def _corrupt_checkpoints(tmp_path):
+    """A garbage file, a header without n, and a truncated payload."""
+    good = tmp_path / "good.ckpt"
+    q_solver = params_for_config(CFG4).q - 0.5
+    _save_checkpoint(good, CFG4, GRID4, q_solver, 3, 0.1, seed_field(CFG4, GRID4), [1.0])
+    header, payload = good.read_bytes().split(b"\n", 1)
+    no_n = json.loads(header)
+    del no_n["n"]
+    files = {"garbage": b"\xff\xfe\x00garbage" + bytes(range(256)),
+             "missing-n": json.dumps(no_n).encode() + b"\n" + payload,
+             "truncated": good.read_bytes()[:-5]}
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    return [tmp_path / name for name in files]
+
+
+def test_load_checkpoint_rejects_corrupt_files(tmp_path):
+    for path in _corrupt_checkpoints(tmp_path):
+        with pytest.raises(VariationalError):
+            load_checkpoint(path)
+
+
+def test_checkpoint_writes_leave_no_temporary_file(tmp_path):
+    cp = tmp_path / "state.ckpt"
+    solve(CFG4, GRID4, options=SolveOptions(max_iters=3, checkpoint_path=str(cp),
+                                            checkpoint_every=1))
+    assert [p.name for p in tmp_path.iterdir()] == ["state.ckpt"]
+    state = load_checkpoint(cp)
+    assert state["prev_field"].shape == state["prev_direction"].shape == GRID4.shape
 
 
 def test_load_checkpoint_rejects_foreign_files(tmp_path):
