@@ -365,22 +365,16 @@ def distinct_guaranteed(c1: SymmetryConfig, c2: SymmetryConfig) -> DistinctVerdi
 def componentwise_rotation_points(points: np.ndarray, span: BlockSpan,
                                   word: Sequence[int], theta: float) -> np.ndarray:
     """Rotate the span's complex coordinates selected by the word through theta."""
-    bits = _coerce_bits(word)
-    if len(bits) != span.length // 2:
-        raise ValueError(f"word length {len(bits)} does not match block width {span.length // 2}")
-    out = np.array(points, dtype=float, copy=True)
-    seg = out[:, span.start:span.stop]
-    z = seg[:, 0::2] + 1j * seg[:, 1::2]
-    phases = np.exp(1j * theta * np.asarray(bits))
-    z = z * phases
-    seg[:, 0::2] = z.real
-    seg[:, 1::2] = z.imag
-    return out
+    points = np.asarray(points, dtype=float)
+    return points @ componentwise_rotation_matrix(points.shape[1], span, word, theta).T
 
 
 def componentwise_rotation_matrix(n: int, span: BlockSpan, word: Sequence[int],
                                   theta: float) -> np.ndarray:
+    """n x n matrix rotating the span's complex coordinates selected by the word."""
     bits = _coerce_bits(word)
+    if len(bits) != span.length // 2:
+        raise ValueError(f"word length {len(bits)} does not match block width {span.length // 2}")
     m = np.eye(n)
     c, s = math.cos(theta), math.sin(theta)
     for i, b in enumerate(bits):

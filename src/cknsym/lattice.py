@@ -11,12 +11,17 @@ machine precision; finer rotation samples only interpolate and are used as
 bias diagnostics, never as the projection.
 
 An element is stored as ``out[i] = signs[i] * x[source[i]]`` together with
-the value of the sign character on the group element it realises.
+the value of the sign character on the group element it realises.  Nothing
+here restates the group action: each element is a canonical element of
+``cknsym.symmetry`` with quarter-turn angles, its permutation is read off
+``to_matrix`` and its sign is ``phi``, so the projection and the diagnostics
+act through the same encoding of the group.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +29,10 @@ import numpy as np
 from .symmetry import (
     GroupOperationError,
     SymmetryConfig,
+    make_element,
     make_layout,
+    phi,
+    to_matrix,
     twist_order,
 )
 
@@ -41,6 +49,21 @@ class SignedPerm:
     def apply_point(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
         return np.asarray(self.signs) * x[..., list(self.source)]
+
+    @classmethod
+    def from_matrix(cls, m: np.ndarray) -> "SignedPerm":
+        """The signed permutation a matrix realises within 1e-12; refuses any other."""
+        m = np.asarray(m, dtype=float)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise GroupOperationError(f"need a square matrix, got shape {m.shape}")
+        rows = np.arange(m.shape[0])
+        source = np.argmax(np.abs(m), axis=1)
+        exact = np.zeros_like(m)
+        exact[rows, source] = np.sign(m[rows, source])
+        if (np.max(np.abs(m - exact)) > 1e-12
+                or sorted(source.tolist()) != rows.tolist()):
+            raise GroupOperationError("matrix is not a signed permutation")
+        return cls(tuple(source.tolist()), tuple(int(s) for s in exact[rows, source]))
 
     def matrix(self) -> np.ndarray:
         m = np.zeros((self.n, self.n))
@@ -62,108 +85,41 @@ def compose_perms(a: SignedPerm, b: SignedPerm) -> SignedPerm:
     return SignedPerm(source, signs)
 
 
-def _embed(n: int, start: int, local: SignedPerm) -> SignedPerm:
-    src = list(range(n))
-    sgn = [1] * n
-    for i in range(local.n):
-        src[start + i] = start + local.source[i]
-        sgn[start + i] = local.signs[i]
-    return SignedPerm(tuple(src), tuple(sgn))
-
-
-def _sync_quarter_turn(width: int) -> SignedPerm:
-    src, sgn = [], []
-    for _ in range(width):
-        base = len(src)
-        src += [base + 1, base]
-        sgn += [-1, 1]
-    return SignedPerm(tuple(src), tuple(sgn))
-
-
-def _async_quarter_turn() -> SignedPerm:
-    # (z1, z2) -> (i z1, -i z2) on interleaved (x1, y1, x2, y2)
-    return SignedPerm((1, 0, 3, 2), (-1, 1, 1, -1))
-
-
-def _conj_cycle_perm(width: int) -> SignedPerm:
-    # (z_1..z_w) -> (-conj(z_w), conj(z_1..z_{w-1}))
-    src = [2 * width - 2, 2 * width - 1]
-    sgn = [-1, 1]
-    for i in range(width - 1):
-        src += [2 * i, 2 * i + 1]
-        sgn += [1, -1]
-    return SignedPerm(tuple(src), tuple(sgn))
-
-
-def _powers(base: SignedPerm, count: int) -> list[SignedPerm]:
-    out = [identity_perm(base.n)]
-    for _ in range(count - 1):
-        out.append(compose_perms(base, out[-1]))
-    return out
-
-
 @dataclass(frozen=True)
 class LatticeElement:
     perm: SignedPerm
     sign: int  # value of the sign character
 
 
-def lattice_subgroup(cfg: SymmetryConfig, rotation_order: int = 4) -> tuple[LatticeElement, ...]:
+def lattice_subgroup(cfg: SymmetryConfig) -> tuple[LatticeElement, ...]:
     """Enumerate the grid-exact sampling subgroup with its character values.
 
-    ``rotation_order`` picks how many rotation steps per circle factor are
-    kept (1, 2 or 4; only multiples of a quarter turn act exactly on a cube
-    grid).  When a block of even complex width is present the order must be
-    even, because the canonical fold turns twist overflow into a half-turn.
-    The pinwheel factor contributes only the steps that are signed
-    permutations (multiples of ``2^alpha``), all of which have sign +1.
-    Tail factors of width >= 2 contribute every signed permutation.
+    The elements are the canonical group elements whose rotation angles are
+    quarter turns: pinwheel steps {0, 2^alpha} (the only steps that are
+    signed permutations, all of sign +1), every canonical twist per block,
+    and every signed permutation of an active tail.  Each element's signed
+    permutation is read off ``to_matrix``, which is refused unless it is
+    grid-exact, and its sign is ``phi``.  The pinwheel varies slowest, then
+    the blocks in layout order, then the tail; within a factor the step or
+    twist varies slower than the angle.
     """
-    if rotation_order not in (1, 2, 4):
-        raise GroupOperationError("rotation_order must be 1, 2, or 4 for grid-exact sampling")
     layout = make_layout(cfg)
-    if rotation_order == 1 and (layout.pinwheel is not None
-                                or any((s.j + 1) % 2 == 0 for s in layout.blocks)):
-        raise GroupOperationError(
-            "rotation_order 1 is not closed when a squared cycle is a half-turn")
-    n = cfg.n
-    factors: list[list[tuple[SignedPerm, int]]] = []
-
+    quarters = [k * math.pi / 2.0 for k in range(4)]
+    pinwheel = [None]
     if layout.pinwheel is not None:
-        quarter = _embed(n, 0, _async_quarter_turn())
-        rot_steps = _powers(quarter, 4)[:: (4 // rotation_order)]
-        # pinwheel step 2^alpha; its square is the asynchronous half-turn,
-        # already among the rotations, so only two cycle powers are new
-        cyc = _embed(n, 0, _conj_cycle_perm(2))
-        mixes = _powers(cyc, 2)
-        factors.append([(compose_perms(c, r), 1) for c in mixes for r in rot_steps])
-
-    for span in layout.blocks:
-        width = span.j + 1
-        quarter = _embed(n, span.start, _sync_quarter_turn(width))
-        rot_steps = _powers(quarter, 4)[:: (4 // rotation_order)]
-        cyc = _embed(n, span.start, _conj_cycle_perm(width))
-        twists = _powers(cyc, twist_order(span.j))
-        factors.append([
-            (compose_perms(c, r), -1 if t % 2 else 1)
-            for t, c in enumerate(twists) for r in rot_steps
-        ])
-
-    if layout.tail_dim >= 2:
+        pinwheel = [(step, a) for step in (0, 1 << cfg.alpha) for a in quarters]
+    blocks = [[(t, a) for t in range(twist_order(span.j)) for a in quarters]
+              for span in layout.blocks]
+    tails = [None]
+    if layout.tail_active:
         d = layout.tail_dim
-        tail_elems = []
-        for perm in itertools.permutations(range(d)):
-            for flips in itertools.product((1, -1), repeat=d):
-                local = SignedPerm(perm, flips)
-                tail_elems.append((_embed(n, layout.tail_start, local), 1))
-        factors.append(tail_elems)
-
-    elements = [LatticeElement(identity_perm(n), 1)]
-    for factor in factors:
-        elements = [
-            LatticeElement(compose_perms(e.perm, p), e.sign * s)
-            for e in elements for (p, s) in factor
-        ]
+        tails = [np.diag(flips) @ np.eye(d)[list(perm)]
+                 for perm in itertools.permutations(range(d))
+                 for flips in itertools.product((1, -1), repeat=d)]
+    elements = []
+    for pin, *blk, tail in itertools.product(pinwheel, *blocks, tails):
+        g = make_element(cfg, pinwheel=pin, blocks=tuple(blk), tail=tail)
+        elements.append(LatticeElement(SignedPerm.from_matrix(to_matrix(g)), phi(g)))
     return tuple(elements)
 
 

@@ -16,7 +16,10 @@ Every group element has a unique canonical form per factor, so elements are
 stored as plain data (integer twist/step exponents, angles, one orthogonal
 tail matrix) and composed symbolically.  ``to_matrix`` realises the same
 element as an explicit orthogonal matrix; the symbolic composition law is
-validated against matrix products in the test suite.
+validated against matrix products in the test suite.  ``to_matrix`` and
+``phi`` are the only encoding of how an element moves coordinates and what
+sign it carries: the point action, the grid-exact lattice subgroup and the
+stabilizer check all read them.
 
 The sign character ``phi`` is -1 exactly on the odd powers of the twisting
 generators; its kernel is index 2, which is the structural fact the
@@ -405,14 +408,6 @@ def phi(g: GroupElement) -> int:
 # concrete actions and matrices
 
 
-def _conj_cycle(z: np.ndarray) -> np.ndarray:
-    """One conjugating cycle: (z_1..z_w) -> (-conj(z_w), conj(z_1..z_{w-1}))."""
-    out = np.empty_like(z)
-    out[0] = -np.conj(z[-1])
-    out[1:] = np.conj(z[:-1])
-    return out
-
-
 def conj_cycle_matrix(width: int) -> np.ndarray:
     """Real 2w x 2w matrix of the conjugating cycle on C^w (interleaved x,y)."""
     m = np.zeros((2 * width, 2 * width))
@@ -484,52 +479,17 @@ def to_matrix(g: GroupElement) -> np.ndarray:
     return out
 
 
-def _interleaved_to_complex(seg: np.ndarray) -> np.ndarray:
-    return seg[..., 0::2] + 1j * seg[..., 1::2]
-
-
-def _complex_to_interleaved(z: np.ndarray, out: np.ndarray) -> None:
-    out[..., 0::2] = z.real
-    out[..., 1::2] = z.imag
-
-
 def act(g: GroupElement, x: np.ndarray) -> np.ndarray:
-    """Apply g to one point, blockwise, without materialising the matrix."""
+    """Apply g to one point."""
     return act_points(g, np.asarray(x, dtype=float)[None, :])[0]
 
 
 def act_points(g: GroupElement, points: np.ndarray) -> np.ndarray:
-    """Apply g to an (m, n) array of points."""
-    cfg = g.config
+    """Apply g to an (m, n) array of points through its matrix."""
     points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != cfg.n:
-        raise GroupOperationError(f"points must be (m, {cfg.n}), got {points.shape}")
-    layout = make_layout(cfg)
-    out = np.empty_like(points)
-    if layout.pinwheel is not None:
-        step, angle = g.pinwheel
-        z = _interleaved_to_complex(points[:, 0:4])
-        z = z * np.array([cmath.exp(1j * angle), cmath.exp(-1j * angle)])
-        psi = step * math.pi / (1 << (cfg.alpha + 1))
-        mixed = np.empty_like(z)
-        mixed[:, 0] = -np.conj(z[:, 1])
-        mixed[:, 1] = np.conj(z[:, 0])
-        z = math.cos(psi) * z + math.sin(psi) * mixed
-        _complex_to_interleaved(z, out[:, 0:4])
-    for span, (twist, angle) in zip(layout.blocks, g.blocks):
-        z = _interleaved_to_complex(points[:, span.start:span.stop])
-        z = z * cmath.exp(1j * angle)
-        for _ in range(twist):
-            nxt = np.empty_like(z)
-            nxt[:, 0] = -np.conj(z[:, -1])
-            nxt[:, 1:] = np.conj(z[:, :-1])
-            z = nxt
-        _complex_to_interleaved(z, out[:, span.start:span.stop])
-    if g.tail is not None:
-        out[:, layout.tail_start:] = points[:, layout.tail_start:] @ g.tail.T
-    elif layout.tail_start < cfg.n:
-        out[:, layout.tail_start:] = points[:, layout.tail_start:]
-    return out
+    if points.ndim != 2 or points.shape[1] != g.config.n:
+        raise GroupOperationError(f"points must be (m, {g.config.n}), got {points.shape}")
+    return points @ to_matrix(g).T
 
 
 # --------------------------------------------------------------------------
@@ -634,13 +594,12 @@ def stabilizer_in_kernel_check(cfg: SymmetryConfig, residual_tol: float = 1e-9) 
             branches.append(StabilizerBranch("pinwheel", step, rmin, fixing, sign))
 
     for idx, span in enumerate(layout.blocks):
-        width = span.j + 1
-        xi = np.array([1.0 + 1.0j] + [1.0 + 0.0j] * (width - 1))
+        x = witness[span.start:span.stop]
+        xi = x[0::2] + 1j * x[1::2]
         norm_sq = float(np.vdot(xi, xi).real)
         for twist in range(twist_order(span.j)):
-            w = xi.copy()
-            for _ in range(twist):
-                w = _conj_cycle(w)
+            w = _cycle_powers(span.j + 1)[twist] @ x
+            w = w[0::2] + 1j * w[1::2]
             ip = complex(np.vdot(xi, w))  # <w, xi> with numpy's conjugate-first order
             rmin = 2.0 * norm_sq - 2.0 * abs(ip)
             fixing = None

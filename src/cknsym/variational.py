@@ -56,6 +56,13 @@ from .symmetry import (
 CHECKPOINT_FORMAT = "cknsym-checkpoint"
 CHECKPOINT_VERSION = 1
 
+# line search: smallest trial step relative to the step cap, halvings per
+# step, and the growth of a spectral step whose curvature test fails
+MIN_STEP = 1e-10
+MAX_BACKTRACKS = 40
+STEP_GROWTH = 1.25
+INTERPOLATED_SAMPLES = 8  # random full-group elements in the bias diagnostic
+
 
 class VariationalError(ValueError):
     pass
@@ -228,11 +235,6 @@ class DiscreteEnergy:
         """J value on the Nehari manifold along the ray realizing the quotient."""
         p, q = self.params.p, self.params.q
         return (1.0 / p - 1.0 / q) * quotient ** (q / (q - p))
-
-    def functional_derivative_norm(self, u: np.ndarray) -> float:
-        """Discrete L2 norm of the first variation of J at u."""
-        grad = self.gradient(u)
-        return float(np.sqrt(np.sum(grad * grad) / self.grid.cell_volume))
 
     def nehari_scale(self, u: np.ndarray) -> float:
         """t > 0 with d/dt J(t u) = 0; closed form polished by Newton when eps > 0.
@@ -498,15 +500,15 @@ def interpolated_equivariance_bias(values: np.ndarray, cfg: SymmetryConfig,
     if peak == 0.0:
         return 0.0
     rng = np.random.default_rng(seed)
-    pts = grid.points()
-    worst = 0.0
     inside = grid.mask.ravel()
+    pts = grid.points()[inside]
+    own = values.ravel()[inside]
+    worst = 0.0
     for _ in range(num_samples):
         g = random_element(cfg, rng)
-        moved_pts = act_points(g, pts)
-        idx = (moved_pts + grid.radius) / grid.h
+        idx = (act_points(g, pts) + grid.radius) / grid.h
         sampled = ndimage.map_coordinates(values, idx.T, order=3, mode="constant", cval=0.0)
-        resid = np.abs(sampled - phi(g) * values.ravel())[inside]
+        resid = np.abs(sampled - phi(g) * own)
         worst = max(worst, float(np.max(resid)))
     return worst / peak
 
@@ -697,14 +699,10 @@ class SolveOptions:
     max_iters: int = 400
     tol: float = 1e-5  # relative first-variation tolerance, dimensionless
     initial_step: float = 0.2  # relative displacement per accepted step
-    min_step: float = 1e-10
-    max_backtracks: int = 40
-    step_growth: float = 1.25
     subcritical_shift: float = 0.5
     seed_offset: float = 0.55
     seed_width: float = 0.18
     angular_average: bool = True  # average iterates over rotation circles
-    interpolated_samples: int = 8
     checkpoint_path: str | None = None
     checkpoint_every: int = 0
 
@@ -943,16 +941,16 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
             if sy > 0.0:
                 step = float(np.sum(s * s)) / sy
             else:
-                step *= options.step_growth
+                step *= STEP_GROWTH
         cap = 10.0 * float(np.linalg.norm(u) / np.linalg.norm(d))
-        floor = options.min_step * cap
+        floor = MIN_STEP * cap
         # clamp: a collapsed spectral step must not skip the line search
         trial_step = min(max(step, floor), cap)
         slope = float(np.sum(gq * d))
         if slope <= 0.0:
             slope = float(np.sum(d * d))
         accepted = False
-        for _ in range(options.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             if trial_step < floor:
                 break
             # step along the projected direction from the unmoved base point:
@@ -991,8 +989,10 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     rel = _relative_residual(energy, u, d, quot)
     min_rel = min(min_rel, rel)
     w = energy.nehari_project(u) * grid.mask_f
-    kin_w = energy.kinetic(w)
-    pot_w = energy.potential(w)
+    # one energy pass gives every end-of-run scalar of w
+    kin_w, pot_w, gk_w, gb_w = energy.evaluate(w)
+    p, q = work.p, work.q
+    grad_w = gk_w / p - gb_w / q
     sym_gap = float(np.max(np.abs(symmetrize(u, cfg, grid, elements) - u)))
     cert = sign_certificate(w, cfg, grid, elements)
     converged = stop_reason == "first variation tolerance" or rel < 10 * options.tol
@@ -1004,18 +1004,18 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
         converged=converged,
         stop_reason=stop_reason,
         iterations=it - start_iter,
-        energy=energy.value(w),
-        level=energy.mountain_pass_level(w),
+        energy=kin_w / p - pot_w / q,
+        level=(1.0 / p - 1.0 / q) * kin_w,
         level_estimate=reduced_level_estimate(u, cfg, grid, work),
         kinetic=kin_w,
         potential=pot_w,
         nehari_residual=abs(kin_w - pot_w) / max(kin_w, pot_w),
-        grad_norm=energy.functional_derivative_norm(w),
+        grad_norm=float(np.sqrt(np.sum(grad_w * grad_w) / grid.cell_volume)),
         relative_residual=rel,
         min_relative_residual=min_rel,
         equivariance=equivariance_residual(u, cfg, grid, elements),
         interpolated_bias=interpolated_equivariance_bias(
-            u, cfg, grid, options.interpolated_samples),
+            u, cfg, grid, INTERPOLATED_SAMPLES),
         symmetrization_gap=sym_gap,
         certificate=cert,
         energy_history=tuple(history),

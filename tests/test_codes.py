@@ -448,6 +448,12 @@ def test_rotation_word_length_must_match_block_width():
     span = make_layout(cfg).blocks[0]
     with pytest.raises(ValueError):
         componentwise_rotation_points(np.zeros((1, 4)), span, (1, 0, 1), 0.5)
+    with pytest.raises(ValueError):
+        componentwise_rotation_matrix(4, span, (1, 0, 1), 0.5)
+    # a longer word would otherwise rotate coordinates past the block
+    narrow = make_layout(SymmetryConfig(8, 0, (1, 0, 0))).blocks[0]
+    with pytest.raises(ValueError):
+        componentwise_rotation_matrix(8, narrow, (1, 1, 1, 1), 0.5)
 
 
 def test_rotation_matrix_is_orthogonal():

@@ -1,5 +1,7 @@
 """Grid-exact sampling subgroups: signed permutations and their character."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,15 @@ from cknsym.lattice import (
     identity_perm,
     lattice_subgroup,
 )
-from cknsym.symmetry import GroupOperationError, SymmetryConfig
+from cknsym.enumeration import enumerate_configs
+from cknsym.symmetry import (
+    GroupOperationError,
+    SymmetryConfig,
+    make_element,
+    make_layout,
+    to_matrix,
+    twist_order,
+)
 
 
 def signed_perms(n: int):
@@ -103,25 +113,6 @@ def test_block_subgroup_has_sign_reversal():
     assert sum(1 for e in elements if e.sign == -1) * 2 == len(elements)
 
 
-def test_rotation_order_validation():
-    cfg = SymmetryConfig(4, 0, (1,))
-    with pytest.raises(GroupOperationError):
-        lattice_subgroup(cfg, rotation_order=3)
-    # the squared twist of an even-width block is a half-turn, so keeping
-    # only full turns cannot close under composition
-    with pytest.raises(GroupOperationError):
-        lattice_subgroup(cfg, rotation_order=1)
-    odd_width = SymmetryConfig(6, 0, (0, 1))
-    assert lattice_subgroup(odd_width, rotation_order=1)
-
-
-def test_coarser_rotation_order_nests():
-    cfg = SymmetryConfig(4, 0, (1,))
-    half = {e.perm for e in lattice_subgroup(cfg, rotation_order=2)}
-    full = {e.perm for e in lattice_subgroup(cfg, rotation_order=4)}
-    assert half <= full
-
-
 def test_apply_perm_matches_point_action():
     """Grid composition must agree with sampling the permuted function."""
     grid = BallGrid(4, 9)
@@ -148,3 +139,91 @@ def test_apply_perm_round_trip():
         inv = next(p for p in table if compose_perms(e.perm, p) == ident)
         back = apply_perm_to_grid(apply_perm_to_grid(values, e.perm), inv)
         assert np.array_equal(back, values)
+
+
+# --------------------------------------------------------------------------
+# oracle: the hand-written signed permutations lattice_subgroup used to build
+
+
+def _oracle_embed(n, start, local):
+    src, sgn = list(range(n)), [1] * n
+    for i in range(local.n):
+        src[start + i] = start + local.source[i]
+        sgn[start + i] = local.signs[i]
+    return SignedPerm(tuple(src), tuple(sgn))
+
+
+def _oracle_sync_quarter_turn(width):
+    src, sgn = [], []
+    for _ in range(width):
+        base = len(src)
+        src += [base + 1, base]
+        sgn += [-1, 1]
+    return SignedPerm(tuple(src), tuple(sgn))
+
+
+def _oracle_conj_cycle(width):
+    # (z_1..z_w) -> (-conj(z_w), conj(z_1..z_{w-1}))
+    src, sgn = [2 * width - 2, 2 * width - 1], [-1, 1]
+    for i in range(width - 1):
+        src += [2 * i, 2 * i + 1]
+        sgn += [1, -1]
+    return SignedPerm(tuple(src), tuple(sgn))
+
+
+def _oracle_powers(base, count):
+    out = [identity_perm(base.n)]
+    for _ in range(count - 1):
+        out.append(compose_perms(base, out[-1]))
+    return out
+
+
+def oracle_subgroup(cfg):
+    """Quarter turns, cycle powers and tail permutations written out by hand;
+    the sign is "odd twist => -1, pinwheel => +1"."""
+    layout = make_layout(cfg)
+    n = cfg.n
+    factors = []
+    if layout.pinwheel is not None:
+        # (z1, z2) -> (i z1, -i z2) on interleaved (x1, y1, x2, y2)
+        quarter = _oracle_embed(n, 0, SignedPerm((1, 0, 3, 2), (-1, 1, 1, -1)))
+        mixes = _oracle_powers(_oracle_embed(n, 0, _oracle_conj_cycle(2)), 2)
+        factors.append([(compose_perms(c, r), 1)
+                        for c in mixes for r in _oracle_powers(quarter, 4)])
+    for span in layout.blocks:
+        width = span.j + 1
+        quarter = _oracle_embed(n, span.start, _oracle_sync_quarter_turn(width))
+        cyc = _oracle_embed(n, span.start, _oracle_conj_cycle(width))
+        factors.append([(compose_perms(c, r), -1 if t % 2 else 1)
+                        for t, c in enumerate(_oracle_powers(cyc, twist_order(span.j)))
+                        for r in _oracle_powers(quarter, 4)])
+    if layout.tail_dim >= 2:
+        d = layout.tail_dim
+        factors.append([(_oracle_embed(n, layout.tail_start, SignedPerm(perm, flips)), 1)
+                        for perm in itertools.permutations(range(d))
+                        for flips in itertools.product((1, -1), repeat=d)])
+    elements = [LatticeElement(identity_perm(n), 1)]
+    for factor in factors:
+        elements = [LatticeElement(compose_perms(e.perm, p), e.sign * s)
+                    for e in elements for (p, s) in factor]
+    return tuple(elements)
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_lattice_subgroup_matches_the_hand_written_oracle(n):
+    """Same elements, same order, same signs: symmetrize sums in this order."""
+    for cfg in enumerate_configs(n, alpha_max=2):
+        assert lattice_subgroup(cfg) == oracle_subgroup(cfg), cfg
+
+
+def test_from_matrix_rejects_a_rotation_off_the_grid():
+    g = make_element(SymmetryConfig(4, 0, (1,)), blocks=((0, 0.3),))
+    with pytest.raises(GroupOperationError):
+        SignedPerm.from_matrix(to_matrix(g))
+
+
+def test_from_matrix_rejects_a_repeated_source():
+    m = np.zeros((3, 3))
+    m[:, 0] = 1.0
+    with pytest.raises(GroupOperationError):
+        SignedPerm.from_matrix(m)

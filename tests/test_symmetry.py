@@ -1,5 +1,6 @@
 """Tests for the symmetry group: configs, elements, matrices, stabilizers."""
 
+import cmath
 import math
 
 import numpy as np
@@ -224,6 +225,52 @@ def test_act_points_matches_pointwise_action():
     batched = act_points(g, pts)
     single = np.array([act(g, p) for p in pts])
     assert np.allclose(batched, single, atol=1e-12)
+
+
+def _oracle_act_points(g, points):
+    """Blockwise complex arithmetic: the point action before it read to_matrix."""
+    cfg = g.config
+    layout = make_layout(cfg)
+    out = np.empty_like(points)
+
+    def to_complex(seg):
+        return seg[:, 0::2] + 1j * seg[:, 1::2]
+
+    def store(z, seg):
+        seg[:, 0::2] = z.real
+        seg[:, 1::2] = z.imag
+
+    if layout.pinwheel is not None:
+        step, angle = g.pinwheel
+        z = to_complex(points[:, 0:4])
+        z = z * np.array([cmath.exp(1j * angle), cmath.exp(-1j * angle)])
+        psi = step * math.pi / (1 << (cfg.alpha + 1))
+        mixed = np.empty_like(z)
+        mixed[:, 0] = -np.conj(z[:, 1])
+        mixed[:, 1] = np.conj(z[:, 0])
+        store(math.cos(psi) * z + math.sin(psi) * mixed, out[:, 0:4])
+    for span, (twist, angle) in zip(layout.blocks, g.blocks):
+        z = to_complex(points[:, span.start:span.stop]) * cmath.exp(1j * angle)
+        for _ in range(twist):
+            nxt = np.empty_like(z)
+            nxt[:, 0] = -np.conj(z[:, -1])
+            nxt[:, 1:] = np.conj(z[:, :-1])
+            z = nxt
+        store(z, out[:, span.start:span.stop])
+    if g.tail is not None:
+        out[:, layout.tail_start:] = points[:, layout.tail_start:] @ g.tail.T
+    elif layout.tail_start < cfg.n:
+        out[:, layout.tail_start:] = points[:, layout.tail_start:]
+    return out
+
+
+@pytest.mark.parametrize("cfg", CONFIG_POOL, ids=str)
+def test_act_points_matches_the_complex_arithmetic_oracle(cfg):
+    rng = np.random.default_rng(cfg.n * 10 + cfg.alpha)
+    pts = rng.standard_normal((30, cfg.n))
+    for g in _random_elements(cfg, cfg.n, 20):
+        expected = _oracle_act_points(g, pts)
+        assert np.max(np.abs(act_points(g, pts) - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_twist_parity_drives_the_sign():
