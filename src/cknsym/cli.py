@@ -16,6 +16,7 @@ timestamp, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
@@ -25,13 +26,15 @@ import numpy as np
 from .codes import distinct_guaranteed
 from .enumeration import ConfigFamily, enumerate_configs, family_to_doc
 from .grid import BallGrid, GridError, save_field
-from .kvdoc import DocumentError, format_kv, parse_kv, require_keys
+from .kvdoc import DocumentError, format_kv, format_value, get_float, get_int, parse_kv, require_keys
 from .symmetry import (
     GroupElement,
     GroupOperationError,
     InvalidConfigError,
     REGIMES,
     SymmetryConfig,
+    config_from_pairs,
+    config_to_pairs,
     orbit_classify,
     phi_is_homomorphism_check,
     stabilizer_in_kernel_check,
@@ -56,36 +59,6 @@ def _read_doc(path: str | None) -> dict[str, str]:
     return parse_kv(Path(path).read_text())
 
 
-def _get_int(pairs: dict[str, str], key: str, default: int | None = None) -> int:
-    if key not in pairs:
-        if default is None:
-            raise DocumentError(f"missing key {key!r}")
-        return default
-    try:
-        return int(pairs[key])
-    except ValueError as exc:
-        raise DocumentError(f"key {key!r} must be an integer, got {pairs[key]!r}") from exc
-
-
-def _get_float(pairs: dict[str, str], key: str, default: float) -> float:
-    if key not in pairs:
-        return default
-    try:
-        return float(pairs[key])
-    except ValueError as exc:
-        raise DocumentError(f"key {key!r} must be a number, got {pairs[key]!r}") from exc
-
-
-def _get_tuple(pairs: dict[str, str], key: str) -> tuple[int, ...]:
-    raw = pairs.get(key, "")
-    if not raw:
-        return ()
-    try:
-        return tuple(int(v) for v in raw.split(","))
-    except ValueError as exc:
-        raise DocumentError(f"key {key!r} must be comma-separated integers") from exc
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -100,9 +73,9 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     pairs = _read_doc(args.config)
     require_keys(pairs, ("n",), optional=("regime", "alpha_max"))
-    n = _get_int(pairs, "n")
+    n = get_int(pairs, "n")
     regime = pairs.get("regime", "a_less_b")
-    alpha_max = _get_int(pairs, "alpha_max", 0)
+    alpha_max = get_int(pairs, "alpha_max", 0)
     family = ConfigFamily(enumerate_configs(n, regime, alpha_max))
     _emit(family_to_doc(family, n=n, regime=regime), args.out)
     return 0
@@ -120,18 +93,15 @@ def _structural_config(pairs: dict[str, str]) -> tuple[SymmetryConfig, str]:
     regime is constructed under the default regime and the requested one is
     carried alongside for the orbit suite.
     """
-    n = _get_int(pairs, "n")
-    alpha = _get_int(pairs, "alpha")
-    m = _get_tuple(pairs, "m")
     regime = pairs.get("regime", "a_less_b")
-    if regime not in REGIMES:
-        raise InvalidConfigError(f"regime must be one of {REGIMES}, got {regime!r}")
     try:
-        return SymmetryConfig(n, alpha, m, regime=regime), regime
+        return config_from_pairs(pairs), regime
     except InvalidConfigError:
+        if regime not in REGIMES:
+            raise
         # retry without the tail requirement; genuine structural violations
         # (size condition, bad multiplicities) raise again and exit 2
-        return SymmetryConfig(n, alpha, m, regime="a_less_b"), regime
+        return config_from_pairs(pairs, regime="a_less_b"), regime
 
 
 def _element_summary(g: GroupElement) -> str:
@@ -148,12 +118,9 @@ def cmd_check_group(args: argparse.Namespace) -> int:
     pairs = _read_doc(args.config)
     require_keys(pairs, ("n", "alpha", "m"), optional=("regime", "trials"))
     cfg, regime = _structural_config(pairs)
-    trials = _get_int(pairs, "trials", 2000)
+    trials = get_int(pairs, "trials", 2000)
 
-    report: dict[str, str] = {
-        "n": str(cfg.n), "alpha": str(cfg.alpha),
-        "m": ",".join(str(v) for v in cfg.m), "regime": regime,
-    }
+    report = config_to_pairs(cfg, regime)
     failures = 0
 
     stab = stabilizer_in_kernel_check(cfg)
@@ -203,17 +170,13 @@ def cmd_distinguish(args: argparse.Namespace) -> int:
     pairs = _read_doc(args.config)
     require_keys(pairs, ("n", "alpha_a", "m_a", "alpha_b", "m_b"),
                  optional=("regime",))
-    n = _get_int(pairs, "n")
-    regime = pairs.get("regime", "a_less_b")
-    cfg_a = SymmetryConfig(n, _get_int(pairs, "alpha_a"), _get_tuple(pairs, "m_a"),
-                           regime=regime)
-    cfg_b = SymmetryConfig(n, _get_int(pairs, "alpha_b"), _get_tuple(pairs, "m_b"),
-                           regime=regime)
+    cfg_a = config_from_pairs(pairs, "_a")
+    cfg_b = config_from_pairs(pairs, "_b")
     verdict = distinct_guaranteed(cfg_a, cfg_b)
     _emit(format_kv({
-        "n": str(n), "regime": regime,
-        "config a": f"alpha={cfg_a.alpha} m={','.join(str(v) for v in cfg_a.m)}",
-        "config b": f"alpha={cfg_b.alpha} m={','.join(str(v) for v in cfg_b.m)}",
+        "n": str(cfg_a.n), "regime": cfg_a.regime,
+        "config a": f"alpha={cfg_a.alpha} m={format_value(cfg_a.m)}",
+        "config b": f"alpha={cfg_b.alpha} m={format_value(cfg_b.m)}",
         "verdict": "guaranteed" if verdict.guaranteed else "not_guaranteed",
         "reason": verdict.reason,
     }), args.out)
@@ -233,11 +196,10 @@ def cmd_orbit(args: argparse.Namespace) -> int:
         point = np.array([float(v) for v in pairs["point"].split(",")])
     except ValueError as exc:
         raise DocumentError("key 'point' must be comma-separated numbers") from exc
-    samples = _get_int(pairs, "samples", 8)
+    samples = get_int(pairs, "samples", 8)
     orb = orbit_classify(cfg, point, samples=samples, seed=args.seed)
     _emit(format_kv({
-        "n": str(cfg.n), "alpha": str(cfg.alpha),
-        "m": ",".join(str(v) for v in cfg.m),
+        **config_to_pairs(cfg),
         "point": pairs["point"],
         "kind": orb.kind,
         "reason": orb.reason,
@@ -249,68 +211,56 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 # solve
 
 
-_SOLVE_OPTIONAL = (
-    "regime", "radius", "p", "a", "b", "weight_strength", "max_iters", "tol",
-    "initial_step", "subcritical_shift", "seed_offset", "seed_width",
-    "checkpoint_every", "resume",
-)
+# the solver options are the SolveOptions fields, read with their own types
+# and defaults; the CLI places the checkpoint next to the other outputs
+_OPTION_FIELDS = tuple(f for f in dataclasses.fields(SolveOptions)
+                       if f.name != "checkpoint_path")
+_READERS = {int: get_int, float: get_float}
+_SOLVE_OPTIONAL = (("regime", "radius", "p", "a", "b", "weight_strength", "resume")
+                   + tuple(f.name for f in _OPTION_FIELDS))
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     pairs = _read_doc(args.config)
     require_keys(pairs, ("n", "alpha", "m", "points_per_axis"),
                  optional=_SOLVE_OPTIONAL)
-    cfg = SymmetryConfig(_get_int(pairs, "n"), _get_int(pairs, "alpha"),
-                         _get_tuple(pairs, "m"),
-                         regime=pairs.get("regime", "a_less_b"))
-    grid = BallGrid(cfg.n, _get_int(pairs, "points_per_axis"),
-                    radius=_get_float(pairs, "radius", 1.0))
+    cfg = config_from_pairs(pairs)
+    grid = BallGrid(cfg.n, get_int(pairs, "points_per_axis"),
+                    radius=get_float(pairs, "radius", 1.0))
 
-    p = _get_float(pairs, "p", 2.0)
+    p = get_float(pairs, "p", 2.0)
     if "a" in pairs or "b" in pairs:
         if not ("a" in pairs and "b" in pairs):
             raise DocumentError("keys 'a' and 'b' must be given together")
-        params = ProblemParams(cfg.n, p, _get_float(pairs, "a", 0.0),
-                               _get_float(pairs, "b", 0.0))
+        params = ProblemParams(cfg.n, p, get_float(pairs, "a", 0.0),
+                               get_float(pairs, "b", 0.0))
     else:
-        params = params_for_config(cfg, p, _get_float(pairs, "weight_strength", 0.3))
+        params = params_for_config(cfg, p, get_float(pairs, "weight_strength", 0.3))
 
+    values = {f.name: _READERS[type(f.default)](pairs, f.name, f.default)
+              for f in _OPTION_FIELDS}
     out_dir = Path(args.out if args.out is not None else "results")
+    checkpoint = str(out_dir / "checkpoint.dat") if values["checkpoint_every"] else None
+    options = SolveOptions(**values, checkpoint_path=checkpoint)
     out_dir.mkdir(parents=True, exist_ok=True)
-    checkpoint_every = _get_int(pairs, "checkpoint_every", 0)
-    options = SolveOptions(
-        max_iters=_get_int(pairs, "max_iters", 400),
-        tol=_get_float(pairs, "tol", 1e-5),
-        initial_step=_get_float(pairs, "initial_step", 0.2),
-        subcritical_shift=_get_float(pairs, "subcritical_shift", 0.5),
-        seed_offset=_get_float(pairs, "seed_offset", 0.55),
-        seed_width=_get_float(pairs, "seed_width", 0.18),
-        checkpoint_path=str(out_dir / "checkpoint.dat") if checkpoint_every else None,
-        checkpoint_every=checkpoint_every,
-    )
 
     resume = pairs.get("resume")
     report = solve(cfg, grid, params=params, options=options, resume_from=resume)
 
     echo = dict(pairs)
     echo.setdefault("regime", cfg.regime)
-    echo.setdefault("radius", f"{grid.radius:.17g}")
-    echo.setdefault("p", f"{params.p:.17g}")
-    echo["a (resolved)"] = f"{params.a:.17g}"
-    echo["b (resolved)"] = f"{params.b:.17g}"
-    echo["q (resolved)"] = f"{params.q:.17g}"
-    echo.setdefault("max_iters", str(options.max_iters))
-    echo.setdefault("tol", f"{options.tol:.17g}")
-    echo.setdefault("initial_step", f"{options.initial_step:.17g}")
-    echo.setdefault("subcritical_shift", f"{options.subcritical_shift:.17g}")
-    echo.setdefault("seed_offset", f"{options.seed_offset:.17g}")
-    echo.setdefault("seed_width", f"{options.seed_width:.17g}")
+    echo.setdefault("radius", format_value(grid.radius))
+    echo.setdefault("p", format_value(params.p))
+    for key in ("a", "b", "q"):
+        echo[f"{key} (resolved)"] = format_value(getattr(params, key))
+    for name, value in values.items():
+        echo.setdefault(name, format_value(value))
     echo["seed (cli)"] = str(args.seed)
     echo["outcome"] = report.stop_reason
     echo["iterations"] = str(report.iterations)
-    echo["energy"] = f"{report.energy:.17g}"
-    echo["level"] = f"{report.level:.17g}"
-    echo["sign certified"] = "yes" if report.certificate.certifies_sign_change else "no"
+    echo["energy"] = format_value(report.energy)
+    echo["level"] = format_value(report.level)
+    echo["sign certified"] = format_value(report.certificate.certifies_sign_change)
 
     (out_dir / "report.txt").write_text(report_to_doc(report))
     save_field(out_dir / "field.dat", grid, report.field)

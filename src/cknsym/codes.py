@@ -29,8 +29,6 @@ import numpy as np
 
 from .symmetry import BlockSpan, SymmetryConfig, make_layout
 
-_BitsLike = "Codeword | Sequence[int] | str | int"
-
 
 def _coerce_bits(value, t: int | None = None) -> tuple[int, ...]:
     if isinstance(value, Codeword):

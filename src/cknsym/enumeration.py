@@ -18,12 +18,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+import functools
 from typing import Iterable, Iterator
 
 from .codes import DistinctVerdict, distinct_guaranteed
-from .kvdoc import format_kv, parse_kv, require_keys
-from .symmetry import REGIMES, InvalidConfigError, SymmetryConfig, admissibility_violation, k_of
+from .kvdoc import DocumentError, format_kv, format_value, get_int, parse_kv, require_keys
+from .symmetry import (
+    REGIMES,
+    InvalidConfigError,
+    SymmetryConfig,
+    admissibility_violation,
+    config_from_pairs,
+    k_of,
+)
 
 EXACT_CLIQUE_LIMIT = 20
 
@@ -64,7 +71,7 @@ def enumerate_configs(n: int, regime: str = "a_less_b",
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@functools.cache
 def _partition_counts(widths: tuple[int, ...], budget: int) -> tuple[int, ...]:
     """ways[s] = number of ways to write s as a sum of parts from ``widths``."""
     ways = [0] * (budget + 1)
@@ -210,22 +217,21 @@ def family_to_doc(family: ConfigFamily, n: int | None = None,
         raise ValueError("empty family needs explicit n and regime")
     pairs = {"n": str(n), "regime": regime, "count": str(len(family))}
     for i, c in enumerate(family.configs):
-        pairs[f"config {i}"] = f"alpha={c.alpha} m={','.join(str(v) for v in c.m)}"
+        pairs[f"config {i}"] = f"alpha={c.alpha} m={format_value(c.m)}"
     return format_kv(pairs)
 
 
 def family_from_doc(text: str) -> ConfigFamily:
     pairs = parse_kv(text)
-    count = int(pairs["count"])
-    require_keys(pairs, ("n", "regime", "count"),
-                 optional=tuple(f"config {i}" for i in range(count)))
-    n = int(pairs["n"])
-    regime = pairs["regime"]
+    count = get_int(pairs, "count")
+    members = tuple(f"config {i}" for i in range(count))
+    require_keys(pairs, ("n", "regime", "count") + members)
     configs = []
-    for i in range(count):
-        raw = pairs[f"config {i}"]
-        fields = dict(part.split("=", 1) for part in raw.split())
-        alpha = int(fields["alpha"])
-        m = tuple(int(v) for v in fields["m"].split(",")) if fields["m"] else ()
-        configs.append(SymmetryConfig(n, alpha, m, regime=regime))
+    for key in members:
+        try:
+            member = dict(part.split("=", 1) for part in pairs[key].split())
+        except ValueError as exc:
+            raise DocumentError(
+                f"key {key!r} must read 'alpha=<int> m=<ints>', got {pairs[key]!r}") from exc
+        configs.append(config_from_pairs({**member, "n": pairs["n"]}, regime=pairs["regime"]))
     return ConfigFamily(tuple(configs))

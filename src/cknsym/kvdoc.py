@@ -2,8 +2,10 @@
 
 One pair per line, `#` starts a comment, blank lines are skipped.  Order is
 preserved so that emitted documents are byte-stable across runs.  This is
-deliberately dumber than TOML/YAML: every value is a string and the caller
-owns the parsing, which keeps round-trips exact.
+deliberately dumber than TOML/YAML: every value is a string.  The value
+format lives here, in ``format_value`` and the typed readers, so every
+document writes and reads a number, flag or integer tuple the same way;
+floats carry 17 significant digits, which keeps round-trips exact.
 """
 
 from __future__ import annotations
@@ -46,3 +48,46 @@ def require_keys(pairs: dict[str, str], required: tuple[str, ...],
     unknown = [k for k in pairs if k not in allowed]
     if unknown:
         raise DocumentError(f"unknown keys: {', '.join(sorted(unknown))}")
+
+
+def format_value(value) -> str:
+    """yes/no for a flag, 17 significant digits for a float, commas between
+    the ints of a tuple, ``str`` otherwise."""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def _get(pairs: dict[str, str], key: str, default, parse, kind: str):
+    if key not in pairs:
+        if default is None:
+            raise DocumentError(f"missing key {key!r}")
+        return default
+    try:
+        return parse(pairs[key])
+    except ValueError as exc:
+        raise DocumentError(f"key {key!r} must be {kind}, got {pairs[key]!r}") from exc
+
+
+def get_int(pairs: dict[str, str], key: str, default: int | None = None) -> int:
+    """The integer under ``key``; ``default`` when absent, required when None."""
+    return _get(pairs, key, default, int, "an integer")
+
+
+def get_float(pairs: dict[str, str], key: str, default: float) -> float:
+    return _get(pairs, key, default, float, "a number")
+
+
+def get_ints(pairs: dict[str, str], key: str) -> tuple[int, ...]:
+    """Comma-separated integers; an absent or empty value is the empty tuple."""
+    raw = pairs.get(key, "")
+    if not raw:
+        return ()
+    try:
+        return tuple(int(v) for v in raw.split(","))
+    except ValueError as exc:
+        raise DocumentError(f"key {key!r} must be comma-separated integers") from exc

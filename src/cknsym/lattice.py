@@ -20,6 +20,7 @@ act through the same encoding of the group.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -91,6 +92,7 @@ class LatticeElement:
     sign: int  # value of the sign character
 
 
+@functools.cache
 def lattice_subgroup(cfg: SymmetryConfig) -> tuple[LatticeElement, ...]:
     """Enumerate the grid-exact sampling subgroup with its character values.
 
@@ -101,7 +103,7 @@ def lattice_subgroup(cfg: SymmetryConfig) -> tuple[LatticeElement, ...]:
     permutation is read off ``to_matrix``, which is refused unless it is
     grid-exact, and its sign is ``phi``.  The pinwheel varies slowest, then
     the blocks in layout order, then the tail; within a factor the step or
-    twist varies slower than the angle.
+    twist varies slower than the angle.  Built once per configuration.
     """
     layout = make_layout(cfg)
     quarters = [k * math.pi / 2.0 for k in range(4)]

@@ -30,12 +30,13 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kvdoc import DocumentError, format_kv, parse_kv, require_keys
+from .kvdoc import DocumentError, format_kv, format_value, get_int, get_ints, parse_kv, require_keys
 
 TWO_PI = 2.0 * math.pi
 
@@ -448,17 +449,12 @@ def pinwheel_matrix(alpha: int, step: int = 1) -> np.ndarray:
     return math.cos(psi) * np.eye(4) + math.sin(psi) * conj_cycle_matrix(2)
 
 
-_CYCLE_POWERS: dict[int, list[np.ndarray]] = {}
-
-
+@functools.cache
 def _cycle_powers(width: int) -> list[np.ndarray]:
-    powers = _CYCLE_POWERS.get(width)
-    if powers is None:
-        base = conj_cycle_matrix(width)
-        powers = [np.eye(2 * width)]
-        for _ in range(2 * width - 1):
-            powers.append(base @ powers[-1])
-        _CYCLE_POWERS[width] = powers
+    base = conj_cycle_matrix(width)
+    powers = [np.eye(2 * width)]
+    for _ in range(2 * width - 1):
+        powers.append(base @ powers[-1])
     return powers
 
 
@@ -667,42 +663,48 @@ def orbit_classify(cfg: SymmetryConfig, x: np.ndarray, samples: int = 8,
 # serialization
 
 
+def config_to_pairs(cfg: SymmetryConfig, regime: str | None = None) -> dict[str, str]:
+    """n, alpha and m, then ``regime`` if given (a check reports the requested one)."""
+    pairs = {"n": format_value(cfg.n), "alpha": format_value(cfg.alpha),
+             "m": format_value(cfg.m)}
+    if regime is not None:
+        pairs["regime"] = regime
+    return pairs
+
+
+def config_from_pairs(pairs: dict[str, str], suffix: str = "",
+                      regime: str | None = None) -> SymmetryConfig:
+    """The config of n, alpha<suffix>, m<suffix> and ``regime`` or the document's."""
+    return SymmetryConfig(get_int(pairs, "n"), get_int(pairs, "alpha" + suffix),
+                          get_ints(pairs, "m" + suffix),
+                          regime=regime or pairs.get("regime", "a_less_b"))
+
+
 def config_to_doc(cfg: SymmetryConfig) -> str:
-    return format_kv({
-        "n": str(cfg.n),
-        "alpha": str(cfg.alpha),
-        "m": ",".join(str(v) for v in cfg.m),
-        "regime": cfg.regime,
-    })
+    return format_kv(config_to_pairs(cfg, cfg.regime))
 
 
 def config_from_doc(text: str) -> SymmetryConfig:
     pairs = parse_kv(text)
     require_keys(pairs, ("n", "alpha", "m"), optional=("regime",))
-    try:
-        n = int(pairs["n"])
-        alpha = int(pairs["alpha"])
-        m = tuple(int(v) for v in pairs["m"].split(",")) if pairs["m"] else ()
-    except ValueError as exc:
-        raise DocumentError(f"bad numeric field in config: {exc}") from exc
-    return SymmetryConfig(n=n, alpha=alpha, m=m, regime=pairs.get("regime", "a_less_b"))
+    return config_from_pairs(pairs)
 
 
 def element_to_doc(g: GroupElement) -> str:
     """Text form of an element: factor data with 17 significant digits."""
     lines = []
     if g.pinwheel is not None:
-        lines.append(f"pinwheel: {g.pinwheel[0]} {g.pinwheel[1]:.17g}")
+        lines.append(f"pinwheel: {g.pinwheel[0]} {format_value(g.pinwheel[1])}")
     else:
         lines.append("pinwheel: none")
     layout = make_layout(g.config)
     for span, (twist, angle) in zip(layout.blocks, g.blocks):
-        lines.append(f"block: {span.j} {span.ell} {twist} {angle:.17g}")
+        lines.append(f"block: {span.j} {span.ell} {twist} {format_value(angle)}")
     if g.tail is None:
         lines.append("tail: none")
     else:
         d = g.tail.shape[0]
-        flat = " ".join(f"{v:.17g}" for v in g.tail.reshape(-1))
+        flat = " ".join(format_value(v) for v in g.tail.reshape(-1))
         lines.append(f"tail: {d} {flat}")
     return "\n".join(lines) + "\n"
 
@@ -718,18 +720,20 @@ def element_from_doc(cfg: SymmetryConfig, text: str) -> GroupElement:
         key, _, rest = line.partition(":")
         key = key.strip()
         fields = rest.split()
-        if key == "pinwheel":
-            if fields != ["none"]:
-                pin = (int(fields[0]), float(fields[1]))
-        elif key == "block":
-            blocks.append((int(fields[2]), float(fields[3])))
-        elif key == "tail":
-            if fields != ["none"]:
+        if key not in ("pinwheel", "block", "tail"):
+            raise DocumentError(f"unknown element line {line!r}")
+        try:
+            if key == "pinwheel":
+                if fields != ["none"]:
+                    pin = (int(fields[0]), float(fields[1]))
+            elif key == "block":
+                blocks.append((int(fields[2]), float(fields[3])))
+            elif fields != ["none"]:
                 d = int(fields[0])
                 vals = np.array([float(v) for v in fields[1:]])
                 if vals.size != d * d:
                     raise DocumentError(f"tail matrix needs {d * d} entries, got {vals.size}")
                 tail = vals.reshape(d, d)
-        else:
-            raise DocumentError(f"unknown element line {line!r}")
+        except (IndexError, ValueError) as exc:
+            raise DocumentError(f"bad element line {line!r}: {exc}") from exc
     return make_element(cfg, pinwheel=pin, blocks=tuple(blocks), tail=tail)

@@ -24,8 +24,9 @@ so they appear as a reported bias diagnostic, never inside the projection.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -42,11 +43,12 @@ from .grid import (
     read_arrays,
     write_arrays,
 )
-from .kvdoc import format_kv, parse_kv
-from .lattice import LatticeElement, apply_perm_to_grid, lattice_subgroup
+from .kvdoc import format_kv, format_value, get_ints, parse_kv
+from .lattice import apply_perm_to_grid, lattice_subgroup
 from .symmetry import (
     SymmetryConfig,
     act_points,
+    config_to_pairs,
     make_layout,
     phi,
     random_element,
@@ -62,6 +64,8 @@ MIN_STEP = 1e-10
 MAX_BACKTRACKS = 40
 STEP_GROWTH = 1.25
 INTERPOLATED_SAMPLES = 8  # random full-group elements in the bias diagnostic
+REDUCED_REFINE = 4  # profile table step of the reduced level: grid step / 4
+KINETIC_EPS = 1e-8  # kinetic-density regularisation for p != 2
 
 
 class VariationalError(ValueError):
@@ -130,11 +134,35 @@ def params_for_config(cfg: SymmetryConfig, p: float = 2.0,
     return ProblemParams(cfg.n, p, 0.0, s)
 
 
+@dataclass(frozen=True)
+class SolveOptions:
+    """The solver's settings.  Every field except ``checkpoint_path`` is also
+    a ``cknsym solve`` key, with the default given here."""
+
+    max_iters: int = 400
+    tol: float = 1e-5  # relative first-variation tolerance, dimensionless
+    initial_step: float = 0.2  # relative displacement per accepted step
+    subcritical_shift: float = 0.5
+    seed_offset: float = 0.55
+    seed_width: float = 0.18
+    checkpoint_path: str | None = None
+    checkpoint_every: int = 0
+
+    def __post_init__(self) -> None:
+        # written as "not x > 0" so that NaN is refused too
+        for name in ("tol", "initial_step", "subcritical_shift", "seed_width"):
+            if not getattr(self, name) > 0:
+                raise VariationalError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("max_iters", "checkpoint_every"):
+            if not getattr(self, name) >= 0:
+                raise VariationalError(f"{name} must be >= 0, got {getattr(self, name)}")
+
+
 class DiscreteEnergy:
     """J and its exact discrete gradient on a masked ball grid.
 
     The kinetic density is psi(g) = (|g|^2 + eps^2)^(p/2) - eps^p with
-    eps = 0 for p = 2 and a small fixed eps otherwise, so the density
+    eps = 0 for p = 2 and KINETIC_EPS otherwise, so the density
     vanishes at zero gradient and stays differentiable at p < 2.  Gradients
     are assembled with the exact roll-based difference adjoints and masked
     back onto the interior, making them true derivatives of the discrete
@@ -144,12 +172,12 @@ class DiscreteEnergy:
     yields K, B and both node gradients; the other methods are views.
     """
 
-    def __init__(self, grid: BallGrid, params: ProblemParams, eps: float | None = None):
+    def __init__(self, grid: BallGrid, params: ProblemParams):
         if params.n != grid.n:
             raise VariationalError(f"params dimension {params.n} != grid dimension {grid.n}")
         self.grid = grid
         self.params = params
-        self.eps = (0.0 if params.p == 2.0 else 1e-8) if eps is None else float(eps)
+        self.eps = 0.0 if params.p == 2.0 else KINETIC_EPS
 
     @cached_property
     def _w_grad(self) -> np.ndarray:
@@ -284,11 +312,9 @@ class DiscreteEnergy:
 # symmetrization and certificates
 
 
-def symmetrize(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid,
-               elements: tuple[LatticeElement, ...] | None = None) -> np.ndarray:
+def symmetrize(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) -> np.ndarray:
     """Average sign(g) * u(g x) over the sampling subgroup: an exact projection."""
-    if elements is None:
-        elements = lattice_subgroup(cfg)
+    elements = lattice_subgroup(cfg)
     acc = np.zeros(grid.shape)
     for e in elements:
         moved = apply_perm_to_grid(values, e.perm)
@@ -311,9 +337,7 @@ def _catmull_rom(t: np.ndarray) -> np.ndarray:
     return w
 
 
-_ANGULAR_MEAN_CACHE: dict[tuple[int, float], np.ndarray] = {}
-
-
+@functools.cache
 def _plane_angular_mean_matrix(points_per_axis: int, radius: float) -> np.ndarray:
     """Dense orthogonal projector onto circle-invariant 2-plane slices.
 
@@ -327,10 +351,6 @@ def _plane_angular_mean_matrix(points_per_axis: int, radius: float) -> np.ndarra
     projected gradient is a true descent direction.  Cached per axis
     geometry.
     """
-    key = (points_per_axis, radius)
-    cached = _ANGULAR_MEAN_CACHE.get(key)
-    if cached is not None:
-        return cached
     npts = points_per_axis
     h = 2.0 * radius / (npts - 1)
     axis = -radius + h * np.arange(npts)
@@ -351,9 +371,7 @@ def _plane_angular_mean_matrix(points_per_axis: int, radius: float) -> np.ndarra
 
     gram_pinv = np.linalg.pinv(basis.T @ basis, rcond=1e-12)
     q = basis @ gram_pinv @ basis.T
-    q = 0.5 * (q + q.T)
-    _ANGULAR_MEAN_CACHE[key] = q
-    return q
+    return 0.5 * (q + q.T)
 
 
 def _rotation_plane_pairs(cfg: SymmetryConfig) -> tuple[tuple[int, int], ...]:
@@ -407,14 +425,14 @@ def _table_derivative(f: np.ndarray, axis: int, h: float, even_start: bool) -> n
 
 
 def reduced_level_estimate(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid,
-                           params: ProblemParams, refine: int = 4) -> float:
+                           params: ProblemParams) -> float:
     """Nehari level of the field re-quadratured through the rotation reduction.
 
     A circle-averaged field depends only on one radius per rotation plane
     plus the leftover coordinates, so its energy reduces to an integral over
     that low-dimensional profile with a product-of-radii Jacobian.  The
-    profile is resampled on a table refined by ``refine`` relative to the
-    grid spacing, differentiated with fourth-order stencils, rescaled onto
+    profile is resampled on a table REDUCED_REFINE times finer than the
+    grid, differentiated with fourth-order stencils, rescaled onto
     the Nehari manifold of the re-quadratured functional, and its level
     (1/p - 1/q) * kinetic is returned.  Far less quadrature error than the
     cube-grid level when the minimizer has features a few cells wide.
@@ -428,7 +446,7 @@ def reduced_level_estimate(values: np.ndarray, cfg: SymmetryConfig, grid: BallGr
     pairs = _rotation_plane_pairs(cfg)
     paired = {i for pr in pairs for i in pr}
     tail_axes = [i for i in range(grid.n) if i not in paired]
-    h_f = grid.h / refine
+    h_f = grid.h / REDUCED_REFINE
     n_r = int(math.ceil(grid.radius / h_f))
     rho = (np.arange(n_r) + 0.5) * h_f
     line = -grid.radius + (np.arange(2 * n_r) + 0.5) * h_f
@@ -471,40 +489,36 @@ def reduced_level_estimate(values: np.ndarray, cfg: SymmetryConfig, grid: BallGr
     return (1.0 / p - 1.0 / q) * t ** p * kin
 
 
-def equivariance_residual(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid,
-                          elements: tuple[LatticeElement, ...] | None = None) -> float:
+def equivariance_residual(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) -> float:
     """Worst |u(g x) - sign(g) u(x)| over sampling elements, relative to sup |u|."""
-    if elements is None:
-        elements = lattice_subgroup(cfg)
     peak = float(np.max(np.abs(values)))
     if peak == 0.0:
         return 0.0
     worst = 0.0
-    for e in elements:
+    for e in lattice_subgroup(cfg):
         moved = apply_perm_to_grid(values, e.perm)
         worst = max(worst, float(np.max(np.abs(moved - e.sign * values))))
     return worst / peak
 
 
 def interpolated_equivariance_bias(values: np.ndarray, cfg: SymmetryConfig,
-                                   grid: BallGrid, num_samples: int = 16,
-                                   seed: int = 0) -> float:
+                                   grid: BallGrid) -> float:
     """Worst residual over random full-group elements, via cubic interpolation.
 
     This measures how far the grid field is from equivariance under angles
     the grid cannot represent exactly, relative to sup |u|; it is a bias
     diagnostic (dominated by interpolation error), not a convergence
-    criterion.
+    criterion.  The INTERPOLATED_SAMPLES elements come from a fixed seed.
     """
     peak = float(np.max(np.abs(values)))
     if peak == 0.0:
         return 0.0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     inside = grid.mask.ravel()
     pts = grid.points()[inside]
     own = values.ravel()[inside]
     worst = 0.0
-    for _ in range(num_samples):
+    for _ in range(INTERPOLATED_SAMPLES):
         g = random_element(cfg, rng)
         idx = (act_points(g, pts) + grid.radius) / grid.h
         sampled = ndimage.map_coordinates(values, idx.T, order=3, mode="constant", cval=0.0)
@@ -536,11 +550,8 @@ class SignCertificate:
                 and self.max_value > 0.0 > self.min_value)
 
 
-def sign_certificate(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid,
-                     elements: tuple[LatticeElement, ...] | None = None) -> SignCertificate:
-    if elements is None:
-        elements = lattice_subgroup(cfg)
-    flips = [e for e in elements if e.sign == -1]
+def sign_certificate(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) -> SignCertificate:
+    flips = [e for e in lattice_subgroup(cfg) if e.sign == -1]
     if not flips:
         raise UnsupportedConfigError(
             "sampling subgroup has no sign-reversing element; a sign change "
@@ -564,8 +575,9 @@ def sign_certificate(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid,
 # seeding, dilation diagnostics, concentration
 
 
-def seed_field(cfg: SymmetryConfig, grid: BallGrid, offset: float = 0.55,
-               width: float = 0.18) -> np.ndarray:
+def seed_field(cfg: SymmetryConfig, grid: BallGrid,
+               offset: float = SolveOptions.seed_offset,
+               width: float = SolveOptions.seed_width) -> np.ndarray:
     """Symmetrized Gaussian bump along the stabilizer witness direction.
 
     The witness is fixed only by character +1 elements, so the signed
@@ -695,19 +707,6 @@ def concentration_profile(values: np.ndarray, grid: BallGrid, params: ProblemPar
 
 
 @dataclass(frozen=True)
-class SolveOptions:
-    max_iters: int = 400
-    tol: float = 1e-5  # relative first-variation tolerance, dimensionless
-    initial_step: float = 0.2  # relative displacement per accepted step
-    subcritical_shift: float = 0.5
-    seed_offset: float = 0.55
-    seed_width: float = 0.18
-    angular_average: bool = True  # average iterates over rotation circles
-    checkpoint_path: str | None = None
-    checkpoint_every: int = 0
-
-
-@dataclass(frozen=True)
 class SolveReport:
     config: SymmetryConfig
     params: ProblemParams
@@ -739,36 +738,21 @@ class SolveReport:
 
 
 def report_to_doc(report: SolveReport) -> str:
-    c = report.config
+    """The config and exponents, one line per scalar report field (key: the
+    field name with spaces), then the sign certificate."""
     cert = report.certificate
-    pairs = {
-        "n": str(c.n), "alpha": str(c.alpha),
-        "m": ",".join(str(v) for v in c.m),
-        "regime": c.regime,
-        "p": f"{report.params.p:.17g}", "a": f"{report.params.a:.17g}",
-        "b": f"{report.params.b:.17g}", "q": f"{report.params.q:.17g}",
-        "solver exponent": f"{report.solver_exponent:.17g}",
-        "grid points": str(report.grid_points),
-        "converged": "yes" if report.converged else "no",
-        "stop reason": report.stop_reason,
-        "iterations": str(report.iterations),
-        "energy": f"{report.energy:.17g}",
-        "level": f"{report.level:.17g}",
-        "level estimate": f"{report.level_estimate:.17g}",
-        "kinetic": f"{report.kinetic:.17g}",
-        "potential": f"{report.potential:.17g}",
-        "nehari residual": f"{report.nehari_residual:.17g}",
-        "grad norm": f"{report.grad_norm:.17g}",
-        "relative residual": f"{report.relative_residual:.17g}",
-        "min relative residual": f"{report.min_relative_residual:.17g}",
-        "equivariance": f"{report.equivariance:.17g}",
-        "interpolated bias": f"{report.interpolated_bias:.17g}",
-        "symmetrization gap": f"{report.symmetrization_gap:.17g}",
-        "sign max": f"{cert.max_value:.17g}",
-        "sign min": f"{cert.min_value:.17g}",
-        "sign residual": f"{cert.antisymmetry_residual:.17g}",
-        "sign certified": "yes" if cert.certifies_sign_change else "no",
-    }
+    pairs = config_to_pairs(report.config, report.config.regime)
+    pairs.update((key, format_value(getattr(report.params, key))) for key in ("p", "a", "b", "q"))
+    for f in fields(report):
+        value = getattr(report, f.name)
+        if isinstance(value, (int, float, str)):
+            pairs[f.name.replace("_", " ")] = format_value(value)
+    pairs.update({
+        "sign max": format_value(cert.max_value),
+        "sign min": format_value(cert.min_value),
+        "sign residual": format_value(cert.antisymmetry_residual),
+        "sign certified": format_value(cert.certifies_sign_change),
+    })
     return format_kv(pairs)
 
 
@@ -782,7 +766,7 @@ def report_summary_from_doc(text: str) -> dict:
         elif key in ("converged", "sign certified"):
             out[key] = raw == "yes"
         elif key == "m":
-            out[key] = tuple(int(v) for v in raw.split(",")) if raw else ()
+            out[key] = get_ints(pairs, key)
         elif key in ("n", "alpha", "grid points", "iterations"):
             out[key] = int(raw)
         else:
@@ -840,8 +824,8 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     iterate rescaled onto the Nehari manifold.
 
     Every iterate (and the descent direction) is projected onto the working
-    class: circle averages over all rotation planes when angular averaging is
-    enabled, then the exact lattice symmetrization.  The circle averages keep
+    class: circle averages over all rotation planes, then the exact lattice
+    symmetrization.  The circle averages keep
     minimizing sequences inside the rotation-invariant profiles the continuum
     symmetry demands; without them a coarse lattice admits spurious isolated
     concentration bumps whose discrete energy undercuts the symmetric level
@@ -861,8 +845,7 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
         params = params_for_config(cfg)
     if params.n != cfg.n or params.n != grid.n:
         raise VariationalError("config, params, and grid dimensions disagree")
-    elements = lattice_subgroup(cfg)
-    if not any(e.sign == -1 for e in elements):
+    if not any(e.sign == -1 for e in lattice_subgroup(cfg)):
         raise UnsupportedConfigError(
             "no sign-reversing sampling element exists for this configuration "
             "(pinwheel-only symmetry reverses sign off the grid lattice); "
@@ -879,9 +862,7 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
         # orthogonal projection onto the working class: commuting circle
         # averages, then the exact lattice symmetrization; the class is a
         # linear subspace, so combinations of projected fields stay inside
-        if options.angular_average:
-            x = angular_mean(x, cfg, grid)
-        return symmetrize(x, cfg, grid, elements)
+        return symmetrize(angular_mean(x, cfg, grid), cfg, grid)
 
     if resume_from is not None:
         state = load_checkpoint(resume_from)
@@ -993,8 +974,8 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     kin_w, pot_w, gk_w, gb_w = energy.evaluate(w)
     p, q = work.p, work.q
     grad_w = gk_w / p - gb_w / q
-    sym_gap = float(np.max(np.abs(symmetrize(u, cfg, grid, elements) - u)))
-    cert = sign_certificate(w, cfg, grid, elements)
+    sym_gap = float(np.max(np.abs(symmetrize(u, cfg, grid) - u)))
+    cert = sign_certificate(w, cfg, grid)
     converged = stop_reason == "first variation tolerance" or rel < 10 * options.tol
     return SolveReport(
         config=cfg,
@@ -1013,9 +994,8 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
         grad_norm=float(np.sqrt(np.sum(grad_w * grad_w) / grid.cell_volume)),
         relative_residual=rel,
         min_relative_residual=min_rel,
-        equivariance=equivariance_residual(u, cfg, grid, elements),
-        interpolated_bias=interpolated_equivariance_bias(
-            u, cfg, grid, INTERPOLATED_SAMPLES),
+        equivariance=equivariance_residual(u, cfg, grid),
+        interpolated_bias=interpolated_equivariance_bias(u, cfg, grid),
         symmetrization_gap=sym_gap,
         certificate=cert,
         energy_history=tuple(history),

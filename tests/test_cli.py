@@ -1,12 +1,14 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cknsym.cli import main
 from cknsym.grid import BallGrid, load_field
 from cknsym.kvdoc import parse_kv
-from cknsym.variational import report_summary_from_doc
+from cknsym.variational import SolveOptions, report_summary_from_doc
 
 
 def write_doc(path, text):
@@ -188,6 +190,23 @@ def test_solve_writes_the_result_bundle(tmp_path, capsys):
     assert log["max_iters"] == "12"
     assert log["q (resolved)"]
     assert log["outcome"]
+    # the full parameter echo: every solver option, defaults included
+    for f in dataclasses.fields(SolveOptions):
+        assert (f.name in log) == (f.name != "checkpoint_path"), f.name
+    assert log["checkpoint_every"] == "0"
+    assert log["tol"] == "1.0000000000000001e-05"
+
+
+@pytest.mark.parametrize("setting", [
+    "checkpoint_every: -1", "max_iters: -3", "initial_step: 0", "initial_step: -0.2",
+    "tol: -1", "tol: nan", "subcritical_shift: -1", "seed_width: -0.1"])
+def test_solve_rejects_meaningless_options(tmp_path, capsys, setting):
+    base = SOLVE_DOC.replace("max_iters: 12\n", "")
+    doc = write_doc(tmp_path / "solve.kv", f"{base}{setting}\n")
+    assert run("solve", "--config", doc, "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {setting.split(':')[0]} must be") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_reruns_are_byte_identical(tmp_path):

@@ -17,6 +17,7 @@ from cknsym.enumeration import (
     prime_restricted_asymptotic,
     prime_restricted_count,
 )
+from cknsym.kvdoc import DocumentError
 from cknsym.symmetry import InvalidConfigError, SymmetryConfig
 
 
@@ -189,6 +190,19 @@ def test_family_doc_round_trip():
     back = family_from_doc(doc)
     assert back.configs == family.configs
     assert "count:" in doc.replace(" =", ":") or "count" in doc
+
+
+@pytest.mark.parametrize("text", [
+    "n: 8\nregime: a_less_b\n",                                         # no count
+    "n: 8\nregime: a_less_b\ncount: x\n",                               # bad count
+    "n: 8\nregime: a_less_b\ncount: 1\nconfig 0: alpha0\n",            # no '='
+    "n: 8\nregime: a_less_b\ncount: 1\nconfig 0: m=1,0,0\n",           # no alpha
+    "n: 8\nregime: a_less_b\ncount: 2\nconfig 0: alpha=0 m=1,0,0\n",   # member missing
+    "n: 8\nregime: a_less_b\ncount: 1\nconfig 0: alpha=0 m=1,x\n",     # bad m
+])
+def test_family_from_doc_rejects_malformed_documents(text):
+    with pytest.raises(DocumentError):
+        family_from_doc(text)
 
 
 def test_empty_family_doc_needs_explicit_context():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from cknsym.kvdoc import DocumentError
 from cknsym.symmetry import (
     InvalidConfigError,
     GroupOperationError,
@@ -16,7 +17,9 @@ from cknsym.symmetry import (
     act_points,
     compose,
     config_from_doc,
+    config_from_pairs,
     config_to_doc,
+    config_to_pairs,
     conj_cycle_matrix,
     element_from_doc,
     element_to_doc,
@@ -385,8 +388,13 @@ def test_orbit_rejects_wrong_point_shape():
 
 
 def test_config_doc_round_trip():
-    for cfg in CONFIG_POOL:
+    for cfg in CONFIG_POOL + (SymmetryConfig(8, 0, (2, 0, 0), regime="a_eq_b_zero"),):
         assert config_from_doc(config_to_doc(cfg)) == cfg
+        # the same pairs under a suffix, as a two-config document carries them
+        pairs = config_to_pairs(cfg, cfg.regime)
+        suffixed = {"n": pairs["n"], "regime": pairs["regime"],
+                    "alpha_b": pairs["alpha"], "m_b": pairs["m"]}
+        assert config_from_pairs(suffixed, "_b") == cfg
 
 
 def test_element_doc_round_trip_is_exact():
@@ -395,6 +403,19 @@ def test_element_doc_round_trip_is_exact():
             back = element_from_doc(cfg, element_to_doc(g))
             assert np.max(np.abs(to_matrix(back) - to_matrix(g))) <= 1e-15
             assert phi(back) == phi(g)
+
+
+@pytest.mark.parametrize("text", [
+    "block: 1 1\n",                  # too few fields
+    "block: 1 1 0 abc\n",            # non-numeric angle
+    "block: 1 1 x 0\n",              # non-numeric twist
+    "pinwheel: 1\n",                 # step without angle
+    "tail: 2 1 0\n",                 # too few tail entries
+    "twist: 1\n",                    # unknown line
+])
+def test_element_from_doc_rejects_malformed_lines(text):
+    with pytest.raises(DocumentError):
+        element_from_doc(SymmetryConfig(4, 0, (1,)), text)
 
 
 def test_element_factors_must_match_layout():

@@ -1,5 +1,6 @@
 """Tests for the discrete energy, projections, diagnostics, and the solver."""
 
+import dataclasses
 import json
 import math
 
@@ -21,6 +22,7 @@ from cknsym.variational import (
     GaussianProfile,
     ProblemParams,
     SolveOptions,
+    SolveReport,
     UnsupportedConfigError,
     VariationalError,
     _save_checkpoint,
@@ -549,6 +551,14 @@ def test_report_doc_round_trip(small_report):
     assert summary["level estimate"] == pytest.approx(
         small_report.level_estimate, rel=1e-15)
     assert summary["sign certified"] is True
+    # one line per scalar report field, keyed by the name with spaces, exact
+    scalars = [f.name for f in dataclasses.fields(SolveReport)
+               if isinstance(getattr(small_report, f.name), (int, float, str))]
+    assert scalars[0] == "solver_exponent" and scalars[-1] == "symmetrization_gap"
+    assert len(scalars) == 17
+    for name in scalars:
+        assert summary[name.replace("_", " ")] == getattr(small_report, name), name
+    assert len(summary) == 4 + 4 + len(scalars) + 4  # config, exponents, scalars, sign
 
 
 def test_solver_is_deterministic():
@@ -557,12 +567,6 @@ def test_solver_is_deterministic():
     r2 = solve(CFG4, GRID4, options=opts)
     assert r1.energy_history == r2.energy_history
     assert np.array_equal(r1.field, r2.field)
-
-
-def test_solver_without_circle_averaging_still_descends():
-    report = solve(CFG4, GRID4, options=SolveOptions(max_iters=8, angular_average=False))
-    assert report.monotone
-    assert report.equivariance <= 1e-10
 
 
 def test_solver_rejects_pinwheel_only_configs():
@@ -612,6 +616,12 @@ def test_resume_rejects_a_vanishing_checkpoint_field(tmp_path):
                      np.zeros(GRID4.shape), [1.0])
     with pytest.raises(VariationalError):
         solve(CFG4, GRID4, resume_from=cp)
+
+
+def test_solver_builds_the_lattice_subgroup_once():
+    lattice_subgroup.cache_clear()
+    solve(SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 5, 1.0), options=SolveOptions(max_iters=1))
+    assert lattice_subgroup.cache_info().misses == 1
 
 
 def test_solver_refuses_the_zero_class():
