@@ -380,20 +380,18 @@ def compose(g: GroupElement, h: GroupElement) -> GroupElement:
 
 
 def inverse(g: GroupElement) -> GroupElement:
+    """Raw inverse factors, canonicalised by ``make_element``.
+
+    Under the twisted product rule the inverse of ``(t, a)`` is
+    ``(-t, -(-1)^t a)``; folding the negative twist is left to
+    ``make_element``.
+    """
     pin = None
     if g.pinwheel is not None:
         pin = (-g.pinwheel[0], -g.pinwheel[1])
-    blocks = []
-    for span, (twist, angle) in zip(make_layout(g.config).blocks, g.blocks):
-        if (span.j + 1) % 2 == 0 and twist != 0:
-            inv_twist = (span.j + 1) - twist
-            inv_angle = -((-1.0) ** twist * angle) - math.pi
-        else:
-            inv_twist = -twist
-            inv_angle = -((-1.0) ** twist * angle)
-        blocks.append((inv_twist, inv_angle))
+    blocks = tuple((-t, -a if t % 2 == 0 else a) for t, a in g.blocks)
     tail = None if g.tail is None else g.tail.T.copy()
-    return make_element(g.config, pinwheel=pin, blocks=tuple(blocks), tail=tail)
+    return make_element(g.config, pinwheel=pin, blocks=blocks, tail=tail)
 
 
 def phi(g: GroupElement) -> int:
@@ -711,6 +709,7 @@ def element_to_doc(g: GroupElement) -> str:
 
 def element_from_doc(cfg: SymmetryConfig, text: str) -> GroupElement:
     pin = None
+    labels: list[tuple[int, int]] = []
     blocks: list[tuple[int, float]] = []
     tail = None
     for raw in text.splitlines():
@@ -727,6 +726,7 @@ def element_from_doc(cfg: SymmetryConfig, text: str) -> GroupElement:
                 if fields != ["none"]:
                     pin = (int(fields[0]), float(fields[1]))
             elif key == "block":
+                labels.append((int(fields[0]), int(fields[1])))
                 blocks.append((int(fields[2]), float(fields[3])))
             elif fields != ["none"]:
                 d = int(fields[0])
@@ -736,4 +736,8 @@ def element_from_doc(cfg: SymmetryConfig, text: str) -> GroupElement:
                 tail = vals.reshape(d, d)
         except (IndexError, ValueError) as exc:
             raise DocumentError(f"bad element line {line!r}: {exc}") from exc
+    expected = [(span.j, span.ell) for span in make_layout(cfg).blocks]
+    if labels != expected:
+        raise DocumentError(f"block lines name (j, ell) = {labels}, "
+                            f"but this config's blocks are {expected}")
     return make_element(cfg, pinwheel=pin, blocks=tuple(blocks), tail=tail)

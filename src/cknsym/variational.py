@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage, signal
+from scipy import ndimage
 
 from .grid import (
     BallGrid,
@@ -43,7 +44,7 @@ from .grid import (
     read_arrays,
     write_arrays,
 )
-from .kvdoc import format_kv, format_value, get_ints, parse_kv
+from .kvdoc import format_kv, format_value, get_float, get_int, get_ints, parse_kv
 from .lattice import apply_perm_to_grid, lattice_subgroup
 from .symmetry import (
     SymmetryConfig,
@@ -489,7 +490,7 @@ def reduced_level_estimate(values: np.ndarray, cfg: SymmetryConfig, grid: BallGr
     return (1.0 / p - 1.0 / q) * t ** p * kin
 
 
-def equivariance_residual(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) -> float:
+def equivariance_residual(values: np.ndarray, cfg: SymmetryConfig) -> float:
     """Worst |u(g x) - sign(g) u(x)| over sampling elements, relative to sup |u|."""
     peak = float(np.max(np.abs(values)))
     if peak == 0.0:
@@ -550,7 +551,7 @@ class SignCertificate:
                 and self.max_value > 0.0 > self.min_value)
 
 
-def sign_certificate(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) -> SignCertificate:
+def sign_certificate(values: np.ndarray, cfg: SymmetryConfig) -> SignCertificate:
     flips = [e for e in lattice_subgroup(cfg) if e.sign == -1]
     if not flips:
         raise UnsupportedConfigError(
@@ -572,7 +573,7 @@ def sign_certificate(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) ->
 
 
 # --------------------------------------------------------------------------
-# seeding, dilation diagnostics, concentration
+# seeding and dilation diagnostics
 
 
 def seed_field(cfg: SymmetryConfig, grid: BallGrid,
@@ -615,9 +616,6 @@ class GaussianProfile:
         v = self.values(pts)
         return v[:, None] * (-(self.lam ** 2) * pts / self.width ** 2)
 
-    def field(self, grid: BallGrid) -> np.ndarray:
-        return field_from_function(grid, self.values)
-
 
 def analytic_energy(grid: BallGrid, params: ProblemParams, profile) -> float:
     """J evaluated by quadrature of closed-form values and gradients.
@@ -659,47 +657,6 @@ def dilation_invariance_gap(params: ProblemParams, grid: BallGrid,
         j1 = analytic_energy(grid, params, scaled)
         worst = max(worst, abs(j1 - j0) / scale)
     return worst
-
-
-@dataclass(frozen=True)
-class ConcentrationProfile:
-    radii: tuple[float, ...]
-    best_fraction: tuple[float, ...]  # mass fraction in the best ball of each radius
-    origin_fraction: tuple[float, ...]
-
-    def to_doc(self) -> str:
-        pairs = {"radii": " ".join(f"{r:.6g}" for r in self.radii),
-                 "best": " ".join(f"{v:.6g}" for v in self.best_fraction),
-                 "origin": " ".join(f"{v:.6g}" for v in self.origin_fraction)}
-        return format_kv(pairs)
-
-
-def concentration_profile(values: np.ndarray, grid: BallGrid, params: ProblemParams,
-                          radii: tuple[float, ...] = (0.1, 0.2, 0.3, 0.5)) -> ConcentrationProfile:
-    """Fraction of the weighted |u|^q mass captured by balls of given radii.
-
-    For each radius the density is convolved with a ball indicator (FFT),
-    giving the mass of every candidate ball center at once; the best center
-    and the origin-centered ball are both reported.
-    """
-    w = grid.weight_values(params.potential_weight_exponent) * grid.mask_f
-    dens = w * np.abs(values) ** params.q
-    total = float(np.sum(dens))
-    if total <= 0.0:
-        zeros = (0.0,) * len(radii)
-        return ConcentrationProfile(tuple(radii), zeros, zeros)
-    best, at_origin = [], []
-    origin_idx = (grid.points_per_axis // 2,) * grid.n
-    for r in radii:
-        reach = int(math.floor(r / grid.h))
-        ax = np.arange(-reach, reach + 1) * grid.h
-        kgrids = np.meshgrid(*([ax] * grid.n), indexing="ij")
-        kernel = (sum(c ** 2 for c in kgrids) <= r * r).astype(float)
-        masses = signal.fftconvolve(dens, kernel, mode="same")
-        best.append(float(masses.max()) / total)
-        at_origin.append(float(masses[origin_idx]) / total)
-    return ConcentrationProfile(tuple(radii), tuple(min(1.0, b) for b in best),
-                                tuple(min(1.0, o) for o in at_origin))
 
 
 # --------------------------------------------------------------------------
@@ -757,7 +714,8 @@ def report_to_doc(report: SolveReport) -> str:
 
 
 def report_summary_from_doc(text: str) -> dict:
-    """Parse a report doc back into typed scalars (field data is not stored)."""
+    """Parse a report doc back into typed scalars (field data is not stored);
+    DocumentError on a malformed value."""
     pairs = parse_kv(text)
     out: dict = {}
     for key, raw in pairs.items():
@@ -768,9 +726,9 @@ def report_summary_from_doc(text: str) -> dict:
         elif key == "m":
             out[key] = get_ints(pairs, key)
         elif key in ("n", "alpha", "grid points", "iterations"):
-            out[key] = int(raw)
+            out[key] = get_int(pairs, key)
         else:
-            out[key] = float(raw)
+            out[key] = get_float(pairs, key, None)
     return out
 
 
@@ -804,10 +762,27 @@ def load_checkpoint(path: str | Path) -> dict:
             "prev_field": prev_u, "prev_direction": prev_d, **state}
 
 
-def _relative_residual(energy: DiscreteEnergy, u: np.ndarray, gq: np.ndarray,
-                       quot: float) -> float:
+def _relative_residual(u: np.ndarray, gq: np.ndarray, quot: float) -> float:
     """Dimensionless first-variation size of the quotient at u."""
     return float(np.sqrt(np.sum(gq * gq) * np.sum(u * u)) / quot)
+
+
+def solve_peak_bytes(grid: BallGrid) -> int:
+    """Bytes of the grid-sized float64 arrays a solve holds at its peak.
+
+    Counted from the code, inside the energy pass of a line-search trial,
+    with the boolean mask counted as a full array:
+    - the grid's coordinates, radii, mask and float mask: n + 3;
+    - the energy's two weights and the cached plane projector, whose
+      N^4 entries are at most N^n: 3;
+    - the solver state: seed, u, d, gq, prev_u, prev_d, the spectral
+      differences s and y, the trial v and the last trial's gradient: 10;
+    - the energy pass: forward and backward stacks and one weighted stack
+      (3n), the masked field, two squared norms, two weights, two adjoint
+      results and two roll temporaries: 9.
+    The end-of-run diagnostics peak lower.
+    """
+    return (4 * grid.n + 25) * math.prod(grid.shape) * 8
 
 
 def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = None,
@@ -834,7 +809,9 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     Each line-search trial costs one energy pass, which yields its quotient
     and, if accepted, the next gradient.  A class that projects the seed
     below 1e-8 of its peak is {0} (the circle averages force f = -f on a
-    block of odd complex width) and is refused as unsupported.
+    block of odd complex width) and is refused as unsupported.  A grid
+    whose ``solve_peak_bytes`` exceed physical memory is refused before
+    anything is allocated.
 
     Deterministic: the seed is closed-form, the loop draws no randomness,
     and reruns with identical inputs produce identical reports.  The solver
@@ -845,6 +822,13 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
         params = params_for_config(cfg)
     if params.n != cfg.n or params.n != grid.n:
         raise VariationalError("config, params, and grid dimensions disagree")
+    need = solve_peak_bytes(grid)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise VariationalError(
+            f"a solve on {grid.points_per_axis}^{grid.n} nodes needs about "
+            f"{need / 2 ** 30:.3g} GiB, more than the {have / 2 ** 30:.3g} GiB "
+            f"of physical memory")
     if not any(e.sign == -1 for e in lattice_subgroup(cfg)):
         raise UnsupportedConfigError(
             "no sign-reversing sampling element exists for this configuration "
@@ -908,7 +892,7 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     stop_reason = "max iterations"
     it = start_iter
     for it in range(start_iter + 1, options.max_iters + 1):
-        rel = _relative_residual(energy, u, d, quot)
+        rel = _relative_residual(u, d, quot)
         min_rel = min(min_rel, rel)
         if rel < options.tol:
             stop_reason = "first variation tolerance"
@@ -967,7 +951,7 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
                          it, step, u, history, prev_u, prev_d)
 
     # d is still the projected quotient gradient at the final iterate
-    rel = _relative_residual(energy, u, d, quot)
+    rel = _relative_residual(u, d, quot)
     min_rel = min(min_rel, rel)
     w = energy.nehari_project(u) * grid.mask_f
     # one energy pass gives every end-of-run scalar of w
@@ -975,7 +959,7 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     p, q = work.p, work.q
     grad_w = gk_w / p - gb_w / q
     sym_gap = float(np.max(np.abs(symmetrize(u, cfg, grid) - u)))
-    cert = sign_certificate(w, cfg, grid)
+    cert = sign_certificate(w, cfg)
     converged = stop_reason == "first variation tolerance" or rel < 10 * options.tol
     return SolveReport(
         config=cfg,
@@ -994,7 +978,7 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
         grad_norm=float(np.sqrt(np.sum(grad_w * grad_w) / grid.cell_volume)),
         relative_residual=rel,
         min_relative_residual=min_rel,
-        equivariance=equivariance_residual(u, cfg, grid),
+        equivariance=equivariance_residual(u, cfg),
         interpolated_bias=interpolated_equivariance_bias(u, cfg, grid),
         symmetrization_gap=sym_gap,
         certificate=cert,

@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cknsym
 from cknsym.cli import main
 from cknsym.grid import BallGrid, load_field
 from cknsym.kvdoc import parse_kv
@@ -261,6 +266,26 @@ def test_solve_refuses_the_zero_class(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert not (tmp_path / "out" / "report.txt").exists()
+
+
+def test_solve_refuses_a_grid_that_cannot_fit(tmp_path, capsys):
+    doc = write_doc(tmp_path / "solve.kv",
+                    "n: 6\nalpha: 0\nm: 1,0\npoints_per_axis: 201\n")
+    assert run("solve", "--config", doc, "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "physical memory" in err
+
+
+def test_cli_import_leaves_scipy_signal_and_stats_unloaded():
+    src = str(Path(cknsym.__file__).resolve().parents[1])
+    probe = ("import sys, cknsym.cli; "
+             "print(' '.join(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == ""
 
 
 @pytest.mark.parametrize("corruption", ["garbage", "missing-n", "truncated"])

@@ -412,6 +412,7 @@ def test_element_doc_round_trip_is_exact():
     "pinwheel: 1\n",                 # step without angle
     "tail: 2 1 0\n",                 # too few tail entries
     "twist: 1\n",                    # unknown line
+    "block: 5 9 1 0.5\n",            # (j, ell) of another layout
 ])
 def test_element_from_doc_rejects_malformed_lines(text):
     with pytest.raises(DocumentError):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cknsym.grid import (
     forward_diffs,
     forward_diffs_adjoint,
 )
+from cknsym.kvdoc import DocumentError
 from cknsym.lattice import lattice_subgroup
 from cknsym.symmetry import SymmetryConfig
 from cknsym.variational import (
@@ -28,7 +30,6 @@ from cknsym.variational import (
     _save_checkpoint,
     analytic_energy,
     angular_mean,
-    concentration_profile,
     dilation_invariance_gap,
     equivariance_residual,
     load_checkpoint,
@@ -39,6 +40,7 @@ from cknsym.variational import (
     seed_field,
     sign_certificate,
     solve,
+    solve_peak_bytes,
     symmetrize,
 )
 
@@ -306,7 +308,7 @@ def test_symmetrize_output_is_equivariant():
     rng = np.random.default_rng(13)
     u = rng.standard_normal(GRID4.shape) * GRID4.mask_f
     s = symmetrize(u, CFG4, GRID4)
-    assert equivariance_residual(s, CFG4, GRID4) <= 1e-10
+    assert equivariance_residual(s, CFG4) <= 1e-10
 
 
 def test_symmetrize_contracts_node_and_gradient_norms():
@@ -371,15 +373,15 @@ def test_angular_mean_kills_odd_plane_modes():
 
 
 def test_equivariance_residual_of_zero_field_is_zero():
-    assert equivariance_residual(np.zeros(GRID4.shape), CFG4, GRID4) == 0.0
+    assert equivariance_residual(np.zeros(GRID4.shape), CFG4) == 0.0
 
 
 def test_equivariance_residual_detects_broken_symmetry():
     u = seed_field(CFG4, GRID4)
-    assert equivariance_residual(u, CFG4, GRID4) <= 1e-12
+    assert equivariance_residual(u, CFG4) <= 1e-12
     broken = u.copy()
     broken[1, 2, 3, 4] += 0.5
-    assert equivariance_residual(broken, CFG4, GRID4) > 1e-3
+    assert equivariance_residual(broken, CFG4) > 1e-3
 
 
 def test_seed_field_is_normalized_masked_and_sign_changing():
@@ -391,7 +393,7 @@ def test_seed_field_is_normalized_masked_and_sign_changing():
 
 def test_sign_certificate_on_equivariant_field():
     u = seed_field(CFG4, GRID4)
-    cert = sign_certificate(u, CFG4, GRID4)
+    cert = sign_certificate(u, CFG4)
     assert cert.element_sign == -1
     assert cert.certifies_sign_change
     assert cert.min_value < 0.0 < cert.max_value
@@ -404,7 +406,7 @@ def test_sign_certificate_needs_a_sign_reversing_element():
     grid = GRID4
     values = np.exp(-np.sum(grid.points() ** 2, axis=1)).reshape(grid.shape)
     with pytest.raises(UnsupportedConfigError):
-        sign_certificate(values, pin_only, grid)
+        sign_certificate(values, pin_only)
 
 
 # --------------------------------------------------------------------------
@@ -438,39 +440,6 @@ def test_gaussian_profile_gradients_match_finite_differences():
 def test_dilation_invariance_gap_is_small_without_weights():
     grid = BallGrid(4, 41, 1.0)
     assert dilation_invariance_gap(PARAMS4, grid) <= 1e-3
-
-
-# --------------------------------------------------------------------------
-# concentration profiles
-
-
-def test_zero_field_concentrates_nowhere():
-    profile = concentration_profile(np.zeros(GRID4.shape), GRID4, PARAMS4)
-    assert profile.best_fraction == (0.0,) * 4
-    assert profile.origin_fraction == (0.0,) * 4
-
-
-def test_centered_bump_concentrates_at_the_origin():
-    u = np.exp(-np.sum(GRID4.points() ** 2, axis=1) / 0.02).reshape(GRID4.shape)
-    profile = concentration_profile(u, GRID4, PARAMS4, radii=(0.2, 0.4))
-    assert profile.best_fraction == pytest.approx(profile.origin_fraction, rel=1e-12)
-
-
-def test_offset_bump_beats_the_origin_ball():
-    pts = GRID4.points()
-    center = np.array([0.5, 0.0, 0.0, 0.0])
-    u = np.exp(-np.sum((pts - center) ** 2, axis=1) / 0.02).reshape(GRID4.shape)
-    profile = concentration_profile(u, GRID4, PARAMS4, radii=(0.25,))
-    assert profile.best_fraction[0] > profile.origin_fraction[0] + 0.2
-
-
-def test_shell_mass_grows_and_saturates():
-    r = np.sqrt(np.sum(GRID4.points() ** 2, axis=1)).reshape(GRID4.shape)
-    shell = np.exp(-((r - 0.5) / 0.1) ** 2) * GRID4.mask_f
-    profile = concentration_profile(shell, GRID4, PARAMS4, radii=(0.2, 0.5, 1.0, 2.0))
-    fractions = profile.best_fraction
-    assert all(a <= b + 1e-12 for a, b in zip(fractions, fractions[1:]))
-    assert fractions[-1] == pytest.approx(1.0, abs=1e-9)
 
 
 # --------------------------------------------------------------------------
@@ -541,6 +510,12 @@ def test_solver_uses_the_subcritical_exponent(small_report):
     assert small_report.field.shape == GRID4.shape
 
 
+@pytest.mark.parametrize("text", ["n: x\n", "level: abc\n"])
+def test_report_summary_from_doc_rejects_malformed_values(text):
+    with pytest.raises(DocumentError):
+        report_summary_from_doc(text)
+
+
 def test_report_doc_round_trip(small_report):
     doc = report_to_doc(small_report)
     summary = report_summary_from_doc(doc)
@@ -583,6 +558,24 @@ def test_solver_rejects_oversized_subcritical_shift():
     with pytest.raises(VariationalError):
         solve(CFG4, GRID4, params=PARAMS4,
               options=SolveOptions(subcritical_shift=2.5))
+
+
+def test_solver_refuses_a_grid_that_cannot_fit():
+    # 201^6 nodes need petabytes; the refusal comes before any allocation
+    with pytest.raises(VariationalError, match="physical memory"):
+        solve(SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 201, 1.0),
+              options=SolveOptions(max_iters=1))
+
+
+def test_peak_estimate_matches_the_traced_peak():
+    grid = BallGrid(4, 13, 1.0)
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    solve(CFG4, grid, options=SolveOptions(max_iters=4))
+    peak = tracemalloc.get_traced_memory()[1] - base
+    tracemalloc.stop()
+    assert 0.75 <= peak / solve_peak_bytes(grid) <= 1.1
 
 
 def test_checkpoint_resume_continues_the_same_run(tmp_path):
