@@ -134,45 +134,31 @@ def backward_diffs(grid: BallGrid, values: np.ndarray) -> np.ndarray:
     return np.stack([(values - np.roll(values, 1, axis=i)) / h for i in range(grid.n)])
 
 
-def forward_diffs_adjoint(grid: BallGrid, stack: np.ndarray) -> np.ndarray:
-    """Exact adjoint of forward_diffs under the plain node inner product."""
-    h = grid.h
-    out = np.zeros(grid.shape)
-    for i in range(grid.n):
-        out += (np.roll(stack[i], 1, axis=i) - stack[i]) / h
-    return out
-
-
-def backward_diffs_adjoint(grid: BallGrid, stack: np.ndarray) -> np.ndarray:
-    h = grid.h
-    out = np.zeros(grid.shape)
-    for i in range(grid.n):
-        out += (stack[i] - np.roll(stack[i], -1, axis=i)) / h
-    return out
-
-
 # --------------------------------------------------------------------------
 # persistence: one JSON header line, then raw little-endian float64, C order.
 # Fields and solver checkpoints share this container; they differ only in
-# the format tag, the array count and the extra header keys.
+# the format tag, the array count, the array shape and the extra header keys.
 
 
 def write_arrays(path: str | Path, fmt: str, version: int, grid: BallGrid,
                  fields: Sequence[np.ndarray], **extra) -> None:
-    """Write grid-shaped arrays under one header, replacing ``path`` atomically.
+    """Write same-shaped arrays under one header, replacing ``path`` atomically.
 
-    The header records the array count as ``arrays`` when it is not 1.  The
-    bytes go to a sibling temporary file first, so a run killed mid-write
-    leaves the previous file intact.
+    The header records the array count as ``arrays`` when it is not 1, and
+    the array shape as ``shape`` when it is not the grid's.  The bytes go to
+    a sibling temporary file first, so a run killed mid-write leaves the
+    previous file intact.
     """
-    for values in fields:
-        if values.shape != grid.shape:
-            raise GridError(f"field shape {values.shape} does not match grid {grid.shape}")
+    shape = fields[0].shape
+    if any(values.shape != shape for values in fields):
+        raise GridError(f"the arrays of one file must share one shape, got {shape} and others")
     header = {"format": fmt, "version": version, "n": grid.n,
               "points_per_axis": grid.points_per_axis, "radius": grid.radius,
               "dtype": "<f8", **extra}
     if len(fields) != 1:
         header["arrays"] = len(fields)
+    if shape != grid.shape:
+        header["shape"] = list(shape)
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
@@ -202,22 +188,29 @@ def read_arrays(path: str | Path, fmt: str, version: int,
         grid = BallGrid(int(header["n"]), int(header["points_per_axis"]),
                         float(header["radius"]))
         count = int(header.get("arrays", 1))
+        shape = tuple(int(k) for k in header.get("shape", grid.shape))
+        if min(shape, default=0) < 0:
+            raise ValueError(f"negative shape {list(shape)}")
     except (KeyError, TypeError, ValueError) as exc:
         raise GridError(f"malformed {fmt} header: {exc!r}") from exc
     if count not in counts:
         raise GridError(f"{fmt} file holds {count} arrays, expected one of {counts}")
-    size = math.prod(grid.shape)
+    size = math.prod(shape)
     if len(payload) != count * size * 8:
         raise GridError(f"{fmt} payload has {len(payload)} bytes, expected {count * size * 8}")
     flat = np.frombuffer(payload, dtype="<f8")
-    arrays = [flat[i * size:(i + 1) * size].reshape(grid.shape).copy() for i in range(count)]
+    arrays = [flat[i * size:(i + 1) * size].reshape(shape).copy() for i in range(count)]
     return header, grid, arrays
 
 
 def save_field(path: str | Path, grid: BallGrid, values: np.ndarray) -> None:
+    if values.shape != grid.shape:
+        raise GridError(f"field shape {values.shape} does not match grid {grid.shape}")
     write_arrays(path, FIELD_FORMAT, FIELD_VERSION, grid, [values])
 
 
 def load_field(path: str | Path) -> tuple[BallGrid, np.ndarray]:
     _, grid, arrays = read_arrays(path, FIELD_FORMAT, FIELD_VERSION)
+    if arrays[0].shape != grid.shape:
+        raise GridError(f"field shape {arrays[0].shape} does not match grid {grid.shape}")
     return grid, arrays[0]

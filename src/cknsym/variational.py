@@ -7,9 +7,10 @@ term averages forward and backward difference stacks, which keeps the p = 2
 energy exactly invariant under every signed coordinate permutation and
 suppresses checkerboard modes for all p.  Minimization runs inside the cone
 of fields that transform by the sign character under the grid-exact sampling
-subgroup: every iterate is re-symmetrized (an exact projection) and rescaled
-onto the discrete Nehari manifold, and steps are accepted only on strict
-energy decrease, so the reported energy history is monotone by construction.
+subgroup: the iterate lives in class coordinates and is never re-projected
+on the grid, its field is rescaled onto the discrete Nehari manifold, and
+steps are accepted only on strict energy decrease, so the reported energy
+history is monotone by construction.
 
 Sign-changing structure is certified, not assumed: the returned report
 exhibits a lattice element of character -1 together with the node where it
@@ -37,10 +38,8 @@ from scipy import ndimage
 from .grid import (
     BallGrid,
     backward_diffs,
-    backward_diffs_adjoint,
     field_from_function,
     forward_diffs,
-    forward_diffs_adjoint,
     read_arrays,
     write_arrays,
 )
@@ -57,7 +56,7 @@ from .symmetry import (
 )
 
 CHECKPOINT_FORMAT = "cknsym-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # line search: smallest trial step relative to the step cap, halvings per
 # step, and the growth of a spectral step whose curvature test fails
@@ -220,7 +219,15 @@ class DiscreteEnergy:
         u, fw, bw, sf, sb = self._stacks(u)
         wf = self._sigma(sf) * self._w_grad
         wb = self._sigma(sb) * self._w_grad
-        gk = forward_diffs_adjoint(g, wf[None] * fw) + backward_diffs_adjoint(g, wb[None] * bw)
+        gk_f = np.zeros(g.shape)
+        gk_b = np.zeros(g.shape)
+        for i in range(g.n):  # the difference adjoints, one weighted axis at a time
+            t = wf * fw[i]
+            gk_f += (np.roll(t, 1, axis=i) - t) / g.h
+            t = wb * bw[i]
+            gk_b += (t - np.roll(t, -1, axis=i)) / g.h
+        del fw, bw, wf, wb, t  # spent: the rest of the pass reads only u, sf and sb
+        gk = gk_f + gk_b
         gk *= 0.5 * self.params.p * g.cell_volume
         gb = q * g.cell_volume * self._w_pot * np.abs(u) ** (q - 2.0) * u
         return self._kinetic(sf, sb), self.potential(u), gk * g.mask_f, gb * g.mask_f
@@ -256,9 +263,6 @@ class DiscreteEnergy:
             raise VariationalError("quotient needs a nonzero field inside the ball")
         r = self.params.p / self.params.q
         return k / b ** r, (gk - r * (k / b) * gb) / b ** r
-
-    def quotient_gradient(self, u: np.ndarray) -> np.ndarray:
-        return self.quotient_and_gradient(u)[1]
 
     def level_from_quotient(self, quotient: float) -> float:
         """J value on the Nehari manifold along the ray realizing the quotient."""
@@ -304,10 +308,6 @@ class DiscreteEnergy:
     def nehari_project(self, u: np.ndarray) -> np.ndarray:
         return self.nehari_scale(u) * u
 
-    def mountain_pass_level(self, u: np.ndarray) -> float:
-        """(1/p - 1/q) K(u) for u on the Nehari manifold."""
-        return (1.0 / self.params.p - 1.0 / self.params.q) * self.kinetic(u)
-
 
 # --------------------------------------------------------------------------
 # symmetrization and certificates
@@ -339,28 +339,26 @@ def _catmull_rom(t: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _plane_angular_mean_matrix(points_per_axis: int, radius: float) -> np.ndarray:
-    """Dense orthogonal projector onto circle-invariant 2-plane slices.
+def _plane_profile_basis(points_per_axis: int, radius: float) -> np.ndarray:
+    """Orthonormal basis Q (N^2 x r) of the circle-invariant 2-plane slices.
 
     A slice is circle-invariant when its node values depend only on the
     plane radius.  The admissible radial profiles are cubic interpolants of
-    a table with step h/2 (reflected evenly through zero), evaluated at each
-    node's plane radius; stacking those evaluations gives a tall matrix B
-    and the operator returned is the Euclidean least-squares projector
-    B (B^T B)^+ B^T.  The pseudoinverse route keeps it exactly idempotent
-    and symmetric, so iterates projected once stay in the class, and the
-    projected gradient is a true descent direction.  Cached per axis
+    a table with step h (reflected evenly through zero), evaluated at each
+    node's plane radius; stacking those evaluations gives a tall matrix B,
+    and Q is its left singular vectors with singular values above 1e-6 of
+    the largest.  Q Q^T is the least-squares projector onto the profiles,
+    the discrete circle average in the node inner product.  Cached per axis
     geometry.
     """
     npts = points_per_axis
     h = 2.0 * radius / (npts - 1)
     axis = -radius + h * np.arange(npts)
-    h_r = h
-    n_rad = int(math.ceil(math.sqrt(2.0) * radius / h_r)) + 4
+    n_rad = int(math.ceil(math.sqrt(2.0) * radius / h)) + 4
 
     # evaluation matrix: node (a, b) reads a radial table at its plane
     # radius, with even reflection through zero for the stencil's left edge
-    ra = np.hypot(axis[:, None], axis[None, :]).ravel() / h_r
+    ra = np.hypot(axis[:, None], axis[None, :]).ravel() / h
     base = np.floor(ra).astype(int)
     wr = _catmull_rom(ra - base)
     basis = np.zeros((npts * npts, n_rad))
@@ -370,44 +368,49 @@ def _plane_angular_mean_matrix(points_per_axis: int, radius: float) -> np.ndarra
         np.add.at(basis, (np.arange(npts * npts), np.clip(ir, 0, n_rad - 1)),
                   np.where(ok, wr[..., dr], 0.0))
 
-    gram_pinv = np.linalg.pinv(basis.T @ basis, rcond=1e-12)
-    q = basis @ gram_pinv @ basis.T
-    return 0.5 * (q + q.T)
+    left, sing, _ = np.linalg.svd(basis, full_matrices=False)
+    return left[:, sing > 1e-6 * sing[0]]
 
 
-def _rotation_plane_pairs(cfg: SymmetryConfig) -> tuple[tuple[int, int], ...]:
-    """Coordinate pairs swept by a circle factor (pinwheel and block planes)."""
-    layout = make_layout(cfg)
-    pairs: list[tuple[int, int]] = []
-    if layout.pinwheel is not None:
-        pairs.extend([(0, 1), (2, 3)])
-    for span in layout.blocks:
-        for i in range(span.j + 1):
-            pairs.append((span.start + 2 * i, span.start + 2 * i + 1))
-    return tuple(pairs)
+# --------------------------------------------------------------------------
+# class coordinates: a class field is E c, where E contracts each rotation
+# plane's axis of c with Q; the planes are the coordinate pairs (0, 1), (2, 3),
+# ... ahead of the tail.  E is orthonormal, and lattice elements carry planes
+# onto planes keeping plane radii, so symmetrize commutes with E E^T.
 
 
-def angular_mean(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) -> np.ndarray:
-    """Project the field onto circle-invariant profiles, one 2-plane at a time.
+def _class_basis(cfg: SymmetryConfig, grid: BallGrid) -> tuple[np.ndarray, int]:
+    """The plane profile basis Q and the number of rotation planes."""
+    return (_plane_profile_basis(grid.points_per_axis, grid.radius),
+            make_layout(cfg).tail_start // 2)
 
-    Each rotation plane's slices are replaced by their least-squares radial
-    fit, which is the discrete circle average in the node inner product.
-    The per-plane projectors act on disjoint axes, so they commute and the
-    composite is an exact orthogonal projection enforcing a torus symmetry
-    that contains all the configuration's rotation factors; the result stays
-    inside the sign-equivariant class while removing the angular modes a
-    finite lattice sample cannot see.  Leftover coordinates are untouched.
-    """
-    q = _plane_angular_mean_matrix(grid.points_per_axis, grid.radius)
+
+def _contract_planes(t: np.ndarray, m: np.ndarray, planes: int) -> np.ndarray:
+    """Contract each leading plane axis of t with m's second axis, last plane
+    first; each result axis goes in front, so the axes keep their order."""
+    for _ in range(planes):
+        t = np.tensordot(m, t, axes=([1], [planes - 1]))
+    return t
+
+
+def class_shape(cfg: SymmetryConfig, grid: BallGrid) -> tuple[int, ...]:
+    """Shape of a class-coefficient tensor: r per rotation plane, N per tail axis."""
+    q, planes = _class_basis(cfg, grid)
+    return (q.shape[1],) * planes + (grid.points_per_axis,) * (grid.n - 2 * planes)
+
+
+def class_field(coefficients: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) -> np.ndarray:
+    """The grid field E c of class coefficients c."""
+    q, planes = _class_basis(cfg, grid)
+    return _contract_planes(coefficients, q, planes).reshape(grid.shape)
+
+
+def class_coefficients(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) -> np.ndarray:
+    """E^T symmetrize(u): the coefficients of u's orthogonal projection onto the class."""
+    q, planes = _class_basis(cfg, grid)
     npts = grid.points_per_axis
-    out = values
-    for i, j in _rotation_plane_pairs(cfg):
-        moved = np.moveaxis(out, (i, j), (grid.n - 2, grid.n - 1))
-        shape = moved.shape
-        flat = moved.reshape(-1, npts * npts)
-        mixed = flat @ q.T
-        out = np.moveaxis(mixed.reshape(shape), (grid.n - 2, grid.n - 1), (i, j))
-    return out
+    split = (npts * npts,) * planes + (npts,) * (grid.n - 2 * planes)
+    return _contract_planes(symmetrize(values, cfg, grid).reshape(split), q.T, planes)
 
 
 def _table_derivative(f: np.ndarray, axis: int, h: float, even_start: bool) -> np.ndarray:
@@ -429,7 +432,8 @@ def reduced_level_estimate(values: np.ndarray, cfg: SymmetryConfig, grid: BallGr
                            params: ProblemParams) -> float:
     """Nehari level of the field re-quadratured through the rotation reduction.
 
-    A circle-averaged field depends only on one radius per rotation plane
+    The field must already be in the working class (a ``class_field``): a
+    circle-averaged field depends only on one radius per rotation plane
     plus the leftover coordinates, so its energy reduces to an integral over
     that low-dimensional profile with a product-of-radii Jacobian.  The
     profile is resampled on a table REDUCED_REFINE times finer than the
@@ -443,34 +447,28 @@ def reduced_level_estimate(values: np.ndarray, cfg: SymmetryConfig, grid: BallGr
     close to p) the estimate degrades much faster than the cube-grid level;
     treat it as a refinement-study diagnostic, not a certified value.
     """
-    avg = angular_mean(values, cfg, grid)
-    pairs = _rotation_plane_pairs(cfg)
-    paired = {i for pr in pairs for i in pr}
-    tail_axes = [i for i in range(grid.n) if i not in paired]
+    planes = make_layout(cfg).tail_start // 2
     h_f = grid.h / REDUCED_REFINE
     n_r = int(math.ceil(grid.radius / h_f))
     rho = (np.arange(n_r) + 0.5) * h_f
     line = -grid.radius + (np.arange(2 * n_r) + 0.5) * h_f
-    mesh = np.meshgrid(*([rho] * len(pairs) + [line] * len(tail_axes)), indexing="ij")
+    mesh = np.meshgrid(*([rho] * planes + [line] * (grid.n - 2 * planes)), indexing="ij")
 
     coords = np.zeros((grid.n,) + mesh[0].shape)
-    for idx, (i, j) in enumerate(pairs):
-        coords[i] = mesh[idx]
-        coords[j] = 0.0
-    for idx, ax in enumerate(tail_axes):
-        coords[ax] = mesh[len(pairs) + idx]
+    for idx, values_on_axis in enumerate(mesh):  # a plane's second coordinate stays 0
+        coords[2 * idx if idx < planes else planes + idx] = values_on_axis
     frac = (coords.reshape(grid.n, -1) + grid.radius) / grid.h
-    prof = ndimage.map_coordinates(avg, frac, order=3, mode="constant",
+    prof = ndimage.map_coordinates(values, frac, order=3, mode="constant",
                                    cval=0.0).reshape(mesh[0].shape)
 
     grad_sq = np.zeros_like(prof)
     for ax in range(prof.ndim):
-        der = _table_derivative(prof, ax, h_f, even_start=ax < len(pairs))
+        der = _table_derivative(prof, ax, h_f, even_start=ax < planes)
         grad_sq += der * der
     radius_sq = sum(m * m for m in mesh)
     inside = radius_sq <= grid.radius * grid.radius
     jac = np.ones_like(prof)
-    for idx in range(len(pairs)):
+    for idx in range(planes):
         jac = jac * mesh[idx]
     jac = np.where(inside, jac, 0.0)
     r = np.sqrt(radius_sq)
@@ -480,7 +478,7 @@ def reduced_level_estimate(values: np.ndarray, cfg: SymmetryConfig, grid: BallGr
         w_grad = jac * r ** params.grad_weight_exponent
     if params.potential_weight_exponent != 0.0:
         w_pot = jac * r ** params.potential_weight_exponent
-    cell = (2.0 * math.pi) ** len(pairs) * h_f ** prof.ndim
+    cell = (2.0 * math.pi) ** planes * h_f ** prof.ndim
     p, q = params.p, params.q
     kin = cell * float(np.sum(grad_sq ** (p / 2.0) * w_grad))
     pot = cell * float(np.sum(np.abs(prof) ** q * w_pot))
@@ -734,12 +732,12 @@ def report_summary_from_doc(text: str) -> dict:
 
 def _save_checkpoint(path: str | Path, cfg: SymmetryConfig, grid: BallGrid,
                      solver_exponent: float, iteration: int, step: float,
-                     u: np.ndarray, history: list[float],
-                     prev_u: np.ndarray | None = None,
+                     c: np.ndarray, history: list[float],
+                     prev_c: np.ndarray | None = None,
                      prev_d: np.ndarray | None = None) -> None:
     # the spectral-step memory is part of the solver state: restoring it
     # makes a resumed run retrace the uninterrupted trajectory
-    arrays = [u] if prev_u is None else [u, prev_u, prev_d]
+    arrays = [c] if prev_c is None else [c, prev_c, prev_d]
     write_arrays(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, grid, arrays,
                  alpha=cfg.alpha, m=list(cfg.m), regime=cfg.regime,
                  solver_exponent=solver_exponent, iteration=iteration, step=step,
@@ -747,6 +745,8 @@ def _save_checkpoint(path: str | Path, cfg: SymmetryConfig, grid: BallGrid,
 
 
 def load_checkpoint(path: str | Path) -> dict:
+    """A checkpoint's solver state; VariationalError if the file is malformed
+    or its coefficients do not have the class shape of its config and grid."""
     try:
         header, grid, arrays = read_arrays(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
                                            counts=(1, 3))
@@ -757,14 +757,17 @@ def load_checkpoint(path: str | Path) -> dict:
                  "history": [float(v) for v in header["history"]]}
     except (KeyError, TypeError, ValueError) as exc:
         raise VariationalError(f"unusable checkpoint {path}: {exc}") from exc
-    prev_u, prev_d = (arrays[1], arrays[2]) if len(arrays) == 3 else (None, None)
-    return {"config": cfg, "grid": grid, "field": arrays[0],
-            "prev_field": prev_u, "prev_direction": prev_d, **state}
+    if arrays[0].shape != class_shape(cfg, grid):
+        raise VariationalError(f"unusable checkpoint {path}: coefficient shape "
+                               f"{arrays[0].shape} is not the class shape {class_shape(cfg, grid)}")
+    prev_c, prev_d = (arrays[1], arrays[2]) if len(arrays) == 3 else (None, None)
+    return {"config": cfg, "grid": grid, "coefficients": arrays[0],
+            "prev_coefficients": prev_c, "prev_direction": prev_d, **state}
 
 
-def _relative_residual(u: np.ndarray, gq: np.ndarray, quot: float) -> float:
-    """Dimensionless first-variation size of the quotient at u."""
-    return float(np.sqrt(np.sum(gq * gq) * np.sum(u * u)) / quot)
+def _relative_residual(c: np.ndarray, d: np.ndarray, quot: float) -> float:
+    """Dimensionless first-variation size of the quotient at c; d is its in-class gradient."""
+    return float(np.sqrt(np.sum(d * d) * np.sum(c * c)) / quot)
 
 
 def solve_peak_bytes(grid: BallGrid) -> int:
@@ -773,16 +776,17 @@ def solve_peak_bytes(grid: BallGrid) -> int:
     Counted from the code, inside the energy pass of a line-search trial,
     with the boolean mask counted as a full array:
     - the grid's coordinates, radii, mask and float mask: n + 3;
-    - the energy's two weights and the cached plane projector, whose
-      N^4 entries are at most N^n: 3;
-    - the solver state: seed, u, d, gq, prev_u, prev_d, the spectral
-      differences s and y, the trial v and the last trial's gradient: 10;
-    - the energy pass: forward and backward stacks and one weighted stack
-      (3n), the masked field, two squared norms, two weights, two adjoint
-      results and two roll temporaries: 9.
-    The end-of-run diagnostics peak lower.
+    - the energy's two weights: 2;
+    - the solver: the trial field and the previous trial's gradient: 2;
+    - the energy pass, in its adjoint loop: the masked field, the forward
+      and backward stacks (2n), two squared norms, two weights, two adjoint
+      accumulators, one weighted axis and two roll temporaries: 2n + 10.
+    The end-of-run pass holds the iterate's field and its Nehari rescaling
+    in place of the trial's two arrays.  The other diagnostics peak lower,
+    except on small 6-D grids, where the profile table of
+    ``reduced_level_estimate`` outgrows the grid (5^6: 42.6 arrays).
     """
-    return (4 * grid.n + 25) * math.prod(grid.shape) * 8
+    return (3 * grid.n + 17) * math.prod(grid.shape) * 8
 
 
 def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = None,
@@ -798,9 +802,12 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     the solver exponent sits close to p.  The returned field is the final
     iterate rescaled onto the Nehari manifold.
 
-    Every iterate (and the descent direction) is projected onto the working
-    class: circle averages over all rotation planes, then the exact lattice
-    symmetrization.  The circle averages keep
+    The iterate lives in the coordinates of the working class, the range of
+    the circle averages over all rotation planes and the exact lattice
+    symmetrization: the iterate, direction, spectral-step memory and
+    checkpoint are class coefficients, a grid field is built only for each
+    trial's energy pass, and the iterate is never re-projected on the grid.
+    The circle averages keep
     minimizing sequences inside the rotation-invariant profiles the continuum
     symmetry demands; without them a coarse lattice admits spurious isolated
     concentration bumps whose discrete energy undercuts the symmetric level
@@ -811,7 +818,8 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     below 1e-8 of its peak is {0} (the circle averages force f = -f on a
     block of odd complex width) and is refused as unsupported.  A grid
     whose ``solve_peak_bytes`` exceed physical memory is refused before
-    anything is allocated.
+    anything is allocated.  A candidate whose sign change is not certified
+    or whose equivariance residual exceeds 1e-8 is refused, not reported.
 
     Deterministic: the seed is closed-form, the loop draws no randomness,
     and reruns with identical inputs produce identical reports.  The solver
@@ -842,97 +850,87 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     work = params.with_exponent(q_solver)
     energy = DiscreteEnergy(grid, work)
 
-    def project(x: np.ndarray) -> np.ndarray:
-        # orthogonal projection onto the working class: commuting circle
-        # averages, then the exact lattice symmetrization; the class is a
-        # linear subspace, so combinations of projected fields stay inside
-        return symmetrize(angular_mean(x, cfg, grid), cfg, grid)
-
     if resume_from is not None:
         state = load_checkpoint(resume_from)
         if state["config"] != cfg or state["grid"] != grid:
             raise VariationalError("checkpoint does not match the requested problem")
         if abs(state["solver_exponent"] - q_solver) > 1e-12:
             raise VariationalError("checkpoint was produced with a different exponent")
-        # restore the iterate bit-for-bit: it was stored already projected and
-        # normalized, and re-projecting would perturb the last bits, splitting
-        # a resumed trajectory from the uninterrupted one over many steps
-        u = state["field"]
-        if float(np.max(np.abs(u))) == 0.0:
+        c = state["coefficients"]
+        if float(np.max(np.abs(c))) == 0.0:
             raise VariationalError("checkpoint field vanishes")
         start_iter = state["iteration"]
         step = state["step"]
         history = list(state["history"])
-        prev_u: np.ndarray | None = state["prev_field"]
-        prev_d: np.ndarray | None = state["prev_direction"]
+        prev_c, prev_d = state["prev_coefficients"], state["prev_direction"]
     else:
-        seed = seed_field(cfg, grid, options.seed_offset, options.seed_width)
-        u = project(seed)
-        peak = float(np.max(np.abs(u)))
-        seed_peak = float(np.max(np.abs(seed)))
-        if peak <= 1e-8 * seed_peak:
+        # the seed is sup-normalized (peak 1) and is not kept
+        c = class_coefficients(seed_field(cfg, grid, options.seed_offset, options.seed_width),
+                               cfg, grid)
+        peak = float(np.max(np.abs(class_field(c, cfg, grid))))
+        if peak <= 1e-8:
             raise UnsupportedConfigError(
                 f"the working class is {{0}}: projecting the seed onto it (circle "
-                f"averages, then lattice symmetrization) leaves {peak / seed_peak:.2g} "
+                f"averages, then lattice symmetrization) leaves {peak:.2g} "
                 f"of its peak, so there is no sign-changing candidate to certify")
-        u = u / peak
+        c = c / peak
         start_iter = 0
         step = 0.0  # set from the first gradient below
-        prev_u = None
-        prev_d = None
+        prev_c = prev_d = None
 
-    quot, gq = energy.quotient_and_gradient(u)
+    # a trial's grid field is built from its sup-normalized coefficients, so
+    # the field of a resumed iterate is the one its gradient was taken at
+    quot, gv = energy.quotient_and_gradient(class_field(c, cfg, grid))
     if resume_from is None:
         history = [energy.level_from_quotient(quot)]
-    d = project(gq)  # in-class descent direction; the residual is measured on it
+    d = class_coefficients(gv, cfg, grid)  # in-class gradient; the residual is measured on it
     if step <= 0.0:
-        step = options.initial_step * float(np.linalg.norm(u) / np.linalg.norm(d))
+        step = options.initial_step * float(np.linalg.norm(c) / np.linalg.norm(d))
     min_rel = math.inf
     rel = math.inf
     stop_reason = "max iterations"
     it = start_iter
     for it in range(start_iter + 1, options.max_iters + 1):
-        rel = _relative_residual(u, d, quot)
+        rel = _relative_residual(c, d, quot)
         min_rel = min(min_rel, rel)
         if rel < options.tol:
             stop_reason = "first variation tolerance"
             it -= 1
             break
         # spectral (Barzilai-Borwein) step with an Armijo safeguard
-        if prev_u is not None:
-            s = u - prev_u
+        if prev_c is not None:
+            s = c - prev_c
             y = d - prev_d
             sy = float(np.sum(s * y))
             if sy > 0.0:
                 step = float(np.sum(s * s)) / sy
             else:
                 step *= STEP_GROWTH
-        cap = 10.0 * float(np.linalg.norm(u) / np.linalg.norm(d))
+        cap = 10.0 * float(np.linalg.norm(c) / np.linalg.norm(d))
         floor = MIN_STEP * cap
         # clamp: a collapsed spectral step must not skip the line search
         trial_step = min(max(step, floor), cap)
-        slope = float(np.sum(gq * d))
-        if slope <= 0.0:
-            slope = float(np.sum(d * d))
+        # d is the orthogonal projection of the quotient gradient onto the
+        # class, so the quotient's slope along d is |d|^2
+        slope = float(np.sum(d * d))
         accepted = False
         for _ in range(MAX_BACKTRACKS):
             if trial_step < floor:
                 break
-            # step along the projected direction from the unmoved base point:
-            # the trial tends to u as the step shrinks, so backtracking always
+            # step along the in-class direction from the unmoved base point:
+            # the trial tends to c as the step shrinks, so backtracking always
             # terminates while the slope is positive
-            v = u - trial_step * d
-            peak = float(np.max(np.abs(v)))
+            trial = c - trial_step * d
+            peak = float(np.max(np.abs(class_field(trial, cfg, grid))))
             if peak > 0.0:
-                v = v / peak
+                trial = trial / peak
                 try:
-                    val, gv = energy.quotient_and_gradient(v)
+                    val, gv = energy.quotient_and_gradient(class_field(trial, cfg, grid))
                 except VariationalError:
                     val = math.inf
                 if val < quot - 1e-4 * trial_step * slope:
-                    prev_u, prev_d = u, d
-                    u, quot, gq, accepted = v, val, gv, True
-                    d = project(gq)
+                    prev_c, prev_d = c, d
+                    c, quot, d, accepted = trial, val, class_coefficients(gv, cfg, grid), True
                     history.append(energy.level_from_quotient(val))
                     step = trial_step
                     break
@@ -944,15 +942,17 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
         if (options.checkpoint_path and options.checkpoint_every
                 and it % options.checkpoint_every == 0):
             _save_checkpoint(options.checkpoint_path, cfg, grid, q_solver,
-                             it, step, u, history, prev_u, prev_d)
+                             it, step, c, history, prev_c, prev_d)
 
     if options.checkpoint_path:
         _save_checkpoint(options.checkpoint_path, cfg, grid, q_solver,
-                         it, step, u, history, prev_u, prev_d)
+                         it, step, c, history, prev_c, prev_d)
 
-    # d is still the projected quotient gradient at the final iterate
-    rel = _relative_residual(u, d, quot)
+    del gv  # spent: d holds its class coefficients
+    # d is still the in-class quotient gradient at the final iterate
+    rel = _relative_residual(c, d, quot)
     min_rel = min(min_rel, rel)
+    u = class_field(c, cfg, grid)
     w = energy.nehari_project(u) * grid.mask_f
     # one energy pass gives every end-of-run scalar of w
     kin_w, pot_w, gk_w, gb_w = energy.evaluate(w)
@@ -960,6 +960,12 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     grad_w = gk_w / p - gb_w / q
     sym_gap = float(np.max(np.abs(symmetrize(u, cfg, grid) - u)))
     cert = sign_certificate(w, cfg)
+    equivariance = equivariance_residual(u, cfg)
+    if not cert.certifies_sign_change or equivariance > 1e-8:
+        raise VariationalError(
+            f"the candidate breaks the solver's promise: sign change certified "
+            f"{format_value(cert.certifies_sign_change)}, equivariance residual "
+            f"{equivariance:.3g} (bound 1e-8)")
     converged = stop_reason == "first variation tolerance" or rel < 10 * options.tol
     return SolveReport(
         config=cfg,
@@ -978,7 +984,7 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
         grad_norm=float(np.sqrt(np.sum(grad_w * grad_w) / grid.cell_volume)),
         relative_residual=rel,
         min_relative_residual=min_rel,
-        equivariance=equivariance_residual(u, cfg),
+        equivariance=equivariance,
         interpolated_bias=interpolated_equivariance_bias(u, cfg, grid),
         symmetrization_gap=sym_gap,
         certificate=cert,

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import cknsym
+import cknsym.variational as variational
 from cknsym.cli import main
 from cknsym.grid import BallGrid, load_field
 from cknsym.kvdoc import parse_kv
@@ -268,6 +270,23 @@ def test_solve_refuses_the_zero_class(tmp_path, capsys):
     assert not (tmp_path / "out" / "report.txt").exists()
 
 
+@pytest.mark.parametrize("broken", ["certificate", "equivariance"])
+def test_solve_refuses_a_candidate_that_breaks_its_promise(tmp_path, capsys, monkeypatch,
+                                                           broken):
+    if broken == "certificate":
+        real = variational.sign_certificate
+        monkeypatch.setattr(variational, "sign_certificate",
+                            lambda values, cfg: dataclasses.replace(real(values, cfg),
+                                                                    element_sign=1))
+    else:
+        monkeypatch.setattr(variational, "equivariance_residual", lambda values, cfg: 1e-3)
+    doc = write_doc(tmp_path / "solve.kv", SOLVE_DOC)
+    assert run("solve", "--config", doc, "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "out" / "report.txt").exists()
+
+
 def test_solve_refuses_a_grid_that_cannot_fit(tmp_path, capsys):
     doc = write_doc(tmp_path / "solve.kv",
                     "n: 6\nalpha: 0\nm: 1,0\npoints_per_axis: 201\n")
@@ -288,7 +307,16 @@ def test_cli_import_leaves_scipy_signal_and_stats_unloaded():
     assert out.strip() == ""
 
 
-@pytest.mark.parametrize("corruption", ["garbage", "missing-n", "truncated"])
+def _grid_checkpoint(header: bytes) -> bytes:
+    """The checkpoint of the same state in the version-1 layout: no shape
+    key and three grid-shaped arrays (iterate, previous iterate, direction)."""
+    old = json.loads(header)
+    old["version"] = 1
+    del old["shape"]
+    return json.dumps(old, sort_keys=True).encode() + b"\n" + bytes(3 * 8 * 9 ** 4)
+
+
+@pytest.mark.parametrize("corruption", ["garbage", "missing-n", "truncated", "version-1"])
 def test_solve_resume_from_a_corrupt_checkpoint_is_a_validation_error(
         tmp_path, capsys, corruption):
     part = write_doc(tmp_path / "part.kv", SOLVE_DOC + "checkpoint_every: 4\n")
@@ -297,7 +325,8 @@ def test_solve_resume_from_a_corrupt_checkpoint_is_a_validation_error(
     header, payload = good.split(b"\n", 1)
     data = {"garbage": b"\xff\xfe\x00garbage" + bytes(range(256)),
             "missing-n": header.replace(b'"n": 4, ', b"") + b"\n" + payload,
-            "truncated": good[:-5]}[corruption]
+            "truncated": good[:-5],
+            "version-1": _grid_checkpoint(header)}[corruption]
     bad = tmp_path / "bad.dat"
     bad.write_bytes(data)
     capsys.readouterr()

@@ -7,15 +7,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cknsym.grid import (
-    BallGrid,
-    backward_diffs,
-    backward_diffs_adjoint,
-    field_from_function,
-    forward_diffs,
-    forward_diffs_adjoint,
-)
+import cknsym.variational as variational
+from cknsym.grid import BallGrid, backward_diffs, field_from_function, forward_diffs
 from cknsym.kvdoc import DocumentError
 from cknsym.lattice import lattice_subgroup
 from cknsym.symmetry import SymmetryConfig
@@ -27,9 +23,12 @@ from cknsym.variational import (
     SolveReport,
     UnsupportedConfigError,
     VariationalError,
+    _catmull_rom,
     _save_checkpoint,
     analytic_energy,
-    angular_mean,
+    class_coefficients,
+    class_field,
+    class_shape,
     dilation_invariance_gap,
     equivariance_residual,
     load_checkpoint,
@@ -180,9 +179,40 @@ def test_quotient_gradient_consistency(p):
     eps = 1e-6
     u = random_bumps(GRID4, rng)
     h = random_bumps(GRID4, rng)
-    exact = node_pairing(energy.quotient_gradient(u), h)
+    exact = node_pairing(energy.quotient_and_gradient(u)[1], h)
     fd = (energy.quotient(u + eps * h) - energy.quotient(u - eps * h)) / (2 * eps)
     assert fd == pytest.approx(exact, rel=1e-5)
+
+
+def forward_diffs_adjoint(grid, stack):
+    """Exact adjoint of forward_diffs under the plain node inner product."""
+    out = np.zeros(grid.shape)
+    for i in range(grid.n):
+        out += (np.roll(stack[i], 1, axis=i) - stack[i]) / grid.h
+    return out
+
+
+def backward_diffs_adjoint(grid, stack):
+    out = np.zeros(grid.shape)
+    for i in range(grid.n):
+        out += (stack[i] - np.roll(stack[i], -1, axis=i)) / grid.h
+    return out
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=25, deadline=None)
+def test_difference_adjoints_are_exact(seed):
+    """<D u, s> must equal <u, D* s> for the plain node inner product."""
+    rng = np.random.default_rng(seed)
+    grid = BallGrid(2, 11)
+    u = rng.standard_normal(grid.shape)
+    s = rng.standard_normal((2,) + grid.shape)
+    lhs_f = float(np.sum(forward_diffs(grid, u) * s))
+    rhs_f = float(np.sum(u * forward_diffs_adjoint(grid, s)))
+    assert lhs_f == pytest.approx(rhs_f, rel=1e-12, abs=1e-12)
+    lhs_b = float(np.sum(backward_diffs(grid, u) * s))
+    rhs_b = float(np.sum(u * backward_diffs_adjoint(grid, s)))
+    assert lhs_b == pytest.approx(rhs_b, rel=1e-12, abs=1e-12)
 
 
 def _oracle_energy_parts(energy, u):
@@ -244,7 +274,7 @@ def test_nehari_identity_on_the_manifold():
     energy = DiscreteEnergy(GRID4, PARAMS4)
     u = random_bumps(GRID4, np.random.default_rng(7))
     w = energy.nehari_project(u)
-    level = energy.mountain_pass_level(w)
+    level = (1.0 / PARAMS4.p - 1.0 / PARAMS4.q) * energy.kinetic(w)
     assert energy.value(w) == pytest.approx(level, rel=1e-10)
 
 
@@ -335,37 +365,88 @@ def test_equivariant_pairing_identity():
 
 
 # --------------------------------------------------------------------------
-# circle averaging
+# class coordinates
 
 
-def test_angular_mean_is_idempotent():
+def _dense_plane_projector(points_per_axis, radius):
+    """The dense least-squares projector B (B^T B)^+ B^T onto circle-invariant
+    2-plane slices, as the solver built it before it kept only an orthonormal
+    factor; the oracle of the class map."""
+    npts = points_per_axis
+    h = 2.0 * radius / (npts - 1)
+    axis = -radius + h * np.arange(npts)
+    n_rad = int(math.ceil(math.sqrt(2.0) * radius / h)) + 4
+    ra = np.hypot(axis[:, None], axis[None, :]).ravel() / h
+    base = np.floor(ra).astype(int)
+    wr = _catmull_rom(ra - base)
+    basis = np.zeros((npts * npts, n_rad))
+    for dr in range(4):
+        ir = np.abs(base - 1 + dr)
+        ok = ir < n_rad
+        np.add.at(basis, (np.arange(npts * npts), np.clip(ir, 0, n_rad - 1)),
+                  np.where(ok, wr[..., dr], 0.0))
+    q = basis @ np.linalg.pinv(basis.T @ basis, rcond=1e-12) @ basis.T
+    return 0.5 * (q + q.T)
+
+
+def _oracle_class_projection(values, cfg, grid):
+    """Circle averages in the planes (0, 1) and (2, 3), then symmetrize."""
+    q = _dense_plane_projector(grid.points_per_axis, grid.radius)
+    npts, last = grid.points_per_axis, (grid.n - 2, grid.n - 1)
+    out = values
+    for plane in ((0, 1), (2, 3)):
+        moved = np.moveaxis(out, plane, last)
+        mixed = moved.reshape(-1, npts * npts) @ q.T
+        out = np.moveaxis(mixed.reshape(moved.shape), last, plane)
+    return symmetrize(out, cfg, grid)
+
+
+# every configuration here has its one width-4 block on coordinates 0-3
+CLASS_CASES = [(CFG4, GRID4), (CFG4, BallGrid(4, 13, 1.0)),
+               (SymmetryConfig(5, 0, (1,)), BallGrid(5, 7, 1.0)),
+               (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 5, 1.0))]
+CLASS_CASE_IDS = ["9^4", "13^4", "7^5", "5^6"]
+
+
+@pytest.mark.parametrize("cfg, grid", CLASS_CASES, ids=CLASS_CASE_IDS)
+def test_class_map_matches_the_dense_projector(cfg, grid):
     rng = np.random.default_rng(16)
-    u = rng.standard_normal(GRID4.shape) * GRID4.mask_f
-    a1 = angular_mean(u, CFG4, GRID4)
-    a2 = angular_mean(a1, CFG4, GRID4)
-    assert np.max(np.abs(a2 - a1)) <= 1e-12 * max(1.0, np.max(np.abs(a1)))
+    for _ in range(2):
+        u = rng.standard_normal(grid.shape)
+        c = class_coefficients(u, cfg, grid)
+        assert c.shape == class_shape(cfg, grid)
+        expect = _oracle_class_projection(u, cfg, grid)
+        got = class_field(c, cfg, grid)
+        # operator-relative: the oracle's own idempotence defect reaches
+        # 2.3e-13 at 13 points per axis, 1.3e-12 of a projected field's sup
+        assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(u)
 
 
-def test_angular_mean_commutes_with_symmetrize():
+@pytest.mark.parametrize("cfg, grid", CLASS_CASES, ids=CLASS_CASE_IDS)
+def test_class_map_is_an_orthogonal_projection_into_the_class(cfg, grid):
     rng = np.random.default_rng(17)
-    u = rng.standard_normal(GRID4.shape) * GRID4.mask_f
-    left = angular_mean(symmetrize(u, CFG4, GRID4), CFG4, GRID4)
-    right = symmetrize(angular_mean(u, CFG4, GRID4), CFG4, GRID4)
-    assert np.max(np.abs(left - right)) <= 1e-12
+    u = rng.standard_normal(grid.shape)
+    c = class_coefficients(u, cfg, grid)
+    once = class_field(c, cfg, grid)
+    twice = class_field(class_coefficients(once, cfg, grid), cfg, grid)
+    assert np.max(np.abs(twice - once)) <= 1e-12 * np.max(np.abs(once))
+    assert equivariance_residual(once, cfg) <= 1e-12
+    # the synthesis is orthonormal and the projection contracts
+    assert np.linalg.norm(once) == pytest.approx(np.linalg.norm(c), rel=1e-12)
+    assert np.linalg.norm(once) <= np.linalg.norm(u) * (1 + 1e-12)
 
 
-def test_angular_mean_is_a_contraction():
-    rng = np.random.default_rng(18)
-    u = rng.standard_normal(GRID4.shape)
-    assert np.linalg.norm(angular_mean(u, CFG4, GRID4)) <= np.linalg.norm(u) * (1 + 1e-12)
-
-
-def test_angular_mean_kills_odd_plane_modes():
+def test_class_map_kills_odd_plane_modes():
     """A field odd in one rotation plane has zero circle average."""
     pts = GRID4.points()
     u = (pts[:, 0] * np.exp(-np.sum(pts ** 2, axis=1))).reshape(GRID4.shape)
-    averaged = angular_mean(u, CFG4, GRID4)
-    assert np.max(np.abs(averaged)) <= 1e-12
+    assert np.max(np.abs(class_coefficients(u, CFG4, GRID4))) <= 1e-12
+
+
+def test_class_shape_counts_one_profile_axis_per_plane():
+    assert class_shape(CFG4, BallGrid(4, 17, 1.0)) == (14, 14)
+    assert class_shape(CFG4, BallGrid(4, 25, 1.0)) == (19, 19)
+    assert class_shape(SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 9, 1.0)) == (8, 8, 9, 9)
 
 
 # --------------------------------------------------------------------------
@@ -510,6 +591,46 @@ def test_solver_uses_the_subcritical_exponent(small_report):
     assert small_report.field.shape == GRID4.shape
 
 
+# energy histories of these solves as the grid-coordinate descent computed
+# them; descending in class coordinates must retrace them
+PINNED_SMALL_HISTORY = (
+    359244.3333487098, 195734.02269237186, 175099.98764678976, 160584.08680128114,
+    148152.20073761215, 109433.40979571214, 105566.91133741797, 104459.11863815504,
+    104223.98016139094, 103634.61968276938, 103579.99583946752, 103553.70758594,
+    103542.6235879999, 103534.00607331359, 103531.28100003627, 103530.01279767515,
+    103528.93215451724, 103528.53286640039, 103528.27599062311, 103527.96353675851,
+    103527.83673469585, 103527.77650552751, 103527.6954201648, 103527.60019674641,
+    103527.28932467535, 103527.26960740467, 103527.15601278441, 103527.08706645037,
+    103526.95529194652, 103526.78518331613, 103526.78372178688, 103526.77274275944,
+    103526.71256271181, 103526.69645071411, 103526.68452609831, 103526.6821420239,
+    103526.67473241381, 103526.66741981255, 103526.65913180329, 103526.6536248303,
+    103526.65233728365)
+PINNED_6D_HISTORY = (
+    8.439651597439036e+24, 1.731566745265492e+24, 1.782673573977241e+23, 8.086887400339707e+22)
+
+
+def test_class_descent_retraces_the_grid_descent(small_report):
+    assert small_report.iterations == 40
+    assert small_report.energy_history == pytest.approx(PINNED_SMALL_HISTORY, rel=1e-10)
+    six = solve(SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 5, 1.0),
+                options=SolveOptions(max_iters=3))
+    assert six.iterations == 3
+    assert six.energy_history == pytest.approx(PINNED_6D_HISTORY, rel=1e-10)
+
+
+@pytest.mark.parametrize("broken", ["certificate", "equivariance"])
+def test_solver_refuses_a_candidate_that_breaks_its_promise(monkeypatch, broken):
+    if broken == "certificate":
+        real = variational.sign_certificate
+        monkeypatch.setattr(variational, "sign_certificate",
+                            lambda values, cfg: dataclasses.replace(real(values, cfg),
+                                                                    min_value=0.0))
+    else:
+        monkeypatch.setattr(variational, "equivariance_residual", lambda values, cfg: 2e-8)
+    with pytest.raises(VariationalError, match="promise"):
+        solve(CFG4, GRID4, options=SolveOptions(max_iters=2))
+
+
 @pytest.mark.parametrize("text", ["n: x\n", "level: abc\n"])
 def test_report_summary_from_doc_rejects_malformed_values(text):
     with pytest.raises(DocumentError):
@@ -606,9 +727,18 @@ def test_resume_rejects_a_vanishing_checkpoint_field(tmp_path):
     cp = tmp_path / "zero.ckpt"
     q_solver = params_for_config(CFG4).q - 0.5
     _save_checkpoint(cp, CFG4, GRID4, q_solver, 3, 0.1,
-                     np.zeros(GRID4.shape), [1.0])
+                     np.zeros(class_shape(CFG4, GRID4)), [1.0])
     with pytest.raises(VariationalError):
         solve(CFG4, GRID4, resume_from=cp)
+
+
+def test_load_checkpoint_refuses_coefficients_outside_the_class_shape(tmp_path):
+    q_solver = params_for_config(CFG4).q - 0.5
+    for name, shape in [("grid", GRID4.shape), ("short", (8, 7)), ("flat", (64,))]:
+        cp = tmp_path / f"{name}.ckpt"
+        _save_checkpoint(cp, CFG4, GRID4, q_solver, 3, 0.1, np.ones(shape), [1.0])
+        with pytest.raises(VariationalError, match="class shape"):
+            load_checkpoint(cp)
 
 
 def test_solver_builds_the_lattice_subgroup_once():
@@ -628,7 +758,8 @@ def _corrupt_checkpoints(tmp_path):
     """A garbage file, a header without n, and a truncated payload."""
     good = tmp_path / "good.ckpt"
     q_solver = params_for_config(CFG4).q - 0.5
-    _save_checkpoint(good, CFG4, GRID4, q_solver, 3, 0.1, seed_field(CFG4, GRID4), [1.0])
+    _save_checkpoint(good, CFG4, GRID4, q_solver, 3, 0.1,
+                     class_coefficients(seed_field(CFG4, GRID4), CFG4, GRID4), [1.0])
     header, payload = good.read_bytes().split(b"\n", 1)
     no_n = json.loads(header)
     del no_n["n"]
@@ -652,7 +783,10 @@ def test_checkpoint_writes_leave_no_temporary_file(tmp_path):
                                             checkpoint_every=1))
     assert [p.name for p in tmp_path.iterdir()] == ["state.ckpt"]
     state = load_checkpoint(cp)
-    assert state["prev_field"].shape == state["prev_direction"].shape == GRID4.shape
+    shape = class_shape(CFG4, GRID4)
+    assert state["coefficients"].shape == shape
+    assert state["prev_coefficients"].shape == state["prev_direction"].shape == shape
+    assert json.loads(cp.read_bytes().split(b"\n", 1)[0])["shape"] == list(shape)
 
 
 def test_load_checkpoint_rejects_foreign_files(tmp_path):
