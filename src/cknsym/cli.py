@@ -119,6 +119,8 @@ def cmd_check_group(args: argparse.Namespace) -> int:
     require_keys(pairs, ("n", "alpha", "m"), optional=("regime", "trials"))
     cfg, regime = _structural_config(pairs)
     trials = get_int(pairs, "trials", 2000)
+    if trials < 1:
+        raise DocumentError(f"key 'trials' must be >= 1, got {trials}")
 
     report = config_to_pairs(cfg, regime)
     failures = 0

@@ -634,6 +634,8 @@ def orbit_classify(cfg: SymmetryConfig, x: np.ndarray, samples: int = 8,
     x = np.asarray(x, dtype=float)
     if x.shape != (cfg.n,):
         raise GroupOperationError(f"point must have shape ({cfg.n},), got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise GroupOperationError(f"point must be finite, got {x}")
     layout = make_layout(cfg)
     reason = None
     if layout.pinwheel is not None and np.any(np.abs(x[0:4]) > tol):

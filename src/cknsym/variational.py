@@ -323,24 +323,28 @@ def symmetrize(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) -> np.nd
     return acc / len(elements)
 
 
-def _catmull_rom(t: np.ndarray) -> np.ndarray:
-    """Interpolatory cubic kernel weights for fractional offsets t in [0, 1).
-
-    Returns shape t.shape + (4,) for the stencil at offsets -1, 0, 1, 2.
-    """
-    t2 = t * t
-    t3 = t2 * t
-    w = np.empty(t.shape + (4,))
-    w[..., 0] = -0.5 * t3 + t2 - 0.5 * t
-    w[..., 1] = 1.5 * t3 - 2.5 * t2 + 1.0
-    w[..., 2] = -1.5 * t3 + 2.0 * t2 + 0.5 * t
-    w[..., 3] = 0.5 * t3 - 0.5 * t2
-    return w
+def _catmull_rom_matrix(t: np.ndarray, size: int, radial: bool) -> np.ndarray:
+    """Row i: the Catmull-Rom (Keys' cubic convolution) weights that read a
+    unit-step table of ``size`` samples at position t[i], in table steps.  A
+    radial table reflects its indices through zero; others are zero past the ends."""
+    base = np.floor(t).astype(int)
+    f = t - base
+    f2 = f * f
+    f3 = f2 * f
+    weights = (-0.5 * f3 + f2 - 0.5 * f, 1.5 * f3 - 2.5 * f2 + 1.0,
+               -1.5 * f3 + 2.0 * f2 + 0.5 * f, 0.5 * f3 - 0.5 * f2)
+    out = np.zeros((t.size, size))
+    for offset, w in enumerate(weights):  # stencil offsets -1, 0, 1, 2
+        idx = np.abs(base - 1 + offset) if radial else base - 1 + offset
+        ok = (idx >= 0) & (idx < size)
+        np.add.at(out, (np.arange(t.size), np.clip(idx, 0, size - 1)), np.where(ok, w, 0.0))
+    return out
 
 
 @functools.cache
-def _plane_profile_basis(points_per_axis: int, radius: float) -> np.ndarray:
-    """Orthonormal basis Q (N^2 x r) of the circle-invariant 2-plane slices.
+def _plane_profile_basis(points_per_axis: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis Q (N^2 x r) of the circle-invariant 2-plane slices
+    and the table factor A (n_rad x r) with Q = B A.
 
     A slice is circle-invariant when its node values depend only on the
     plane radius.  The admissible radial profiles are cubic interpolants of
@@ -348,28 +352,19 @@ def _plane_profile_basis(points_per_axis: int, radius: float) -> np.ndarray:
     node's plane radius; stacking those evaluations gives a tall matrix B,
     and Q is its left singular vectors with singular values above 1e-6 of
     the largest.  Q Q^T is the least-squares projector onto the profiles,
-    the discrete circle average in the node inner product.  Cached per axis
-    geometry.
+    the discrete circle average in the node inner product.  A = V_k S_k^-1,
+    so the profile of Q c interpolates the radial table A c.  Cached per
+    axis geometry.
     """
     npts = points_per_axis
     h = 2.0 * radius / (npts - 1)
     axis = -radius + h * np.arange(npts)
     n_rad = int(math.ceil(math.sqrt(2.0) * radius / h)) + 4
-
-    # evaluation matrix: node (a, b) reads a radial table at its plane
-    # radius, with even reflection through zero for the stencil's left edge
-    ra = np.hypot(axis[:, None], axis[None, :]).ravel() / h
-    base = np.floor(ra).astype(int)
-    wr = _catmull_rom(ra - base)
-    basis = np.zeros((npts * npts, n_rad))
-    for dr in range(4):
-        ir = np.abs(base - 1 + dr)
-        ok = ir < n_rad
-        np.add.at(basis, (np.arange(npts * npts), np.clip(ir, 0, n_rad - 1)),
-                  np.where(ok, wr[..., dr], 0.0))
-
-    left, sing, _ = np.linalg.svd(basis, full_matrices=False)
-    return left[:, sing > 1e-6 * sing[0]]
+    basis = _catmull_rom_matrix(np.hypot(axis[:, None], axis[None, :]).ravel() / h,
+                                n_rad, radial=True)
+    left, sing, right_t = np.linalg.svd(basis, full_matrices=False)
+    keep = sing > 1e-6 * sing[0]
+    return left[:, keep], right_t[keep].T / sing[keep]
 
 
 # --------------------------------------------------------------------------
@@ -381,7 +376,7 @@ def _plane_profile_basis(points_per_axis: int, radius: float) -> np.ndarray:
 
 def _class_basis(cfg: SymmetryConfig, grid: BallGrid) -> tuple[np.ndarray, int]:
     """The plane profile basis Q and the number of rotation planes."""
-    return (_plane_profile_basis(grid.points_per_axis, grid.radius),
+    return (_plane_profile_basis(grid.points_per_axis, grid.radius)[0],
             make_layout(cfg).tail_start // 2)
 
 
@@ -413,6 +408,22 @@ def class_coefficients(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) 
     return _contract_planes(symmetrize(values, cfg, grid).reshape(split), q.T, planes)
 
 
+def _class_profile(coefficients: np.ndarray, grid: BallGrid, rho: np.ndarray,
+                   line: np.ndarray) -> np.ndarray:
+    """The class field E c on the product of the plane radii rho (one axis per
+    rotation plane, its second coordinate 0) and the tail coordinates line:
+    plane axes interpolate the radial tables A c, tail axes their grid lines."""
+    planes = grid.n - coefficients.ndim  # c has one axis per plane and per tail axis
+    table = _plane_profile_basis(grid.points_per_axis, grid.radius)[1]
+    read_plane = _catmull_rom_matrix(rho / grid.h, table.shape[0], radial=True) @ table
+    read_tail = _catmull_rom_matrix((line + grid.radius) / grid.h, grid.points_per_axis,
+                                    radial=False)
+    prof = coefficients
+    for ax in range(coefficients.ndim):  # each contraction moves the read axis last
+        prof = np.tensordot(prof, read_plane if ax < planes else read_tail, axes=([0], [1]))
+    return prof
+
+
 def _table_derivative(f: np.ndarray, axis: int, h: float, even_start: bool) -> np.ndarray:
     """Fourth-order central derivative on a half-step-offset uniform table.
 
@@ -428,17 +439,16 @@ def _table_derivative(f: np.ndarray, axis: int, h: float, even_start: bool) -> n
     return np.moveaxis(out, 0, axis)
 
 
-def reduced_level_estimate(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid,
+def reduced_level_estimate(coefficients: np.ndarray, cfg: SymmetryConfig, grid: BallGrid,
                            params: ProblemParams) -> float:
-    """Nehari level of the field re-quadratured through the rotation reduction.
+    """Nehari level of the class field E c re-quadratured through the rotation reduction.
 
-    The field must already be in the working class (a ``class_field``): a
-    circle-averaged field depends only on one radius per rotation plane
-    plus the leftover coordinates, so its energy reduces to an integral over
-    that low-dimensional profile with a product-of-radii Jacobian.  The
-    profile is resampled on a table REDUCED_REFINE times finer than the
-    grid, differentiated with fourth-order stencils, rescaled onto
-    the Nehari manifold of the re-quadratured functional, and its level
+    A class field depends only on one radius per rotation plane plus the
+    tail coordinates, so its energy reduces to an integral over that
+    low-dimensional profile with a product-of-radii Jacobian.  The class's
+    own Catmull-Rom profile is read off c on a table REDUCED_REFINE times
+    finer than the grid, differentiated with fourth-order stencils, rescaled
+    onto the Nehari manifold of the re-quadratured functional, and its level
     (1/p - 1/q) * kinetic is returned.  Far less quadrature error than the
     cube-grid level when the minimizer has features a few cells wide.
 
@@ -452,32 +462,17 @@ def reduced_level_estimate(values: np.ndarray, cfg: SymmetryConfig, grid: BallGr
     n_r = int(math.ceil(grid.radius / h_f))
     rho = (np.arange(n_r) + 0.5) * h_f
     line = -grid.radius + (np.arange(2 * n_r) + 0.5) * h_f
-    mesh = np.meshgrid(*([rho] * planes + [line] * (grid.n - 2 * planes)), indexing="ij")
+    prof = _class_profile(coefficients, grid, rho, line)
+    mesh = np.meshgrid(*([rho] * planes + [line] * (grid.n - 2 * planes)),
+                       indexing="ij", sparse=True)
 
-    coords = np.zeros((grid.n,) + mesh[0].shape)
-    for idx, values_on_axis in enumerate(mesh):  # a plane's second coordinate stays 0
-        coords[2 * idx if idx < planes else planes + idx] = values_on_axis
-    frac = (coords.reshape(grid.n, -1) + grid.radius) / grid.h
-    prof = ndimage.map_coordinates(values, frac, order=3, mode="constant",
-                                   cval=0.0).reshape(mesh[0].shape)
-
-    grad_sq = np.zeros_like(prof)
-    for ax in range(prof.ndim):
-        der = _table_derivative(prof, ax, h_f, even_start=ax < planes)
-        grad_sq += der * der
+    grad_sq = sum(_table_derivative(prof, ax, h_f, even_start=ax < planes) ** 2
+                  for ax in range(prof.ndim))
     radius_sq = sum(m * m for m in mesh)
-    inside = radius_sq <= grid.radius * grid.radius
-    jac = np.ones_like(prof)
-    for idx in range(planes):
-        jac = jac * mesh[idx]
-    jac = np.where(inside, jac, 0.0)
+    jac = np.where(radius_sq <= grid.radius * grid.radius, math.prod(mesh[:planes]), 0.0)
     r = np.sqrt(radius_sq)
-    w_grad = jac
-    w_pot = jac
-    if params.grad_weight_exponent != 0.0:
-        w_grad = jac * r ** params.grad_weight_exponent
-    if params.potential_weight_exponent != 0.0:
-        w_pot = jac * r ** params.potential_weight_exponent
+    w_grad = jac * r ** params.grad_weight_exponent  # r ** 0.0 is exactly 1
+    w_pot = jac * r ** params.potential_weight_exponent
     cell = (2.0 * math.pi) ** planes * h_f ** prof.ndim
     p, q = params.p, params.q
     kin = cell * float(np.sum(grad_sq ** (p / 2.0) * w_grad))
@@ -782,9 +777,9 @@ def solve_peak_bytes(grid: BallGrid) -> int:
       and backward stacks (2n), two squared norms, two weights, two adjoint
       accumulators, one weighted axis and two roll temporaries: 2n + 10.
     The end-of-run pass holds the iterate's field and its Nehari rescaling
-    in place of the trial's two arrays.  The other diagnostics peak lower,
-    except on small 6-D grids, where the profile table of
-    ``reduced_level_estimate`` outgrows the grid (5^6: 42.6 arrays).
+    in place of the trial's two arrays.  The other diagnostics peak lower.
+    A whole (6, 0, (1, 0)) solve traced with tracemalloc peaks at 1.00 of
+    this count at 5^6 and 0.98 at 7^6.
     """
     return (3 * grid.n + 17) * math.prod(grid.shape) * 8
 
@@ -977,7 +972,7 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
         iterations=it - start_iter,
         energy=kin_w / p - pot_w / q,
         level=(1.0 / p - 1.0 / q) * kin_w,
-        level_estimate=reduced_level_estimate(u, cfg, grid, work),
+        level_estimate=reduced_level_estimate(c, cfg, grid, work),
         kinetic=kin_w,
         potential=pot_w,
         nehari_residual=abs(kin_w - pot_w) / max(kin_w, pot_w),

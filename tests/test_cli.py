@@ -104,8 +104,11 @@ def test_check_group_reports_tail_failure(tmp_path, capsys):
     assert pairs["overall"] == "fail"
 
 
-def test_check_group_rejects_malformed_config(tmp_path):
-    cfg = write_doc(tmp_path / "grp.kv", "n: 4\nalpha: 0\nm: 7\n")
+@pytest.mark.parametrize("text", ["n: 4\nalpha: 0\nm: 7\n",
+                                  "n: 4\nalpha: 0\nm: 1\ntrials: 0\n",
+                                  "n: 4\nalpha: 0\nm: 1\ntrials: -3\n"])
+def test_check_group_rejects_malformed_config(tmp_path, text):
+    cfg = write_doc(tmp_path / "grp.kv", text)
     assert run("check-group", "--config", cfg) == 2
 
 
@@ -158,9 +161,9 @@ def test_orbit_classifies_generic_points_as_infinite(tmp_path, capsys):
     assert pairs["kind"] == "infinite"
 
 
-def test_orbit_rejects_malformed_points(tmp_path):
-    cfg = write_doc(tmp_path / "orb.kv",
-                    "n: 4\nalpha: 0\nm: 1\npoint: 0.5,oops,0,0\n")
+@pytest.mark.parametrize("point", ["0.5,oops,0,0", "nan,0,0,0", "0,inf,0,0"])
+def test_orbit_rejects_malformed_points(tmp_path, point):
+    cfg = write_doc(tmp_path / "orb.kv", f"n: 4\nalpha: 0\nm: 1\npoint: {point}\n")
     assert run("orbit", "--config", cfg) == 2
 
 

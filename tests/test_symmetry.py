@@ -383,6 +383,13 @@ def test_orbit_rejects_wrong_point_shape():
         orbit_classify(cfg, np.zeros(5))
 
 
+def test_orbit_rejects_non_finite_points():
+    cfg = SymmetryConfig(4, 0, (1,))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(GroupOperationError, match="finite"):
+            orbit_classify(cfg, np.array([bad, 0.0, 0.0, 0.0]))
+
+
 # --------------------------------------------------------------------------
 # serialization
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 import cknsym.variational as variational
 from cknsym.grid import BallGrid, backward_diffs, field_from_function, forward_diffs
@@ -23,7 +24,8 @@ from cknsym.variational import (
     SolveReport,
     UnsupportedConfigError,
     VariationalError,
-    _catmull_rom,
+    _catmull_rom_matrix,
+    _class_profile,
     _save_checkpoint,
     analytic_energy,
     class_coefficients,
@@ -377,14 +379,7 @@ def _dense_plane_projector(points_per_axis, radius):
     axis = -radius + h * np.arange(npts)
     n_rad = int(math.ceil(math.sqrt(2.0) * radius / h)) + 4
     ra = np.hypot(axis[:, None], axis[None, :]).ravel() / h
-    base = np.floor(ra).astype(int)
-    wr = _catmull_rom(ra - base)
-    basis = np.zeros((npts * npts, n_rad))
-    for dr in range(4):
-        ir = np.abs(base - 1 + dr)
-        ok = ir < n_rad
-        np.add.at(basis, (np.arange(npts * npts), np.clip(ir, 0, n_rad - 1)),
-                  np.where(ok, wr[..., dr], 0.0))
+    basis = _catmull_rom_matrix(ra, n_rad, radial=True)
     q = basis @ np.linalg.pinv(basis.T @ basis, rcond=1e-12) @ basis.T
     return 0.5 * (q + q.T)
 
@@ -528,16 +523,75 @@ def test_dilation_invariance_gap_is_small_without_weights():
 
 
 def test_reduced_level_estimate_is_scale_invariant():
-    u = seed_field(CFG4, GRID4)
-    e1 = reduced_level_estimate(u, CFG4, GRID4, PARAMS4)
-    e2 = reduced_level_estimate(2.0 * u, CFG4, GRID4, PARAMS4)
+    c = class_coefficients(seed_field(CFG4, GRID4), CFG4, GRID4)
+    e1 = reduced_level_estimate(c, CFG4, GRID4, PARAMS4)
+    e2 = reduced_level_estimate(2.0 * c, CFG4, GRID4, PARAMS4)
     assert e1 > 0
     assert e2 == pytest.approx(e1, rel=1e-9)
 
 
 def test_reduced_level_estimate_rejects_zero_profile():
     with pytest.raises(VariationalError):
-        reduced_level_estimate(np.zeros(GRID4.shape), CFG4, GRID4, PARAMS4)
+        reduced_level_estimate(np.zeros(class_shape(CFG4, GRID4)), CFG4, GRID4, PARAMS4)
+
+
+def test_catmull_rom_matrix_reproduces_quadratics():
+    """Keys' cubic convolution reproduces quadratics where its stencil fits,
+    is the identity at nodes, reflects a radial table through zero and reads
+    zero past the ends of any other table."""
+    k = np.arange(12.0)
+    t = np.linspace(0.0, 8.9, 37)
+    radial = _catmull_rom_matrix(t, 12, radial=True)
+    assert np.allclose(radial @ (1.0 + 2.0 * k * k), 1.0 + 2.0 * t * t, rtol=0, atol=1e-12)
+    inner = t[t >= 1.0]
+    line = _catmull_rom_matrix(inner, 12, radial=False)
+    assert np.allclose(line @ (3.0 - k + 0.5 * k * k), 3.0 - inner + 0.5 * inner ** 2,
+                       rtol=0, atol=1e-12)
+    assert np.array_equal(_catmull_rom_matrix(k, 12, radial=False), np.eye(12))
+    assert not _catmull_rom_matrix(np.array([-2.0, 13.5]), 12, radial=False).any()
+
+
+@pytest.mark.parametrize("cfg, grid", CLASS_CASES, ids=CLASS_CASE_IDS)
+def test_class_profile_is_the_class_field_at_nodes(cfg, grid):
+    """At grid nodes the read-off profile is E c, and so is the cubic B-spline
+    resampling of E c that the estimate used before; between nodes the two
+    interpolants differ by design."""
+    rng = np.random.default_rng(18)
+    c = rng.standard_normal(class_shape(cfg, grid))
+    u = class_field(c, cfg, grid)
+    npts, mid = grid.points_per_axis, grid.points_per_axis // 2
+    planes = grid.n - c.ndim
+    rho = grid.h * np.arange(mid + 1)
+    line = -grid.radius + grid.h * np.arange(npts)
+    got = _class_profile(c, grid, rho, line)
+    # node indices: each plane's first coordinate at radius k h, its second 0
+    at = np.indices(got.shape)
+    nodes = [i for k in range(planes) for i in (mid + at[k], np.full(got.shape, mid))]
+    nodes += list(at[planes:])
+    expect = u[tuple(nodes)]
+    oracle = ndimage.map_coordinates(u, np.stack([a.ravel() for a in nodes]).astype(float),
+                                     order=3, mode="constant").reshape(got.shape)
+    # |B A - Q| reaches 3.5e-12 at 13 points per axis, so not 1e-12
+    bound = 1e-11 * np.max(np.abs(u))
+    assert np.max(np.abs(got - expect)) <= bound
+    assert np.max(np.abs(got - oracle)) <= bound
+    # even in the signed plane radius, as the estimate's derivative assumes
+    off = rho + 0.3 * grid.h
+    mirror = _class_profile(c, grid, -off, line) - _class_profile(c, grid, off, line)
+    assert np.max(np.abs(mirror)) <= bound
+
+
+def test_reduced_level_estimate_peaks_below_half_a_solve():
+    cfg, grid = SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 5, 1.0)
+    c = class_coefficients(seed_field(cfg, grid), cfg, grid)
+    params = params_for_config(cfg)
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    reduced_level_estimate(c, cfg, grid, params.with_exponent(params.q - 0.5))
+    peak = tracemalloc.get_traced_memory()[1] - base
+    tracemalloc.stop()
+    assert peak <= 0.5 * solve_peak_bytes(grid)
 
 
 # --------------------------------------------------------------------------
