@@ -152,7 +152,7 @@ def cmd_check_group(args: argparse.Namespace) -> int:
         failures += 1
         probe = np.zeros(cfg.n)
         probe[-1] = 1.0
-        orb = orbit_classify(cfg, probe, seed=args.seed)
+        orb = orbit_classify(cfg, probe)
         report["P3 certificate"] = (
             f"point with only the leftover coordinate set is {orb.kind}: {orb.reason}")
         if regime == "a_eq_b_nonzero":
@@ -192,14 +192,13 @@ def cmd_distinguish(args: argparse.Namespace) -> int:
 def cmd_orbit(args: argparse.Namespace) -> int:
     pairs = _read_doc(args.config)
     require_keys(pairs, ("n", "alpha", "m", "point"),
-                 optional=("regime", "samples"))
+                 optional=("regime",))
     cfg, _ = _structural_config(pairs)
     try:
         point = np.array([float(v) for v in pairs["point"].split(",")])
     except ValueError as exc:
         raise DocumentError("key 'point' must be comma-separated numbers") from exc
-    samples = get_int(pairs, "samples", 8)
-    orb = orbit_classify(cfg, point, samples=samples, seed=args.seed)
+    orb = orbit_classify(cfg, point)
     _emit(format_kv({
         **config_to_pairs(cfg),
         "point": pairs["point"],

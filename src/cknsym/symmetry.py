@@ -619,11 +619,9 @@ def stabilizer_in_kernel_check(cfg: SymmetryConfig, residual_tol: float = 1e-9) 
 class OrbitReport:
     kind: str  # "finite_singleton" | "infinite"
     reason: str
-    samples: np.ndarray
 
 
-def orbit_classify(cfg: SymmetryConfig, x: np.ndarray, samples: int = 8,
-                   seed: int = 0, tol: float = 1e-12) -> OrbitReport:
+def orbit_classify(cfg: SymmetryConfig, x: np.ndarray, tol: float = 1e-12) -> OrbitReport:
     """Classify the orbit of a point: singleton or infinite.
 
     Any nonzero coordinate inside a rotation or pinwheel block is moved
@@ -648,15 +646,13 @@ def orbit_classify(cfg: SymmetryConfig, x: np.ndarray, samples: int = 8,
                 break
     if reason is None and layout.tail_active and np.any(np.abs(x[layout.tail_start:]) > tol):
         reason = "tail is nonzero and carries a full orthogonal factor"
-    rng = np.random.default_rng(seed)
-    pts = np.array([act(random_element(cfg, rng), x) for _ in range(samples)])
     if reason is None:
         if layout.tail_dim == 1 and abs(x[layout.tail_start]) > tol:
             reason = "only the width-1 tail is nonzero and its factor is trivial"
         else:
             reason = "every block is zero; the point is fixed by the whole group"
-        return OrbitReport("finite_singleton", reason, pts)
-    return OrbitReport("infinite", reason, pts)
+        return OrbitReport("finite_singleton", reason)
+    return OrbitReport("infinite", reason)
 
 
 # --------------------------------------------------------------------------

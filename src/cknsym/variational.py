@@ -19,8 +19,8 @@ character -1 element (pinwheel level >= 1 with no blocks: the sign-reversing
 steps are not signed permutations) are rejected up front rather than solved
 without a certificate.
 
-Finer rotation angles than quarter turns exist only through interpolation,
-so they appear as a reported bias diagnostic, never inside the projection.
+Rotation angles finer than quarter turns act exactly only on the class's
+Catmull-Rom profile; they enter a reported bias, never the projection.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .grid import (
     BallGrid,
@@ -408,20 +407,40 @@ def class_coefficients(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) 
     return _contract_planes(symmetrize(values, cfg, grid).reshape(split), q.T, planes)
 
 
+def _axis_weights(grid: BallGrid, x: np.ndarray, plane: bool) -> np.ndarray:
+    """Row i reads one axis of class coefficients at x[i]: a plane radius
+    through the radial table factor A, or a tail coordinate off its grid line."""
+    if plane:
+        table = _plane_profile_basis(grid.points_per_axis, grid.radius)[1]
+        return _catmull_rom_matrix(x / grid.h, table.shape[0], radial=True) @ table
+    return _catmull_rom_matrix((x + grid.radius) / grid.h, grid.points_per_axis, radial=False)
+
+
 def _class_profile(coefficients: np.ndarray, grid: BallGrid, rho: np.ndarray,
                    line: np.ndarray) -> np.ndarray:
     """The class field E c on the product of the plane radii rho (one axis per
-    rotation plane, its second coordinate 0) and the tail coordinates line:
-    plane axes interpolate the radial tables A c, tail axes their grid lines."""
+    rotation plane, its second coordinate 0) and the tail coordinates line."""
     planes = grid.n - coefficients.ndim  # c has one axis per plane and per tail axis
-    table = _plane_profile_basis(grid.points_per_axis, grid.radius)[1]
-    read_plane = _catmull_rom_matrix(rho / grid.h, table.shape[0], radial=True) @ table
-    read_tail = _catmull_rom_matrix((line + grid.radius) / grid.h, grid.points_per_axis,
-                                    radial=False)
     prof = coefficients
     for ax in range(coefficients.ndim):  # each contraction moves the read axis last
-        prof = np.tensordot(prof, read_plane if ax < planes else read_tail, axes=([0], [1]))
+        w = _axis_weights(grid, rho if ax < planes else line, ax < planes)
+        prof = np.tensordot(prof, w, axes=([0], [1]))
     return prof
+
+
+def _class_values(coefficients: np.ndarray, grid: BallGrid, pts: np.ndarray) -> np.ndarray:
+    """E c at the rows of pts (m x n), read through their plane radii and tail
+    coordinates, in point chunks whose intermediate fits in one grid array."""
+    planes = grid.n - coefficients.ndim
+    chunk = math.prod(grid.shape) // math.prod(coefficients.shape[1:])
+    out = []
+    for part in np.split(pts, range(chunk, len(pts), chunk)):
+        coords = [np.hypot(*part[:, 2 * k:2 * k + 2].T) for k in range(planes)]
+        vals = coefficients[None]
+        for ax, x in enumerate(coords + list(part[:, 2 * planes:].T)):  # pointwise contractions
+            vals = np.einsum("ia,ia...->i...", _axis_weights(grid, x, ax < planes), vals)
+        out.append(vals)
+    return np.concatenate(out)
 
 
 def _table_derivative(f: np.ndarray, axis: int, h: float, even_start: bool) -> np.ndarray:
@@ -495,28 +514,25 @@ def equivariance_residual(values: np.ndarray, cfg: SymmetryConfig) -> float:
     return worst / peak
 
 
-def interpolated_equivariance_bias(values: np.ndarray, cfg: SymmetryConfig,
+def interpolated_equivariance_bias(coefficients: np.ndarray, cfg: SymmetryConfig,
                                    grid: BallGrid) -> float:
-    """Worst residual over random full-group elements, via cubic interpolation.
-
-    This measures how far the grid field is from equivariance under angles
-    the grid cannot represent exactly, relative to sup |u|; it is a bias
-    diagnostic (dominated by interpolation error), not a convergence
-    criterion.  The INTERPOLATED_SAMPLES elements come from a fixed seed.
-    """
-    peak = float(np.max(np.abs(values)))
+    """Worst |E c(g x) - phi(g) E c(x)| / sup |E c| over interior nodes x and
+    INTERPOLATED_SAMPLES seeded random full-group elements g, E c(g x) read off
+    c through the class's own profile: rounding-level without a tail (a class
+    profile is invariant under rotations inside each plane), else the
+    off-lattice defect of the active orthogonal tail, only lattice-sampled."""
+    u = class_field(coefficients, cfg, grid)
+    peak = float(np.max(np.abs(u)))
     if peak == 0.0:
         return 0.0
     rng = np.random.default_rng(0)
     inside = grid.mask.ravel()
     pts = grid.points()[inside]
-    own = values.ravel()[inside]
+    own = u.ravel()[inside]
     worst = 0.0
     for _ in range(INTERPOLATED_SAMPLES):
         g = random_element(cfg, rng)
-        idx = (act_points(g, pts) + grid.radius) / grid.h
-        sampled = ndimage.map_coordinates(values, idx.T, order=3, mode="constant", cval=0.0)
-        resid = np.abs(sampled - phi(g) * own)
+        resid = np.abs(_class_values(coefficients, grid, act_points(g, pts)) - phi(g) * own)
         worst = max(worst, float(np.max(resid)))
     return worst / peak
 
@@ -740,8 +756,8 @@ def _save_checkpoint(path: str | Path, cfg: SymmetryConfig, grid: BallGrid,
 
 
 def load_checkpoint(path: str | Path) -> dict:
-    """A checkpoint's solver state; VariationalError if the file is malformed
-    or its coefficients do not have the class shape of its config and grid."""
+    """A checkpoint's solver state; VariationalError if the file is malformed,
+    its grid cannot fit or its coefficients are not of the class shape."""
     try:
         header, grid, arrays = read_arrays(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
                                            counts=(1, 3))
@@ -752,6 +768,7 @@ def load_checkpoint(path: str | Path) -> dict:
                  "history": [float(v) for v in header["history"]]}
     except (KeyError, TypeError, ValueError) as exc:
         raise VariationalError(f"unusable checkpoint {path}: {exc}") from exc
+    _refuse_unfit(grid)  # the class shape of a huge grid would not fit either
     if arrays[0].shape != class_shape(cfg, grid):
         raise VariationalError(f"unusable checkpoint {path}: coefficient shape "
                                f"{arrays[0].shape} is not the class shape {class_shape(cfg, grid)}")
@@ -766,7 +783,7 @@ def _relative_residual(c: np.ndarray, d: np.ndarray, quot: float) -> float:
 
 
 def solve_peak_bytes(grid: BallGrid) -> int:
-    """Bytes of the grid-sized float64 arrays a solve holds at its peak.
+    """An upper bound on the bytes a solve holds at its peak.
 
     Counted from the code, inside the energy pass of a line-search trial,
     with the boolean mask counted as a full array:
@@ -775,13 +792,27 @@ def solve_peak_bytes(grid: BallGrid) -> int:
     - the solver: the trial field and the previous trial's gradient: 2;
     - the energy pass, in its adjoint loop: the masked field, the forward
       and backward stacks (2n), two squared norms, two weights, two adjoint
-      accumulators, one weighted axis and two roll temporaries: 2n + 10.
+      accumulators, one weighted axis and two roll temporaries: 2n + 10;
+    - the seven class-coefficient tensors (c, d, their previous values, the
+      trial, s, y; at most N^(n-2) entries each) and the plane tables fit in
+      the mask's unused 7/8; the lattice subgroup (38 KB for (6, 0, (1, 0)))
+      and the other caches in a fixed 64 KiB.
     The end-of-run pass holds the iterate's field and its Nehari rescaling
     in place of the trial's two arrays.  The other diagnostics peak lower.
-    A whole (6, 0, (1, 0)) solve traced with tracemalloc peaks at 1.00 of
-    this count at 5^6 and 0.98 at 7^6.
+    A whole solve traced with tracemalloc, after numpy.random's first-use
+    import, peaks at 0.86 of this bound at 5^4, 0.99 at 5^6, 0.98 at 7^6.
     """
-    return (3 * grid.n + 17) * math.prod(grid.shape) * 8
+    return (3 * grid.n + 17) * math.prod(grid.shape) * 8 + 2 ** 16
+
+
+def _refuse_unfit(grid: BallGrid) -> None:
+    """VariationalError when ``solve_peak_bytes`` exceeds physical memory."""
+    need = solve_peak_bytes(grid)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise VariationalError(
+            f"a solve on {grid.points_per_axis}^{grid.n} nodes needs about {need / 2 ** 30:.3g} "
+            f"GiB, more than the {have / 2 ** 30:.3g} GiB of physical memory")
 
 
 def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = None,
@@ -802,11 +833,12 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     symmetrization: the iterate, direction, spectral-step memory and
     checkpoint are class coefficients, a grid field is built only for each
     trial's energy pass, and the iterate is never re-projected on the grid.
-    The circle averages keep
-    minimizing sequences inside the rotation-invariant profiles the continuum
-    symmetry demands; without them a coarse lattice admits spurious isolated
-    concentration bumps whose discrete energy undercuts the symmetric level
-    and drifts under refinement.
+    The circle averages keep minimizing sequences inside the
+    rotation-invariant profiles the continuum symmetry demands; without them
+    a coarse lattice admits spurious isolated concentration bumps whose
+    discrete energy undercuts the symmetric level and drifts under
+    refinement.  The level estimate and the interpolated bias read the final
+    coefficients through the class's own profile, not the grid field.
 
     Each line-search trial costs one energy pass, which yields its quotient
     and, if accepted, the next gradient.  A class that projects the seed
@@ -825,13 +857,7 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
         params = params_for_config(cfg)
     if params.n != cfg.n or params.n != grid.n:
         raise VariationalError("config, params, and grid dimensions disagree")
-    need = solve_peak_bytes(grid)
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise VariationalError(
-            f"a solve on {grid.points_per_axis}^{grid.n} nodes needs about "
-            f"{need / 2 ** 30:.3g} GiB, more than the {have / 2 ** 30:.3g} GiB "
-            f"of physical memory")
+    _refuse_unfit(grid)
     if not any(e.sign == -1 for e in lattice_subgroup(cfg)):
         raise UnsupportedConfigError(
             "no sign-reversing sampling element exists for this configuration "
@@ -980,7 +1006,7 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
         relative_residual=rel,
         min_relative_residual=min_rel,
         equivariance=equivariance,
-        interpolated_bias=interpolated_equivariance_bias(u, cfg, grid),
+        interpolated_bias=interpolated_equivariance_bias(c, cfg, grid),
         symmetrization_gap=sym_gap,
         certificate=cert,
         energy_history=tuple(history),

@@ -161,7 +161,8 @@ def test_orbit_classifies_generic_points_as_infinite(tmp_path, capsys):
     assert pairs["kind"] == "infinite"
 
 
-@pytest.mark.parametrize("point", ["0.5,oops,0,0", "nan,0,0,0", "0,inf,0,0"])
+@pytest.mark.parametrize("point", ["0.5,oops,0,0", "nan,0,0,0", "0,inf,0,0",
+                                   "0,0,0,0\nsamples: 8"])
 def test_orbit_rejects_malformed_points(tmp_path, point):
     cfg = write_doc(tmp_path / "orb.kv", f"n: 4\nalpha: 0\nm: 1\npoint: {point}\n")
     assert run("orbit", "--config", cfg) == 2
@@ -299,15 +300,31 @@ def test_solve_refuses_a_grid_that_cannot_fit(tmp_path, capsys):
     assert "physical memory" in err
 
 
-def test_cli_import_leaves_scipy_signal_and_stats_unloaded():
+def test_cli_import_loads_no_scipy_module():
     src = str(Path(cknsym.__file__).resolve().parents[1])
     probe = ("import sys, cknsym.cli; "
-             "print(' '.join(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+             "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == ""
+
+
+def test_solve_resume_refuses_a_checkpoint_grid_that_cannot_fit(tmp_path, capsys):
+    part = write_doc(tmp_path / "part.kv", SOLVE_DOC + "checkpoint_every: 4\n")
+    assert run("solve", "--config", part, "--out", str(tmp_path / "part")) == 0
+    header = json.loads((tmp_path / "part" / "checkpoint.dat").read_bytes().split(b"\n", 1)[0])
+    header.update(points_per_axis=40001, shape=[1])
+    header.pop("arrays", None)
+    bad = tmp_path / "huge.dat"
+    bad.write_bytes(json.dumps(header).encode() + b"\n" + bytes(8))
+    capsys.readouterr()
+    doc = write_doc(tmp_path / "resume.kv", SOLVE_DOC + f"resume: {bad}\n")
+    assert run("solve", "--config", doc, "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "physical memory" in err
 
 
 def _grid_checkpoint(header: bytes) -> bytes:

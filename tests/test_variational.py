@@ -26,6 +26,7 @@ from cknsym.variational import (
     VariationalError,
     _catmull_rom_matrix,
     _class_profile,
+    _class_values,
     _save_checkpoint,
     analytic_energy,
     class_coefficients,
@@ -33,6 +34,7 @@ from cknsym.variational import (
     class_shape,
     dilation_invariance_gap,
     equivariance_residual,
+    interpolated_equivariance_bias,
     load_checkpoint,
     params_for_config,
     reduced_level_estimate,
@@ -553,9 +555,10 @@ def test_catmull_rom_matrix_reproduces_quadratics():
 
 @pytest.mark.parametrize("cfg, grid", CLASS_CASES, ids=CLASS_CASE_IDS)
 def test_class_profile_is_the_class_field_at_nodes(cfg, grid):
-    """At grid nodes the read-off profile is E c, and so is the cubic B-spline
-    resampling of E c that the estimate used before; between nodes the two
-    interpolants differ by design."""
+    """At grid nodes the read-off profile and the pointwise read-off are E c,
+    and so is the cubic B-spline resampling of E c that the estimate and the
+    bias used before; between nodes the two interpolants differ by design,
+    and the pointwise read-off is the profile on its mesh."""
     rng = np.random.default_rng(18)
     c = rng.standard_normal(class_shape(cfg, grid))
     u = class_field(c, cfg, grid)
@@ -575,22 +578,68 @@ def test_class_profile_is_the_class_field_at_nodes(cfg, grid):
     bound = 1e-11 * np.max(np.abs(u))
     assert np.max(np.abs(got - expect)) <= bound
     assert np.max(np.abs(got - oracle)) <= bound
+    assert np.max(np.abs(_class_values(c, grid, grid.points()) - u.ravel())) <= bound
     # even in the signed plane radius, as the estimate's derivative assumes
     off = rho + 0.3 * grid.h
-    mirror = _class_profile(c, grid, -off, line) - _class_profile(c, grid, off, line)
+    between = _class_profile(c, grid, off, line)
+    mirror = _class_profile(c, grid, -off, line) - between
     assert np.max(np.abs(mirror)) <= bound
+    # the profile's mesh as scattered points, each plane radius on a rotated ray
+    mesh = np.meshgrid(*([off] * planes + [line] * (grid.n - 2 * planes)), indexing="ij")
+    pts = np.zeros((between.size, grid.n))
+    for k in range(planes):
+        pts[:, 2 * k] = 0.6 * mesh[k].ravel()
+        pts[:, 2 * k + 1] = -0.8 * mesh[k].ravel()
+    for j, m in enumerate(mesh[planes:]):
+        pts[:, 2 * planes + j] = m.ravel()
+    assert np.max(np.abs(_class_values(c, grid, pts) - between.ravel())) <= bound
+
+
+def _traced_peak(call):
+    """Bytes the heap grows to above its start while call() runs."""
+    np.random.default_rng(0)  # imports numpy's random module, once per process
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    call()
+    peak = tracemalloc.get_traced_memory()[1] - base
+    tracemalloc.stop()
+    return peak
 
 
 def test_reduced_level_estimate_peaks_below_half_a_solve():
     cfg, grid = SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 5, 1.0)
     c = class_coefficients(seed_field(cfg, grid), cfg, grid)
     params = params_for_config(cfg)
-    tracemalloc.start()
-    base = tracemalloc.get_traced_memory()[0]
-    tracemalloc.reset_peak()
-    reduced_level_estimate(c, cfg, grid, params.with_exponent(params.q - 0.5))
-    peak = tracemalloc.get_traced_memory()[1] - base
-    tracemalloc.stop()
+    peak = _traced_peak(
+        lambda: reduced_level_estimate(c, cfg, grid, params.with_exponent(params.q - 0.5)))
+    assert peak <= 0.5 * solve_peak_bytes(grid)
+
+
+# --------------------------------------------------------------------------
+# interpolated equivariance bias
+
+
+@pytest.mark.parametrize("cfg, grid, low, high", [
+    (CFG4, BallGrid(4, 13, 1.0), 0.0, 1e-12),
+    (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 5, 1.0), 1e-6, 1.0)], ids=["13^4", "5^6"])
+def test_interpolated_bias_is_the_tail_defect(cfg, grid, low, high):
+    """A class profile is invariant under rotations inside each plane, so the
+    bias is rounding-level without a tail; the active O(2) tail of
+    (6, 0, (1, 0)) is only lattice-sampled, so there it is not."""
+    c = class_coefficients(seed_field(cfg, grid), cfg, grid)
+    bias = interpolated_equivariance_bias(c, cfg, grid)
+    assert low < bias <= high
+    assert interpolated_equivariance_bias(3.0 * c, cfg, grid) == pytest.approx(bias, rel=1e-9,
+                                                                               abs=1e-15)
+    assert interpolated_equivariance_bias(np.zeros_like(c), cfg, grid) == 0.0
+
+
+@pytest.mark.parametrize("cfg, grid", [(SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 5, 1.0)),
+                                       (CFG4, BallGrid(4, 17, 1.0))], ids=["5^6", "17^4"])
+def test_interpolated_bias_peaks_below_half_a_solve(cfg, grid):
+    c = class_coefficients(seed_field(cfg, grid), cfg, grid)
+    peak = _traced_peak(lambda: interpolated_equivariance_bias(c, cfg, grid))
     assert peak <= 0.5 * solve_peak_bytes(grid)
 
 
@@ -742,15 +791,12 @@ def test_solver_refuses_a_grid_that_cannot_fit():
               options=SolveOptions(max_iters=1))
 
 
-def test_peak_estimate_matches_the_traced_peak():
-    grid = BallGrid(4, 13, 1.0)
-    tracemalloc.start()
-    base = tracemalloc.get_traced_memory()[0]
-    tracemalloc.reset_peak()
-    solve(CFG4, grid, options=SolveOptions(max_iters=4))
-    peak = tracemalloc.get_traced_memory()[1] - base
-    tracemalloc.stop()
-    assert 0.75 <= peak / solve_peak_bytes(grid) <= 1.1
+@pytest.mark.parametrize("cfg, grid", [(CFG4, BallGrid(4, 13, 1.0)),
+                                       (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 5, 1.0))],
+                         ids=["13^4", "5^6"])
+def test_peak_estimate_matches_the_traced_peak(cfg, grid):
+    peak = _traced_peak(lambda: solve(cfg, grid, options=SolveOptions(max_iters=4)))
+    assert 0.75 <= peak / solve_peak_bytes(grid) <= 1.0
 
 
 def test_checkpoint_resume_continues_the_same_run(tmp_path):
@@ -823,6 +869,26 @@ def _corrupt_checkpoints(tmp_path):
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
     return [tmp_path / name for name in files]
+
+
+def test_load_checkpoint_refuses_a_grid_that_cannot_fit(tmp_path):
+    # a header claiming 40001 points per axis over one coefficient: its
+    # class tables alone would not fit in memory
+    path = tmp_path / "huge.ckpt"
+    _save_checkpoint(path, CFG4, GRID4, params_for_config(CFG4).q - 0.5, 3, 0.1,
+                     np.ones(1), [1.0])
+    header, payload = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(json.dumps({**json.loads(header), "points_per_axis": 40001}).encode()
+                     + b"\n" + payload)
+
+    def load():
+        with pytest.raises(VariationalError, match="physical memory"):
+            load_checkpoint(path)
+
+    basis = variational._plane_profile_basis
+    basis.cache_clear()
+    assert _traced_peak(load) < 2 ** 20
+    assert basis.cache_info().currsize == 0  # no class table was built
 
 
 def test_load_checkpoint_rejects_corrupt_files(tmp_path):
