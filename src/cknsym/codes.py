@@ -83,6 +83,7 @@ class Codeword:
         return pack(self.bits)
 
     def cycle(self) -> "Codeword":
+        """Right rotation: (c_1, ..., c_t) -> (c_t, c_1, ..., c_{t-1})."""
         return Codeword(self.bits[-1:] + self.bits[:-1])
 
     def dominates(self, other: "Codeword") -> bool:
@@ -96,11 +97,6 @@ class Codeword:
 
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)
-
-
-def cycle(word: Codeword) -> Codeword:
-    """Right rotation: (c_1, ..., c_t) -> (c_t, c_1, ..., c_{t-1})."""
-    return word.cycle()
 
 
 def v_word(t: int, r: int) -> Codeword:
@@ -228,18 +224,6 @@ class EuclidTrace:
     remainders: tuple[int, ...]
     final: Codeword
 
-    def intermediate_words(self) -> tuple[Codeword, ...]:
-        return tuple(step.result for step in self.steps)
-
-    def to_doc(self) -> str:
-        lines = [f"reduction: t={self.t} r={self.r} s={self.s}",
-                 f"remainders: {' '.join(str(v) for v in self.remainders) or '-'}"]
-        for i, step in enumerate(self.steps, 1):
-            ops = " ".join(str(w) for w in step.operands)
-            lines.append(f"step {i}: {step.op} {ops} -> {step.result}")
-        lines.append(f"final: {self.final}")
-        return "\n".join(lines) + "\n"
-
 
 def _segment_word(t: int, lo: int, hi: int) -> Codeword:
     """Ones in positions lo+1 .. hi (1-based)."""
@@ -284,8 +268,6 @@ def euclid_reduce(t: int, r: int, s: int) -> EuclidTrace:
         assert b == rem and rem != 0
         remainders.append(rem)
         a, b = rem, a
-    if not remainders:
-        remainders = []  # r == 1: nothing to derive
     return EuclidTrace(t=t, r=r, s=s, steps=tuple(steps),
                        remainders=tuple(remainders), final=v_word(t, 1))
 

@@ -153,12 +153,6 @@ class ConfigFamily:
     def all_pairwise_distinct(self) -> bool:
         return all(v.guaranteed for v in self.pairwise_verdicts().values())
 
-    def describe(self) -> str:
-        lines = []
-        for c in self.configs:
-            lines.append(f"alpha={c.alpha} m=({', '.join(str(v) for v in c.m)})")
-        return "\n".join(lines)
-
 
 def _max_clique_exact(adj: list[set[int]]) -> tuple[int, ...]:
     n = len(adj)

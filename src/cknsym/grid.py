@@ -48,8 +48,11 @@ class BallGrid:
             raise GridError(f"points_per_axis must be an integer >= 5, got {self.points_per_axis}")
         if self.points_per_axis % 2 == 0:
             raise GridError("points_per_axis must be odd so the origin is a node")
-        if not self.radius > 0:
-            raise GridError(f"radius must be positive, got {self.radius}")
+        # products, not powers: a float power raises on overflow, a product reads inf
+        if not (0.0 < self.radius < math.inf and 0.0 < math.prod([self.h] * self.n) < math.inf
+                and 0.0 < self.n * self.radius * self.radius < math.inf):
+            raise GridError(f"radius must be finite, with h**n and n*radius**2 "
+                            f"positive finite floats, got {self.radius}")
 
     @cached_property
     def axis(self) -> np.ndarray:
@@ -108,12 +111,6 @@ class BallGrid:
             return np.ones(self.shape)
         r = np.maximum(self.radii, self.h * math.sqrt(self.n) / 4.0)
         return r ** (-exponent)
-
-    def quadrature(self, values: np.ndarray, weight_exponent: float = 0.0) -> float:
-        v = values * self.mask_f
-        if weight_exponent != 0.0:
-            v = v * self.weight_values(weight_exponent)
-        return float(self.cell_volume * np.sum(v))
 
 
 def field_from_function(grid: BallGrid, fn) -> np.ndarray:

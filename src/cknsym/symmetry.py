@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kvdoc import DocumentError, format_kv, format_value, get_int, get_ints, parse_kv, require_keys
+from .kvdoc import format_value, get_int, get_ints
 
 TWO_PI = 2.0 * math.pi
 
@@ -335,10 +335,6 @@ def make_element(cfg: SymmetryConfig,
                         tail=_tail_for(cfg, tail))
 
 
-def identity_element(cfg: SymmetryConfig) -> GroupElement:
-    return make_element(cfg)
-
-
 def random_element(cfg: SymmetryConfig, rng: np.random.Generator) -> GroupElement:
     """Draw factor data uniformly (Haar for the tail via sign-fixed QR)."""
     layout = make_layout(cfg)
@@ -471,11 +467,6 @@ def to_matrix(g: GroupElement) -> np.ndarray:
     if g.tail is not None:
         out[layout.tail_start:, layout.tail_start:] = g.tail
     return out
-
-
-def act(g: GroupElement, x: np.ndarray) -> np.ndarray:
-    """Apply g to one point."""
-    return act_points(g, np.asarray(x, dtype=float)[None, :])[0]
 
 
 def act_points(g: GroupElement, points: np.ndarray) -> np.ndarray:
@@ -674,68 +665,3 @@ def config_from_pairs(pairs: dict[str, str], suffix: str = "",
     return SymmetryConfig(get_int(pairs, "n"), get_int(pairs, "alpha" + suffix),
                           get_ints(pairs, "m" + suffix),
                           regime=regime or pairs.get("regime", "a_less_b"))
-
-
-def config_to_doc(cfg: SymmetryConfig) -> str:
-    return format_kv(config_to_pairs(cfg, cfg.regime))
-
-
-def config_from_doc(text: str) -> SymmetryConfig:
-    pairs = parse_kv(text)
-    require_keys(pairs, ("n", "alpha", "m"), optional=("regime",))
-    return config_from_pairs(pairs)
-
-
-def element_to_doc(g: GroupElement) -> str:
-    """Text form of an element: factor data with 17 significant digits."""
-    lines = []
-    if g.pinwheel is not None:
-        lines.append(f"pinwheel: {g.pinwheel[0]} {format_value(g.pinwheel[1])}")
-    else:
-        lines.append("pinwheel: none")
-    layout = make_layout(g.config)
-    for span, (twist, angle) in zip(layout.blocks, g.blocks):
-        lines.append(f"block: {span.j} {span.ell} {twist} {format_value(angle)}")
-    if g.tail is None:
-        lines.append("tail: none")
-    else:
-        d = g.tail.shape[0]
-        flat = " ".join(format_value(v) for v in g.tail.reshape(-1))
-        lines.append(f"tail: {d} {flat}")
-    return "\n".join(lines) + "\n"
-
-
-def element_from_doc(cfg: SymmetryConfig, text: str) -> GroupElement:
-    pin = None
-    labels: list[tuple[int, int]] = []
-    blocks: list[tuple[int, float]] = []
-    tail = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, rest = line.partition(":")
-        key = key.strip()
-        fields = rest.split()
-        if key not in ("pinwheel", "block", "tail"):
-            raise DocumentError(f"unknown element line {line!r}")
-        try:
-            if key == "pinwheel":
-                if fields != ["none"]:
-                    pin = (int(fields[0]), float(fields[1]))
-            elif key == "block":
-                labels.append((int(fields[0]), int(fields[1])))
-                blocks.append((int(fields[2]), float(fields[3])))
-            elif fields != ["none"]:
-                d = int(fields[0])
-                vals = np.array([float(v) for v in fields[1:]])
-                if vals.size != d * d:
-                    raise DocumentError(f"tail matrix needs {d * d} entries, got {vals.size}")
-                tail = vals.reshape(d, d)
-        except (IndexError, ValueError) as exc:
-            raise DocumentError(f"bad element line {line!r}: {exc}") from exc
-    expected = [(span.j, span.ell) for span in make_layout(cfg).blocks]
-    if labels != expected:
-        raise DocumentError(f"block lines name (j, ell) = {labels}, "
-                            f"but this config's blocks are {expected}")
-    return make_element(cfg, pinwheel=pin, blocks=tuple(blocks), tail=tail)

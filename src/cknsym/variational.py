@@ -155,6 +155,8 @@ class SolveOptions:
         for name in ("max_iters", "checkpoint_every"):
             if not getattr(self, name) >= 0:
                 raise VariationalError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not math.isfinite(self.seed_offset):
+            raise VariationalError(f"seed_offset must be finite, got {self.seed_offset}")
 
 
 class DiscreteEnergy:
@@ -188,14 +190,14 @@ class DiscreteEnergy:
 
     def _psi(self, sq: np.ndarray) -> np.ndarray:
         p = self.params.p
-        if self.eps == 0.0:
-            return sq ** (p / 2.0) if p != 2.0 else sq
+        if self.eps == 0.0:  # p == 2
+            return sq
         return (sq + self.eps ** 2) ** (p / 2.0) - self.eps ** p
 
     def _sigma(self, sq: np.ndarray) -> np.ndarray:
         # d psi / d sq, times 2: the vector factor in the kinetic gradient
         p = self.params.p
-        if self.eps == 0.0 and p == 2.0:
+        if self.eps == 0.0:  # p == 2
             return np.ones_like(sq)
         return (sq + self.eps ** 2) ** ((p - 2.0) / 2.0)
 
@@ -228,7 +230,9 @@ class DiscreteEnergy:
         del fw, bw, wf, wb, t  # spent: the rest of the pass reads only u, sf and sb
         gk = gk_f + gk_b
         gk *= 0.5 * self.params.p * g.cell_volume
-        gb = q * g.cell_volume * self._w_pot * np.abs(u) ** (q - 2.0) * u
+        # |u|^(q-2) u reads 0 at u = 0 for every q: 0 ** (q - 2) is inf for q < 2
+        gb = q * g.cell_volume * self._w_pot * np.power(
+            np.abs(u), q - 2.0, out=np.ones(g.shape), where=u != 0.0) * u
         return self._kinetic(sf, sb), self.potential(u), gk * g.mask_f, gb * g.mask_f
 
     def kinetic(self, u: np.ndarray) -> float:
@@ -318,7 +322,10 @@ def symmetrize(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) -> np.nd
     acc = np.zeros(grid.shape)
     for e in elements:
         moved = apply_perm_to_grid(values, e.perm)
-        acc += e.sign * moved if e.sign > 0 else -moved
+        if e.sign > 0:
+            acc += moved
+        else:
+            acc -= moved
     return acc / len(elements)
 
 

@@ -17,7 +17,6 @@ from cknsym.codes import (
     componentwise_rotation_matrix,
     componentwise_rotation_points,
     contains_standard_basis,
-    cycle,
     distinct_guaranteed,
     euclid_reduce,
     pack,
@@ -114,8 +113,8 @@ def test_codeword_rejects_bad_bits(bad):
 
 
 def test_cycle_is_right_rotation():
-    assert str(cycle(Codeword("100"))) == "010"
-    assert str(cycle(Codeword("001"))) == "100"
+    assert str(Codeword("100").cycle()) == "010"
+    assert str(Codeword("001").cycle()) == "100"
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=10))
@@ -303,8 +302,8 @@ def test_euclid_reduce_trace_replays_cleanly(t, r, s):
 def test_euclid_intermediates_stay_in_closure(t, r, s):
     code = closure(t, [v_word(t, r), v_word(t, s)])
     trace = euclid_reduce(t, r, s)
-    for word in trace.intermediate_words():
-        assert word in code
+    for step in trace.steps:
+        assert step.result in code
 
 
 def test_euclid_reduce_trivial_when_r_is_one():
@@ -323,20 +322,6 @@ def test_euclid_reduce_trivial_when_r_is_one():
 def test_euclid_reduce_rejects_bad_inputs(t, r, s):
     with pytest.raises(ValueError):
         euclid_reduce(t, r, s)
-
-
-def test_euclid_trace_doc_layout():
-    doc = euclid_reduce(7, 3, 5).to_doc()
-    lines = doc.strip().splitlines()
-    assert lines[0] == "reduction: t=7 r=3 s=5"
-    assert lines[1].startswith("remainders: ")
-    assert lines[-1].startswith("final: ")
-    assert any(line.startswith("step 1: sum") for line in lines)
-
-
-def test_euclid_trace_doc_dash_for_empty_remainders():
-    doc = euclid_reduce(4, 1, 3).to_doc()
-    assert "remainders: -" in doc
 
 
 # --------------------------------------------------------------------------

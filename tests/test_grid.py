@@ -16,6 +16,7 @@ from cknsym.grid import (
     save_field,
     write_arrays,
 )
+from cknsym.variational import DiscreteEnergy, ProblemParams
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -25,6 +26,10 @@ from cknsym.grid import (
     {"n": 3, "points_per_axis": 3},
     {"n": 3, "points_per_axis": 9, "radius": 0.0},
     {"n": 3, "points_per_axis": 9, "radius": -1.0},
+    {"n": 4, "points_per_axis": 9, "radius": 1e100},   # h**n overflows
+    {"n": 4, "points_per_axis": 9, "radius": 1e-100},  # h**n underflows to 0
+    {"n": 4, "points_per_axis": 9, "radius": math.inf},
+    {"n": 4, "points_per_axis": 9, "radius": math.nan},
 ])
 def test_invalid_grids_rejected(kwargs):
     with pytest.raises(GridError):
@@ -68,14 +73,14 @@ def test_weight_values_unit_exponent_and_origin_floor():
 
 def test_quadrature_recovers_ball_volume():
     grid = BallGrid(3, 41)
-    vol = grid.quadrature(np.ones(grid.shape))
+    vol = DiscreteEnergy(grid, ProblemParams(3, 2.0, 0.0, 0.0)).potential(np.ones(grid.shape))
     assert vol == pytest.approx(4.0 * math.pi / 3.0, rel=0.02)
 
 
 def test_weighted_quadrature_matches_analytic_radial_integral():
-    # integral of |x|^(-1) over the unit ball in 3 dimensions is 2 pi
+    # integral of |x|^(-1) over the unit ball in 3 dimensions is 2 pi; q = 4, so b q = 1
     grid = BallGrid(3, 41)
-    val = grid.quadrature(np.ones(grid.shape), weight_exponent=1.0)
+    val = DiscreteEnergy(grid, ProblemParams(3, 2.0, 0.0, 0.25)).potential(np.ones(grid.shape))
     assert val == pytest.approx(2.0 * math.pi, rel=0.02)
 
 

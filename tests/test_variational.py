@@ -768,6 +768,15 @@ def test_solver_is_deterministic():
     assert np.array_equal(r1.field, r2.field)
 
 
+def test_solver_descends_below_p_two():
+    # p = 1.5 gives solver exponent 1.9 < 2, where |u|^(q-2) u must read 0 at u = 0
+    report = solve(CFG4, GRID4, params=ProblemParams(4, 1.5, 0.0, 0.0),
+                   options=SolveOptions(max_iters=6))
+    assert report.solver_exponent == pytest.approx(1.9)
+    assert report.iterations >= 1 and report.monotone
+    assert math.isfinite(report.relative_residual)
+
+
 def test_solver_rejects_pinwheel_only_configs():
     with pytest.raises(UnsupportedConfigError):
         solve(SymmetryConfig(4, 1, ()), GRID4, options=SolveOptions(max_iters=4))
