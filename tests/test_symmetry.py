@@ -206,6 +206,24 @@ def test_matrices_are_orthogonal():
             assert np.allclose(m.T @ m, np.eye(cfg.n), atol=1e-10)
 
 
+@given(st.sampled_from(CONFIG_POOL), st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_act_matches_matrix_action(cfg, seed):
+    (g,) = _random_elements(cfg, seed, 1)
+    rng = np.random.default_rng(seed + 1)
+    x = rng.standard_normal(cfg.n)
+    assert np.allclose(act_points(g, x[None, :])[0], to_matrix(g) @ x, atol=1e-12)
+
+
+def test_act_points_matches_pointwise_action():
+    cfg = SymmetryConfig(6, 0, (0, 1))
+    (g,) = _random_elements(cfg, 5, 1)
+    pts = np.random.default_rng(6).standard_normal((20, 6))
+    batched = act_points(g, pts)
+    single = np.array([act_points(g, p[None, :])[0] for p in pts])
+    assert np.allclose(batched, single, atol=1e-12)
+
+
 def _oracle_act_points(g, points):
     """Blockwise complex arithmetic: the point action before it read to_matrix."""
     cfg = g.config

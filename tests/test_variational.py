@@ -768,6 +768,22 @@ def test_solver_is_deterministic():
     assert np.array_equal(r1.field, r2.field)
 
 
+@pytest.mark.parametrize("q", [1.9, 2.1, 2.4])
+def test_potential_gradient_reads_zero_at_zero_nodes(q):
+    # below q = 2 the plain |u|^(q-2) u is inf * 0 = nan at u = 0; from q = 2 on it is unchanged
+    params = ProblemParams(4, 1.5, 0.0, 0.0, q)
+    u = np.random.default_rng(7).standard_normal(GRID4.shape)
+    u[::2] = 0.0
+    _, _, _, gb = DiscreteEnergy(GRID4, params).evaluate(u)
+    assert np.all(np.isfinite(gb))
+    assert np.all(gb[u == 0.0] == 0.0)
+    if q >= 2.0:
+        um = u * GRID4.mask_f
+        w_pot = GRID4.weight_values(params.potential_weight_exponent) * GRID4.mask_f
+        plain = q * GRID4.cell_volume * w_pot * np.abs(um) ** (q - 2.0) * um
+        assert np.array_equal(gb, plain * GRID4.mask_f)
+
+
 def test_solver_descends_below_p_two():
     # p = 1.5 gives solver exponent 1.9 < 2, where |u|^(q-2) u must read 0 at u = 0
     report = solve(CFG4, GRID4, params=ProblemParams(4, 1.5, 0.0, 0.0),
