@@ -268,7 +268,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     (out_dir / "run.log").write_text(format_kv(echo))
     sys.stdout.write(f"report: {out_dir / 'report.txt'}\n"
                      f"field: {out_dir / 'field.dat'}\n"
-                     f"log: {out_dir / 'run.log'}\n")
+                     f"log: {out_dir / 'run.log'}\n"
+                     f"outcome: {report.stop_reason}\n"
+                     f"converged: {format_value(report.converged)}\n")
     return 0
 
 

@@ -7,7 +7,11 @@ reversal; the outermost index layer always lies outside the ball, which
 makes np.roll a safe (exact) shift: wraparound only ever transports zeros.
 
 Differences come in forward/backward pairs with exact adjoints, so energy
-gradients can be assembled without any boundary bookkeeping.  Quadrature is
+gradients can be assembled without any boundary bookkeeping.  The roll
+stencils ``forward_diffs``/``backward_diffs`` are the reference; the energy
+pass reads the same differences on interior nodes only, through the cached
+``interior`` indices and ``neighbours`` tables, where a neighbour off the
+interior points at a zero sentinel.  Quadrature is
 midpoint; radial weights |x|^(-c) are tabulated with the radius floored at
 h*sqrt(n)/4 (the midpoint between the origin cell's center and its farthest
 corner) so the origin cell carries a finite representative value instead of
@@ -90,6 +94,31 @@ class BallGrid:
     @cached_property
     def mask_f(self) -> np.ndarray:
         return self.mask.astype(float)
+
+    @cached_property
+    def interior(self) -> np.ndarray:
+        """Flat C-order indices of the M interior nodes, ascending."""
+        return np.flatnonzero(self.mask)
+
+    @cached_property
+    def neighbours(self) -> np.ndarray:
+        """Shape (2, n, M): [0, i] and [1, i] hold the position in the
+        interior vector of each interior node's forward and backward
+        neighbour along axis i, or M when that neighbour is not interior.
+
+        Interior nodes never touch the outer index layer, so a flat index
+        step is an exact neighbour step, as the roll stencils assume.
+        """
+        inside = self.interior
+        size = len(inside)
+        position = np.full(math.prod(self.shape), size)
+        position[inside] = np.arange(size)
+        tables = np.empty((2, self.n, size), dtype=np.intp)
+        for i in range(self.n):
+            step = self.points_per_axis ** (self.n - 1 - i)
+            position.take(inside + step, out=tables[0, i])
+            position.take(inside - step, out=tables[1, i])
+        return tables
 
     @property
     def cell_volume(self) -> float:

@@ -165,12 +165,15 @@ class DiscreteEnergy:
     The kinetic density is psi(g) = (|g|^2 + eps^2)^(p/2) - eps^p with
     eps = 0 for p = 2 and KINETIC_EPS otherwise, so the density
     vanishes at zero gradient and stays differentiable at p < 2.  Gradients
-    are assembled with the exact roll-based difference adjoints and masked
-    back onto the interior, making them true derivatives of the discrete
-    value: finite-difference tests hold to square-root machine precision.
+    are assembled with the exact difference adjoints and are zero off the
+    interior mask, making them true derivatives of the discrete value:
+    finite-difference tests hold to square-root machine precision.
 
-    ``evaluate`` is the one energy pass: one build of the masked stacks
-    yields K, B and both node gradients; the other methods are views.
+    ``evaluate`` is the one energy pass: one build of the difference stacks
+    on the interior nodes (through the grid's neighbour tables) yields K, B
+    and both node gradients; the other methods are views.  ``kinetic``
+    keeps the roll stencils over the whole cube as the reference the
+    interior pass reproduces bit for bit.
     """
 
     def __init__(self, grid: BallGrid, params: ProblemParams):
@@ -185,8 +188,33 @@ class DiscreteEnergy:
         return self.grid.weight_values(self.params.grad_weight_exponent) * self.grid.mask_f
 
     @cached_property
-    def _w_pot(self) -> np.ndarray:
-        return self.grid.weight_values(self.params.potential_weight_exponent) * self.grid.mask_f
+    def _w_grad_in(self) -> np.ndarray:
+        return self.grid.weight_values(self.params.grad_weight_exponent).take(self.grid.interior)
+
+    @cached_property
+    def _w_pot_in(self) -> np.ndarray:
+        return self.grid.weight_values(self.params.potential_weight_exponent).take(
+            self.grid.interior)
+
+    @cached_property
+    def _cube(self) -> np.ndarray:
+        return np.zeros(self.grid.shape)
+
+    def _cube_sum(self, values: np.ndarray) -> np.float64:
+        """np.sum of the cube holding values on the interior and 0 elsewhere.
+
+        The sum runs over the whole cube, not the interior vector, because
+        numpy's pairwise summation order depends on where the terms sit:
+        this keeps K and B bit-identical to the full-cube sums of the roll
+        stencils.  The cube's off-interior zeros are never written.
+        """
+        self._cube.reshape(-1)[self.grid.interior] = values
+        return np.sum(self._cube)
+
+    def _to_cube(self, values: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.grid.shape)
+        out.reshape(-1)[self.grid.interior] = values
+        return out
 
     def _psi(self, sq: np.ndarray) -> np.ndarray:
         p = self.params.p
@@ -202,46 +230,74 @@ class DiscreteEnergy:
         return (sq + self.eps ** 2) ** ((p - 2.0) / 2.0)
 
     def _stacks(self, u: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Masked field, forward and backward stacks, and their nodewise |.|^2."""
+        """Masked field, forward and backward stacks over the whole cube by
+        the roll stencils, and their nodewise |.|^2: the reference."""
         g = self.grid
         u = u * g.mask_f  # off-ball values are gauge: the form reads zeros there
         fw = forward_diffs(g, u)
         bw = backward_diffs(g, u)
         return u, fw, bw, np.sum(fw * fw, axis=0), np.sum(bw * bw, axis=0)
 
+    def _interior_stacks(self, u: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The interior values of u with a zero sentinel appended (length
+        M + 1), the forward and backward stacks (n, M) and their |.|^2.
+
+        Every neighbour off the interior reads the sentinel, which is what
+        the masked field holds there, so each entry is the roll stencil's
+        value at that node, in the same operation order.
+        """
+        g = self.grid
+        fwd, bwd = g.neighbours
+        ue = np.zeros(fwd.shape[1] + 1)
+        uv = ue[:-1]
+        np.reshape(u, g.shape).take(g.interior, out=uv, mode="clip")
+        fw = (ue.take(fwd) - uv) / g.h
+        bw = (uv - ue.take(bwd)) / g.h
+        return ue, fw, bw, np.sum(fw * fw, axis=0), np.sum(bw * bw, axis=0)
+
     def _kinetic(self, sf: np.ndarray, sb: np.ndarray) -> float:
+        """K from the interior squared norms."""
         dens = self._psi(sf) + self._psi(sb)
-        return float(0.5 * self.grid.cell_volume * np.sum(self._w_grad * dens))
+        return float(0.5 * self.grid.cell_volume * self._cube_sum(self._w_grad_in * dens))
+
+    def _potential(self, uv: np.ndarray) -> float:
+        """B from the interior values."""
+        q = self.params.q
+        return float(self.grid.cell_volume * self._cube_sum(self._w_pot_in * np.abs(uv) ** q))
 
     def evaluate(self, u: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
-        """(K, B, dK/du, dB/du) from one build of the difference stacks."""
+        """(K, B, dK/du, dB/du) from one build of the interior difference stacks."""
         g = self.grid
         q = self.params.q
-        u, fw, bw, sf, sb = self._stacks(u)
-        wf = self._sigma(sf) * self._w_grad
-        wb = self._sigma(sb) * self._w_grad
-        gk_f = np.zeros(g.shape)
-        gk_b = np.zeros(g.shape)
+        fwd, bwd = g.neighbours
+        ue, fw, bw, sf, sb = self._interior_stacks(u)
+        uv = ue[:-1]
+        wf = self._sigma(sf) * self._w_grad_in
+        wb = self._sigma(sb) * self._w_grad_in
+        gk_f = np.zeros(uv.shape)
+        gk_b = np.zeros(uv.shape)
+        te = np.zeros(ue.shape)  # one weighted axis, with the zero sentinel
+        t = te[:-1]
         for i in range(g.n):  # the difference adjoints, one weighted axis at a time
-            t = wf * fw[i]
-            gk_f += (np.roll(t, 1, axis=i) - t) / g.h
-            t = wb * bw[i]
-            gk_b += (t - np.roll(t, -1, axis=i)) / g.h
-        del fw, bw, wf, wb, t  # spent: the rest of the pass reads only u, sf and sb
+            np.multiply(wf, fw[i], out=t)
+            gk_f += (te.take(bwd[i]) - t) / g.h
+            np.multiply(wb, bw[i], out=t)
+            gk_b += (t - te.take(fwd[i])) / g.h
+        del fw, bw, wf, wb, te, t  # spent: the rest of the pass reads only uv, sf and sb
         gk = gk_f + gk_b
         gk *= 0.5 * self.params.p * g.cell_volume
         # |u|^(q-2) u reads 0 at u = 0 for every q: 0 ** (q - 2) is inf for q < 2
-        gb = q * g.cell_volume * self._w_pot * np.power(
-            np.abs(u), q - 2.0, out=np.ones(g.shape), where=u != 0.0) * u
-        return self._kinetic(sf, sb), self.potential(u), gk * g.mask_f, gb * g.mask_f
+        gb = q * g.cell_volume * self._w_pot_in * np.power(
+            np.abs(uv), q - 2.0, out=np.ones(uv.shape), where=uv != 0.0) * uv
+        return self._kinetic(sf, sb), self._potential(uv), self._to_cube(gk), self._to_cube(gb)
 
     def kinetic(self, u: np.ndarray) -> float:
         _, _, _, sf, sb = self._stacks(u)
-        return self._kinetic(sf, sb)
+        dens = self._psi(sf) + self._psi(sb)
+        return float(0.5 * self.grid.cell_volume * np.sum(self._w_grad * dens))
 
     def potential(self, u: np.ndarray) -> float:
-        q = self.params.q
-        return float(self.grid.cell_volume * np.sum(self._w_pot * np.abs(u) ** q))
+        return self._potential(np.reshape(u, self.grid.shape).take(self.grid.interior))
 
     def value(self, u: np.ndarray) -> float:
         return self.kinetic(u) / self.params.p - self.potential(u) / self.params.q
@@ -270,22 +326,29 @@ class DiscreteEnergy:
     def level_from_quotient(self, quotient: float) -> float:
         """J value on the Nehari manifold along the ray realizing the quotient."""
         p, q = self.params.p, self.params.q
-        return (1.0 / p - 1.0 / q) * quotient ** (q / (q - p))
+        try:
+            return (1.0 / p - 1.0 / q) * quotient ** (q / (q - p))
+        except OverflowError:  # a float power raises where a product reads inf
+            return math.inf
 
     def nehari_scale(self, u: np.ndarray) -> float:
         """t > 0 with d/dt J(t u) = 0; closed form polished by Newton when eps > 0.
 
-        The polish works on the precomputed squared difference stacks, so
-        each iteration is elementwise arithmetic, not a gradient assembly.
+        The polish works on the precomputed interior squared difference
+        stacks, so each iteration is elementwise arithmetic, not a gradient
+        assembly.
         """
         g = self.grid
-        u, _, _, sf, sb = self._stacks(u)
+        ue, _, _, sf, sb = self._interior_stacks(u)
         k = self._kinetic(sf, sb)
-        b = self.potential(u)
+        b = self._potential(ue[:-1])
         if not (k > 0 and b > 0):
             raise VariationalError("Nehari scaling needs a nonzero field inside the ball")
         p, q = self.params.p, self.params.q
-        t = (k / b) ** (1.0 / (q - p))
+        try:
+            t = (k / b) ** (1.0 / (q - p))
+        except OverflowError:  # a float power raises where a product reads inf
+            return math.inf
         if self.eps == 0.0:
             return float(t)
         e2 = self.eps ** 2
@@ -293,7 +356,7 @@ class DiscreteEnergy:
         def slope(tv: float) -> float:
             kf = (tv * tv * sf + e2) ** ((p - 2.0) / 2.0) * sf
             kb = (tv * tv * sb + e2) ** ((p - 2.0) / 2.0) * sb
-            kin = 0.5 * g.cell_volume * float(np.sum(self._w_grad * (kf + kb)))
+            kin = 0.5 * g.cell_volume * float(self._cube_sum(self._w_grad_in * (kf + kb)))
             return tv * kin - tv ** (q - 1.0) * b
 
         for _ in range(30):
@@ -504,9 +567,13 @@ def reduced_level_estimate(coefficients: np.ndarray, cfg: SymmetryConfig, grid: 
     kin = cell * float(np.sum(grad_sq ** (p / 2.0) * w_grad))
     pot = cell * float(np.sum(np.abs(prof) ** q * w_pot))
     if pot <= 0.0 or kin <= 0.0:
-        raise VariationalError("reduced quadrature degenerate: zero profile")
-    t = (kin / pot) ** (1.0 / (q - p))
-    return (1.0 / p - 1.0 / q) * t ** p * kin
+        raise VariationalError("reduced quadrature degenerate: a profile integral reads 0 "
+                               "(a zero profile, or one that underflows)")
+    try:
+        t = (kin / pot) ** (1.0 / (q - p))
+        return (1.0 / p - 1.0 / q) * t ** p * kin
+    except OverflowError:  # a float power raises where a product reads inf
+        return math.inf
 
 
 def equivariance_residual(values: np.ndarray, cfg: SymmetryConfig) -> float:
@@ -789,27 +856,61 @@ def _relative_residual(c: np.ndarray, d: np.ndarray, quot: float) -> float:
     return float(np.sqrt(np.sum(d * d) * np.sum(c * c)) / quot)
 
 
+def _interior_count_bound(grid: BallGrid) -> int:
+    """Nodes k with |k|^2 <= ((N - 1) / 2)^2 in index units: the interior
+    count plus the sphere's own nodes, which rounding may leave out, counted
+    through the distribution of |k|^2 without building the mask.  Past 257
+    points per axis (a 4-D cube array alone is then 35 GB) N^n stands in."""
+    half = (grid.points_per_axis - 1) // 2
+    if half > 128:
+        return math.prod(grid.shape)
+    top = half * half
+    counts = np.zeros(top + 1, dtype=np.int64)
+    counts[0] = 1
+    for _ in range(grid.n):  # add one axis: shift the distribution by each k^2
+        nxt = np.zeros_like(counts)
+        for k in range(-half, half + 1):
+            nxt[k * k:] += counts[:top + 1 - k * k]
+        counts = nxt
+    return int(counts.sum())
+
+
 def solve_peak_bytes(grid: BallGrid) -> int:
     """An upper bound on the bytes a solve holds at its peak.
 
-    Counted from the code, inside the energy pass of a line-search trial,
-    with the boolean mask counted as a full array:
-    - the grid's coordinates, radii, mask and float mask: n + 3;
-    - the energy's two weights: 2;
-    - the solver: the trial field and the previous trial's gradient: 2;
-    - the energy pass, in its adjoint loop: the masked field, the forward
-      and backward stacks (2n), two squared norms, two weights, two adjoint
-      accumulators, one weighted axis and two roll temporaries: 2n + 10;
+    Counted from the code in grid arrays of N^n floats, interior vectors of
+    M = ``_interior_count_bound`` entries and reduced-level profile tables,
+    with the boolean mask counted as a full array and an index as a float:
+    - the grid's coordinates, radii, mask and float mask: n + 3 arrays; its
+      interior indices and neighbour tables: (2n + 1) M;
+    - the energy's two interior weights, 2 M, and its summation array: 1;
+    - the solver: the trial field and the previous trial's gradient in the
+      descent, the iterate's field and its Nehari rescaling at the end: 2;
+    - the largest of three stages:
+      - a line-search trial's energy pass: its two gradient arrays and the
+        quotient gradient's two temporaries, 4; inside the pass the
+        interior stacks and their temporaries hold (4n + 2) M, less;
+      - the interpolated bias: its own class field, one point chunk of the
+        profile read (at most 3 arrays) and (2n + 5) M for the interior
+        points, their images and the residuals;
+      - the reduced level estimate: 10 profile tables of n_r^2 (2 n_r)^(n - 4)
+        entries, n_r = 2(N - 1) (two rotation planes, the fewest any
+        accepted class averages);
     - the seven class-coefficient tensors (c, d, their previous values, the
       trial, s, y; at most N^(n-2) entries each) and the plane tables fit in
       the mask's unused 7/8; the lattice subgroup (38 KB for (6, 0, (1, 0)))
       and the other caches in a fixed 64 KiB.
-    The end-of-run pass holds the iterate's field and its Nehari rescaling
-    in place of the trial's two arrays.  The other diagnostics peak lower.
-    A whole solve traced with tracemalloc, after numpy.random's first-use
-    import, peaks at 0.86 of this bound at 5^4, 0.99 at 5^6, 0.98 at 7^6.
+    The other stages (seeding, class maps, the certificates) peak lower.  A
+    whole solve traced with tracemalloc, after numpy.random's first-use
+    import, peaks at 0.95 of this bound at 13^4, 0.94 at 21^4, 0.92 at 5^6
+    and 7^6, 0.83 at 7^5 to 11^5, and 0.84 (0.54 GiB) at 13^6.
     """
-    return (3 * grid.n + 17) * math.prod(grid.shape) * 8 + 2 ** 16
+    cube = math.prod(grid.shape)
+    inside = _interior_count_bound(grid)
+    n_r = int(math.ceil(grid.radius / (grid.h / REDUCED_REFINE)))  # as reduced_level_estimate
+    tables = n_r ** 2 * (2 * n_r) ** max(grid.n - 4, 0)
+    stage = max(4 * cube + (2 * grid.n + 5) * inside, 10 * tables)
+    return ((grid.n + 6) * cube + (2 * grid.n + 3) * inside + stage) * 8 + 2 ** 16
 
 
 def _refuse_unfit(grid: BallGrid) -> None:
@@ -981,11 +1082,31 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     rel = _relative_residual(c, d, quot)
     min_rel = min(min_rel, rel)
     u = class_field(c, cfg, grid)
-    w = energy.nehari_project(u) * grid.mask_f
-    # one energy pass gives every end-of-run scalar of w
-    kin_w, pot_w, gk_w, gb_w = energy.evaluate(w)
     p, q = work.p, work.q
-    grad_w = gk_w / p - gb_w / q
+    # on an extreme radius the Nehari amplitude, and with it the energies of
+    # w, can leave the float range: such a candidate is refused below, so
+    # numpy's overflow warnings are not wanted while it is measured
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = energy.nehari_project(u) * grid.mask_f
+        # one energy pass gives every end-of-run scalar of w
+        kin_w, pot_w, grad_w, gb_w = energy.evaluate(w)
+        grad_w /= p  # d J / d node, in place: gk / p - gb / q
+        grad_w -= gb_w / q
+        del gb_w
+        grad_norm = float(np.sqrt(np.sum(grad_w * grad_w) / grid.cell_volume))
+        del grad_w  # the diagnostics below peak above the energy pass; see solve_peak_bytes
+        level_estimate = reduced_level_estimate(c, cfg, grid, work)
+    # a Nehari scale of inf or 0 shows as a kinetic and potential of nan or 0
+    out_of_range = [name for name, value in (
+        ("kinetic", kin_w), ("potential", pot_w), ("level estimate", level_estimate),
+        ("energy history", max(history))) if not 0.0 < value < math.inf]
+    if not math.isfinite(grad_norm):
+        out_of_range.append("gradient norm")
+    if out_of_range:
+        raise VariationalError(
+            f"at radius {grid.radius:g} these values of the candidate are "
+            f"not positive finite floats: {', '.join(out_of_range)}; rescale the problem "
+            f"to a radius nearer 1")
     sym_gap = float(np.max(np.abs(symmetrize(u, cfg, grid) - u)))
     cert = sign_certificate(w, cfg)
     equivariance = equivariance_residual(u, cfg)
@@ -1005,11 +1126,11 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
         iterations=it - start_iter,
         energy=kin_w / p - pot_w / q,
         level=(1.0 / p - 1.0 / q) * kin_w,
-        level_estimate=reduced_level_estimate(c, cfg, grid, work),
+        level_estimate=level_estimate,
         kinetic=kin_w,
         potential=pot_w,
         nehari_residual=abs(kin_w - pot_w) / max(kin_w, pot_w),
-        grad_norm=float(np.sqrt(np.sum(grad_w * grad_w) / grid.cell_volume)),
+        grad_norm=grad_norm,
         relative_residual=rel,
         min_relative_residual=min_rel,
         equivariance=equivariance,

@@ -186,6 +186,8 @@ def test_solve_writes_the_result_bundle(tmp_path, capsys):
     assert run("solve", "--config", cfg, "--out", str(out)) == 0
     listing = capsys.readouterr().out
     assert "report.txt" in listing and "field.dat" in listing and "run.log" in listing
+    printed = parse_kv(listing)
+    assert list(printed) == ["report", "field", "log", "outcome", "converged"]
 
     summary = report_summary_from_doc((out / "report.txt").read_text())
     assert summary["n"] == 4
@@ -200,7 +202,8 @@ def test_solve_writes_the_result_bundle(tmp_path, capsys):
     log = parse_kv((out / "run.log").read_text())
     assert log["max_iters"] == "12"
     assert log["q (resolved)"]
-    assert log["outcome"]
+    assert log["outcome"] == printed["outcome"] == summary["stop reason"]
+    assert printed["converged"] == ("yes" if summary["converged"] else "no")
     # the full parameter echo: every solver option, defaults included
     for f in dataclasses.fields(SolveOptions):
         assert (f.name in log) == (f.name != "checkpoint_path"), f.name
@@ -290,6 +293,26 @@ def test_solve_refuses_a_candidate_that_breaks_its_promise(tmp_path, capsys, mon
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert not (tmp_path / "out" / "report.txt").exists()
+
+
+@pytest.mark.parametrize("radius, code", [("1e-50", 2), ("1e-30", 0), ("1e30", 0)])
+def test_solve_on_an_extreme_radius_reports_finite_values_or_refuses(tmp_path, capsys,
+                                                                     radius, code):
+    # at 1e-50 the Nehari amplitude pushes the energies of the result past the
+    # float range; the radius itself passes the grid rule (h**4 is about 4e-202)
+    doc = write_doc(tmp_path / "solve.kv", SOLVE_DOC.replace(
+        "max_iters: 12\n", f"max_iters: 4\nradius: {radius}\n"))
+    out = tmp_path / "out"
+    assert run("solve", "--config", doc, "--out", str(out)) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: at radius 1e-50 ") and err.count("\n") == 1
+        assert not (out / "report.txt").exists()
+    else:
+        assert err == ""
+        summary = report_summary_from_doc((out / "report.txt").read_text())
+        for key in ("energy", "level", "level estimate", "kinetic", "potential", "grad norm"):
+            assert np.isfinite(summary[key]) and summary[key] > 0, key
 
 
 def test_solve_refuses_a_grid_that_cannot_fit(tmp_path, capsys):

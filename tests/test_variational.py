@@ -225,6 +225,7 @@ def _oracle_energy_parts(energy, u):
     reproduce them bit for bit."""
     g = energy.grid
     q = energy.params.q
+    w_pot = g.weight_values(energy.params.potential_weight_exponent) * g.mask_f
     u = u * g.mask_f
     fw = forward_diffs(g, u)
     bw = backward_diffs(g, u)
@@ -236,27 +237,102 @@ def _oracle_energy_parts(energy, u):
     sb = energy._sigma(np.sum(bw * bw, axis=0)) * energy._w_grad
     kin = forward_diffs_adjoint(g, sf[None] * fw) + backward_diffs_adjoint(g, sb[None] * bw)
     kin *= 0.5 * energy.params.p * g.cell_volume
-    pot = q * g.cell_volume * energy._w_pot * np.abs(u) ** (q - 2.0) * u
-    pot_value = float(g.cell_volume * np.sum(energy._w_pot * np.abs(u) ** q))
+    # |u|^(q-2) u as the solver reads it, 0 at u = 0; bit-identical to the
+    # plain power for q >= 2 (test_potential_gradient_reads_zero_at_zero_nodes)
+    pot = q * g.cell_volume * w_pot * np.power(
+        np.abs(u), q - 2.0, out=np.ones(g.shape), where=u != 0.0) * u
+    pot_value = float(g.cell_volume * np.sum(w_pot * np.abs(u) ** q))
     return kin_value, pot_value, kin * g.mask_f, pot * g.mask_f
 
 
-@pytest.mark.parametrize("params", [PARAMS4, ProblemParams(4, 3.0, 0.1, 0.3)])
-def test_energy_pass_matches_the_separate_builds_bit_for_bit(params):
-    energy = DiscreteEnergy(GRID4, params)
+def _oracle_nehari_scale(energy, u):
+    """The Nehari scale by the full-cube roll stacks and the original Newton
+    polish; the interior polish must reproduce it bit for bit."""
+    g = energy.grid
+    p, q = energy.params.p, energy.params.q
+    u = u * g.mask_f
+    fw = forward_diffs(g, u)
+    bw = backward_diffs(g, u)
+    sf, sb = np.sum(fw * fw, axis=0), np.sum(bw * bw, axis=0)
+    w_pot = g.weight_values(energy.params.potential_weight_exponent) * g.mask_f
+    k = float(0.5 * g.cell_volume * np.sum(energy._w_grad * (energy._psi(sf) + energy._psi(sb))))
+    b = float(g.cell_volume * np.sum(w_pot * np.abs(u) ** q))
+    t = (k / b) ** (1.0 / (q - p))
+    if energy.eps == 0.0:
+        return float(t)
+    e2 = energy.eps ** 2
+
+    def slope(tv):
+        kf = (tv * tv * sf + e2) ** ((p - 2.0) / 2.0) * sf
+        kb = (tv * tv * sb + e2) ** ((p - 2.0) / 2.0) * sb
+        kin = 0.5 * g.cell_volume * float(np.sum(energy._w_grad * (kf + kb)))
+        return tv * kin - tv ** (q - 1.0) * b
+
+    for _ in range(30):
+        g0 = slope(t)
+        if abs(g0) <= 1e-12 * max(k, b):
+            break
+        dt = t * 1e-7
+        deriv = (slope(t + dt) - g0) / dt
+        if deriv == 0.0:
+            break
+        t_new = t - g0 / deriv
+        t = t / 2.0 if t_new <= 0.0 else t_new
+    return float(t)
+
+
+def _assert_pass_matches_the_oracles(energy, u):
+    k, b, gk, gb = energy.evaluate(u)
+    k0, b0, gk0, gb0 = _oracle_energy_parts(energy, u)
+    assert (k, b) == (k0, b0)
+    assert np.array_equal(gk, gk0) and np.array_equal(gb, gb0)
+    assert (energy.kinetic(u), energy.potential(u)) == (k0, b0)
+    r = energy.params.p / energy.params.q
+    quot, gq = energy.quotient_and_gradient(u)
+    assert quot == energy.quotient(u) == k0 / b0 ** r
+    assert np.array_equal(gq, (gk0 - r * (k0 / b0) * gb0) / b0 ** r)
+    assert energy.nehari_scale(u) == _oracle_nehari_scale(energy, u)
+
+
+@pytest.mark.parametrize("grid, params", [
+    (GRID4, PARAMS4),
+    (GRID4, ProblemParams(4, 3.0, 0.1, 0.3)),
+    (GRID4, ProblemParams(4, 1.5, 0.0, 0.0, 1.9)),
+    (BallGrid(2, 11, 1.0), ProblemParams(2, 1.5, 0.0, 0.0, 1.9)),
+    (BallGrid(3, 9, 1.0), ProblemParams(3, 2.0, 0.1, 0.2)),
+    (BallGrid(5, 7, 1.0), ProblemParams(5, 3.0, 0.0, 0.0)),
+    (BallGrid(6, 7, 2.0), ProblemParams(6, 2.0, 0.0, 0.3))],
+    ids=["9^4-p2", "9^4-p3", "9^4-p1.5", "11^2-p1.5", "9^3", "7^5-p3", "7^6"])
+def test_energy_pass_matches_the_separate_builds_bit_for_bit(grid, params):
+    energy = DiscreteEnergy(grid, params)
     rng = np.random.default_rng(6)
     for _ in range(3):
-        u = random_bumps(GRID4, rng)
-        u[~GRID4.mask] = rng.uniform(-1.0, 1.0)  # off-ball gauge must not leak in
-        k, b, gk, gb = energy.evaluate(u)
-        k0, b0, gk0, gb0 = _oracle_energy_parts(energy, u)
-        assert (k, b) == (k0, b0)
-        assert np.array_equal(gk, gk0) and np.array_equal(gb, gb0)
-        assert (energy.kinetic(u), energy.potential(u)) == (k0, b0)
-        r = params.p / params.q
-        quot, gq = energy.quotient_and_gradient(u)
-        assert quot == energy.quotient(u) == k0 / b0 ** r
-        assert np.array_equal(gq, (gk0 - r * (k0 / b0) * gb0) / b0 ** r)
+        u = random_bumps(grid, rng)
+        u[~grid.mask] = rng.uniform(-1.0, 1.0)  # off-ball gauge must not leak in
+        _assert_pass_matches_the_oracles(energy, u)
+        u[rng.random(grid.shape) < 0.3] = 0.0  # zero nodes, where |u|^(q-2) u reads 0
+        _assert_pass_matches_the_oracles(energy, u)
+
+
+def test_energy_pass_reads_the_tables_of_its_own_grid():
+    """Grids of different sizes evaluated in turn each match their own oracle.
+
+    In the second loop each energy is built right after the previous one is
+    freed, so CPython hands the new energy and its grid the two freed
+    addresses: tables cached anywhere but on the grid, keyed by id(), would
+    be served to the wrong grid.
+    """
+    rng = np.random.default_rng(12)
+    small = DiscreteEnergy(BallGrid(4, 9, 1.0), PARAMS4)
+    large = DiscreteEnergy(BallGrid(4, 11, 1.0), PARAMS4)
+    for energy in (small, large, small, large):
+        _assert_pass_matches_the_oracles(energy, random_bumps(energy.grid, rng))
+    del small, large, energy
+    params = ProblemParams(4, 3.0, 0.0, 0.0)
+    for points in (9, 11, 13, 9, 11):
+        energy = DiscreteEnergy(BallGrid(4, points, 1.0), params)
+        _assert_pass_matches_the_oracles(energy, random_bumps(energy.grid, rng))
+        del energy
 
 
 # --------------------------------------------------------------------------
@@ -791,6 +867,17 @@ def test_solver_descends_below_p_two():
     assert report.solver_exponent == pytest.approx(1.9)
     assert report.iterations >= 1 and report.monotone
     assert math.isfinite(report.relative_residual)
+
+
+@pytest.mark.parametrize("cfg, grid, match", [
+    # the energies of the Nehari rescaled result overflow
+    (CFG4, BallGrid(4, 9, 1e-50), "not positive finite floats: kinetic, potential"),
+    # the seed's level overflows, and the reduced quadrature underflows to 0
+    (SymmetryConfig(5, 0, (1,)), BallGrid(5, 7, 1e-60), "degenerate")], ids=["9^4", "7^5"])
+def test_solver_refuses_values_beyond_the_float_range(cfg, grid, match):
+    # a RuntimeWarning fails the test (pyproject filterwarnings), as does an OverflowError
+    with pytest.raises(VariationalError, match=match):
+        solve(cfg, grid, options=SolveOptions(max_iters=4))
 
 
 def test_solver_rejects_pinwheel_only_configs():
