@@ -10,7 +10,9 @@ of fields that transform by the sign character under the grid-exact sampling
 subgroup: the iterate lives in class coordinates and is never re-projected
 on the grid, its field is rescaled onto the discrete Nehari manifold, and
 steps are accepted only on strict energy decrease, so the reported energy
-history is monotone by construction.
+history is monotone by construction.  Each gradient is pulled back into the
+class by the subgroup's signed average on the coefficient tensor; the grid
+``symmetrize`` serves only the seed and the end-of-run certificates.
 
 Sign-changing structure is certified, not assumed: the returned report
 exhibits a lattice element of character -1 together with the node where it
@@ -42,8 +44,8 @@ from .grid import (
     read_arrays,
     write_arrays,
 )
-from .kvdoc import format_kv, format_value, get_float, get_int, get_ints, parse_kv
-from .lattice import apply_perm_to_grid, lattice_subgroup
+from .kvdoc import format_kv, format_value
+from .lattice import SignedPerm, apply_perm_to_grid, lattice_subgroup
 from .symmetry import (
     SymmetryConfig,
     act_points,
@@ -171,7 +173,8 @@ class DiscreteEnergy:
 
     ``evaluate`` is the one energy pass: one build of the difference stacks
     on the interior nodes (through the grid's neighbour tables) yields K, B
-    and both node gradients; the other methods are views.  ``kinetic``
+    and both node gradients as interior vectors; the other methods are
+    views, and ``gradient`` scatters its vector onto the grid.  ``kinetic``
     keeps the roll stencils over the whole cube as the reference the
     interior pass reproduces bit for bit.
     """
@@ -266,7 +269,9 @@ class DiscreteEnergy:
         return float(self.grid.cell_volume * self._cube_sum(self._w_pot_in * np.abs(uv) ** q))
 
     def evaluate(self, u: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
-        """(K, B, dK/du, dB/du) from one build of the interior difference stacks."""
+        """(K, B, dK/du, dB/du) from one build of the interior difference stacks;
+        the gradients are interior vectors (length M, in ``grid.interior``
+        order), as both vanish off the interior."""
         g = self.grid
         q = self.params.q
         fwd, bwd = g.neighbours
@@ -289,7 +294,7 @@ class DiscreteEnergy:
         # |u|^(q-2) u reads 0 at u = 0 for every q: 0 ** (q - 2) is inf for q < 2
         gb = q * g.cell_volume * self._w_pot_in * np.power(
             np.abs(uv), q - 2.0, out=np.ones(uv.shape), where=uv != 0.0) * uv
-        return self._kinetic(sf, sb), self._potential(uv), self._to_cube(gk), self._to_cube(gb)
+        return self._kinetic(sf, sb), self._potential(uv), gk, gb
 
     def kinetic(self, u: np.ndarray) -> float:
         _, _, _, sf, sb = self._stacks(u)
@@ -303,9 +308,9 @@ class DiscreteEnergy:
         return self.kinetic(u) / self.params.p - self.potential(u) / self.params.q
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
-        """d value / d node, exactly; vanishes off the interior mask."""
+        """d value / d node as a grid field, exactly; vanishes off the interior mask."""
         _, _, gk, gb = self.evaluate(u)
-        return gk / self.params.p - gb / self.params.q
+        return self._to_cube(gk / self.params.p - gb / self.params.q)
 
     def quotient(self, u: np.ndarray) -> float:
         """Scale-invariant ratio K / B^(p/q); its minimizers are the Nehari ones."""
@@ -316,7 +321,7 @@ class DiscreteEnergy:
         return k / b ** (self.params.p / self.params.q)
 
     def quotient_and_gradient(self, u: np.ndarray) -> tuple[float, np.ndarray]:
-        """The quotient and its node gradient from one energy pass."""
+        """The quotient and its node gradient, an interior vector, from one energy pass."""
         k, b, gk, gb = self.evaluate(u)
         if not (k > 0 and b > 0):
             raise VariationalError("quotient needs a nonzero field inside the ball")
@@ -396,18 +401,26 @@ def _catmull_rom_matrix(t: np.ndarray, size: int, radial: bool) -> np.ndarray:
     """Row i: the Catmull-Rom (Keys' cubic convolution) weights that read a
     unit-step table of ``size`` samples at position t[i], in table steps.  A
     radial table reflects its indices through zero; others are zero past the ends."""
-    base = np.floor(t).astype(int)
+    base = np.floor(t).astype(np.intp)
     f = t - base
     f2 = f * f
     f3 = f2 * f
-    weights = (-0.5 * f3 + f2 - 0.5 * f, 1.5 * f3 - 2.5 * f2 + 1.0,
-               -1.5 * f3 + 2.0 * f2 + 0.5 * f, 0.5 * f3 - 0.5 * f2)
-    out = np.zeros((t.size, size))
-    for offset, w in enumerate(weights):  # stencil offsets -1, 0, 1, 2
-        idx = np.abs(base - 1 + offset) if radial else base - 1 + offset
-        ok = (idx >= 0) & (idx < size)
-        np.add.at(out, (np.arange(t.size), np.clip(idx, 0, size - 1)), np.where(ok, w, 0.0))
-    return out
+    weights = np.empty((t.size, 4))  # one row per position, stencil offsets -1, 0, 1, 2
+    weights[:, 0] = -0.5 * f3 + f2 - 0.5 * f
+    weights[:, 1] = 1.5 * f3 - 2.5 * f2 + 1.0
+    weights[:, 2] = -1.5 * f3 + 2.0 * f2 + 0.5 * f
+    weights[:, 3] = 0.5 * f3 - 0.5 * f2
+    del f, f2, f3
+    idx = base[:, None] + np.arange(-1, 3)
+    del base
+    if radial:
+        np.abs(idx, out=idx)
+    weights[(idx < 0) | (idx >= size)] = 0.0
+    np.clip(idx, 0, size - 1, out=idx)
+    idx += np.arange(0, t.size * size, size)[:, None]  # flat index into the (t.size, size) rows
+    # bincount adds each bin's weights in input order, offsets ascending
+    # within a row, so every entry is summed as four per-offset passes would
+    return np.bincount(idx.ravel(), weights.ravel(), minlength=t.size * size).reshape(t.size, size)
 
 
 @functools.cache
@@ -440,13 +453,50 @@ def _plane_profile_basis(points_per_axis: int, radius: float) -> tuple[np.ndarra
 # class coordinates: a class field is E c, where E contracts each rotation
 # plane's axis of c with Q; the planes are the coordinate pairs (0, 1), (2, 3),
 # ... ahead of the tail.  E is orthonormal, and lattice elements carry planes
-# onto planes keeping plane radii, so symmetrize commutes with E E^T.
+# onto planes keeping plane radii, so each element g acting on the grid
+# satisfies g E = E R_g for a signed permutation R_g of the tensor's axes:
+# E^T symmetrize = (signed average of R_g) E^T, an average on the tensor.
 
 
 def _class_basis(cfg: SymmetryConfig, grid: BallGrid) -> tuple[np.ndarray, int]:
     """The plane profile basis Q and the number of rotation planes."""
     return (_plane_profile_basis(grid.points_per_axis, grid.radius)[0],
             make_layout(cfg).tail_start // 2)
+
+
+@functools.cache
+def _tensor_action(cfg: SymmetryConfig, planes: int) -> tuple[tuple[SignedPerm, float], ...]:
+    """The sampling subgroup's signed average as it acts on class
+    coefficients: pairs (R, w) with sum_R w R c = E^T symmetrize(E c).
+
+    Element g carries plane k onto plane source[2k] // 2, unsigned (Q rows
+    depend only on the plane radius), and tail axis j onto tail axis
+    source[j] with sign signs[j].  Elements inducing the same R are merged,
+    w summing their characters over the group order; R with w = 0 are
+    dropped, so a {0} class has no pairs.  VariationalError if an element
+    splits a rotation plane.
+    """
+    elements = lattice_subgroup(cfg)
+    weights: dict[SignedPerm, int] = {}
+    for e in elements:
+        src, sgn = e.perm.source, e.perm.signs
+        pairs = [sorted(src[2 * k:2 * k + 2]) for k in range(planes)]
+        # planes onto planes; the permutation then keeps the tail on the tail
+        if any(lo % 2 or hi != lo + 1 or hi >= 2 * planes for lo, hi in pairs):
+            raise VariationalError(f"lattice element {e.perm} splits a rotation plane of {cfg}")
+        perm = SignedPerm(tuple(lo // 2 for lo, _ in pairs)
+                          + tuple(s - planes for s in src[2 * planes:]),
+                          (1,) * planes + sgn[2 * planes:])
+        weights[perm] = weights.get(perm, 0) + e.sign
+    return tuple((perm, w / len(elements)) for perm, w in weights.items() if w)
+
+
+def _tensor_average(coefficients: np.ndarray, cfg: SymmetryConfig, planes: int) -> np.ndarray:
+    """The sampling subgroup's signed average applied to class coefficients."""
+    acc = np.zeros(coefficients.shape)
+    for perm, w in _tensor_action(cfg, planes):
+        acc += w * apply_perm_to_grid(coefficients, perm)
+    return acc
 
 
 def _contract_planes(t: np.ndarray, m: np.ndarray, planes: int) -> np.ndarray:
@@ -470,11 +520,16 @@ def class_field(coefficients: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) -
 
 
 def class_coefficients(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) -> np.ndarray:
-    """E^T symmetrize(u): the coefficients of u's orthogonal projection onto the class."""
+    """The coefficients of u's orthogonal projection onto the class.
+
+    E^T symmetrize(u) in exact arithmetic, computed as E^T u followed by the
+    sampling subgroup's signed average on the coefficient tensor, so no
+    grid-sized copy of u is permuted.
+    """
     q, planes = _class_basis(cfg, grid)
     npts = grid.points_per_axis
     split = (npts * npts,) * planes + (npts,) * (grid.n - 2 * planes)
-    return _contract_planes(symmetrize(values, cfg, grid).reshape(split), q.T, planes)
+    return _tensor_average(_contract_planes(np.reshape(values, split), q.T, planes), cfg, planes)
 
 
 def _axis_weights(grid: BallGrid, x: np.ndarray, plane: bool) -> np.ndarray:
@@ -656,7 +711,7 @@ def sign_certificate(values: np.ndarray, cfg: SymmetryConfig) -> SignCertificate
 
 
 # --------------------------------------------------------------------------
-# seeding and dilation diagnostics
+# seeding
 
 
 def seed_field(cfg: SymmetryConfig, grid: BallGrid,
@@ -681,65 +736,6 @@ def seed_field(cfg: SymmetryConfig, grid: BallGrid,
     if peak <= 0.0:
         raise VariationalError("symmetrized seed vanished; widen the bump or move its center")
     return u / peak
-
-
-@dataclass(frozen=True)
-class GaussianProfile:
-    """lam^gamma exp(-|lam x|^2 / (2 w^2)) with its closed-form gradient."""
-
-    width: float
-    lam: float = 1.0
-    gamma: float = 0.0
-
-    def values(self, pts: np.ndarray) -> np.ndarray:
-        r2 = np.sum((self.lam * pts) ** 2, axis=1)
-        return self.lam ** self.gamma * np.exp(-r2 / (2.0 * self.width ** 2))
-
-    def gradients(self, pts: np.ndarray) -> np.ndarray:
-        v = self.values(pts)
-        return v[:, None] * (-(self.lam ** 2) * pts / self.width ** 2)
-
-
-def analytic_energy(grid: BallGrid, params: ProblemParams, profile) -> float:
-    """J evaluated by quadrature of closed-form values and gradients.
-
-    For smooth profiles vanishing well inside the ball, midpoint quadrature
-    of analytic integrands is spectrally accurate, so this path isolates the
-    functional itself from difference-stencil error.  ``profile`` needs
-    ``values(pts)`` and ``gradients(pts)`` over (m, n) point arrays.
-    """
-    pts = grid.points()
-    inside = grid.mask.ravel()
-    u = np.asarray(profile.values(pts), dtype=float).ravel()[inside]
-    du = np.asarray(profile.gradients(pts), dtype=float)[inside]
-    grad_mag = np.sqrt(np.sum(du * du, axis=1))
-    w_grad = (grid.weight_values(params.grad_weight_exponent).ravel()[inside]
-              if params.grad_weight_exponent != 0.0 else 1.0)
-    w_pot = (grid.weight_values(params.potential_weight_exponent).ravel()[inside]
-             if params.potential_weight_exponent != 0.0 else 1.0)
-    kin = grid.cell_volume * float(np.sum(w_grad * grad_mag ** params.p))
-    pot = grid.cell_volume * float(np.sum(w_pot * np.abs(u) ** params.q))
-    return kin / params.p - pot / params.q
-
-
-def dilation_invariance_gap(params: ProblemParams, grid: BallGrid,
-                            lams: tuple[float, ...] = (0.5, 2.0),
-                            width: float = 0.12) -> float:
-    """Worst relative J deviation under the critical rescaling family.
-
-    The base profile and each rescaled profile are closed-form Gaussians, so
-    the only deviation sources are quadrature and ball truncation; the
-    continuum J is exactly invariant along the family.
-    """
-    base = GaussianProfile(width)
-    j0 = analytic_energy(grid, params, base)
-    scale = abs(j0)
-    worst = 0.0
-    for lam in lams:
-        scaled = GaussianProfile(width, lam=lam, gamma=params.gamma)
-        j1 = analytic_energy(grid, params, scaled)
-        worst = max(worst, abs(j1 - j0) / scale)
-    return worst
 
 
 # --------------------------------------------------------------------------
@@ -794,25 +790,6 @@ def report_to_doc(report: SolveReport) -> str:
         "sign certified": format_value(cert.certifies_sign_change),
     })
     return format_kv(pairs)
-
-
-def report_summary_from_doc(text: str) -> dict:
-    """Parse a report doc back into typed scalars (field data is not stored);
-    DocumentError on a malformed value."""
-    pairs = parse_kv(text)
-    out: dict = {}
-    for key, raw in pairs.items():
-        if key in ("regime", "stop reason"):
-            out[key] = raw
-        elif key in ("converged", "sign certified"):
-            out[key] = raw == "yes"
-        elif key == "m":
-            out[key] = get_ints(pairs, key)
-        elif key in ("n", "alpha", "grid points", "iterations"):
-            out[key] = get_int(pairs, key)
-        else:
-            out[key] = get_float(pairs, key, None)
-    return out
 
 
 def _save_checkpoint(path: str | Path, cfg: SymmetryConfig, grid: BallGrid,
@@ -884,26 +861,28 @@ def solve_peak_bytes(grid: BallGrid) -> int:
     - the grid's coordinates, radii, mask and float mask: n + 3 arrays; its
       interior indices and neighbour tables: (2n + 1) M;
     - the energy's two interior weights, 2 M, and its summation array: 1;
-    - the solver: the trial field and the previous trial's gradient in the
-      descent, the iterate's field and its Nehari rescaling at the end: 2;
+    - the solver: the iterate's field and its Nehari rescaling at the end;
+      in the descent, a trial's field, or the pull-back's scattered gradient
+      and the transposed copy its plane contraction makes: 2;
     - the largest of three stages:
-      - a line-search trial's energy pass: its two gradient arrays and the
-        quotient gradient's two temporaries, 4; inside the pass the
-        interior stacks and their temporaries hold (4n + 2) M, less;
       - the interpolated bias: its own class field, one point chunk of the
         profile read (at most 3 arrays) and (2n + 5) M for the interior
         points, their images and the residuals;
       - the reduced level estimate: 10 profile tables of n_r^2 (2 n_r)^(n - 4)
         entries, n_r = 2(N - 1) (two rotation planes, the fewest any
         accepted class averages);
+      - a line-search trial's energy pass, on interior vectors only: its
+        stacks, temporaries, two gradients and the quotient gradient's
+        temporaries peak at (2n + 10) M, below the bias stage since M is
+        under a third of the cube for every n >= 4;
     - the seven class-coefficient tensors (c, d, their previous values, the
       trial, s, y; at most N^(n-2) entries each) and the plane tables fit in
       the mask's unused 7/8; the lattice subgroup (38 KB for (6, 0, (1, 0)))
       and the other caches in a fixed 64 KiB.
     The other stages (seeding, class maps, the certificates) peak lower.  A
     whole solve traced with tracemalloc, after numpy.random's first-use
-    import, peaks at 0.95 of this bound at 13^4, 0.94 at 21^4, 0.92 at 5^6
-    and 7^6, 0.83 at 7^5 to 11^5, and 0.84 (0.54 GiB) at 13^6.
+    import, peaks at 0.94 of this bound at 13^4 and 21^4, 0.92 at 5^6 and
+    7^6, 0.82 to 0.83 at 7^5 to 11^5, and 0.84 (0.54 GiB) at 13^6.
     """
     cube = math.prod(grid.shape)
     inside = _interior_count_bound(grid)
@@ -949,7 +928,11 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     coefficients through the class's own profile, not the grid field.
 
     Each line-search trial costs one energy pass, which yields its quotient
-    and, if accepted, the next gradient.  A class that projects the seed
+    and, if accepted, the next gradient as an interior vector.  That vector
+    is scattered onto the grid once and pulled back into the class by E^T
+    and the sampling subgroup's signed average on the coefficient tensor
+    (``class_coefficients``); the grid ``symmetrize`` runs only on the seed
+    and for the end-of-run symmetrization gap.  A class that projects the seed
     below 1e-8 of its peak is {0} (the circle averages force f = -f on a
     block of odd complex width) and is refused as unsupported.  A grid
     whose ``solve_peak_bytes`` exceed physical memory is refused before
@@ -1012,7 +995,8 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     quot, gv = energy.quotient_and_gradient(class_field(c, cfg, grid))
     if resume_from is None:
         history = [energy.level_from_quotient(quot)]
-    d = class_coefficients(gv, cfg, grid)  # in-class gradient; the residual is measured on it
+    # in-class gradient; the residual is measured on it
+    d = class_coefficients(energy._to_cube(gv), cfg, grid)
     if step <= 0.0:
         step = options.initial_step * float(np.linalg.norm(c) / np.linalg.norm(d))
     min_rel = math.inf
@@ -1059,7 +1043,8 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
                     val = math.inf
                 if val < quot - 1e-4 * trial_step * slope:
                     prev_c, prev_d = c, d
-                    c, quot, d, accepted = trial, val, class_coefficients(gv, cfg, grid), True
+                    d = class_coefficients(energy._to_cube(gv), cfg, grid)
+                    c, quot, accepted = trial, val, True
                     history.append(energy.level_from_quotient(val))
                     step = trial_step
                     break
@@ -1093,8 +1078,8 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
         grad_w /= p  # d J / d node, in place: gk / p - gb / q
         grad_w -= gb_w / q
         del gb_w
-        grad_norm = float(np.sqrt(np.sum(grad_w * grad_w) / grid.cell_volume))
-        del grad_w  # the diagnostics below peak above the energy pass; see solve_peak_bytes
+        grad_norm = float(np.sqrt(energy._cube_sum(grad_w * grad_w) / grid.cell_volume))
+        del grad_w
         level_estimate = reduced_level_estimate(c, cfg, grid, work)
     # a Nehari scale of inf or 0 shows as a kinetic and potential of nan or 0
     out_of_range = [name for name, value in (

@@ -37,11 +37,12 @@ from cknsym.variational import (
     DiscreteEnergy,
     ProblemParams,
     SolveOptions,
-    dilation_invariance_gap,
     params_for_config,
     solve,
     symmetrize,
 )
+
+from helpers import dilation_invariance_gap
 
 
 def announce(number, label, detail):

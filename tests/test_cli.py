@@ -15,7 +15,9 @@ import cknsym.variational as variational
 from cknsym.cli import main
 from cknsym.grid import BallGrid, load_field
 from cknsym.kvdoc import parse_kv
-from cknsym.variational import SolveOptions, report_summary_from_doc
+from cknsym.variational import SolveOptions
+
+from helpers import report_summary_from_doc
 
 
 def write_doc(path, text):

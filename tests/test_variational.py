@@ -14,11 +14,10 @@ from scipy import ndimage
 import cknsym.variational as variational
 from cknsym.grid import BallGrid, backward_diffs, field_from_function, forward_diffs
 from cknsym.kvdoc import DocumentError
-from cknsym.lattice import lattice_subgroup
+from cknsym.lattice import LatticeElement, SignedPerm, lattice_subgroup
 from cknsym.symmetry import SymmetryConfig
 from cknsym.variational import (
     DiscreteEnergy,
-    GaussianProfile,
     ProblemParams,
     SolveOptions,
     SolveReport,
@@ -28,23 +27,27 @@ from cknsym.variational import (
     _class_profile,
     _class_values,
     _save_checkpoint,
-    analytic_energy,
     class_coefficients,
     class_field,
     class_shape,
-    dilation_invariance_gap,
     equivariance_residual,
     interpolated_equivariance_bias,
     load_checkpoint,
     params_for_config,
     reduced_level_estimate,
-    report_summary_from_doc,
     report_to_doc,
     seed_field,
     sign_certificate,
     solve,
     solve_peak_bytes,
     symmetrize,
+)
+
+from helpers import (
+    GaussianProfile,
+    analytic_energy,
+    dilation_invariance_gap,
+    report_summary_from_doc,
 )
 
 CFG4 = SymmetryConfig(4, 0, (1,))
@@ -183,7 +186,7 @@ def test_quotient_gradient_consistency(p):
     eps = 1e-6
     u = random_bumps(GRID4, rng)
     h = random_bumps(GRID4, rng)
-    exact = node_pairing(energy.quotient_and_gradient(u)[1], h)
+    exact = node_pairing(energy.quotient_and_gradient(u)[1], h.ravel()[GRID4.interior])
     fd = (energy.quotient(u + eps * h) - energy.quotient(u - eps * h)) / (2 * eps)
     assert fd == pytest.approx(exact, rel=1e-5)
 
@@ -282,15 +285,19 @@ def _oracle_nehari_scale(energy, u):
 
 
 def _assert_pass_matches_the_oracles(energy, u):
+    """The pass's interior-vector gradients are the oracle's node gradients
+    read at the interior nodes; the oracle's are zero elsewhere."""
+    inside = energy.grid.interior
     k, b, gk, gb = energy.evaluate(u)
     k0, b0, gk0, gb0 = _oracle_energy_parts(energy, u)
     assert (k, b) == (k0, b0)
-    assert np.array_equal(gk, gk0) and np.array_equal(gb, gb0)
+    assert np.array_equal(gk, gk0.ravel()[inside]) and np.array_equal(gb, gb0.ravel()[inside])
+    assert np.array_equal(energy.gradient(u), gk0 / energy.params.p - gb0 / energy.params.q)
     assert (energy.kinetic(u), energy.potential(u)) == (k0, b0)
     r = energy.params.p / energy.params.q
     quot, gq = energy.quotient_and_gradient(u)
     assert quot == energy.quotient(u) == k0 / b0 ** r
-    assert np.array_equal(gq, (gk0 - r * (k0 / b0) * gb0) / b0 ** r)
+    assert np.array_equal(gq, ((gk0 - r * (k0 / b0) * gb0) / b0 ** r).ravel()[inside])
     assert energy.nehari_scale(u) == _oracle_nehari_scale(energy, u)
 
 
@@ -516,6 +523,46 @@ def test_class_map_kills_odd_plane_modes():
     assert np.max(np.abs(class_coefficients(u, CFG4, GRID4))) <= 1e-12
 
 
+def _oracle_class_coefficients(values, cfg, grid):
+    """E^T symmetrize(u): the pull-back through the grid symmetrization that
+    the solver ran before it averaged on the coefficient tensor."""
+    q, planes = variational._class_basis(cfg, grid)
+    npts = grid.points_per_axis
+    split = (npts * npts,) * planes + (npts,) * (grid.n - 2 * planes)
+    return variational._contract_planes(symmetrize(values, cfg, grid).reshape(split), q.T, planes)
+
+
+@pytest.mark.parametrize("cfg, grid", [
+    (CFG4, GRID4), (CFG4, BallGrid(4, 17, 1.0)),
+    (SymmetryConfig(5, 0, (1,)), BallGrid(5, 7, 1.0)),
+    (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 5, 1.0)),
+    (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 7, 1.0))],
+    ids=["9^4", "17^4", "7^5", "5^6", "7^6"])
+def test_tensor_projection_matches_the_grid_oracle(cfg, grid):
+    rng = np.random.default_rng(20)
+    planes = variational._class_basis(cfg, grid)[1]
+    for _ in range(2):
+        u = rng.standard_normal(grid.shape)
+        c = class_coefficients(u, cfg, grid)
+        expect = _oracle_class_coefficients(u, cfg, grid)
+        assert np.linalg.norm(c - expect) <= 1e-12 * np.linalg.norm(expect)
+        again = variational._tensor_average(c, cfg, planes)
+        assert np.linalg.norm(again - c) <= 1e-12 * np.linalg.norm(c)
+
+
+def test_tensor_projection_refuses_an_element_that_splits_a_plane(monkeypatch):
+    # coordinates 1 and 2 trade places: planes (0, 1) and (2, 3) are split
+    split = LatticeElement(SignedPerm((0, 2, 1, 3), (1, 1, 1, 1)), 1)
+    monkeypatch.setattr(variational, "lattice_subgroup",
+                        lambda cfg: lattice_subgroup(cfg) + (split,))
+    variational._tensor_action.cache_clear()
+    try:
+        with pytest.raises(VariationalError, match="splits a rotation plane"):
+            class_coefficients(np.ones(GRID4.shape), CFG4, GRID4)
+    finally:
+        variational._tensor_action.cache_clear()
+
+
 def test_class_shape_counts_one_profile_axis_per_plane():
     assert class_shape(CFG4, BallGrid(4, 17, 1.0)) == (14, 14)
     assert class_shape(CFG4, BallGrid(4, 25, 1.0)) == (19, 19)
@@ -611,6 +658,38 @@ def test_reduced_level_estimate_is_scale_invariant():
 def test_reduced_level_estimate_rejects_zero_profile():
     with pytest.raises(VariationalError):
         reduced_level_estimate(np.zeros(class_shape(CFG4, GRID4)), CFG4, GRID4, PARAMS4)
+
+
+def _oracle_catmull_rom_matrix(t, size, radial):
+    """The Catmull-Rom matrix by one np.add.at pass per stencil offset, as it
+    was built before the single bincount."""
+    base = np.floor(t).astype(int)
+    f = t - base
+    f2 = f * f
+    f3 = f2 * f
+    weights = (-0.5 * f3 + f2 - 0.5 * f, 1.5 * f3 - 2.5 * f2 + 1.0,
+               -1.5 * f3 + 2.0 * f2 + 0.5 * f, 0.5 * f3 - 0.5 * f2)
+    out = np.zeros((t.size, size))
+    for offset, w in enumerate(weights):  # stencil offsets -1, 0, 1, 2
+        idx = np.abs(base - 1 + offset) if radial else base - 1 + offset
+        ok = (idx >= 0) & (idx < size)
+        np.add.at(out, (np.arange(t.size), np.clip(idx, 0, size - 1)), np.where(ok, w, 0.0))
+    return out
+
+
+@pytest.mark.parametrize("radial", [True, False], ids=["radial", "line"])
+def test_catmull_rom_matrix_is_the_per_offset_build_bit_for_bit(radial):
+    """Positions on both sides of zero (a radial table reflects them), off
+    both ends, on nodes and between them, including tiny tables whose
+    stencils fold several offsets onto one entry."""
+    rng = np.random.default_rng(21)
+    for size in (1, 2, 3, 12, 40):
+        t = np.concatenate([rng.uniform(-size - 4.0, size + 4.0, 3000),
+                            np.arange(-size - 3.0, size + 3.5, 0.5)])
+        got = _catmull_rom_matrix(t, size, radial)
+        assert got.shape == (t.size, size)
+        assert np.array_equal(got, _oracle_catmull_rom_matrix(t, size, radial))
+    assert _catmull_rom_matrix(np.array([]), 5, radial).shape == (0, 5)
 
 
 def test_catmull_rom_matrix_reproduces_quadratics():
@@ -836,6 +915,26 @@ def test_report_doc_round_trip(small_report):
     assert len(summary) == 4 + 4 + len(scalars) + 4  # config, exponents, scalars, sign
 
 
+def test_descent_makes_no_grid_symmetrization(monkeypatch):
+    """The seed and the end-of-run gap symmetrize on the grid; the pull-back
+    of each accepted step averages on the coefficient tensor instead."""
+    calls = []
+    real = variational.symmetrize
+
+    def counted(values, cfg, grid):
+        calls.append(grid.points_per_axis)
+        return real(values, cfg, grid)
+
+    monkeypatch.setattr(variational, "symmetrize", counted)
+    counts = []
+    for iters in (2, 8):
+        calls.clear()
+        report = solve(CFG4, GRID4, options=SolveOptions(max_iters=iters))
+        assert report.iterations == iters
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 def test_solver_is_deterministic():
     opts = SolveOptions(max_iters=8)
     r1 = solve(CFG4, GRID4, options=opts)
@@ -851,13 +950,13 @@ def test_potential_gradient_reads_zero_at_zero_nodes(q):
     u = np.random.default_rng(7).standard_normal(GRID4.shape)
     u[::2] = 0.0
     _, _, _, gb = DiscreteEnergy(GRID4, params).evaluate(u)
+    uv = u.ravel()[GRID4.interior]
     assert np.all(np.isfinite(gb))
-    assert np.all(gb[u == 0.0] == 0.0)
+    assert np.all(gb[uv == 0.0] == 0.0)
     if q >= 2.0:
-        um = u * GRID4.mask_f
-        w_pot = GRID4.weight_values(params.potential_weight_exponent) * GRID4.mask_f
-        plain = q * GRID4.cell_volume * w_pot * np.abs(um) ** (q - 2.0) * um
-        assert np.array_equal(gb, plain * GRID4.mask_f)
+        w_pot = GRID4.weight_values(params.potential_weight_exponent).ravel()[GRID4.interior]
+        plain = q * GRID4.cell_volume * w_pot * np.abs(uv) ** (q - 2.0) * uv
+        assert np.array_equal(gb, plain)
 
 
 def test_solver_descends_below_p_two():
