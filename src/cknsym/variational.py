@@ -21,8 +21,10 @@ character -1 element (pinwheel level >= 1 with no blocks: the sign-reversing
 steps are not signed permutations) are rejected up front rather than solved
 without a certificate.
 
-Rotation angles finer than quarter turns act exactly only on the class's
-Catmull-Rom profile; they enter a reported bias, never the projection.
+Rotation angles finer than quarter turns act exactly on a class's
+Catmull-Rom profile inside each rotation plane, but not on an active
+orthogonal tail; the tail's off-lattice defect enters a reported bias, never
+the projection.
 """
 
 from __future__ import annotations
@@ -48,10 +50,8 @@ from .kvdoc import format_kv, format_value
 from .lattice import SignedPerm, apply_perm_to_grid, lattice_subgroup
 from .symmetry import (
     SymmetryConfig,
-    act_points,
     config_to_pairs,
     make_layout,
-    phi,
     random_element,
     stabilizer_witness,
 )
@@ -150,10 +150,10 @@ class SolveOptions:
     checkpoint_every: int = 0
 
     def __post_init__(self) -> None:
-        # written as "not x > 0" so that NaN is refused too
+        # written as "not 0 < x < inf" so that NaN is refused too
         for name in ("tol", "initial_step", "subcritical_shift", "seed_width"):
-            if not getattr(self, name) > 0:
-                raise VariationalError(f"{name} must be > 0, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise VariationalError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         for name in ("max_iters", "checkpoint_every"):
             if not getattr(self, name) >= 0:
                 raise VariationalError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -553,21 +553,6 @@ def _class_profile(coefficients: np.ndarray, grid: BallGrid, rho: np.ndarray,
     return prof
 
 
-def _class_values(coefficients: np.ndarray, grid: BallGrid, pts: np.ndarray) -> np.ndarray:
-    """E c at the rows of pts (m x n), read through their plane radii and tail
-    coordinates, in point chunks whose intermediate fits in one grid array."""
-    planes = grid.n - coefficients.ndim
-    chunk = math.prod(grid.shape) // math.prod(coefficients.shape[1:])
-    out = []
-    for part in np.split(pts, range(chunk, len(pts), chunk)):
-        coords = [np.hypot(*part[:, 2 * k:2 * k + 2].T) for k in range(planes)]
-        vals = coefficients[None]
-        for ax, x in enumerate(coords + list(part[:, 2 * planes:].T)):  # pointwise contractions
-            vals = np.einsum("ia,ia...->i...", _axis_weights(grid, x, ax < planes), vals)
-        out.append(vals)
-    return np.concatenate(out)
-
-
 def _table_derivative(f: np.ndarray, axis: int, h: float, even_start: bool) -> np.ndarray:
     """Fourth-order central derivative on a half-step-offset uniform table.
 
@@ -646,23 +631,36 @@ def equivariance_residual(values: np.ndarray, cfg: SymmetryConfig) -> float:
 def interpolated_equivariance_bias(coefficients: np.ndarray, cfg: SymmetryConfig,
                                    grid: BallGrid) -> float:
     """Worst |E c(g x) - phi(g) E c(x)| / sup |E c| over interior nodes x and
-    INTERPOLATED_SAMPLES seeded random full-group elements g, E c(g x) read off
-    c through the class's own profile: rounding-level without a tail (a class
-    profile is invariant under rotations inside each plane), else the
-    off-lattice defect of the active orthogonal tail, only lattice-sampled."""
-    u = class_field(coefficients, cfg, grid)
-    peak = float(np.max(np.abs(u)))
+    INTERPOLATED_SAMPLES seeded random full-group elements g, for in-class c.
+
+    At alpha = 0, g moves plane radii only by the plane permutation of its
+    twists, as the lattice element with the same twists and character does;
+    c is fixed by the sampling subgroup's average, and a class profile is
+    invariant under rotations inside each plane.  So with R the tail rotation
+    of g, E c(g x) - phi(g) E c(x) = phi(g) (E T_R c - E c)(x), where T_R c
+    reads the tail axes of c at R x_tail: exactly 0 without an active tail,
+    else the off-lattice defect of the tail, which the class samples only on
+    the lattice.  VariationalError at alpha > 0: pinwheel steps mix planes.
+    """
+    if cfg.alpha > 0:
+        raise VariationalError(f"the interpolated bias needs alpha = 0, got {cfg.alpha}")
+    if not cfg.tail_active:
+        return 0.0
+    peak = float(np.max(np.abs(class_field(coefficients, cfg, grid))))
     if peak == 0.0:
         return 0.0
+    d = cfg.tail_dim
+    flat = coefficients.reshape(coefficients.shape[:-d] + (-1,))  # the tail axes as one
+    nodes = np.indices((grid.points_per_axis,) * d).reshape(d, -1).T * grid.h - grid.radius
     rng = np.random.default_rng(0)
-    inside = grid.mask.ravel()
-    pts = grid.points()[inside]
-    own = u.ravel()[inside]
     worst = 0.0
     for _ in range(INTERPOLATED_SAMPLES):
-        g = random_element(cfg, rng)
-        resid = np.abs(_class_values(coefficients, grid, act_points(g, pts)) - phi(g) * own)
-        worst = max(worst, float(np.max(resid)))
+        rows = np.ones((len(nodes), 1))  # row k reads the tail of c at R times tail node k
+        for x in (nodes @ random_element(cfg, rng).tail.T).T:
+            rows = (rows[:, :, None] * _axis_weights(grid, x, False)[:, None]).reshape(len(x), -1)
+        moved = (flat @ rows.T).reshape(coefficients.shape)
+        diff = class_field(moved - coefficients, cfg, grid).take(grid.interior)
+        worst = max(worst, float(np.max(np.abs(diff))))
     return worst / peak
 
 
@@ -865,30 +863,29 @@ def solve_peak_bytes(grid: BallGrid) -> int:
       in the descent, a trial's field, or the pull-back's scattered gradient
       and the transposed copy its plane contraction makes: 2;
     - the largest of three stages:
-      - the interpolated bias: its own class field, one point chunk of the
-        profile read (at most 3 arrays) and (2n + 5) M for the interior
-        points, their images and the residuals;
+      - the end-of-run certificates: the symmetrization gap and the
+        equivariance residual hold 3 arrays each, the interpolated bias at
+        most 2 and 2 M (a class field, its contraction's temporaries);
       - the reduced level estimate: 10 profile tables of n_r^2 (2 n_r)^(n - 4)
         entries, n_r = 2(N - 1) (two rotation planes, the fewest any
         accepted class averages);
       - a line-search trial's energy pass, on interior vectors only: its
         stacks, temporaries, two gradients and the quotient gradient's
-        temporaries peak at (2n + 10) M, below the bias stage since M is
-        under a third of the cube for every n >= 4;
+        temporaries peak at (2n + 10) M;
     - the seven class-coefficient tensors (c, d, their previous values, the
       trial, s, y; at most N^(n-2) entries each) and the plane tables fit in
       the mask's unused 7/8; the lattice subgroup (38 KB for (6, 0, (1, 0)))
       and the other caches in a fixed 64 KiB.
-    The other stages (seeding, class maps, the certificates) peak lower.  A
-    whole solve traced with tracemalloc, after numpy.random's first-use
-    import, peaks at 0.94 of this bound at 13^4 and 21^4, 0.92 at 5^6 and
-    7^6, 0.82 to 0.83 at 7^5 to 11^5, and 0.84 (0.54 GiB) at 13^6.
+    The other stages (seeding, class maps) peak lower.  A whole solve traced
+    with tracemalloc, after numpy.random's first-use import, peaks at 0.93
+    of this bound at 13^4, 0.94 at 21^4, 0.92 to 0.94 at 7^5 to 11^5, 0.92
+    at 5^6 and 7^6, and 0.95 (0.54 GiB) at 13^6.
     """
     cube = math.prod(grid.shape)
     inside = _interior_count_bound(grid)
     n_r = int(math.ceil(grid.radius / (grid.h / REDUCED_REFINE)))  # as reduced_level_estimate
     tables = n_r ** 2 * (2 * n_r) ** max(grid.n - 4, 0)
-    stage = max(4 * cube + (2 * grid.n + 5) * inside, 10 * tables)
+    stage = max(3 * cube, 10 * tables, (2 * grid.n + 10) * inside)
     return ((grid.n + 6) * cube + (2 * grid.n + 3) * inside + stage) * 8 + 2 ** 16
 
 
@@ -924,8 +921,9 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     rotation-invariant profiles the continuum symmetry demands; without them
     a coarse lattice admits spurious isolated concentration bumps whose
     discrete energy undercuts the symmetric level and drifts under
-    refinement.  The level estimate and the interpolated bias read the final
-    coefficients through the class's own profile, not the grid field.
+    refinement.  The level estimate reads the final coefficients through the
+    class's own profile and the interpolated bias reads their tail factor;
+    neither resamples the grid field.
 
     Each line-search trial costs one energy pass, which yields its quotient
     and, if accepted, the next gradient as an interior vector.  That vector

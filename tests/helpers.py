@@ -1,13 +1,22 @@
 """Test helpers that no command or solve path calls: the closed-form
-energies behind criterion 8 and a typed reader of ``report.txt``."""
+energies behind criterion 8, a typed reader of ``report.txt`` and the
+pointwise read of a class profile that the interpolated bias is checked
+against."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from cknsym.grid import BallGrid
 from cknsym.kvdoc import get_float, get_int, get_ints, parse_kv
-from cknsym.variational import ProblemParams
+from cknsym.symmetry import SymmetryConfig, act_points, phi, random_element
+from cknsym.variational import (
+    INTERPOLATED_SAMPLES,
+    ProblemParams,
+    _axis_weights,
+    class_field,
+)
 
 
 @dataclass(frozen=True)
@@ -86,3 +95,37 @@ def report_summary_from_doc(text: str) -> dict:
         else:
             out[key] = get_float(pairs, key, None)
     return out
+
+
+def class_values(coefficients: np.ndarray, grid: BallGrid, pts: np.ndarray) -> np.ndarray:
+    """E c at the rows of pts (m x n), read through their plane radii and tail
+    coordinates, in point chunks whose intermediate fits in one grid array."""
+    planes = grid.n - coefficients.ndim
+    chunk = math.prod(grid.shape) // math.prod(coefficients.shape[1:])
+    out = []
+    for part in np.split(pts, range(chunk, len(pts), chunk)):
+        coords = [np.hypot(*part[:, 2 * k:2 * k + 2].T) for k in range(planes)]
+        vals = coefficients[None]
+        for ax, x in enumerate(coords + list(part[:, 2 * planes:].T)):  # pointwise contractions
+            vals = np.einsum("ia,ia...->i...", _axis_weights(grid, x, ax < planes), vals)
+        out.append(vals)
+    return np.concatenate(out)
+
+
+def pointwise_bias(coefficients: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) -> float:
+    """The interpolated bias read pointwise: E c at every interior node moved
+    by each of the seeded random full-group elements, against phi(g) E c."""
+    u = class_field(coefficients, cfg, grid)
+    peak = float(np.max(np.abs(u)))
+    if peak == 0.0:
+        return 0.0
+    rng = np.random.default_rng(0)
+    inside = grid.mask.ravel()
+    pts = grid.points()[inside]
+    own = u.ravel()[inside]
+    worst = 0.0
+    for _ in range(INTERPOLATED_SAMPLES):
+        g = random_element(cfg, rng)
+        resid = np.abs(class_values(coefficients, grid, act_points(g, pts)) - phi(g) * own)
+        worst = max(worst, float(np.max(resid)))
+    return worst / peak

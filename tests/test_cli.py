@@ -216,6 +216,7 @@ def test_solve_writes_the_result_bundle(tmp_path, capsys):
 @pytest.mark.parametrize("setting", [
     "checkpoint_every: -1", "max_iters: -3", "initial_step: 0", "initial_step: -0.2",
     "tol: -1", "tol: nan", "subcritical_shift: -1", "seed_width: -0.1",
+    "tol: inf", "initial_step: inf", "seed_width: inf", "subcritical_shift: inf",
     "radius: 1e100", "radius: 1e-100", "radius: inf", "seed_offset: nan", "seed_offset: inf"])
 def test_solve_rejects_meaningless_options(tmp_path, capsys, setting):
     base = SOLVE_DOC.replace("max_iters: 12\n", "")

@@ -25,7 +25,6 @@ from cknsym.variational import (
     VariationalError,
     _catmull_rom_matrix,
     _class_profile,
-    _class_values,
     _save_checkpoint,
     class_coefficients,
     class_field,
@@ -46,7 +45,9 @@ from cknsym.variational import (
 from helpers import (
     GaussianProfile,
     analytic_energy,
+    class_values,
     dilation_invariance_gap,
+    pointwise_bias,
     report_summary_from_doc,
 )
 
@@ -733,7 +734,7 @@ def test_class_profile_is_the_class_field_at_nodes(cfg, grid):
     bound = 1e-11 * np.max(np.abs(u))
     assert np.max(np.abs(got - expect)) <= bound
     assert np.max(np.abs(got - oracle)) <= bound
-    assert np.max(np.abs(_class_values(c, grid, grid.points()) - u.ravel())) <= bound
+    assert np.max(np.abs(class_values(c, grid, grid.points()) - u.ravel())) <= bound
     # even in the signed plane radius, as the estimate's derivative assumes
     off = rho + 0.3 * grid.h
     between = _class_profile(c, grid, off, line)
@@ -747,7 +748,7 @@ def test_class_profile_is_the_class_field_at_nodes(cfg, grid):
         pts[:, 2 * k + 1] = -0.8 * mesh[k].ravel()
     for j, m in enumerate(mesh[planes:]):
         pts[:, 2 * planes + j] = m.ravel()
-    assert np.max(np.abs(_class_values(c, grid, pts) - between.ravel())) <= bound
+    assert np.max(np.abs(class_values(c, grid, pts) - between.ravel())) <= bound
 
 
 def _traced_peak(call):
@@ -776,15 +777,20 @@ def test_reduced_level_estimate_peaks_below_half_a_solve():
 
 
 @pytest.mark.parametrize("cfg, grid, low, high", [
-    (CFG4, BallGrid(4, 13, 1.0), 0.0, 1e-12),
-    (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 5, 1.0), 1e-6, 1.0)], ids=["13^4", "5^6"])
+    (CFG4, BallGrid(4, 13, 1.0), None, None),
+    (SymmetryConfig(5, 0, (1,)), BallGrid(5, 7, 1.0), None, None),
+    (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 5, 1.0), 1e-6, 1.0)],
+    ids=["13^4", "7^5", "5^6"])
 def test_interpolated_bias_is_the_tail_defect(cfg, grid, low, high):
     """A class profile is invariant under rotations inside each plane, so the
-    bias is rounding-level without a tail; the active O(2) tail of
+    bias is exactly 0 without an active tail; the active O(2) tail of
     (6, 0, (1, 0)) is only lattice-sampled, so there it is not."""
     c = class_coefficients(seed_field(cfg, grid), cfg, grid)
     bias = interpolated_equivariance_bias(c, cfg, grid)
-    assert low < bias <= high
+    if low is None:
+        assert bias == 0.0
+    else:
+        assert low < bias <= high
     assert interpolated_equivariance_bias(3.0 * c, cfg, grid) == pytest.approx(bias, rel=1e-9,
                                                                                abs=1e-15)
     assert interpolated_equivariance_bias(np.zeros_like(c), cfg, grid) == 0.0
@@ -795,7 +801,43 @@ def test_interpolated_bias_is_the_tail_defect(cfg, grid, low, high):
 def test_interpolated_bias_peaks_below_half_a_solve(cfg, grid):
     c = class_coefficients(seed_field(cfg, grid), cfg, grid)
     peak = _traced_peak(lambda: interpolated_equivariance_bias(c, cfg, grid))
-    assert peak <= 0.5 * solve_peak_bytes(grid)
+    assert peak <= 0.25 * solve_peak_bytes(grid)
+
+
+@pytest.mark.parametrize("cfg, grid", [(SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 5, 1.0)),
+                                       (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 7, 1.0))],
+                         ids=["5^6", "7^6"])
+def test_interpolated_bias_matches_the_pointwise_read(cfg, grid):
+    """The tail-factor read equals the pointwise read of the whole profile
+    at moved interior nodes, for the seed's class coefficients and for the
+    projection of a random field."""
+    for u in (seed_field(cfg, grid), random_bumps(grid, np.random.default_rng(21))):
+        c = class_coefficients(u, cfg, grid)
+        bias = interpolated_equivariance_bias(c, cfg, grid)
+        assert bias > 1e-6
+        assert abs(bias - pointwise_bias(c, cfg, grid)) <= 1e-12
+
+
+@pytest.mark.parametrize("cfg, grid", [(CFG4, BallGrid(4, 13, 1.0)),
+                                       (SymmetryConfig(5, 0, (1,)), BallGrid(5, 7, 1.0))],
+                         ids=["13^4", "7^5"])
+def test_interpolated_bias_without_an_active_tail_is_zero(cfg, grid):
+    """The pointwise read gives rounding only where there is no active tail,
+    and the tail-factor read gives exactly 0 there."""
+    for u in (seed_field(cfg, grid), random_bumps(grid, np.random.default_rng(22))):
+        c = class_coefficients(u, cfg, grid)
+        assert pointwise_bias(c, cfg, grid) <= 1e-12
+        assert interpolated_equivariance_bias(c, cfg, grid) == 0.0
+
+
+def test_interpolated_bias_refuses_a_pinwheel_class():
+    """Random pinwheel steps mix rotation planes, which a tail-only read
+    would not see."""
+    cfg = SymmetryConfig(4, 1, ())
+    c = class_coefficients(seed_field(cfg, GRID4), cfg, GRID4)
+    assert pointwise_bias(c, cfg, GRID4) > 1.0
+    with pytest.raises(VariationalError, match="alpha = 0"):
+        interpolated_equivariance_bias(c, cfg, GRID4)
 
 
 # --------------------------------------------------------------------------
@@ -1003,8 +1045,11 @@ def test_solver_refuses_a_grid_that_cannot_fit():
 
 
 @pytest.mark.parametrize("cfg, grid", [(CFG4, BallGrid(4, 13, 1.0)),
-                                       (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 5, 1.0))],
-                         ids=["13^4", "5^6"])
+                                       (CFG4, BallGrid(4, 21, 1.0)),
+                                       (SymmetryConfig(5, 0, (1,)), BallGrid(5, 9, 1.0)),
+                                       (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 5, 1.0)),
+                                       (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 7, 1.0))],
+                         ids=["13^4", "21^4", "9^5", "5^6", "7^6"])
 def test_peak_estimate_matches_the_traced_peak(cfg, grid):
     peak = _traced_peak(lambda: solve(cfg, grid, options=SolveOptions(max_iters=4)))
     assert 0.75 <= peak / solve_peak_bytes(grid) <= 1.0
