@@ -26,7 +26,6 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -163,42 +162,31 @@ def backward_diffs(grid: BallGrid, values: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 # persistence: one JSON header line, then raw little-endian float64, C order.
 # Fields and solver checkpoints share this container; they differ only in
-# the format tag, the array count, the array shape and the extra header keys.
+# the format tag, the array shape and the extra header keys.
 
 
-def write_arrays(path: str | Path, fmt: str, version: int, grid: BallGrid,
-                 fields: Sequence[np.ndarray], **extra) -> None:
-    """Write same-shaped arrays under one header, replacing ``path`` atomically.
+def write_array(path: str | Path, fmt: str, version: int, grid: BallGrid,
+                values: np.ndarray, **extra) -> None:
+    """Write one array under a header, replacing ``path`` atomically.
 
-    The header records the array count as ``arrays`` when it is not 1, and
-    the array shape as ``shape`` when it is not the grid's.  The bytes go to
-    a sibling temporary file first, so a run killed mid-write leaves the
-    previous file intact.
+    The header records the array shape as ``shape`` when it is not the
+    grid's.  The bytes go to a sibling temporary file first, so a run killed
+    mid-write leaves the previous file intact.
     """
-    shape = fields[0].shape
-    if any(values.shape != shape for values in fields):
-        raise GridError(f"the arrays of one file must share one shape, got {shape} and others")
     header = {"format": fmt, "version": version, "n": grid.n,
               "points_per_axis": grid.points_per_axis, "radius": grid.radius,
               "dtype": "<f8", **extra}
-    if len(fields) != 1:
-        header["arrays"] = len(fields)
-    if shape != grid.shape:
-        header["shape"] = list(shape)
+    if values.shape != grid.shape:
+        header["shape"] = list(values.shape)
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
-        for values in fields:
-            fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
     os.replace(tmp, path)
 
 
-def read_arrays(path: str | Path, fmt: str, version: int,
-                counts: tuple[int, ...] = (1,)) -> tuple[dict, BallGrid, list[np.ndarray]]:
-    """Header, grid and arrays of a ``write_arrays`` file; GridError if malformed.
-
-    ``counts`` lists the array counts (header key ``arrays``) the caller accepts.
-    """
+def read_array(path: str | Path, fmt: str, version: int) -> tuple[dict, BallGrid, np.ndarray]:
+    """Header, grid and array of a ``write_array`` file; GridError if malformed."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()
@@ -213,30 +201,25 @@ def read_arrays(path: str | Path, fmt: str, version: int,
     try:
         grid = BallGrid(int(header["n"]), int(header["points_per_axis"]),
                         float(header["radius"]))
-        count = int(header.get("arrays", 1))
         shape = tuple(int(k) for k in header.get("shape", grid.shape))
         if min(shape, default=0) < 0:
             raise ValueError(f"negative shape {list(shape)}")
     except (KeyError, TypeError, ValueError) as exc:
         raise GridError(f"malformed {fmt} header: {exc!r}") from exc
-    if count not in counts:
-        raise GridError(f"{fmt} file holds {count} arrays, expected one of {counts}")
-    size = math.prod(shape)
-    if len(payload) != count * size * 8:
-        raise GridError(f"{fmt} payload has {len(payload)} bytes, expected {count * size * 8}")
-    flat = np.frombuffer(payload, dtype="<f8")
-    arrays = [flat[i * size:(i + 1) * size].reshape(shape).copy() for i in range(count)]
-    return header, grid, arrays
+    if len(payload) != math.prod(shape) * 8:
+        raise GridError(f"{fmt} payload has {len(payload)} bytes, "
+                        f"expected {math.prod(shape) * 8}")
+    return header, grid, np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
 
 
 def save_field(path: str | Path, grid: BallGrid, values: np.ndarray) -> None:
     if values.shape != grid.shape:
         raise GridError(f"field shape {values.shape} does not match grid {grid.shape}")
-    write_arrays(path, FIELD_FORMAT, FIELD_VERSION, grid, [values])
+    write_array(path, FIELD_FORMAT, FIELD_VERSION, grid, values)
 
 
 def load_field(path: str | Path) -> tuple[BallGrid, np.ndarray]:
-    _, grid, arrays = read_arrays(path, FIELD_FORMAT, FIELD_VERSION)
-    if arrays[0].shape != grid.shape:
-        raise GridError(f"field shape {arrays[0].shape} does not match grid {grid.shape}")
-    return grid, arrays[0]
+    _, grid, values = read_array(path, FIELD_FORMAT, FIELD_VERSION)
+    if values.shape != grid.shape:
+        raise GridError(f"field shape {values.shape} does not match grid {grid.shape}")
+    return grid, values

@@ -92,7 +92,6 @@ class LatticeElement:
     sign: int  # value of the sign character
 
 
-@functools.cache
 def lattice_subgroup(cfg: SymmetryConfig) -> tuple[LatticeElement, ...]:
     """Enumerate the grid-exact sampling subgroup with its character values.
 
@@ -103,8 +102,15 @@ def lattice_subgroup(cfg: SymmetryConfig) -> tuple[LatticeElement, ...]:
     permutation is read off ``to_matrix``, which is refused unless it is
     grid-exact, and its sign is ``phi``.  The pinwheel varies slowest, then
     the blocks in layout order, then the tail; within a factor the step or
-    twist varies slower than the angle.  Built once per configuration.
+    twist varies slower than the angle.  Built once per (n, alpha, m): the
+    regime does not enter the group.
     """
+    return _lattice_subgroup(cfg.n, cfg.alpha, cfg.m)
+
+
+@functools.cache
+def _lattice_subgroup(n: int, alpha: int, m: tuple[int, ...]) -> tuple[LatticeElement, ...]:
+    cfg = SymmetryConfig(n, alpha, m)  # a_less_b admits every admissible (n, alpha, m)
     layout = make_layout(cfg)
     quarters = [k * math.pi / 2.0 for k in range(4)]
     pinwheel = [None]

@@ -7,11 +7,13 @@ term averages forward and backward difference stacks, which keeps the p = 2
 energy exactly invariant under every signed coordinate permutation and
 suppresses checkerboard modes for all p.  Minimization runs inside the cone
 of fields that transform by the sign character under the grid-exact sampling
-subgroup: the iterate lives in class coordinates and is never re-projected
-on the grid, its field is rescaled onto the discrete Nehari manifold, and
-steps are accepted only on strict energy decrease, so the reported energy
-history is monotone by construction.  Each gradient is pulled back into the
-class by the subgroup's signed average on the coefficient tensor; the grid
+subgroup: the iterate lives in orthonormal class coordinates and is never
+re-projected on the grid, its field is rescaled onto the discrete Nehari
+manifold, and steps are accepted only on strict energy decrease, so the
+reported energy history is monotone by construction.  Each step is a
+Sobolev gradient step (Neuberger): the class gradient preconditioned by the
+p = 2 kinetic Hessian restricted to the class (Wang and Zhou), which at
+p = 2 makes the full step nonlinear inverse iteration.  The grid
 ``symmetrize`` serves only the seed and the end-of-run certificates.
 
 Sign-changing structure is certified, not assumed: the returned report
@@ -43,8 +45,8 @@ from .grid import (
     backward_diffs,
     field_from_function,
     forward_diffs,
-    read_arrays,
-    write_arrays,
+    read_array,
+    write_array,
 )
 from .kvdoc import format_kv, format_value
 from .lattice import SignedPerm, apply_perm_to_grid, lattice_subgroup
@@ -57,13 +59,10 @@ from .symmetry import (
 )
 
 CHECKPOINT_FORMAT = "cknsym-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
-# line search: smallest trial step relative to the step cap, halvings per
-# step, and the growth of a spectral step whose curvature test fails
-MIN_STEP = 1e-10
-MAX_BACKTRACKS = 40
-STEP_GROWTH = 1.25
+MIN_STEP = 1e-10  # the line search halves the relative step down to this
+METRIC_CUT = 1e-6  # metric eigenvalues below this share of the largest carry no energy
 INTERPOLATED_SAMPLES = 8  # random full-group elements in the bias diagnostic
 REDUCED_REFINE = 4  # profile table step of the reduced level: grid step / 4
 KINETIC_EPS = 1e-8  # kinetic-density regularisation for p != 2
@@ -142,7 +141,7 @@ class SolveOptions:
 
     max_iters: int = 400
     tol: float = 1e-5  # relative first-variation tolerance, dimensionless
-    initial_step: float = 0.2  # relative displacement per accepted step
+    initial_step: float = 1.0  # first relative step, capped at 1: a full metric step
     subcritical_shift: float = 0.5
     seed_offset: float = 0.55
     seed_width: float = 0.18
@@ -320,13 +319,13 @@ class DiscreteEnergy:
             raise VariationalError("quotient needs a nonzero field inside the ball")
         return k / b ** (self.params.p / self.params.q)
 
-    def quotient_and_gradient(self, u: np.ndarray) -> tuple[float, np.ndarray]:
-        """The quotient and its node gradient, an interior vector, from one energy pass."""
+    def quotient_and_gradient(self, u: np.ndarray) -> tuple[float, np.ndarray, float]:
+        """The quotient, its interior node gradient and B^(p/q), from one energy pass."""
         k, b, gk, gb = self.evaluate(u)
         if not (k > 0 and b > 0):
             raise VariationalError("quotient needs a nonzero field inside the ball")
         r = self.params.p / self.params.q
-        return k / b ** r, (gk - r * (k / b) * gb) / b ** r
+        return k / b ** r, (gk - r * (k / b) * gb) / b ** r, b ** r
 
     def level_from_quotient(self, quotient: float) -> float:
         """J value on the Nehari manifold along the ray realizing the quotient."""
@@ -388,13 +387,9 @@ def symmetrize(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) -> np.nd
     """Average sign(g) * u(g x) over the sampling subgroup: an exact projection."""
     elements = lattice_subgroup(cfg)
     acc = np.zeros(grid.shape)
-    for e in elements:
-        moved = apply_perm_to_grid(values, e.perm)
-        if e.sign > 0:
-            acc += moved
-        else:
-            acc -= moved
-    return acc / len(elements)
+    for e in elements:  # in place: each permuted copy is freed before the next is made
+        (np.add if e.sign > 0 else np.subtract)(acc, apply_perm_to_grid(values, e.perm), out=acc)
+    return np.divide(acc, len(elements), out=acc)
 
 
 def _catmull_rom_matrix(t: np.ndarray, size: int, radial: bool) -> np.ndarray:
@@ -465,9 +460,10 @@ def _class_basis(cfg: SymmetryConfig, grid: BallGrid) -> tuple[np.ndarray, int]:
 
 
 @functools.cache
-def _tensor_action(cfg: SymmetryConfig, planes: int) -> tuple[tuple[SignedPerm, float], ...]:
-    """The sampling subgroup's signed average as it acts on class
-    coefficients: pairs (R, w) with sum_R w R c = E^T symmetrize(E c).
+def _tensor_action(n: int, alpha: int, m: tuple[int, ...],
+                   planes: int) -> tuple[tuple[SignedPerm, float], ...]:
+    """The sampling subgroup of (n, alpha, m) (any regime) as it acts on
+    class coefficients: pairs (R, w) with sum_R w R c = E^T symmetrize(E c).
 
     Element g carries plane k onto plane source[2k] // 2, unsigned (Q rows
     depend only on the plane radius), and tail axis j onto tail axis
@@ -476,6 +472,7 @@ def _tensor_action(cfg: SymmetryConfig, planes: int) -> tuple[tuple[SignedPerm, 
     dropped, so a {0} class has no pairs.  VariationalError if an element
     splits a rotation plane.
     """
+    cfg = SymmetryConfig(n, alpha, m)
     elements = lattice_subgroup(cfg)
     weights: dict[SignedPerm, int] = {}
     for e in elements:
@@ -494,17 +491,20 @@ def _tensor_action(cfg: SymmetryConfig, planes: int) -> tuple[tuple[SignedPerm, 
 def _tensor_average(coefficients: np.ndarray, cfg: SymmetryConfig, planes: int) -> np.ndarray:
     """The sampling subgroup's signed average applied to class coefficients."""
     acc = np.zeros(coefficients.shape)
-    for perm, w in _tensor_action(cfg, planes):
+    for perm, w in _tensor_action(cfg.n, cfg.alpha, cfg.m, planes):
         acc += w * apply_perm_to_grid(coefficients, perm)
     return acc
 
 
-def _contract_planes(t: np.ndarray, m: np.ndarray, planes: int) -> np.ndarray:
-    """Contract each leading plane axis of t with m's second axis, last plane
-    first; each result axis goes in front, so the axes keep their order."""
-    for _ in range(planes):
-        t = np.tensordot(m, t, axes=([1], [planes - 1]))
-    return t
+def _contract_planes(t: np.ndarray, ms: list[np.ndarray]) -> np.ndarray:
+    """Contract the k-th leading axis of t with the second axis of ms[k],
+    leading axis first; each result axis takes its place, so no axis moves
+    and no operand is copied."""
+    shape = t.shape
+    for k, m in enumerate(ms):
+        t = np.matmul(m, t.reshape(math.prod(shape[:k]), shape[k], -1))
+        shape = shape[:k] + (m.shape[0],) + shape[k + 1:]
+    return t.reshape(shape)
 
 
 def class_shape(cfg: SymmetryConfig, grid: BallGrid) -> tuple[int, ...]:
@@ -516,7 +516,7 @@ def class_shape(cfg: SymmetryConfig, grid: BallGrid) -> tuple[int, ...]:
 def class_field(coefficients: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) -> np.ndarray:
     """The grid field E c of class coefficients c."""
     q, planes = _class_basis(cfg, grid)
-    return _contract_planes(coefficients, q, planes).reshape(grid.shape)
+    return _contract_planes(coefficients, [q] * planes).reshape(grid.shape)
 
 
 def class_coefficients(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) -> np.ndarray:
@@ -529,7 +529,80 @@ def class_coefficients(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) 
     q, planes = _class_basis(cfg, grid)
     npts = grid.points_per_axis
     split = (npts * npts,) * planes + (npts,) * (grid.n - 2 * planes)
-    return _tensor_average(_contract_planes(np.reshape(values, split), q.T, planes), cfg, planes)
+    return _tensor_average(_contract_planes(np.reshape(values, split), [q.T] * planes),
+                           cfg, planes)
+
+
+def class_basis(cfg: SymmetryConfig, grid: BallGrid) -> tuple[np.ndarray, np.ndarray, int]:
+    """An orthonormal basis S of the class in coefficient space, as
+    (col, val, dim) over the flat coefficient indices: S y = val * y[col]
+    (col = dim and val = 0 where no column reaches).  The tensor action
+    permutes indices, so the projector P onto the class has rank 1 on an
+    orbit O whose stabilizer the character fixes, else 0; its column is
+    P e_o / |P e_o| for the least index o of O: +-1/sqrt(|O|) on O.
+    """
+    shape = class_shape(cfg, grid)
+    labels = np.arange(math.prod(shape))
+    action = _tensor_action(cfg.n, cfg.alpha, cfg.m, _class_basis(cfg, grid)[1])
+    moved = [apply_perm_to_grid(labels.reshape(shape), perm).ravel() for perm, _ in action]
+    low = np.min(moved or [labels], axis=0)  # each orbit's least index
+    proj = sum((w * (row == low) for (_, w), row in zip(action, moved)), np.zeros(labels.size))
+    keep = (norm := proj[low]) > 1e-9  # |P e_o|^2 of each index's orbit: 0, or at least 1/|G|
+    roots = np.flatnonzero(keep & (low == labels))
+    col = np.where(keep, np.searchsorted(roots, low), len(roots))
+    return col, np.where(keep, proj / np.sqrt(np.where(keep, norm, 1.0)), 0.0), len(roots)
+
+
+def _class_hessian(energy: "DiscreteEnergy", cfg: SymmetryConfig,
+                   basis: tuple[np.ndarray, np.ndarray, int]) -> np.ndarray:
+    """H = S^T E^T L E S, L the Hessian of the masked, w_grad-weighted p = 2
+    kinetic form: a diagonal term and, per axis k, a term over the interior
+    pairs (x, x + e_k).  E is Q on each rotation plane and the identity on
+    the tail, so a term summed over plane nodes a against Q[a, i] Q[a', i']
+    (a' = a + e_k on the plane holding k, else a; Q rows depend only on the
+    plane radius, so nodes are binned by the radii at a and a') couples
+    coefficients whose tail indices agree, or differ by e_k on a tail axis.
+    S gathers it into G per tail index; with the diagonal term halved,
+    H = G + G^T is exactly symmetric."""
+    g = energy.grid
+    q, planes = _class_basis(cfg, g)
+    col, val, dim = basis
+    npts, r = g.points_per_axis, q.shape[1]
+    tails = npts ** (g.n - 2 * planes)
+    col, val = col.reshape(-1, tails), val.reshape(-1, tails)
+    fwd, bwd = g.neighbours
+    w = np.append(energy._w_grad_in, 0.0) * (g.cell_volume / g.h ** 2)  # zero sentinel
+    sq = (np.arange(npts) - npts // 2) ** 2
+    rad = (sq[:, None] + sq[None, :]).ravel()  # each plane node's squared radius, in steps
+    rows, cols = (r, 1) * planes, (1, r) * planes  # i and i' of each plane's pair axes
+    acc = np.zeros((dim + 1) ** 2)
+    for k in (None, *range(g.n)):
+        values = (0.5 * (2 * g.n * w[:-1] + sum(w.take(f) + w.take(b) for f, b in zip(fwd, bwd)))
+                  if k is None else np.where(fwd[k] < len(w) - 1, -(w[:-1] + w.take(fwd[k])), 0.0))
+        key, tables = 0, []
+        for p in range(planes):
+            shift = 0 if k is None or k // 2 != p else npts if k % 2 == 0 else 1
+            keys = (rad * rad.size + np.roll(rad, -shift)).tolist()  # radii at a and a'
+            ids = {key: i for i, key in enumerate(dict.fromkeys(keys))}  # np.unique loads numpy.ma
+            bins, first = np.array([ids[key] for key in keys]), [keys.index(key) for key in ids]
+            node = g.interior // (tails * npts ** (2 * (planes - 1 - p))) % npts ** 2
+            key = key * len(first) + bins[node]
+            tables.append((q[first, :, None] * np.roll(q, -shift, axis=0)[first, None, :])
+                          .reshape(len(first), r * r).T)
+        sizes = [len(table.T) for table in tables] + [tails]
+        binned = np.bincount(key * tails + g.interior % tails, values,
+                             minlength=math.prod(sizes)).reshape(sizes)
+        del values, key, node
+        step = npts ** (g.n - 1 - k) if k is not None and k >= 2 * planes else 0
+        for t in range(tails - step):  # past the last tail index no pair is interior
+            part = _contract_planes(binned[..., t], tables).reshape((r, r) * planes)
+            part *= val[:, t].reshape(rows)
+            part *= val[:, t + step].reshape(cols)
+            pairs = col[:, t].reshape(rows) * (dim + 1) + col[:, t + step].reshape(cols)
+            np.add.at(acc, pairs.ravel(), part.ravel())
+        del part, pairs  # before the next term builds its own
+    h = acc.reshape(dim + 1, dim + 1)[:dim, :dim]
+    return h + h.T
 
 
 def _axis_weights(grid: BallGrid, x: np.ndarray, plane: bool) -> np.ndarray:
@@ -622,9 +695,11 @@ def equivariance_residual(values: np.ndarray, cfg: SymmetryConfig) -> float:
     if peak == 0.0:
         return 0.0
     worst = 0.0
-    for e in lattice_subgroup(cfg):
-        moved = apply_perm_to_grid(values, e.perm)
-        worst = max(worst, float(np.max(np.abs(moved - e.sign * values))))
+    diff = np.empty(values.shape)  # moved may be values itself: the identity copies nothing
+    for e in lattice_subgroup(cfg):  # diff = u(g x) - sign * u(x), bit for bit
+        (np.subtract if e.sign > 0 else np.add)(apply_perm_to_grid(values, e.perm), values,
+                                                out=diff)
+        worst = max(worst, float(np.max(np.abs(diff, out=diff))))
     return worst / peak
 
 
@@ -746,6 +821,7 @@ class SolveReport:
     params: ProblemParams
     solver_exponent: float
     grid_points: int
+    class_dimension: int
     converged: bool
     stop_reason: str
     iterations: int
@@ -792,13 +868,9 @@ def report_to_doc(report: SolveReport) -> str:
 
 def _save_checkpoint(path: str | Path, cfg: SymmetryConfig, grid: BallGrid,
                      solver_exponent: float, iteration: int, step: float,
-                     c: np.ndarray, history: list[float],
-                     prev_c: np.ndarray | None = None,
-                     prev_d: np.ndarray | None = None) -> None:
-    # the spectral-step memory is part of the solver state: restoring it
-    # makes a resumed run retrace the uninterrupted trajectory
-    arrays = [c] if prev_c is None else [c, prev_c, prev_d]
-    write_arrays(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, grid, arrays,
+                     y: np.ndarray, history: list[float]) -> None:
+    # the coordinates and the last relative step are the whole descent state
+    write_array(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, grid, y,
                  alpha=cfg.alpha, m=list(cfg.m), regime=cfg.regime,
                  solver_exponent=solver_exponent, iteration=iteration, step=step,
                  history=[float(v) for v in history])
@@ -806,10 +878,9 @@ def _save_checkpoint(path: str | Path, cfg: SymmetryConfig, grid: BallGrid,
 
 def load_checkpoint(path: str | Path) -> dict:
     """A checkpoint's solver state; VariationalError if the file is malformed,
-    its grid cannot fit or its coefficients are not of the class shape."""
+    its grid cannot fit or its coordinates do not span the class."""
     try:
-        header, grid, arrays = read_arrays(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
-                                           counts=(1, 3))
+        header, grid, y = read_array(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
         cfg = SymmetryConfig(grid.n, header["alpha"], tuple(header["m"]),
                              regime=header["regime"])
         state = {"solver_exponent": float(header["solver_exponent"]),
@@ -817,13 +888,12 @@ def load_checkpoint(path: str | Path) -> dict:
                  "history": [float(v) for v in header["history"]]}
     except (KeyError, TypeError, ValueError) as exc:
         raise VariationalError(f"unusable checkpoint {path}: {exc}") from exc
-    _refuse_unfit(grid)  # the class shape of a huge grid would not fit either
-    if arrays[0].shape != class_shape(cfg, grid):
-        raise VariationalError(f"unusable checkpoint {path}: coefficient shape "
-                               f"{arrays[0].shape} is not the class shape {class_shape(cfg, grid)}")
-    prev_c, prev_d = (arrays[1], arrays[2]) if len(arrays) == 3 else (None, None)
-    return {"config": cfg, "grid": grid, "coefficients": arrays[0],
-            "prev_coefficients": prev_c, "prev_direction": prev_d, **state}
+    _refuse_unfit(grid)  # the class tables of a huge grid would not fit either
+    dim = class_basis(cfg, grid)[2]
+    if y.shape != (dim,):
+        raise VariationalError(f"unusable checkpoint {path}: coordinate shape {y.shape} "
+                               f"is not the class dimension ({dim},)")
+    return {"config": cfg, "grid": grid, "coordinates": y, **state}
 
 
 def _relative_residual(c: np.ndarray, d: np.ndarray, quot: float) -> float:
@@ -850,8 +920,9 @@ def _interior_count_bound(grid: BallGrid) -> int:
     return int(counts.sum())
 
 
-def solve_peak_bytes(grid: BallGrid) -> int:
-    """An upper bound on the bytes a solve holds at its peak.
+def solve_peak_bytes(grid: BallGrid, dim: int = 0) -> int:
+    """An upper bound on the bytes a solve holds at its peak, for a class of
+    dimension dim (0 leaves out the class metric).
 
     Counted from the code in grid arrays of N^n floats, interior vectors of
     M = ``_interior_count_bound`` entries and reduced-level profile tables,
@@ -860,38 +931,39 @@ def solve_peak_bytes(grid: BallGrid) -> int:
       interior indices and neighbour tables: (2n + 1) M;
     - the energy's two interior weights, 2 M, and its summation array: 1;
     - the solver: the iterate's field and its Nehari rescaling at the end;
-      in the descent, a trial's field, or the pull-back's scattered gradient
-      and the transposed copy its plane contraction makes: 2;
-    - the largest of three stages:
-      - the end-of-run certificates: the symmetrization gap and the
-        equivariance residual hold 3 arrays each, the interpolated bias at
-        most 2 and 2 M (a class field, its contraction's temporaries);
+      in the descent, a trial's field, or the pull-back's scattered
+      gradient: 2; the metric's kept eigenvectors: at most dim^2;
+    - the largest of four stages:
+      - the end-of-run certificates: the sign certificate holds 3 arrays,
+        the others at most 2 (and 2 M in the interpolated bias);
       - the reduced level estimate: 10 profile tables of n_r^2 (2 n_r)^(n - 4)
         entries, n_r = 2(N - 1) (two rotation planes, the fewest any
         accepted class averages);
       - a line-search trial's energy pass, on interior vectors only: its
         stacks, temporaries, two gradients and the quotient gradient's
         temporaries peak at (2n + 10) M;
-    - the seven class-coefficient tensors (c, d, their previous values, the
-      trial, s, y; at most N^(n-2) entries each) and the plane tables fit in
-      the mask's unused 7/8; the lattice subgroup (38 KB for (6, 0, (1, 0)))
-      and the other caches in a fixed 64 KiB.
+      - the metric's build, before the descent's two fields exist: its
+        interior vectors and contractions, then H and its eigenvectors;
+    - the class tensors (a trial's coefficients, the pull-back's plane
+      contractions, the basis; at most N^(n-2) entries each) and the plane
+      tables fit in the mask's unused 7/8; the lattice subgroup (38 KB for
+      (6, 0, (1, 0))) and the other caches in a fixed 64 KiB.
     The other stages (seeding, class maps) peak lower.  A whole solve traced
     with tracemalloc, after numpy.random's first-use import, peaks at 0.93
-    of this bound at 13^4, 0.94 at 21^4, 0.92 to 0.94 at 7^5 to 11^5, 0.92
-    at 5^6 and 7^6, and 0.95 (0.54 GiB) at 13^6.
+    of this bound at 13^4, 0.94 at 21^4, 0.88 to 0.89 at 7^5 to 11^5 and
+    0.90 to 0.91 at 5^6 to 9^6.
     """
     cube = math.prod(grid.shape)
     inside = _interior_count_bound(grid)
     n_r = int(math.ceil(grid.radius / (grid.h / REDUCED_REFINE)))  # as reduced_level_estimate
     tables = n_r ** 2 * (2 * n_r) ** max(grid.n - 4, 0)
-    stage = max(3 * cube, 10 * tables, (2 * grid.n + 10) * inside)
-    return ((grid.n + 6) * cube + (2 * grid.n + 3) * inside + stage) * 8 + 2 ** 16
+    stage = max(3 * cube, 10 * tables, (2 * grid.n + 10) * inside, cube + dim * dim)
+    return ((grid.n + 6) * cube + (2 * grid.n + 3) * inside + dim * dim + stage) * 8 + 2 ** 16
 
 
-def _refuse_unfit(grid: BallGrid) -> None:
+def _refuse_unfit(grid: BallGrid, dim: int = 0) -> None:
     """VariationalError when ``solve_peak_bytes`` exceeds physical memory."""
-    need = solve_peak_bytes(grid)
+    need = solve_peak_bytes(grid, dim)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise VariationalError(
@@ -912,11 +984,12 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     the solver exponent sits close to p.  The returned field is the final
     iterate rescaled onto the Nehari manifold.
 
-    The iterate lives in the coordinates of the working class, the range of
-    the circle averages over all rotation planes and the exact lattice
-    symmetrization: the iterate, direction, spectral-step memory and
-    checkpoint are class coefficients, a grid field is built only for each
-    trial's energy pass, and the iterate is never re-projected on the grid.
+    The iterate lives in the coordinates y of the working class, the range
+    of the circle averages over all rotation planes and the exact lattice
+    symmetrization, with coefficients c = S y in the orthonormal orbit basis
+    S (``class_basis``): the iterate, direction and checkpoint are class
+    coordinates, one grid field is built for each trial's sup-normalisation
+    and energy pass, and the iterate is never re-projected on the grid.
     The circle averages keep minimizing sequences inside the
     rotation-invariant profiles the continuum symmetry demands; without them
     a coarse lattice admits spurious isolated concentration bumps whose
@@ -925,12 +998,15 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     class's own profile and the interpolated bias reads their tail factor;
     neither resamples the grid field.
 
-    Each line-search trial costs one energy pass, which yields its quotient
-    and, if accepted, the next gradient as an interior vector.  That vector
-    is scattered onto the grid once and pulled back into the class by E^T
-    and the sampling subgroup's signed average on the coefficient tensor
-    (``class_coefficients``); the grid ``symmetrize`` runs only on the seed
-    and for the end-of-run symmetrization gap.  A class that projects the seed
+    The metric H (``_class_hessian``) is diagonalized once per solve, and
+    its eigenvalues below METRIC_CUT of the largest, whose directions leave
+    the ball and carry no energy, are cut.  Armijo runs on the quotient
+    along -H^+ g with slope g . H^+ g, from the step rho B^(p/q), where rho
+    is the last accepted relative step (first ``initial_step``, capped at
+    1), halving down to MIN_STEP.  Each trial costs one energy pass, whose
+    gradient, if accepted, is scattered onto the grid and pulled back by
+    E^T, the tensor average and S^T; the grid ``symmetrize`` runs only on
+    the seed and for the end-of-run gap.  A class that projects the seed
     below 1e-8 of its peak is {0} (the circle averages force f = -f on a
     block of odd complex width) and is refused as unsupported.  A grid
     whose ``solve_peak_bytes`` exceed physical memory is refused before
@@ -960,110 +1036,102 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     work = params.with_exponent(q_solver)
     energy = DiscreteEnergy(grid, work)
 
+    col, val, dim = basis = class_basis(cfg, grid)
+
+    def coefficients(y: np.ndarray) -> np.ndarray:  # S y
+        return (val * np.append(y, 0.0).take(col)).reshape(class_shape(cfg, grid))
+
+    def coordinates(values: np.ndarray) -> np.ndarray:  # S^T E^T u of a grid field
+        c = class_coefficients(values, cfg, grid).ravel()
+        return np.bincount(col, val * c, minlength=dim + 1)[:dim]
+
     if resume_from is not None:
         state = load_checkpoint(resume_from)
         if state["config"] != cfg or state["grid"] != grid:
             raise VariationalError("checkpoint does not match the requested problem")
         if abs(state["solver_exponent"] - q_solver) > 1e-12:
             raise VariationalError("checkpoint was produced with a different exponent")
-        c = state["coefficients"]
-        if float(np.max(np.abs(c))) == 0.0:
+        y = state["coordinates"]
+        if float(np.max(np.abs(y), initial=0.0)) == 0.0:  # initial: the {0} class has no y
             raise VariationalError("checkpoint field vanishes")
         start_iter = state["iteration"]
-        step = state["step"]
+        rho = state["step"]
         history = list(state["history"])
-        prev_c, prev_d = state["prev_coefficients"], state["prev_direction"]
     else:
         # the seed is sup-normalized (peak 1) and is not kept
-        c = class_coefficients(seed_field(cfg, grid, options.seed_offset, options.seed_width),
-                               cfg, grid)
-        peak = float(np.max(np.abs(class_field(c, cfg, grid))))
+        y = coordinates(seed_field(cfg, grid, options.seed_offset, options.seed_width))
+        peak = float(np.max(np.abs(class_field(coefficients(y), cfg, grid))))
         if peak <= 1e-8:
             raise UnsupportedConfigError(
                 f"the working class is {{0}}: projecting the seed onto it (circle "
                 f"averages, then lattice symmetrization) leaves {peak:.2g} "
                 f"of its peak, so there is no sign-changing candidate to certify")
-        c = c / peak
+        y = y / peak
         start_iter = 0
-        step = 0.0  # set from the first gradient below
-        prev_c = prev_d = None
+        rho = min(options.initial_step, 1.0)
 
-    # a trial's grid field is built from its sup-normalized coefficients, so
+    # the metric: the p = 2 kinetic Hessian in class coordinates, inverted on
+    # the directions that carry energy (the others leave the ball)
+    _refuse_unfit(grid, dim)
+    lam, vec = np.linalg.eigh(_class_hessian(energy, cfg, basis))
+    keep = lam > METRIC_CUT * lam[-1]
+    lam, vec = lam[keep], vec[:, keep]
+
+    # a trial's grid field is built from its sup-normalized coordinates, so
     # the field of a resumed iterate is the one its gradient was taken at
-    quot, gv = energy.quotient_and_gradient(class_field(c, cfg, grid))
+    quot, grad, scale = energy.quotient_and_gradient(class_field(coefficients(y), cfg, grid))
     if resume_from is None:
         history = [energy.level_from_quotient(quot)]
-    # in-class gradient; the residual is measured on it
-    d = class_coefficients(energy._to_cube(gv), cfg, grid)
-    if step <= 0.0:
-        step = options.initial_step * float(np.linalg.norm(c) / np.linalg.norm(d))
+    d = coordinates(energy._to_cube(grad))  # the in-class gradient; the residual reads it
     min_rel = math.inf
     rel = math.inf
     stop_reason = "max iterations"
     it = start_iter
     for it in range(start_iter + 1, options.max_iters + 1):
-        rel = _relative_residual(c, d, quot)
+        rel = _relative_residual(y, d, quot)
         min_rel = min(min_rel, rel)
         if rel < options.tol:
             stop_reason = "first variation tolerance"
             it -= 1
             break
-        # spectral (Barzilai-Borwein) step with an Armijo safeguard
-        if prev_c is not None:
-            s = c - prev_c
-            y = d - prev_d
-            sy = float(np.sum(s * y))
-            if sy > 0.0:
-                step = float(np.sum(s * s)) / sy
-            else:
-                step *= STEP_GROWTH
-        cap = 10.0 * float(np.linalg.norm(c) / np.linalg.norm(d))
-        floor = MIN_STEP * cap
-        # clamp: a collapsed spectral step must not skip the line search
-        trial_step = min(max(step, floor), cap)
-        # d is the orthogonal projection of the quotient gradient onto the
-        # class, so the quotient's slope along d is |d|^2
-        slope = float(np.sum(d * d))
-        accepted = False
-        for _ in range(MAX_BACKTRACKS):
-            if trial_step < floor:
-                break
-            # step along the in-class direction from the unmoved base point:
-            # the trial tends to c as the step shrinks, so backtracking always
-            # terminates while the slope is positive
-            trial = c - trial_step * d
-            peak = float(np.max(np.abs(class_field(trial, cfg, grid))))
+        # descend along the metric gradient H^+ d, whose slope is d . H^+ d;
+        # at p = 2 the full step (relative step 1) is inverse iteration
+        direction = vec @ ((vec.T @ d) / lam)
+        slope = float(d @ direction)
+        trial_step = rho
+        while trial_step >= MIN_STEP:
+            # step from the unmoved base point: the trial tends to y as the
+            # step shrinks, so backtracking terminates while the slope is positive
+            trial = y - trial_step * scale * direction
+            u = class_field(coefficients(trial), cfg, grid)
+            peak = float(np.max(np.abs(u)))
             if peak > 0.0:
-                trial = trial / peak
+                u /= peak
                 try:
-                    val, gv = energy.quotient_and_gradient(class_field(trial, cfg, grid))
+                    value, grad, trial_scale = energy.quotient_and_gradient(u)
                 except VariationalError:
-                    val = math.inf
-                if val < quot - 1e-4 * trial_step * slope:
-                    prev_c, prev_d = c, d
-                    d = class_coefficients(energy._to_cube(gv), cfg, grid)
-                    c, quot, accepted = trial, val, True
-                    history.append(energy.level_from_quotient(val))
-                    step = trial_step
+                    value = math.inf
+                if value < quot - 1e-4 * trial_step * scale * slope:
+                    y, quot, scale, rho = trial / peak, value, trial_scale, trial_step
+                    d = coordinates(energy._to_cube(grad))
+                    history.append(energy.level_from_quotient(value))
                     break
             trial_step /= 2.0
-        if not accepted:
+        else:
             stop_reason = "no descent direction at minimal step"
             it -= 1
             break
         if (options.checkpoint_path and options.checkpoint_every
                 and it % options.checkpoint_every == 0):
-            _save_checkpoint(options.checkpoint_path, cfg, grid, q_solver,
-                             it, step, c, history, prev_c, prev_d)
+            _save_checkpoint(options.checkpoint_path, cfg, grid, q_solver, it, rho, y, history)
 
     if options.checkpoint_path:
-        _save_checkpoint(options.checkpoint_path, cfg, grid, q_solver,
-                         it, step, c, history, prev_c, prev_d)
+        _save_checkpoint(options.checkpoint_path, cfg, grid, q_solver, it, rho, y, history)
 
-    del gv  # spent: d holds its class coefficients
-    # d is still the in-class quotient gradient at the final iterate
-    rel = _relative_residual(c, d, quot)
+    grad = u = None  # spent: d holds the final gradient's class coordinates
+    rel = _relative_residual(y, d, quot)
     min_rel = min(min_rel, rel)
+    c = coefficients(y)
     u = class_field(c, cfg, grid)
     p, q = work.p, work.q
     # on an extreme radius the Nehari amplitude, and with it the energies of
@@ -1090,7 +1158,9 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
             f"at radius {grid.radius:g} these values of the candidate are "
             f"not positive finite floats: {', '.join(out_of_range)}; rescale the problem "
             f"to a radius nearer 1")
-    sym_gap = float(np.max(np.abs(symmetrize(u, cfg, grid) - u)))
+    gap = symmetrize(u, cfg, grid)
+    sym_gap = float(np.max(np.abs(np.subtract(gap, u, out=gap), out=gap)))
+    del gap
     cert = sign_certificate(w, cfg)
     equivariance = equivariance_residual(u, cfg)
     if not cert.certifies_sign_change or equivariance > 1e-8:
@@ -1104,6 +1174,7 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
         params=params,
         solver_exponent=q_solver,
         grid_points=grid.points_per_axis,
+        class_dimension=dim,
         converged=converged,
         stop_reason=stop_reason,
         iterations=it - start_iter,

@@ -1,7 +1,8 @@
 """Test helpers that no command or solve path calls: the closed-form
-energies behind criterion 8, a typed reader of ``report.txt`` and the
+energies behind criterion 8, a typed reader of ``report.txt``, the
 pointwise read of a class profile that the interpolated bias is checked
-against."""
+against, and the class Hessian by one energy pass per column, which the
+factored build is checked against."""
 
 import math
 from dataclasses import dataclass
@@ -13,9 +14,12 @@ from cknsym.kvdoc import get_float, get_int, get_ints, parse_kv
 from cknsym.symmetry import SymmetryConfig, act_points, phi, random_element
 from cknsym.variational import (
     INTERPOLATED_SAMPLES,
+    DiscreteEnergy,
     ProblemParams,
     _axis_weights,
+    class_coefficients,
     class_field,
+    class_shape,
 )
 
 
@@ -90,7 +94,7 @@ def report_summary_from_doc(text: str) -> dict:
             out[key] = raw == "yes"
         elif key == "m":
             out[key] = get_ints(pairs, key)
-        elif key in ("n", "alpha", "grid points", "iterations"):
+        elif key in ("n", "alpha", "grid points", "class dimension", "iterations"):
             out[key] = get_int(pairs, key)
         else:
             out[key] = get_float(pairs, key, None)
@@ -129,3 +133,21 @@ def pointwise_bias(coefficients: np.ndarray, cfg: SymmetryConfig, grid: BallGrid
         resid = np.abs(class_values(coefficients, grid, act_points(g, pts)) - phi(g) * own)
         worst = max(worst, float(np.max(resid)))
     return worst / peak
+
+
+def class_hessian_by_columns(energy: DiscreteEnergy, cfg: SymmetryConfig,
+                             basis: tuple[np.ndarray, np.ndarray, int]) -> np.ndarray:
+    """S^T E^T L E S column by column, for a p = 2 energy: column j is the
+    in-class kinetic gradient of the class field of S e_j, from one energy
+    pass, read back through E^T and S^T."""
+    col, val, dim = basis
+    grid = energy.grid
+    out = np.zeros((dim, dim))
+    for j in range(dim):
+        y = np.zeros(dim + 1)
+        y[j] = 1.0
+        c = (val * y[col]).reshape(class_shape(cfg, grid))
+        gk = energy.evaluate(class_field(c, cfg, grid))[2]
+        d = class_coefficients(energy._to_cube(gk), cfg, grid).ravel()
+        out[:, j] = np.bincount(col, val * d, minlength=dim + 1)[:dim]
+    return out

@@ -229,7 +229,8 @@ def test_criterion_08_dilation_invariance():
 
 
 def test_criterion_09_solver_refinement_study():
-    """Monotone equivariant descent with a grid-stable level estimate."""
+    """Monotone equivariant descent that converges on both grids, with a
+    grid-stable level estimate."""
     start = time.perf_counter()
     cfg = SymmetryConfig(4, 0, (1,))
     params = ProblemParams(4, 2.0, 0.0, 0.0)
@@ -238,6 +239,8 @@ def test_criterion_09_solver_refinement_study():
     for points in (17, 25):
         report = solve(cfg, BallGrid(4, points, 1.0), params=params, options=options)
         assert report.monotone, f"non-monotone history at {points}^4"
+        assert report.converged, f"no convergence at {points}^4: {report.stop_reason}"
+        assert report.stop_reason == "first variation tolerance"
         assert report.equivariance <= 1e-8
         cert = report.certificate
         assert cert.min_value < 0.0 < cert.max_value

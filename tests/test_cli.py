@@ -363,7 +363,16 @@ def _grid_checkpoint(header: bytes) -> bytes:
     return json.dumps(old, sort_keys=True).encode() + b"\n" + bytes(3 * 8 * 9 ** 4)
 
 
-@pytest.mark.parametrize("corruption", ["garbage", "missing-n", "truncated", "version-1"])
+def _tensor_checkpoint(header: bytes) -> bytes:
+    """The checkpoint of a state in the version-2 layout: the iterate,
+    previous iterate and direction as 8 x 8 class-coefficient tensors."""
+    old = json.loads(header)
+    old.update(version=2, shape=[8, 8], arrays=3)
+    return json.dumps(old, sort_keys=True).encode() + b"\n" + bytes(3 * 8 * 64)
+
+
+@pytest.mark.parametrize("corruption",
+                         ["garbage", "missing-n", "truncated", "version-1", "version-2"])
 def test_solve_resume_from_a_corrupt_checkpoint_is_a_validation_error(
         tmp_path, capsys, corruption):
     part = write_doc(tmp_path / "part.kv", SOLVE_DOC + "checkpoint_every: 4\n")
@@ -373,7 +382,8 @@ def test_solve_resume_from_a_corrupt_checkpoint_is_a_validation_error(
     data = {"garbage": b"\xff\xfe\x00garbage" + bytes(range(256)),
             "missing-n": header.replace(b'"n": 4, ', b"") + b"\n" + payload,
             "truncated": good[:-5],
-            "version-1": _grid_checkpoint(header)}[corruption]
+            "version-1": _grid_checkpoint(header),
+            "version-2": _tensor_checkpoint(header)}[corruption]
     bad = tmp_path / "bad.dat"
     bad.write_bytes(data)
     capsys.readouterr()

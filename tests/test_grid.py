@@ -14,7 +14,7 @@ from cknsym.grid import (
     forward_diffs,
     load_field,
     save_field,
-    write_arrays,
+    write_array,
 )
 from cknsym.variational import DiscreteEnergy, ProblemParams
 
@@ -174,5 +174,5 @@ def test_failed_write_keeps_the_previous_file(tmp_path):
     before = path.read_bytes()
     unconvertible = np.full(grid.shape, "x", dtype=object)
     with pytest.raises(ValueError):
-        write_arrays(path, "cknsym-field", 1, grid, [np.zeros(grid.shape), unconvertible])
+        write_array(path, "cknsym-field", 1, grid, unconvertible)
     assert path.read_bytes() == before

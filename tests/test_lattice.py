@@ -18,7 +18,9 @@ from cknsym.lattice import (
 )
 from cknsym.enumeration import enumerate_configs
 from cknsym.symmetry import (
+    REGIMES,
     GroupOperationError,
+    InvalidConfigError,
     SymmetryConfig,
     make_element,
     make_layout,
@@ -214,6 +216,21 @@ def test_lattice_subgroup_matches_the_hand_written_oracle(n):
     """Same elements, same order, same signs: symmetrize sums in this order."""
     for cfg in enumerate_configs(n, alpha_max=2):
         assert lattice_subgroup(cfg) == oracle_subgroup(cfg), cfg
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_every_admissible_regime_gets_the_same_elements(n):
+    """The regime decides which (n, alpha, m) are admissible, not the group:
+    each admissible regime is served the one cached subgroup, and it is the
+    group the oracle builds for that regime's configuration."""
+    for cfg in enumerate_configs(n, alpha_max=1):
+        for regime in REGIMES:
+            try:
+                other = SymmetryConfig(cfg.n, cfg.alpha, cfg.m, regime)
+            except InvalidConfigError:
+                continue
+            assert lattice_subgroup(other) is lattice_subgroup(cfg)
+            assert lattice_subgroup(other) == oracle_subgroup(other), other
 
 
 def test_from_matrix_rejects_a_rotation_off_the_grid():

@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+import cknsym.lattice as lattice
 import cknsym.variational as variational
 from cknsym.grid import BallGrid, backward_diffs, field_from_function, forward_diffs
 from cknsym.kvdoc import DocumentError
-from cknsym.lattice import LatticeElement, SignedPerm, lattice_subgroup
-from cknsym.symmetry import SymmetryConfig
+from cknsym.lattice import LatticeElement, SignedPerm, apply_perm_to_grid, lattice_subgroup
+from cknsym.symmetry import REGIMES, SymmetryConfig
 from cknsym.variational import (
     DiscreteEnergy,
     ProblemParams,
@@ -26,6 +27,7 @@ from cknsym.variational import (
     _catmull_rom_matrix,
     _class_profile,
     _save_checkpoint,
+    class_basis,
     class_coefficients,
     class_field,
     class_shape,
@@ -45,6 +47,7 @@ from cknsym.variational import (
 from helpers import (
     GaussianProfile,
     analytic_energy,
+    class_hessian_by_columns,
     class_values,
     dilation_invariance_gap,
     pointwise_bias,
@@ -296,8 +299,9 @@ def _assert_pass_matches_the_oracles(energy, u):
     assert np.array_equal(energy.gradient(u), gk0 / energy.params.p - gb0 / energy.params.q)
     assert (energy.kinetic(u), energy.potential(u)) == (k0, b0)
     r = energy.params.p / energy.params.q
-    quot, gq = energy.quotient_and_gradient(u)
+    quot, gq, scale = energy.quotient_and_gradient(u)
     assert quot == energy.quotient(u) == k0 / b0 ** r
+    assert scale == b0 ** r
     assert np.array_equal(gq, ((gk0 - r * (k0 / b0) * gb0) / b0 ** r).ravel()[inside])
     assert energy.nehari_scale(u) == _oracle_nehari_scale(energy, u)
 
@@ -530,7 +534,8 @@ def _oracle_class_coefficients(values, cfg, grid):
     q, planes = variational._class_basis(cfg, grid)
     npts = grid.points_per_axis
     split = (npts * npts,) * planes + (npts,) * (grid.n - 2 * planes)
-    return variational._contract_planes(symmetrize(values, cfg, grid).reshape(split), q.T, planes)
+    return variational._contract_planes(symmetrize(values, cfg, grid).reshape(split),
+                                        [q.T] * planes)
 
 
 @pytest.mark.parametrize("cfg, grid", [
@@ -562,6 +567,73 @@ def test_tensor_projection_refuses_an_element_that_splits_a_plane(monkeypatch):
             class_coefficients(np.ones(GRID4.shape), CFG4, GRID4)
     finally:
         variational._tensor_action.cache_clear()
+
+
+@pytest.mark.parametrize("cfg, grid", CLASS_CASES + [(SymmetryConfig(6, 0, (0, 1)),
+                                                      BallGrid(6, 5, 1.0))],
+                         ids=CLASS_CASE_IDS + ["5^6-zero"])
+def test_class_basis_is_orthonormal_and_spans_the_class(cfg, grid):
+    """S^T S = I and S S^T is the tensor average; the {0} class has no column."""
+    col, val, dim = class_basis(cfg, grid)
+    s = np.zeros((col.size, dim + 1))
+    s[np.arange(col.size), col] = val
+    s = s[:, :dim]
+    assert np.max(np.abs(s.T @ s - np.eye(dim)), initial=0.0) <= 1e-15
+    planes = variational._class_basis(cfg, grid)[1]
+    rng = np.random.default_rng(23)
+    for _ in range(2):
+        c = rng.standard_normal(class_shape(cfg, grid))
+        expect = variational._tensor_average(c, cfg, planes).ravel()
+        assert np.linalg.norm(s @ (s.T @ c.ravel()) - expect) <= 1e-12 * np.linalg.norm(c)
+    assert (dim == 0) == (cfg.m == (0, 1))
+
+
+@pytest.mark.parametrize("cfg, grid", [
+    (CFG4, GRID4), (SymmetryConfig(4, 0, (1,), "a_eq_b_nonzero"), BallGrid(4, 13, 1.0)),
+    (SymmetryConfig(5, 0, (1,)), BallGrid(5, 7, 1.0)),
+    (SymmetryConfig(6, 0, (1, 0), "a_eq_b_nonzero"), BallGrid(6, 5, 1.0))],
+    ids=["9^4", "13^4-weighted", "7^5", "5^6-weighted"])
+def test_class_hessian_matches_one_energy_pass_per_column(cfg, grid):
+    """The plane-factored build is the masked, weighted p = 2 kinetic
+    Hessian restricted to the class, and exactly symmetric."""
+    energy = DiscreteEnergy(grid, params_for_config(cfg))
+    basis = class_basis(cfg, grid)
+    h = variational._class_hessian(energy, cfg, basis)
+    expect = class_hessian_by_columns(energy, cfg, basis)
+    assert np.max(np.abs(h - expect)) <= 1e-12 * np.max(np.abs(expect))
+    assert np.array_equal(h, h.T)
+
+
+@pytest.mark.parametrize("cfg, grid", [(SymmetryConfig(5, 0, (1,)), BallGrid(5, 11, 1.0)),
+                                       (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 9, 1.0))],
+                         ids=["11^5", "9^6"])
+def test_gradient_pull_back_copies_no_grid_array(cfg, grid):
+    """Pulling a grid array back into the class holds only the contracted
+    tensors (0.09 of a grid array at 11^5, 0.11 at 9^6): the plane
+    contractions run leading plane first, so no transposed copy is made."""
+    energy = DiscreteEnergy(grid, params_for_config(cfg))
+    u = energy._to_cube(np.linspace(-1.0, 1.0, len(grid.interior)))
+    class_coefficients(u, cfg, grid)  # builds the class tables
+    assert _traced_peak(lambda: class_coefficients(u, cfg, grid)) <= 0.15 * 8 * u.size
+
+
+def test_end_of_run_certificates_hold_two_grid_arrays():
+    """symmetrize and the equivariance residual work in place and read the
+    same bits as the out-of-place expressions they replace."""
+    cfg, grid = SymmetryConfig(5, 0, (1,)), BallGrid(5, 9, 1.0)
+    u = random_bumps(grid, np.random.default_rng(24))
+    elements = lattice_subgroup(cfg)
+    acc = np.zeros(grid.shape)
+    for e in elements:
+        acc = acc + e.sign * apply_perm_to_grid(u, e.perm)
+    assert np.array_equal(symmetrize(u, cfg, grid), acc / len(elements))
+    worst = max(float(np.max(np.abs(apply_perm_to_grid(u, e.perm) - e.sign * u)))
+                for e in elements)
+    assert equivariance_residual(u, cfg) == worst / float(np.max(np.abs(u)))
+    cube = 8 * math.prod(grid.shape)
+    assert _traced_peak(lambda: symmetrize(u, cfg, grid)) <= 2.05 * cube
+    assert _traced_peak(lambda: equivariance_residual(u, cfg)) <= 2.05 * cube
+    assert np.array_equal(u, random_bumps(grid, np.random.default_rng(24)))  # u is unchanged
 
 
 def test_class_shape_counts_one_profile_axis_per_plane():
@@ -891,30 +963,33 @@ def test_solver_uses_the_subcritical_exponent(small_report):
     assert small_report.field.shape == GRID4.shape
 
 
-# energy histories of these solves as the grid-coordinate descent computed
-# them; descending in class coordinates must retrace them
+# energy histories of the metric descent: the 9^4 solve converges within
+# its 40 iterations, below 103524.84, where the Barzilai-Borwein descent it
+# replaced still stood after 600
 PINNED_SMALL_HISTORY = (
-    359244.3333487098, 195734.02269237186, 175099.98764678976, 160584.08680128114,
-    148152.20073761215, 109433.40979571214, 105566.91133741797, 104459.11863815504,
-    104223.98016139094, 103634.61968276938, 103579.99583946752, 103553.70758594,
-    103542.6235879999, 103534.00607331359, 103531.28100003627, 103530.01279767515,
-    103528.93215451724, 103528.53286640039, 103528.27599062311, 103527.96353675851,
-    103527.83673469585, 103527.77650552751, 103527.6954201648, 103527.60019674641,
-    103527.28932467535, 103527.26960740467, 103527.15601278441, 103527.08706645037,
-    103526.95529194652, 103526.78518331613, 103526.78372178688, 103526.77274275944,
-    103526.71256271181, 103526.69645071411, 103526.68452609831, 103526.6821420239,
-    103526.67473241381, 103526.66741981255, 103526.65913180329, 103526.6536248303,
-    103526.65233728365)
+    359244.33334870933, 181873.35763343636, 149873.22772371527, 141617.36510984536,
+    138000.15097541778, 135015.98522730614, 131784.18944754754, 128134.32269433067,
+    124120.98901922604, 119934.63995355098, 115862.13177355618, 112215.95377243993,
+    109238.42488847376, 107029.16453207674, 105537.32302808164, 104614.34492788522,
+    104085.58621227945, 103801.47472379412, 103656.38819947754, 103585.11084562488,
+    103551.07695703575, 103535.1541836306, 103527.81051544697, 103524.45692100767,
+    103522.93578828276, 103522.24899592373, 103521.93987175389, 103521.80102668676,
+    103521.73875131214, 103521.7108456796, 103521.69834906621, 103521.692755245,
+    103521.69025201073, 103521.68913202678, 103521.68863099275, 103521.68840687042,
+    103521.6883066217, 103521.6882617828, 103521.68824172781)
 PINNED_6D_HISTORY = (
-    8.439651597439036e+24, 1.731566745265492e+24, 1.782673573977241e+23, 8.086887400339707e+22)
+    8.439651597439061e+24, 7.744398654227724e+23, 1.7051956976610568e+23, 7.174223244601938e+22)
 
 
-def test_class_descent_retraces_the_grid_descent(small_report):
-    assert small_report.iterations == 40
+def test_metric_descent_converges_along_its_pinned_history(small_report):
+    assert small_report.iterations == 38
+    assert small_report.stop_reason == "first variation tolerance" and small_report.converged
     assert small_report.energy_history == pytest.approx(PINNED_SMALL_HISTORY, rel=1e-10)
+    assert small_report.energy_history[-1] < 103524.84
+    assert small_report.class_dimension == 28
     six = solve(SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 5, 1.0),
                 options=SolveOptions(max_iters=3))
-    assert six.iterations == 3
+    assert six.iterations == 3 and six.class_dimension == 60
     assert six.energy_history == pytest.approx(PINNED_6D_HISTORY, rel=1e-10)
 
 
@@ -951,7 +1026,7 @@ def test_report_doc_round_trip(small_report):
     scalars = [f.name for f in dataclasses.fields(SolveReport)
                if isinstance(getattr(small_report, f.name), (int, float, str))]
     assert scalars[0] == "solver_exponent" and scalars[-1] == "symmetrization_gap"
-    assert len(scalars) == 17
+    assert len(scalars) == 18
     for name in scalars:
         assert summary[name.replace("_", " ")] == getattr(small_report, name), name
     assert len(summary) == 4 + 4 + len(scalars) + 4  # config, exponents, scalars, sign
@@ -1052,7 +1127,7 @@ def test_solver_refuses_a_grid_that_cannot_fit():
                          ids=["13^4", "21^4", "9^5", "5^6", "7^6"])
 def test_peak_estimate_matches_the_traced_peak(cfg, grid):
     peak = _traced_peak(lambda: solve(cfg, grid, options=SolveOptions(max_iters=4)))
-    assert 0.75 <= peak / solve_peak_bytes(grid) <= 1.0
+    assert 0.75 <= peak / solve_peak_bytes(grid, class_basis(cfg, grid)[2]) <= 1.0
 
 
 def test_checkpoint_resume_continues_the_same_run(tmp_path):
@@ -1082,25 +1157,28 @@ def test_checkpoint_must_match_the_problem(tmp_path):
 def test_resume_rejects_a_vanishing_checkpoint_field(tmp_path):
     cp = tmp_path / "zero.ckpt"
     q_solver = params_for_config(CFG4).q - 0.5
-    _save_checkpoint(cp, CFG4, GRID4, q_solver, 3, 0.1,
-                     np.zeros(class_shape(CFG4, GRID4)), [1.0])
+    _save_checkpoint(cp, CFG4, GRID4, q_solver, 3, 0.1, np.zeros(28), [1.0])
     with pytest.raises(VariationalError):
         solve(CFG4, GRID4, resume_from=cp)
 
 
 def test_load_checkpoint_refuses_coefficients_outside_the_class_shape(tmp_path):
+    # the class of CFG4 at 9^4 has dimension 28; its coefficient tensor is 8 x 8
     q_solver = params_for_config(CFG4).q - 0.5
-    for name, shape in [("grid", GRID4.shape), ("short", (8, 7)), ("flat", (64,))]:
+    for name, shape in [("grid", GRID4.shape), ("short", (27,)), ("tensor", (8, 8))]:
         cp = tmp_path / f"{name}.ckpt"
         _save_checkpoint(cp, CFG4, GRID4, q_solver, 3, 0.1, np.ones(shape), [1.0])
-        with pytest.raises(VariationalError, match="class shape"):
+        with pytest.raises(VariationalError, match="class dimension"):
             load_checkpoint(cp)
 
 
 def test_solver_builds_the_lattice_subgroup_once():
-    lattice_subgroup.cache_clear()
-    solve(SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 5, 1.0), options=SolveOptions(max_iters=1))
-    assert lattice_subgroup.cache_info().misses == 1
+    build = lattice._lattice_subgroup
+    build.cache_clear()
+    for regime in REGIMES:
+        solve(SymmetryConfig(6, 0, (1, 0), regime), BallGrid(6, 5, 1.0),
+              options=SolveOptions(max_iters=1))
+    assert build.cache_info().misses == 1
 
 
 def test_solver_refuses_the_zero_class():
@@ -1114,8 +1192,7 @@ def _corrupt_checkpoints(tmp_path):
     """A garbage file, a header without n, and a truncated payload."""
     good = tmp_path / "good.ckpt"
     q_solver = params_for_config(CFG4).q - 0.5
-    _save_checkpoint(good, CFG4, GRID4, q_solver, 3, 0.1,
-                     class_coefficients(seed_field(CFG4, GRID4), CFG4, GRID4), [1.0])
+    _save_checkpoint(good, CFG4, GRID4, q_solver, 3, 0.1, np.linspace(1.0, 2.0, 28), [1.0])
     header, payload = good.read_bytes().split(b"\n", 1)
     no_n = json.loads(header)
     del no_n["n"]
@@ -1159,10 +1236,9 @@ def test_checkpoint_writes_leave_no_temporary_file(tmp_path):
                                             checkpoint_every=1))
     assert [p.name for p in tmp_path.iterdir()] == ["state.ckpt"]
     state = load_checkpoint(cp)
-    shape = class_shape(CFG4, GRID4)
-    assert state["coefficients"].shape == shape
-    assert state["prev_coefficients"].shape == state["prev_direction"].shape == shape
-    assert json.loads(cp.read_bytes().split(b"\n", 1)[0])["shape"] == list(shape)
+    assert state["coordinates"].shape == (28,) and state["iteration"] == 3
+    header = json.loads(cp.read_bytes().split(b"\n", 1)[0])
+    assert header["shape"] == [28] and header["version"] == 3 and "arrays" not in header
 
 
 def test_load_checkpoint_rejects_foreign_files(tmp_path):
