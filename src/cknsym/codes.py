@@ -16,7 +16,7 @@ comparable in the truncated-prefix order or to have coprime interacting
 block widths.
 
 Words are stored bit-packed (bit i = component i+1), codes as frozen sets of
-packed integers.
+packed integers; ``closure`` saturates a code one cycle orbit at a time.
 """
 
 from __future__ import annotations
@@ -134,12 +134,13 @@ class Code:
         """Exhaustive check of cycle closure and comparable-sum closure."""
         mask = (1 << self.t) - 1
         out: list[str] = []
-        for w in sorted(self.packed_words):
+        words = sorted(self.packed_words)
+        for w in words:
             c = ((w << 1) & mask) | (w >> (self.t - 1))
             if c not in self.packed_words:
                 out.append(f"cycle of {unpack(w, self.t)} missing")
-        for a in sorted(self.packed_words):
-            for b in sorted(self.packed_words):
+        for a in words:
+            for b in words:
                 if a & b == a and (a ^ b) not in self.packed_words:
                     out.append(f"sum of comparable pair {unpack(a, self.t)} <= "
                                f"{unpack(b, self.t)} missing")
@@ -162,42 +163,45 @@ def code_from_bitstrings(t: int, strings: Iterable[str]) -> Code:
     return Code(t, frozenset(packed))
 
 
-def _cycle_packed(words: np.ndarray, t: int, mask: int) -> np.ndarray:
-    return ((words << 1) & mask) | (words >> (t - 1))
+def _rotations(words: np.ndarray, t: int) -> np.ndarray:
+    """(t, len(words)) array whose row k cycles every word k steps right."""
+    k = np.arange(t, dtype=np.int64)[:, None]
+    return ((words << k) | (words >> (t - k))) & ((1 << t) - 1)
 
 
 def closure(t: int, seeds: Iterable) -> Code:
     """Smallest code containing the seeds.
 
-    Saturation on bit-packed words: each round combines the newest words
-    with everything found so far (cycles, plus xor of comparable pairs) and
-    keeps what is new.  Pairs internal to a round are covered the round
-    after, when its words are in the accumulated set.
+    Saturation on bit-packed words, one cycle orbit at a time.  Cycling
+    commutes with the comparable sum (a <= b gives cyc a <= cyc b, and
+    cyc(a ^ b) = cyc a ^ cyc b), so the found set is kept closed under
+    cycling and only each orbit's representative (its smallest rotation)
+    is paired with it: the pair (cyc^k r, b) is (r, cyc^-k b) cycled k
+    times.  Each round reduces the sums to representatives, adds the new
+    orbits whole, then pairs their representatives with the found set;
+    pairs internal to a round are thus covered in that round.
     """
     if t < 1:
         raise ValueError("t must be positive")
-    mask = (1 << t) - 1
     seed_packed = []
     for s in seeds:
         bits = _coerce_bits(s, t)
         if len(bits) != t:
             raise ValueError(f"seed {s!r} has length {len(bits)}, expected {t}")
         seed_packed.append(pack(bits))
-    if not seed_packed:
-        return Code(t, frozenset())
-    total = np.unique(np.array(seed_packed, dtype=np.int64))
-    frontier = total
-    while frontier.size:
-        fresh = [_cycle_packed(frontier, t, mask)]
-        for lo in range(0, frontier.size, 512):
-            f = frontier[lo:lo + 512, None]
-            meet = f & total[None, :]
-            comparable = (meet == f) | (meet == total[None, :])
-            fresh.append((f ^ total[None, :])[comparable])
-        candidates = np.unique(np.concatenate(fresh))
-        frontier = candidates[~np.isin(candidates, total)]
-        total = np.union1d(total, frontier)
-    return Code(t, frozenset(int(w) for w in total))
+    total = np.zeros(0, dtype=np.int64)
+    fresh = [np.array(seed_packed, dtype=np.int64)]
+    while True:
+        reps = np.unique(_rotations(np.unique(np.concatenate(fresh)), t).min(axis=0))
+        frontier = reps[~np.isin(reps, total)]
+        if not frontier.size:
+            return Code(t, frozenset(int(w) for w in total))
+        total = np.union1d(total, _rotations(frontier, t))
+        fresh = []
+        for lo in range(0, frontier.size, 64):
+            f = frontier[lo:lo + 64, None]
+            meet = f & total
+            fresh.append((f ^ total)[(meet == f) | (meet == total)])
 
 
 def contains_standard_basis(code: Code) -> bool:

@@ -185,13 +185,15 @@ class CoordinateLayout:
     tail_active: bool
 
 
+@functools.cache
 def make_layout(cfg: SymmetryConfig) -> CoordinateLayout:
     """Assign consecutive coordinate spans to every group factor.
 
     Blocks are ordered by (j, ell); each ``(j, ell)`` block starts right
     after the previous one, following the closed-form offsets used in the
     stabilizer analysis.  The tail takes whatever is left; it is "active"
-    (full orthogonal group) iff its width is at least 2.
+    (full orthogonal group) iff its width is at least 2.  Built once per
+    config: every element operation reads it.
     """
     offset = 4 if cfg.alpha > 0 else 0
     pin = BlockSpan(j=0, ell=0, start=0, length=4) if cfg.alpha > 0 else None
@@ -292,7 +294,9 @@ def _tail_for(cfg: SymmetryConfig, matrix: np.ndarray | None) -> np.ndarray | No
     matrix = np.asarray(matrix, dtype=float)
     if matrix.shape != (d, d):
         raise GroupOperationError(f"tail matrix must be {d}x{d}, got {matrix.shape}")
-    if not np.allclose(matrix.T @ matrix, np.eye(d), atol=1e-10):
+    eye = np.eye(d)
+    # np.allclose(matrix.T @ matrix, eye, atol=1e-10) without its overhead
+    if not np.all(np.abs(matrix.T @ matrix - eye) <= 1e-10 + 1e-5 * eye):
         raise GroupOperationError("tail matrix is not orthogonal")
     if not cfg.tail_active and d == 1 and not np.allclose(matrix, np.eye(1), atol=1e-12):
         # width-1 tails carry the trivial group only
@@ -419,7 +423,8 @@ def sync_rotation_matrix(width: int, theta: float) -> np.ndarray:
     """Synchronous rotation e^{i theta} on every complex pair of C^w."""
     c, s = math.cos(theta), math.sin(theta)
     r = np.array([[c, -s], [s, c]])
-    return np.kron(np.eye(width), r)
+    # np.kron(np.eye(width), r), signed zeros included, in one product
+    return (np.eye(width)[:, None, :, None] * r[:, None, :]).reshape(2 * width, 2 * width)
 
 
 def async_rotation_matrix(theta: float) -> np.ndarray:

@@ -772,12 +772,14 @@ def sign_certificate(values: np.ndarray, cfg: SymmetryConfig) -> SignCertificate
     idx = np.unravel_index(int(np.argmax(np.abs(values))), values.shape)
     moved = apply_perm_to_grid(values, e.perm)
     peak = float(np.max(np.abs(values)))
+    gap = moved + values  # not in place: moved is values itself for an identity perm
+    np.abs(gap, out=gap)
     return SignCertificate(
         node_index=tuple(int(i) for i in idx),
         value=float(values[idx]),
         mapped_value=float(moved[idx]),
         element_sign=e.sign,
-        antisymmetry_residual=float(np.max(np.abs(moved + values))) / max(peak, 1e-300),
+        antisymmetry_residual=float(np.max(gap)) / max(peak, 1e-300),
         max_value=float(values.max()),
         min_value=float(values.min()),
     )

@@ -1,10 +1,12 @@
 """Test helpers that no command or solve path calls: the closed-form
 energies behind criterion 8, a typed reader of ``report.txt``, the
 pointwise read of a class profile that the interpolated bias is checked
-against, and the class Hessian by one energy pass per column, which the
-factored build is checked against."""
+against, the class Hessian by one energy pass per column, which the
+factored build is checked against, the all-pairs code closure that the
+orbit-representative one is checked against, and a traced heap peak."""
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,3 +153,42 @@ def class_hessian_by_columns(energy: DiscreteEnergy, cfg: SymmetryConfig,
         d = class_coefficients(energy._to_cube(gk), cfg, grid).ravel()
         out[:, j] = np.bincount(col, val * d, minlength=dim + 1)[:dim]
     return out
+
+
+def traced_peak(call) -> int:
+    """Bytes the heap grows to above its start while call() runs."""
+    np.random.default_rng(0)  # imports numpy's random module, once per process
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    call()
+    peak = tracemalloc.get_traced_memory()[1] - base
+    tracemalloc.stop()
+    return peak
+
+
+def pair_closure(t: int, seeds: list[int]) -> frozenset[int]:
+    """Smallest code containing the packed seeds, by all-pairs saturation.
+
+    Each round pairs every new word with every word found so far (cycles,
+    plus xor of comparable pairs) and keeps what is new; pairs internal to
+    a round are covered the round after.  No orbit structure is used, so
+    it checks the orbit-representative ``codes.closure`` independently of
+    its cycling argument, at lengths where plain-set saturation is slow.
+    """
+    if not seeds:
+        return frozenset()
+    mask = (1 << t) - 1
+    total = np.unique(np.array(seeds, dtype=np.int64))
+    frontier = total
+    while frontier.size:
+        fresh = [((frontier << 1) & mask) | (frontier >> (t - 1))]
+        for lo in range(0, frontier.size, 512):
+            f = frontier[lo:lo + 512, None]
+            meet = f & total[None, :]
+            comparable = (meet == f) | (meet == total[None, :])
+            fresh.append((f ^ total[None, :])[comparable])
+        candidates = np.unique(np.concatenate(fresh))
+        frontier = candidates[~np.isin(candidates, total)]
+        total = np.union1d(total, frontier)
+    return frozenset(int(w) for w in total)

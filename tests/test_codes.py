@@ -28,6 +28,8 @@ from cknsym.codes import (
 )
 from cknsym.symmetry import SymmetryConfig, make_layout
 
+from helpers import pair_closure, traced_peak
+
 
 # --------------------------------------------------------------------------
 # reference implementations (independent of the module under test)
@@ -222,6 +224,51 @@ def test_closure_is_a_code_containing_the_seeds(instance):
     code = closure(t, seeds)
     assert code.is_code()
     assert all(s in code for s in seeds)
+
+
+def _criterion4_seeds(t):
+    """Packed (v_r, v_s) seeds of every criterion-4 case at length t."""
+    return [(r, s, [v_word(t, r).packed, v_word(t, s).packed])
+            for s in range(2, t + 1) for r in range(1, s)]
+
+
+@pytest.mark.parametrize("t", range(2, 13))
+def test_closure_matches_pair_saturation_on_criterion4(t):
+    """Every (t, r, s) case of criterion 4 gives the all-pairs closure."""
+    for r, s, seeds in _criterion4_seeds(t):
+        assert closure(t, seeds).packed_words == pair_closure(t, seeds), (r, s)
+
+
+@st.composite
+def long_closure_instances(draw):
+    """Seeds at t = 7..12: random words, periodic words (orbits shorter than
+    t), the zero word, or none; a seed set is rarely cycle-closed."""
+    t = draw(st.integers(min_value=7, max_value=12))
+    periods = [d for d in range(1, t) if t % d == 0]
+
+    def periodic(d):
+        return st.lists(st.integers(0, 1), min_size=d, max_size=d).map(
+            lambda block: tuple(block * (t // d)))
+
+    word = st.one_of(st.lists(st.integers(0, 1), min_size=t, max_size=t).map(tuple),
+                     st.sampled_from(periods).flatmap(periodic),
+                     st.just((0,) * t))
+    return t, draw(st.lists(word, max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(long_closure_instances())
+def test_closure_matches_pair_saturation_on_long_words(instance):
+    t, seeds = instance
+    packed = [pack(s) for s in seeds]
+    assert closure(t, seeds).packed_words == pair_closure(t, packed)
+
+
+def test_closure_memory_is_bounded_at_length_11():
+    """The pair blocks stay small: no t = 11 criterion-4 closure grows the
+    heap past 8 MiB (``pair_closure``, in 512-word blocks, reaches 17.8)."""
+    peak = max(traced_peak(lambda: closure(11, seeds)) for _, _, seeds in _criterion4_seeds(11))
+    assert peak <= 8 * 2 ** 20
 
 
 def test_closure_of_nothing_is_empty():

@@ -141,6 +141,15 @@ def test_pinwheel_generator_has_order_two_to_alpha_plus_two(alpha):
     assert pinwheel_step_order(alpha) == order
 
 
+@pytest.mark.parametrize("width", range(1, 6))
+def test_sync_rotation_matrix_is_the_kronecker_product(width):
+    """Same bits as np.kron(np.eye(width), r), signed zeros included."""
+    for theta in (0.0, 0.7, 2.0, math.pi, 4.1, 5.9):
+        c, s = math.cos(theta), math.sin(theta)
+        expect = np.kron(np.eye(width), np.array([[c, -s], [s, c]]))
+        assert sync_rotation_matrix(width, theta).tobytes() == expect.tobytes()
+
+
 def test_twist_conjugates_rotation_to_its_inverse():
     """Moving a synchronous rotation past the twist reverses its angle."""
     rng = np.random.default_rng(7)
@@ -419,3 +428,42 @@ def test_tail_matrix_must_be_orthogonal():
     cfg = SymmetryConfig(6, 0, (1,))
     with pytest.raises(GroupOperationError):
         make_element(cfg, blocks=((0, 0.0),), tail=np.array([[1.0, 0.0], [1.0, 1.0]]))
+
+
+def _tail_accepted(cfg, tail):
+    try:
+        make_element(cfg, blocks=((0, 0.0),), tail=tail)
+    except GroupOperationError:
+        return False
+    return True
+
+
+def test_tail_orthogonality_tolerance_is_allclose():
+    """A 5e-6 defect on the diagonal of M^T M passes (relative tolerance) and
+    a 2e-10 defect off it does not, exactly as np.allclose(atol=1e-10)."""
+    cfg = SymmetryConfig(7, 0, (1,))
+    diagonal = np.diag([math.sqrt(1.0 + 5e-6), 1.0, 1.0])
+    off_diagonal = np.eye(3)
+    off_diagonal[0, 1] = 2e-10
+    for tail, accepted in ((diagonal, True), (off_diagonal, False)):
+        assert np.allclose(tail.T @ tail, np.eye(3), atol=1e-10) == accepted
+        assert _tail_accepted(cfg, tail) == accepted
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(0, 8), st.floats(-11.0, -3.0))
+def test_tail_orthogonality_agrees_with_allclose(seed, entry, log_defect):
+    cfg = SymmetryConfig(7, 0, (1,))
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    q[divmod(entry, 3)] += 10.0 ** log_defect
+    expect = bool(np.allclose(q.T @ q, np.eye(3), atol=1e-10))
+    assert _tail_accepted(cfg, q) == expect
+
+
+def test_make_layout_is_built_once_per_config():
+    """Equal configs, m padded or not, share one layout; others do not."""
+    layout = make_layout(SymmetryConfig(8, 2, (1,)))
+    assert make_layout(SymmetryConfig(8, 2, (1, 0, 0))) is layout
+    assert make_layout(SymmetryConfig(8, 2, (1,), regime="a_eq_b_zero")) is not layout
+    assert layout == make_layout(SymmetryConfig(8, 2, (1,), regime="a_eq_b_zero"))

@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +51,7 @@ from helpers import (
     dilation_invariance_gap,
     pointwise_bias,
     report_summary_from_doc,
+    traced_peak,
 )
 
 CFG4 = SymmetryConfig(4, 0, (1,))
@@ -614,12 +614,13 @@ def test_gradient_pull_back_copies_no_grid_array(cfg, grid):
     energy = DiscreteEnergy(grid, params_for_config(cfg))
     u = energy._to_cube(np.linspace(-1.0, 1.0, len(grid.interior)))
     class_coefficients(u, cfg, grid)  # builds the class tables
-    assert _traced_peak(lambda: class_coefficients(u, cfg, grid)) <= 0.15 * 8 * u.size
+    assert traced_peak(lambda: class_coefficients(u, cfg, grid)) <= 0.15 * 8 * u.size
 
 
 def test_end_of_run_certificates_hold_two_grid_arrays():
-    """symmetrize and the equivariance residual work in place and read the
-    same bits as the out-of-place expressions they replace."""
+    """symmetrize, the equivariance residual and the sign certificate work
+    in place and read the same bits as the out-of-place expressions they
+    replace."""
     cfg, grid = SymmetryConfig(5, 0, (1,)), BallGrid(5, 9, 1.0)
     u = random_bumps(grid, np.random.default_rng(24))
     elements = lattice_subgroup(cfg)
@@ -631,8 +632,14 @@ def test_end_of_run_certificates_hold_two_grid_arrays():
                 for e in elements)
     assert equivariance_residual(u, cfg) == worst / float(np.max(np.abs(u)))
     cube = 8 * math.prod(grid.shape)
-    assert _traced_peak(lambda: symmetrize(u, cfg, grid)) <= 2.05 * cube
-    assert _traced_peak(lambda: equivariance_residual(u, cfg)) <= 2.05 * cube
+    assert traced_peak(lambda: symmetrize(u, cfg, grid)) <= 2.05 * cube
+    assert traced_peak(lambda: equivariance_residual(u, cfg)) <= 2.05 * cube
+    flip = next(e for e in elements if e.sign == -1)
+    moved = apply_perm_to_grid(u, flip.perm)
+    cert = sign_certificate(u, cfg)
+    assert cert.antisymmetry_residual == (float(np.max(np.abs(moved + u)))
+                                          / float(np.max(np.abs(u))))
+    assert traced_peak(lambda: sign_certificate(u, cfg)) <= 2.05 * cube
     assert np.array_equal(u, random_bumps(grid, np.random.default_rng(24)))  # u is unchanged
 
 
@@ -823,23 +830,11 @@ def test_class_profile_is_the_class_field_at_nodes(cfg, grid):
     assert np.max(np.abs(class_values(c, grid, pts) - between.ravel())) <= bound
 
 
-def _traced_peak(call):
-    """Bytes the heap grows to above its start while call() runs."""
-    np.random.default_rng(0)  # imports numpy's random module, once per process
-    tracemalloc.start()
-    base = tracemalloc.get_traced_memory()[0]
-    tracemalloc.reset_peak()
-    call()
-    peak = tracemalloc.get_traced_memory()[1] - base
-    tracemalloc.stop()
-    return peak
-
-
 def test_reduced_level_estimate_peaks_below_half_a_solve():
     cfg, grid = SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 5, 1.0)
     c = class_coefficients(seed_field(cfg, grid), cfg, grid)
     params = params_for_config(cfg)
-    peak = _traced_peak(
+    peak = traced_peak(
         lambda: reduced_level_estimate(c, cfg, grid, params.with_exponent(params.q - 0.5)))
     assert peak <= 0.5 * solve_peak_bytes(grid)
 
@@ -872,7 +867,7 @@ def test_interpolated_bias_is_the_tail_defect(cfg, grid, low, high):
                                        (CFG4, BallGrid(4, 17, 1.0))], ids=["5^6", "17^4"])
 def test_interpolated_bias_peaks_below_half_a_solve(cfg, grid):
     c = class_coefficients(seed_field(cfg, grid), cfg, grid)
-    peak = _traced_peak(lambda: interpolated_equivariance_bias(c, cfg, grid))
+    peak = traced_peak(lambda: interpolated_equivariance_bias(c, cfg, grid))
     assert peak <= 0.25 * solve_peak_bytes(grid)
 
 
@@ -1125,8 +1120,8 @@ def test_solver_refuses_a_grid_that_cannot_fit():
                                        (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 5, 1.0)),
                                        (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 7, 1.0))],
                          ids=["13^4", "21^4", "9^5", "5^6", "7^6"])
-def test_peak_estimate_matches_the_traced_peak(cfg, grid):
-    peak = _traced_peak(lambda: solve(cfg, grid, options=SolveOptions(max_iters=4)))
+def test_peak_estimate_matches_thetraced_peak(cfg, grid):
+    peak = traced_peak(lambda: solve(cfg, grid, options=SolveOptions(max_iters=4)))
     assert 0.75 <= peak / solve_peak_bytes(grid, class_basis(cfg, grid)[2]) <= 1.0
 
 
@@ -1220,7 +1215,7 @@ def test_load_checkpoint_refuses_a_grid_that_cannot_fit(tmp_path):
 
     basis = variational._plane_profile_basis
     basis.cache_clear()
-    assert _traced_peak(load) < 2 ** 20
+    assert traced_peak(load) < 2 ** 20
     assert basis.cache_info().currsize == 0  # no class table was built
 
 
