@@ -1120,7 +1120,7 @@ def test_solver_refuses_a_grid_that_cannot_fit():
                                        (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 5, 1.0)),
                                        (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 7, 1.0))],
                          ids=["13^4", "21^4", "9^5", "5^6", "7^6"])
-def test_peak_estimate_matches_thetraced_peak(cfg, grid):
+def test_peak_estimate_matches_the_traced_peak(cfg, grid):
     peak = traced_peak(lambda: solve(cfg, grid, options=SolveOptions(max_iters=4)))
     assert 0.75 <= peak / solve_peak_bytes(grid, class_basis(cfg, grid)[2]) <= 1.0
 
