@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 import functools
-from typing import Iterable, Iterator
 
 from .codes import DistinctVerdict, distinct_guaranteed
 from .kvdoc import DocumentError, format_kv, format_value, get_int, parse_kv, require_keys
@@ -35,16 +34,21 @@ from .symmetry import (
 EXACT_CLIQUE_LIMIT = 20
 
 
-def _multiplicity_tuples(k: int, budget: int) -> Iterator[tuple[int, ...]]:
+def _multiplicity_tuples(k: int, budget: int) -> list[tuple[int, ...]]:
     """All (m_1..m_k) >= 0 with sum m_j (j+1) <= budget, lexicographic."""
-    def rec(slot: int, remaining: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if slot == k:
-            yield prefix
-            return
+    out: list[tuple[int, ...]] = []
+    m = [0] * k
+    def fill(slot: int, remaining: int) -> None:
         width = slot + 2
+        if slot == k or width > remaining:
+            out.append(tuple(m))  # the later slots are wider still, so empty
+            return
         for count in range(remaining // width + 1):
-            yield from rec(slot + 1, remaining - count * width, prefix + (count,))
-    yield from rec(0, budget, ())
+            m[slot] = count
+            fill(slot + 1, remaining - count * width)
+        m[slot] = 0
+    fill(0, budget)
+    return out
 
 
 def enumerate_configs(n: int, regime: str = "a_less_b",
@@ -58,12 +62,11 @@ def enumerate_configs(n: int, regime: str = "a_less_b",
         raise InvalidConfigError(f"alpha_max must be >= 0, got {alpha_max}")
     k = k_of(n)
     out: list[SymmetryConfig] = []
+    tuples = functools.cache(functools.partial(_multiplicity_tuples, k))  # one build per budget
     for alpha in range(alpha_max + 1):
         chi = 1 if alpha > 0 else 0
-        budget = n // 2 - 2 * chi
-        if budget < 0:
-            continue
-        for m in _multiplicity_tuples(k, budget):
+        budget = n // 2 - 2 * chi  # >= 0, as n >= 4
+        for m in tuples(budget):
             try:
                 out.append(SymmetryConfig(n, alpha, m, regime=regime))
             except InvalidConfigError:

@@ -3,7 +3,8 @@ energies behind criterion 8, a typed reader of ``report.txt``, the
 pointwise read of a class profile that the interpolated bias is checked
 against, the class Hessian by one energy pass per column, which the
 factored build is checked against, the all-pairs code closure that the
-orbit-representative one is checked against, and a traced heap peak."""
+orbit-representative one is checked against, the recursive multiplicity
+tuples that the flat enumeration is checked against, and a traced heap peak."""
 
 import math
 import tracemalloc
@@ -13,7 +14,14 @@ import numpy as np
 
 from cknsym.grid import BallGrid
 from cknsym.kvdoc import get_float, get_int, get_ints, parse_kv
-from cknsym.symmetry import SymmetryConfig, act_points, phi, random_element
+from cknsym.symmetry import (
+    InvalidConfigError,
+    SymmetryConfig,
+    act_points,
+    k_of,
+    phi,
+    random_element,
+)
 from cknsym.variational import (
     INTERPOLATED_SAMPLES,
     DiscreteEnergy,
@@ -192,3 +200,33 @@ def pair_closure(t: int, seeds: list[int]) -> frozenset[int]:
         frontier = candidates[~np.isin(candidates, total)]
         total = np.union1d(total, frontier)
     return frozenset(int(w) for w in total)
+
+
+def recursive_multiplicity_tuples(k: int, budget: int):
+    """All (m_1..m_k) >= 0 with sum m_j (j+1) <= budget, lexicographic, by one
+    nested generator per slot."""
+    def rec(slot, remaining, prefix):
+        if slot == k:
+            yield prefix
+            return
+        width = slot + 2
+        for count in range(remaining // width + 1):
+            yield from rec(slot + 1, remaining - count * width, prefix + (count,))
+    yield from rec(0, budget, ())
+
+
+def recursive_enumerate_configs(n: int, regime: str = "a_less_b",
+                                alpha_max: int = 0) -> tuple[SymmetryConfig, ...]:
+    """enumerate_configs with the tuples rebuilt from the recursion for every alpha."""
+    out = []
+    for alpha in range(alpha_max + 1):
+        budget = n // 2 - (2 if alpha > 0 else 0)
+        if budget < 0:
+            continue
+        for m in recursive_multiplicity_tuples(k_of(n), budget):
+            try:
+                out.append(SymmetryConfig(n, alpha, m, regime=regime))
+            except InvalidConfigError:
+                pass
+    return tuple(out)
+

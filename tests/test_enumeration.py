@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 
 from cknsym.enumeration import (
     ConfigFamily,
+    _multiplicity_tuples,
     count_configs,
     enumerate_configs,
     family_from_doc,
@@ -18,11 +19,13 @@ from cknsym.enumeration import (
     prime_restricted_count,
 )
 from cknsym.kvdoc import DocumentError
-from cknsym.symmetry import InvalidConfigError, SymmetryConfig
+from cknsym.symmetry import InvalidConfigError, SymmetryConfig, k_of
+
+from helpers import recursive_enumerate_configs, recursive_multiplicity_tuples
 
 
 # --------------------------------------------------------------------------
-# reference enumeration (independent of the module's recursion and DP)
+# reference enumeration (independent of the module's enumeration and DP)
 
 
 def brute_configs(n, regime="a_less_b", alpha_max=0):
@@ -92,12 +95,27 @@ def test_count_matches_brute_force(n, regime):
        st.sampled_from(["a_less_b", "a_eq_b_zero", "a_eq_b_nonzero"]),
        st.integers(min_value=0, max_value=3))
 def test_dp_count_equals_explicit_enumeration(n, regime, alpha_max):
-    """The partition DP and the explicit recursion agree everywhere."""
+    """The partition DP and the explicit enumeration agree everywhere."""
     if regime == "a_eq_b_nonzero" and n == 5:
         return
     configs = enumerate_configs(n, regime, alpha_max)
     assert count_configs(n, regime, alpha_max) == len(configs)
     assert [(c.alpha, c.m) for c in configs] == brute_configs(n, regime, alpha_max)
+
+
+def test_multiplicity_tuples_equal_the_recursive_oracle():
+    """Every (k, budget) that n <= 40 reaches: n // 2 at alpha 0, n // 2 - 2 above."""
+    cases = {(k_of(n), n // 2 - drop) for n in range(4, 41) for drop in (0, 2)}
+    for k, budget in sorted(cases):
+        assert _multiplicity_tuples(k, budget) == list(recursive_multiplicity_tuples(k, budget))
+
+
+@pytest.mark.parametrize("regime", ["a_less_b", "a_eq_b_nonzero"])
+def test_enumeration_equals_the_recursive_oracle(regime):
+    for n in range(4, 41):
+        for alpha_max in range(4):
+            assert enumerate_configs(n, regime, alpha_max) == \
+                recursive_enumerate_configs(n, regime, alpha_max)
 
 
 def test_positive_alpha_adds_pinwheel_budget():

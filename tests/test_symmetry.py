@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from cknsym import symmetry
 from cknsym.kvdoc import format_kv, parse_kv
 from cknsym.symmetry import (
     InvalidConfigError,
     GroupOperationError,
     SymmetryConfig,
+    _identity,
     act_points,
+    async_rotation_matrix,
     compose,
     config_from_pairs,
     config_to_pairs,
@@ -34,6 +37,8 @@ from cknsym.symmetry import (
     to_matrix,
     twist_order,
 )
+
+from helpers import traced_peak
 
 # a spread of valid configurations: with/without pinwheel, tails of width
 # 0, 1 (inactive), and >= 2, repeated blocks, mixed widths
@@ -75,6 +80,26 @@ def test_k_counts_available_block_slots():
 def test_invalid_configs_rejected(n, alpha, m):
     with pytest.raises(InvalidConfigError):
         SymmetryConfig(n, alpha, m)
+
+
+@pytest.mark.parametrize("n, m", [
+    (4, (1.7,)),           # float entry: was truncated to 1
+    (4, (1.0,)),           # integral float
+    (4, ("1",)),           # string entry: was parsed
+    (6, (np.float64(1.0), 0)),
+    (4, 1),                # not a sequence
+    (6, (0, -1)),          # negative entry
+    (6, (1, 0, 0)),        # more entries than k(6) = 2
+])
+def test_multiplicities_must_be_non_negative_integers(n, m):
+    with pytest.raises(InvalidConfigError):
+        SymmetryConfig(n, 0, m)
+
+
+def test_numpy_integer_multiplicities_are_accepted():
+    cfg = SymmetryConfig(8, 0, (np.int64(1), np.int32(0)))
+    assert cfg == SymmetryConfig(8, 0, (1, 0, 0))
+    assert all(type(v) is int for v in cfg.m)
 
 
 def test_width_one_leftover_rejected_only_for_nonzero_equal_weights():
@@ -308,6 +333,72 @@ def test_random_element_is_deterministic_per_seed():
     a = _random_elements(cfg, 42, 4)
     b = _random_elements(cfg, 42, 4)
     assert all(x == y for x, y in zip(a, b))
+
+
+def test_homomorphism_check_memory_does_not_grow_with_trials():
+    """20,000 pairs on a width-6 tail are drawn and dropped one at a time:
+    holding them all would take about 40,000 elements, tens of MB."""
+    cfg = SymmetryConfig(10, 0, (1, 0, 0, 0))
+    reports = []
+    peak = traced_peak(lambda: reports.append(phi_is_homomorphism_check(cfg, trials=20000)))
+    assert reports[0].passed and reports[0].trials == 20000
+    assert peak <= 2 ** 18
+
+
+def test_homomorphism_check_reports_the_first_violating_pair(monkeypatch):
+    """A sign map that breaks multiplicativity on part of the group is caught
+    at the first violating pair, in draw order, after several good ones."""
+    cfg = SymmetryConfig(8, 0, (1, 0, 0))
+    real_phi, real_compose = symmetry.phi, symmetry.compose
+    pairs = []
+
+    def skewed_phi(g):
+        return -real_phi(g) if g.blocks[0][1] > 6.0 else real_phi(g)
+
+    def recording_compose(g, h):
+        pairs.append((g, h))
+        return real_compose(g, h)
+
+    monkeypatch.setattr(symmetry, "phi", skewed_phi)
+    monkeypatch.setattr(symmetry, "compose", recording_compose)
+    report = phi_is_homomorphism_check(cfg, trials=400, seed=3)
+    bad = [i for i, (g, h) in enumerate(pairs)
+           if skewed_phi(real_compose(g, h)) != skewed_phi(g) * skewed_phi(h)]
+    assert not report.passed and len(pairs) > 1 and bad == [len(pairs) - 1]
+    assert all(a is b for a, b in zip(report.first_violation, pairs[-1], strict=True))
+
+
+def test_homomorphism_check_verdicts_match_haar_tailed_pairs():
+    """The check draws its pairs with identity tails; its verdicts are those
+    of as many random_element pairs, whose tails are Haar."""
+    for cfg in CONFIG_POOL:
+        report = phi_is_homomorphism_check(cfg, trials=200, seed=cfg.n)
+        rng = np.random.default_rng(cfg.n)
+        haar = [(random_element(cfg, rng), random_element(cfg, rng)) for _ in range(200)]
+        assert report.passed == all(phi(compose(g, h)) == phi(g) * phi(h) for g, h in haar)
+        assert report.plus_seen == any(phi(e) == 1 for pair in haar for e in pair)
+        assert report.minus_seen == any(phi(e) == -1 for pair in haar for e in pair)
+
+
+def test_cached_matrices_are_read_only():
+    for a in [*_identity(1), *_identity(6)]:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 2.0
+    tail = make_element(SymmetryConfig(10, 0, (1, 0, 0, 0))).tail
+    tail[0, 0] = 2.0  # each element owns its identity tail
+    assert _identity(6)[0][0, 0] == 1.0
+
+
+def test_to_matrix_builds_only_the_pinwheel_power_it_reads():
+    """The pinwheel has 2^(alpha+2) powers; to_matrix must not build them all."""
+    cfg = SymmetryConfig(4, 12, ())  # 16,384 powers, several MB if all were built
+    g = make_element(cfg, pinwheel=(5, 0.3))
+    assert traced_peak(lambda: to_matrix(g)) <= 2 ** 16
+    deep = SymmetryConfig(4, 40, ())
+    g = make_element(deep, pinwheel=(2 ** 41 + 3, 0.3))
+    expect = pinwheel_matrix(40, 2 ** 41 + 3) @ async_rotation_matrix(0.3)
+    assert to_matrix(g).tobytes() == expect.tobytes()
 
 
 # --------------------------------------------------------------------------
