@@ -217,7 +217,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 _OPTION_FIELDS = tuple(f for f in dataclasses.fields(SolveOptions)
                        if f.name != "checkpoint_path")
 _READERS = {int: get_int, float: get_float}
-_SOLVE_OPTIONAL = (("regime", "radius", "p", "a", "b", "weight_strength", "resume")
+_SOLVE_OPTIONAL = (("regime", "radius", "p", "a", "b", "resume")
                    + tuple(f.name for f in _OPTION_FIELDS))
 
 
@@ -236,7 +236,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         params = ProblemParams(cfg.n, p, get_float(pairs, "a", 0.0),
                                get_float(pairs, "b", 0.0))
     else:
-        params = params_for_config(cfg, p, get_float(pairs, "weight_strength", 0.3))
+        params = params_for_config(cfg, p)
 
     values = {f.name: _READERS[type(f.default)](pairs, f.name, f.default)
               for f in _OPTION_FIELDS}

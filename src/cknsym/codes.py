@@ -29,6 +29,9 @@ import numpy as np
 
 from .symmetry import BlockSpan, SymmetryConfig, make_layout
 
+ROTATION_ANGLES, ROTATION_POINTS, ROTATION_SEED = 12, 64, 0  # samples per word, their seed
+ROTATION_TOL = 1e-8  # a word whose worst residual stays below this enters the code
+
 
 def _coerce_bits(value, t: int | None = None) -> tuple[int, ...]:
     if isinstance(value, Codeword):
@@ -381,25 +384,20 @@ class RotationCodeReport:
 
 def rotation_invariance_code(f: Callable[[np.ndarray], np.ndarray],
                              cfg: SymmetryConfig,
-                             span: BlockSpan,
-                             *,
-                             num_angles: int = 12,
-                             num_points: int = 64,
-                             tol: float = 1e-8,
-                             seed: int = 0) -> RotationCodeReport:
+                             span: BlockSpan) -> RotationCodeReport:
     """Empirically classify which componentwise rotations leave f invariant.
 
     ``f`` maps an (m, n) array of points to m values.  Every word of the
-    block's width is tested on random angles (offset to dodge special
-    angles) and random points; words whose worst residual stays below tol
-    enter the code.  The result is then checked against the code axioms:
-    violations indicate sampling artifacts and are reported, not raised.
+    block's width is tested on ROTATION_ANGLES random angles, clear of special
+    angles, and ROTATION_POINTS random points, drawn from ROTATION_SEED; words
+    whose worst residual stays below ROTATION_TOL enter the code.  Violations
+    of the code axioms indicate sampling artifacts and are reported, not raised.
     """
     width = span.length // 2
-    rng = np.random.default_rng(seed)
-    points = rng.standard_normal((num_points, cfg.n))
+    rng = np.random.default_rng(ROTATION_SEED)
+    points = rng.standard_normal((ROTATION_POINTS, cfg.n))
     base = np.asarray(f(points), dtype=float)
-    angles = rng.uniform(0.15, 2.0 * math.pi - 0.15, size=num_angles)
+    angles = rng.uniform(0.15, 2.0 * math.pi - 0.15, size=ROTATION_ANGLES)
     accepted: set[int] = set()
     residuals: dict[tuple[int, ...], float] = {}
     for packed_bits in range(1 << width):
@@ -408,10 +406,10 @@ def rotation_invariance_code(f: Callable[[np.ndarray], np.ndarray],
         for theta in angles:
             rotated = componentwise_rotation_points(points, span, bits, float(theta))
             worst = max(worst, float(np.max(np.abs(np.asarray(f(rotated)) - base))))
-            if worst > tol:
+            if worst > ROTATION_TOL:
                 break
         residuals[bits] = worst
-        if worst <= tol:
+        if worst <= ROTATION_TOL:
             accepted.add(packed_bits)
     code = Code(width, frozenset(accepted))
     return RotationCodeReport(code=code, residuals=residuals,

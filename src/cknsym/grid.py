@@ -29,6 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .kvdoc import exact_int
+
 MAX_DIM = 6
 FIELD_FORMAT = "cknsym-field"
 FIELD_VERSION = 1
@@ -45,10 +47,10 @@ class BallGrid:
     radius: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or not 1 <= self.n <= MAX_DIM:
-            raise GridError(f"dimension must be an integer in 1..{MAX_DIM}, got {self.n}")
-        if not isinstance(self.points_per_axis, int) or self.points_per_axis < 5:
-            raise GridError(f"points_per_axis must be an integer >= 5, got {self.points_per_axis}")
+        object.__setattr__(self, "n", exact_int(self.n, GridError, (
+            f"dimension must be an integer in 1..{MAX_DIM}, got {{!r}}"), 1, MAX_DIM))
+        object.__setattr__(self, "points_per_axis", exact_int(self.points_per_axis, GridError, (
+            "points_per_axis must be an integer >= 5, got {!r}"), 5))
         if self.points_per_axis % 2 == 0:
             raise GridError("points_per_axis must be odd so the origin is a node")
         # products, not powers: a float power raises on overflow, a product reads inf

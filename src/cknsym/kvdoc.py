@@ -10,6 +10,8 @@ floats carry 17 significant digits, which keeps round-trips exact.
 
 from __future__ import annotations
 
+import operator
+
 
 class DocumentError(ValueError):
     """Malformed key-value document."""
@@ -48,6 +50,21 @@ def require_keys(pairs: dict[str, str], required: tuple[str, ...],
     unknown = [k for k in pairs if k not in allowed]
     if unknown:
         raise DocumentError(f"unknown keys: {', '.join(sorted(unknown))}")
+
+
+def exact_int(value, error: type[Exception], message: str, low: int,
+              high: float = float("inf")) -> int:
+    """The int of an integer ``value`` in [low, high], else ``error(message.format(value))``.
+    Numpy integers are accepted; bools are refused: ``format_value`` writes yes/no."""
+    if type(value) is int and low <= value <= high:  # the common case, checked first
+        return value
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or not low <= number <= high:
+        raise error(message.format(value))
+    return number
 
 
 def format_value(value) -> str:

@@ -135,12 +135,10 @@ def apply_perm_to_grid(values: np.ndarray, perm: SignedPerm) -> np.ndarray:
     """Compose a grid field with a signed permutation: out(x) = values(g x).
 
     Requires a grid symmetric about the origin along every axis (odd point
-    count), so that flipping a coordinate is exactly an index reversal.
+    count), so that flipping a coordinate is exactly an index reversal.  The
+    result is a view of ``values`` and must not be written into.
     """
     flip_axes = [a for a, s in enumerate(perm.signs) if s < 0]
     v = np.flip(values, axis=flip_axes) if flip_axes else values
-    inv = [0] * perm.n
-    for i, src in enumerate(perm.source):
-        inv[src] = i
-    return np.ascontiguousarray(np.transpose(v, axes=inv))
+    return np.transpose(v, axes=sorted(range(perm.n), key=perm.source.__getitem__))
 

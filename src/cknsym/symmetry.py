@@ -18,8 +18,8 @@ tail matrix) and composed symbolically.  ``to_matrix`` realises the same
 element as an explicit orthogonal matrix; the symbolic composition law is
 validated against matrix products in the test suite.  ``to_matrix`` and
 ``phi`` are the only encoding of how an element moves coordinates and what
-sign it carries: the point action, the grid-exact lattice subgroup and the
-stabilizer check all read them.
+sign it carries: the grid-exact lattice subgroup and the stabilizer check
+read them.
 
 The sign character ``phi`` is -1 exactly on the odd powers of the twisting
 generators; its kernel is index 2, which is the structural fact the
@@ -31,12 +31,11 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kvdoc import format_value, get_int, get_ints
+from .kvdoc import exact_int, format_value, get_int, get_ints
 
 TWO_PI = 2.0 * math.pi
 
@@ -47,6 +46,8 @@ TWO_PI = 2.0 * math.pi
 REGIMES = ("a_less_b", "a_eq_b_zero", "a_eq_b_nonzero")
 
 ANGLE_TOL = 1e-12
+STABILIZER_TOL = 1e-9  # a witness-branch residual at most this has a fixing angle
+ORBIT_TOL = 1e-12  # a coordinate at most this in absolute value is zero
 
 
 class InvalidConfigError(ValueError):
@@ -93,10 +94,10 @@ def _angles_close(a: float, b: float, tol: float = ANGLE_TOL) -> bool:
 class SymmetryConfig:
     """Admissible symmetry configuration (n, alpha, m) under a regime.
 
-    ``m`` holds integers (floats and strings are refused); it may be given
-    shorter than ``k_of(n)`` and is padded with zeros.  Validation enforces
-    the size condition ``0 < 2*chi + sum(m[j-1]*(j+1)) <= n/2`` (with
-    ``chi = 1`` iff ``alpha > 0``), requires ``m != 0`` when ``alpha == 0``,
+    ``n``, ``alpha`` and ``m``'s entries are ints (``kvdoc.exact_int``); ``m``
+    may be shorter than ``k_of(n)`` and is padded with zeros.  Validation
+    enforces the size condition ``0 < 2*chi + sum(m[j-1]*(j+1)) <= n/2``
+    (``chi = 1`` iff ``alpha > 0``), requires ``m != 0`` when ``alpha == 0``,
     and under the "a_eq_b_nonzero" regime also requires the tail condition
     (leftover width != 1) and ``n != 5``.
     """
@@ -107,21 +108,20 @@ class SymmetryConfig:
     regime: str = "a_less_b"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 4:
-            raise InvalidConfigError(f"n must be an integer >= 4, got {self.n!r}")
-        if not isinstance(self.alpha, int) or self.alpha < 0:
-            raise InvalidConfigError(f"alpha must be a non-negative integer, got {self.alpha!r}")
+        object.__setattr__(self, "n", exact_int(
+            self.n, InvalidConfigError, "n must be an integer >= 4, got {!r}", 4))
+        object.__setattr__(self, "alpha", exact_int(
+            self.alpha, InvalidConfigError, "alpha must be an integer >= 0, got {!r}", 0))
         if self.regime not in REGIMES:
             raise InvalidConfigError(f"regime must be one of {REGIMES}, got {self.regime!r}")
         k = k_of(self.n)
         try:
-            m = tuple(map(operator.index, self.m))
-        except TypeError as exc:
-            raise InvalidConfigError(f"m must hold integers, got {self.m!r}") from exc
+            m = tuple(exact_int(v, InvalidConfigError, "m entries must be ints >= 0, got {!r}", 0)
+                      for v in self.m)
+        except TypeError:
+            raise InvalidConfigError(f"m must be a sequence, got {self.m!r}") from None
         if len(m) > k:
             raise InvalidConfigError(f"m has {len(m)} entries but dimension {self.n} admits only {k}")
-        if any(v < 0 for v in m):
-            raise InvalidConfigError(f"m must be non-negative, got {m}")
         m = m + (0,) * (k - len(m))
         object.__setattr__(self, "m", m)
         s = self.weighted_block_sum
@@ -491,14 +491,6 @@ def to_matrix(g: GroupElement) -> np.ndarray:
     return out
 
 
-def act_points(g: GroupElement, points: np.ndarray) -> np.ndarray:
-    """Apply g to an (m, n) array of points through its matrix."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != g.config.n:
-        raise GroupOperationError(f"points must be (m, {g.config.n}), got {points.shape}")
-    return points @ to_matrix(g).T
-
-
 # --------------------------------------------------------------------------
 # structural checks
 
@@ -571,7 +563,7 @@ class StabilizerReport:
         return self.passed
 
 
-def stabilizer_in_kernel_check(cfg: SymmetryConfig, residual_tol: float = 1e-9) -> StabilizerReport:
+def stabilizer_in_kernel_check(cfg: SymmetryConfig) -> StabilizerReport:
     """Certify that the stabilizer of the witness point lies in ker(phi).
 
     The group acts blockwise, so the stabilizer is the product of per-block
@@ -579,9 +571,9 @@ def stabilizer_in_kernel_check(cfg: SymmetryConfig, residual_tol: float = 1e-9) 
     a fixed twist/step exponent the action on the witness block is
     ``e^{i s theta} w`` with ``w`` the twisted witness and ``s = +-1``, so
     the minimum of ``|g xi - xi|^2`` over the angle is
-    ``2 |xi|^2 - 2 |<w, xi>|``; a fixing angle exists iff that vanishes.
-    Every vanishing branch must carry sign +1.  Tail factors never matter:
-    they always have sign +1.
+    ``2 |xi|^2 - 2 |<w, xi>|``; a fixing angle exists iff that is at most
+    STABILIZER_TOL, and every such branch must carry sign +1.  Tail factors
+    never matter: they always have sign +1.
     """
     layout = make_layout(cfg)
     witness = stabilizer_witness(cfg)
@@ -596,7 +588,7 @@ def stabilizer_in_kernel_check(cfg: SymmetryConfig, residual_tol: float = 1e-9) 
             rmin = 2.0 - 2.0 * abs(math.cos(psi))
             fixing = None
             sign = -1 if step % 2 else 1
-            if rmin <= residual_tol:
+            if rmin <= STABILIZER_TOL:
                 fixing = 0.0 if math.cos(psi) > 0.0 else math.pi
                 if sign == -1:
                     passed = False
@@ -615,7 +607,7 @@ def stabilizer_in_kernel_check(cfg: SymmetryConfig, residual_tol: float = 1e-9) 
             rmin = 2.0 * norm_sq - 2.0 * abs(ip)
             fixing = None
             sign = -1 if twist % 2 else 1
-            if rmin <= residual_tol:
+            if rmin <= STABILIZER_TOL:
                 # e^{i s} w = xi at s = -arg<w, xi>; angle flips with twist parity
                 s = -cmath.phase(ip)
                 fixing = _wrap_angle(s if twist % 2 == 0 else -s)
@@ -638,13 +630,13 @@ class OrbitReport:
     reason: str
 
 
-def orbit_classify(cfg: SymmetryConfig, x: np.ndarray, tol: float = 1e-12) -> OrbitReport:
+def orbit_classify(cfg: SymmetryConfig, x: np.ndarray) -> OrbitReport:
     """Classify the orbit of a point: singleton or infinite.
 
-    Any nonzero coordinate inside a rotation or pinwheel block is moved
-    along a circle, and a nonzero tail of width >= 2 is moved along a
-    sphere; otherwise every factor fixes the point.  There is nothing in
-    between (finite non-singleton orbits do not occur).
+    Any coordinate above ORBIT_TOL in absolute value inside a rotation or
+    pinwheel block is moved along a circle, and a nonzero tail of width >= 2
+    is moved along a sphere; otherwise every factor fixes the point.  There
+    is nothing in between (finite non-singleton orbits do not occur).
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (cfg.n,):
@@ -653,18 +645,19 @@ def orbit_classify(cfg: SymmetryConfig, x: np.ndarray, tol: float = 1e-12) -> Or
         raise GroupOperationError(f"point must be finite, got {x}")
     layout = make_layout(cfg)
     reason = None
-    if layout.pinwheel is not None and np.any(np.abs(x[0:4]) > tol):
+    nonzero = np.abs(x) > ORBIT_TOL
+    if layout.pinwheel is not None and nonzero[0:4].any():
         reason = "pinwheel block is nonzero; asynchronous rotations sweep a circle"
     if reason is None:
         for span in layout.blocks:
-            if np.any(np.abs(x[span.start:span.stop]) > tol):
+            if nonzero[span.start:span.stop].any():
                 reason = (f"block (j={span.j}, copy={span.ell}) is nonzero; "
                           "synchronous rotations sweep a circle")
                 break
-    if reason is None and layout.tail_active and np.any(np.abs(x[layout.tail_start:]) > tol):
+    if reason is None and layout.tail_active and nonzero[layout.tail_start:].any():
         reason = "tail is nonzero and carries a full orthogonal factor"
     if reason is None:
-        if layout.tail_dim == 1 and abs(x[layout.tail_start]) > tol:
+        if layout.tail_dim == 1 and nonzero[layout.tail_start]:
             reason = "only the width-1 tail is nonzero and its factor is trivial"
         else:
             reason = "every block is zero; the point is fixed by the whole group"

@@ -66,6 +66,9 @@ METRIC_CUT = 1e-6  # metric eigenvalues below this share of the largest carry no
 INTERPOLATED_SAMPLES = 8  # random full-group elements in the bias diagnostic
 REDUCED_REFINE = 4  # profile table step of the reduced level: grid step / 4
 KINETIC_EPS = 1e-8  # kinetic-density regularisation for p != 2
+SEED_OFFSET = 0.55  # seed bump center along the witness, in radii
+SEED_WIDTH = 0.18  # seed bump standard deviation, in radii
+WEIGHT_STRENGTH = 0.3  # b of the default weights; a = b scales it under a_eq_b_nonzero
 
 
 class VariationalError(ValueError):
@@ -119,45 +122,35 @@ class ProblemParams:
         return ProblemParams(self.n, self.p, self.a, self.b, q)
 
 
-def params_for_config(cfg: SymmetryConfig, p: float = 2.0,
-                      weight_strength: float = 0.3) -> ProblemParams:
+def params_for_config(cfg: SymmetryConfig, p: float = 2.0) -> ProblemParams:
     """Regime-consistent default exponents for a configuration's dimension."""
-    s = weight_strength
-    if not 0 < s < 1:
-        raise VariationalError(f"weight_strength must be in (0, 1), got {s}")
     if cfg.regime == "a_eq_b_zero":
         return ProblemParams(cfg.n, p, 0.0, 0.0)
-    cap = (cfg.n - p) / p
     if cfg.regime == "a_eq_b_nonzero":
-        ab = s * min(1.0, cap / 2.0)
+        ab = WEIGHT_STRENGTH * min(1.0, (cfg.n - p) / p / 2.0)
         return ProblemParams(cfg.n, p, ab, ab)
-    return ProblemParams(cfg.n, p, 0.0, s)
+    return ProblemParams(cfg.n, p, 0.0, WEIGHT_STRENGTH)
 
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """The solver's settings.  Every field except ``checkpoint_path`` is also
-    a ``cknsym solve`` key, with the default given here."""
+    """The solver's settings; every field but ``checkpoint_path`` is also a
+    ``cknsym solve`` key with this default.  The seed and first step are fixed."""
 
     max_iters: int = 400
     tol: float = 1e-5  # relative first-variation tolerance, dimensionless
-    initial_step: float = 1.0  # first relative step, capped at 1: a full metric step
     subcritical_shift: float = 0.5
-    seed_offset: float = 0.55
-    seed_width: float = 0.18
     checkpoint_path: str | None = None
     checkpoint_every: int = 0
 
     def __post_init__(self) -> None:
         # written as "not 0 < x < inf" so that NaN is refused too
-        for name in ("tol", "initial_step", "subcritical_shift", "seed_width"):
+        for name in ("tol", "subcritical_shift"):
             if not 0 < getattr(self, name) < math.inf:
                 raise VariationalError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         for name in ("max_iters", "checkpoint_every"):
             if not getattr(self, name) >= 0:
                 raise VariationalError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not math.isfinite(self.seed_offset):
-            raise VariationalError(f"seed_offset must be finite, got {self.seed_offset}")
 
 
 class DiscreteEnergy:
@@ -387,7 +380,7 @@ def symmetrize(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) -> np.nd
     """Average sign(g) * u(g x) over the sampling subgroup: an exact projection."""
     elements = lattice_subgroup(cfg)
     acc = np.zeros(grid.shape)
-    for e in elements:  # in place: each permuted copy is freed before the next is made
+    for e in elements:  # in place, reading each element's permuted view of values
         (np.add if e.sign > 0 else np.subtract)(acc, apply_perm_to_grid(values, e.perm), out=acc)
     return np.divide(acc, len(elements), out=acc)
 
@@ -695,7 +688,7 @@ def equivariance_residual(values: np.ndarray, cfg: SymmetryConfig) -> float:
     if peak == 0.0:
         return 0.0
     worst = 0.0
-    diff = np.empty(values.shape)  # moved may be values itself: the identity copies nothing
+    diff = np.empty(values.shape)  # moved is a view of values, so not in place
     for e in lattice_subgroup(cfg):  # diff = u(g x) - sign * u(x), bit for bit
         (np.subtract if e.sign > 0 else np.add)(apply_perm_to_grid(values, e.perm), values,
                                                 out=diff)
@@ -772,7 +765,7 @@ def sign_certificate(values: np.ndarray, cfg: SymmetryConfig) -> SignCertificate
     idx = np.unravel_index(int(np.argmax(np.abs(values))), values.shape)
     moved = apply_perm_to_grid(values, e.perm)
     peak = float(np.max(np.abs(values)))
-    gap = moved + values  # not in place: moved is values itself for an identity perm
+    gap = moved + values  # not in place: moved is a view of values
     np.abs(gap, out=gap)
     return SignCertificate(
         node_index=tuple(int(i) for i in idx),
@@ -789,9 +782,7 @@ def sign_certificate(values: np.ndarray, cfg: SymmetryConfig) -> SignCertificate
 # seeding
 
 
-def seed_field(cfg: SymmetryConfig, grid: BallGrid,
-               offset: float = SolveOptions.seed_offset,
-               width: float = SolveOptions.seed_width) -> np.ndarray:
+def seed_field(cfg: SymmetryConfig, grid: BallGrid) -> np.ndarray:
     """Symmetrized Gaussian bump along the stabilizer witness direction.
 
     The witness is fixed only by character +1 elements, so the signed
@@ -799,17 +790,17 @@ def seed_field(cfg: SymmetryConfig, grid: BallGrid,
     """
     w = stabilizer_witness(cfg)
     w = w / np.linalg.norm(w)
-    center = offset * grid.radius * w
+    center = SEED_OFFSET * grid.radius * w
 
     def bump(pts: np.ndarray) -> np.ndarray:
         d2 = np.sum((pts - center) ** 2, axis=1)
-        return np.exp(-d2 / (2.0 * (width * grid.radius) ** 2))
+        return np.exp(-d2 / (2.0 * (SEED_WIDTH * grid.radius) ** 2))
 
     u = field_from_function(grid, bump)
     u = symmetrize(u, cfg, grid)
     peak = float(np.max(np.abs(u)))
     if peak <= 0.0:
-        raise VariationalError("symmetrized seed vanished; widen the bump or move its center")
+        raise VariationalError("the symmetrized seed vanishes on this grid")
     return u / peak
 
 
@@ -1004,8 +995,8 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     its eigenvalues below METRIC_CUT of the largest, whose directions leave
     the ball and carry no energy, are cut.  Armijo runs on the quotient
     along -H^+ g with slope g . H^+ g, from the step rho B^(p/q), where rho
-    is the last accepted relative step (first ``initial_step``, capped at
-    1), halving down to MIN_STEP.  Each trial costs one energy pass, whose
+    is the last accepted relative step (1, a full metric step, on a fresh
+    solve), halving down to MIN_STEP.  Each trial costs one energy pass, whose
     gradient, if accepted, is scattered onto the grid and pulled back by
     E^T, the tensor average and S^T; the grid ``symmetrize`` runs only on
     the seed and for the end-of-run gap.  A class that projects the seed
@@ -1061,7 +1052,7 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
         history = list(state["history"])
     else:
         # the seed is sup-normalized (peak 1) and is not kept
-        y = coordinates(seed_field(cfg, grid, options.seed_offset, options.seed_width))
+        y = coordinates(seed_field(cfg, grid))
         peak = float(np.max(np.abs(class_field(coefficients(y), cfg, grid))))
         if peak <= 1e-8:
             raise UnsupportedConfigError(
@@ -1070,7 +1061,7 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
                 f"of its peak, so there is no sign-changing candidate to certify")
         y = y / peak
         start_iter = 0
-        rho = min(options.initial_step, 1.0)
+        rho = 1.0
 
     # the metric: the p = 2 kinetic Hessian in class coordinates, inverted on
     # the directions that carry energy (the others leave the ball)

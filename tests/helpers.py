@@ -17,10 +17,10 @@ from cknsym.kvdoc import get_float, get_int, get_ints, parse_kv
 from cknsym.symmetry import (
     InvalidConfigError,
     SymmetryConfig,
-    act_points,
     k_of,
     phi,
     random_element,
+    to_matrix,
 )
 from cknsym.variational import (
     INTERPOLATED_SAMPLES,
@@ -140,7 +140,7 @@ def pointwise_bias(coefficients: np.ndarray, cfg: SymmetryConfig, grid: BallGrid
     worst = 0.0
     for _ in range(INTERPOLATED_SAMPLES):
         g = random_element(cfg, rng)
-        resid = np.abs(class_values(coefficients, grid, act_points(g, pts)) - phi(g) * own)
+        resid = np.abs(class_values(coefficients, grid, pts @ to_matrix(g).T) - phi(g) * own)
         worst = max(worst, float(np.max(resid)))
     return worst / peak
 

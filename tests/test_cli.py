@@ -214,16 +214,22 @@ def test_solve_writes_the_result_bundle(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("setting", [
-    "checkpoint_every: -1", "max_iters: -3", "initial_step: 0", "initial_step: -0.2",
-    "tol: -1", "tol: nan", "subcritical_shift: -1", "seed_width: -0.1",
-    "tol: inf", "initial_step: inf", "seed_width: inf", "subcritical_shift: inf",
-    "radius: 1e100", "radius: 1e-100", "radius: inf", "seed_offset: nan", "seed_offset: inf"])
+    "checkpoint_every: -1", "max_iters: -3", "tol: -1", "tol: nan", "subcritical_shift: -1",
+    "tol: inf", "subcritical_shift: inf", "radius: 1e100", "radius: 1e-100", "radius: inf"])
 def test_solve_rejects_meaningless_options(tmp_path, capsys, setting):
     base = SOLVE_DOC.replace("max_iters: 12\n", "")
     doc = write_doc(tmp_path / "solve.kv", f"{base}{setting}\n")
     assert run("solve", "--config", doc, "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {setting.split(':')[0]} must be") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["initial_step", "seed_offset", "seed_width", "weight_strength"])
+def test_solve_refuses_retired_keys(tmp_path, capsys, key):
+    doc = write_doc(tmp_path / "solve.kv", f"{SOLVE_DOC}{key}: 0.5\n")
+    assert run("solve", "--config", doc, "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"error: unknown keys: {key}\n"
     assert not (tmp_path / "out").exists()
 
 

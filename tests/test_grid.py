@@ -36,6 +36,25 @@ def test_invalid_grids_rejected(kwargs):
         BallGrid(**kwargs)
 
 
+@pytest.mark.parametrize("kind", [bool, float, str, np.float64])
+@pytest.mark.parametrize("field, good", [("n", 3), ("points_per_axis", 9)])
+def test_grid_integers_refuse_bools_floats_and_strings(field, good, kind):
+    args = {"n": 3, "points_per_axis": 9}
+    args[field] = kind(good)  # bool(3) is True, which would read as a 1-D grid
+    with pytest.raises(GridError):
+        BallGrid(**args)
+
+
+def test_numpy_built_grid_stores_ints_and_its_field_round_trips(tmp_path):
+    grid = BallGrid(np.int64(3), np.int32(9))
+    assert type(grid.n) is int and type(grid.points_per_axis) is int
+    assert grid == BallGrid(3, 9) and hash(grid) == hash(BallGrid(3, 9))
+    values = np.random.default_rng(4).standard_normal(grid.shape) * grid.mask_f
+    save_field(tmp_path / "field.dat", grid, values)
+    loaded_grid, loaded = load_field(tmp_path / "field.dat")
+    assert loaded_grid == grid and np.array_equal(loaded, values)
+
+
 def test_axis_is_symmetric_with_origin_node():
     grid = BallGrid(2, 9, radius=2.0)
     assert grid.axis[0] == -2.0 and grid.axis[-1] == 2.0

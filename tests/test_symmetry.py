@@ -15,7 +15,6 @@ from cknsym.symmetry import (
     GroupOperationError,
     SymmetryConfig,
     _identity,
-    act_points,
     async_rotation_matrix,
     compose,
     config_from_pairs,
@@ -100,6 +99,40 @@ def test_numpy_integer_multiplicities_are_accepted():
     cfg = SymmetryConfig(8, 0, (np.int64(1), np.int32(0)))
     assert cfg == SymmetryConfig(8, 0, (1, 0, 0))
     assert all(type(v) is int for v in cfg.m)
+
+
+_INT_FIELDS = [("n", 8), ("alpha", 1), ("m", 1)]  # (8, 1, (1,)) is admissible
+
+
+def _config_with(field, value):
+    args = {"n": 8, "alpha": 1, "m": (1,)}
+    args[field] = (value,) if field == "m" else value
+    return SymmetryConfig(**args)
+
+
+@pytest.mark.parametrize("kind", [bool, float, str, np.float64])
+@pytest.mark.parametrize("field, good", _INT_FIELDS)
+def test_config_integers_refuse_bools_floats_and_strings(field, good, kind):
+    # a bool alpha would be written back as "alpha: yes", which no reader accepts
+    with pytest.raises(InvalidConfigError):
+        _config_with(field, kind(good))
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+@pytest.mark.parametrize("field, good", _INT_FIELDS)
+def test_config_stores_numpy_integers_as_int(field, good, kind):
+    cfg = _config_with(field, kind(good))
+    plain = SymmetryConfig(8, 1, (1,))
+    assert cfg == plain and hash(cfg) == hash(plain)
+    assert all(type(v) is int for v in (cfg.n, cfg.alpha, *cfg.m))
+    assert config_from_pairs(parse_kv(format_kv(config_to_pairs(cfg)))) == plain
+
+
+def test_numpy_built_config_equals_and_hashes_like_the_int_built_one():
+    built = SymmetryConfig(np.int64(8), np.int64(0), np.array([2, 0, 0]))
+    plain = SymmetryConfig(8, 0, (2, 0, 0))
+    assert built == plain and hash(built) == hash(plain)
+    assert {built: 1}[plain] == 1
 
 
 def test_width_one_leftover_rejected_only_for_nonzero_equal_weights():
@@ -240,26 +273,8 @@ def test_matrices_are_orthogonal():
             assert np.allclose(m.T @ m, np.eye(cfg.n), atol=1e-10)
 
 
-@given(st.sampled_from(CONFIG_POOL), st.integers(0, 2 ** 31 - 1))
-@settings(max_examples=40, deadline=None)
-def test_act_matches_matrix_action(cfg, seed):
-    (g,) = _random_elements(cfg, seed, 1)
-    rng = np.random.default_rng(seed + 1)
-    x = rng.standard_normal(cfg.n)
-    assert np.allclose(act_points(g, x[None, :])[0], to_matrix(g) @ x, atol=1e-12)
-
-
-def test_act_points_matches_pointwise_action():
-    cfg = SymmetryConfig(6, 0, (0, 1))
-    (g,) = _random_elements(cfg, 5, 1)
-    pts = np.random.default_rng(6).standard_normal((20, 6))
-    batched = act_points(g, pts)
-    single = np.array([act_points(g, p[None, :])[0] for p in pts])
-    assert np.allclose(batched, single, atol=1e-12)
-
-
 def _oracle_act_points(g, points):
-    """Blockwise complex arithmetic: the point action before it read to_matrix."""
+    """Blockwise complex arithmetic: the point action written without to_matrix."""
     cfg = g.config
     layout = make_layout(cfg)
     out = np.empty_like(points)
@@ -301,7 +316,16 @@ def test_act_points_matches_the_complex_arithmetic_oracle(cfg):
     pts = rng.standard_normal((30, cfg.n))
     for g in _random_elements(cfg, cfg.n, 20):
         expected = _oracle_act_points(g, pts)
-        assert np.max(np.abs(act_points(g, pts) - expected)) <= 1e-13 * np.max(np.abs(expected))
+        assert np.max(np.abs(pts @ to_matrix(g).T - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@given(st.sampled_from(CONFIG_POOL), st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_act_matches_matrix_action(cfg, seed):
+    (g,) = _random_elements(cfg, seed, 1)
+    rng = np.random.default_rng(seed + 1)
+    x = rng.standard_normal(cfg.n)
+    assert np.allclose(_oracle_act_points(g, x[None, :])[0], to_matrix(g) @ x, atol=1e-12)
 
 
 def test_twist_parity_drives_the_sign():
@@ -440,7 +464,7 @@ def test_fixing_branches_fix_the_witness():
                 blocks = [(0, 0.0)] * len(layout.blocks)
                 blocks[idx] = (branch.exponent, branch.fixing_angle)
                 g = make_element(cfg, blocks=tuple(blocks))
-            assert np.max(np.abs(act_points(g, witness[None, :])[0] - witness)) <= 1e-9
+            assert np.max(np.abs(to_matrix(g) @ witness - witness)) <= 1e-9
 
 
 def test_orbit_of_zero_is_singleton():

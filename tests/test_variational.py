@@ -119,12 +119,10 @@ def test_with_exponent_overrides_q_only():
 def test_params_for_config_respects_regime():
     zero = params_for_config(SymmetryConfig(4, 0, (1,), regime="a_eq_b_zero"))
     assert (zero.a, zero.b) == (0.0, 0.0)
-    mixed = params_for_config(CFG4, weight_strength=0.3)
+    mixed = params_for_config(CFG4)
     assert mixed.a == 0.0 and mixed.b == 0.3
     equal = params_for_config(SymmetryConfig(6, 0, (1,), regime="a_eq_b_nonzero"))
     assert equal.a == equal.b > 0.0
-    with pytest.raises(VariationalError):
-        params_for_config(CFG4, weight_strength=1.5)
 
 
 # --------------------------------------------------------------------------
