@@ -95,9 +95,7 @@ def count_configs(n: int, regime: str = "a_less_b", alpha_max: int = 0) -> int:
     total = 0
     for alpha in range(alpha_max + 1):
         chi = 1 if alpha > 0 else 0
-        budget = n // 2 - 2 * chi
-        if budget < 0:
-            continue
+        budget = n // 2 - 2 * chi  # >= 0, as n >= 4
         ways = _partition_counts(tuple(range(2, k + 2)), budget)
         total += sum(w for s_blocks, w in enumerate(ways)
                      if admissibility_violation(n, 2 * chi + s_blocks, regime) is None)
@@ -127,7 +125,7 @@ def prime_restricted_count(n: int) -> int:
 
 def prime_restricted_asymptotic(n: int) -> float:
     """Leading-order growth of the prime-width count as n -> infinity."""
-    if n <= 2 or n / 2 <= 1:
+    if n <= 2:
         raise ValueError("asymptotic needs n large enough that ln(n/2) > 0")
     return math.exp(math.pi * math.sqrt(2.0 * n) / math.sqrt(3.0 * math.log(n / 2.0)))
 

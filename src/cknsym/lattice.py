@@ -47,10 +47,6 @@ class SignedPerm:
     def n(self) -> int:
         return len(self.source)
 
-    def apply_point(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        return np.asarray(self.signs) * x[..., list(self.source)]
-
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "SignedPerm":
         """The signed permutation a matrix realises within 1e-12; refuses any other."""
@@ -65,25 +61,6 @@ class SignedPerm:
                 or sorted(source.tolist()) != rows.tolist()):
             raise GroupOperationError("matrix is not a signed permutation")
         return cls(tuple(source.tolist()), tuple(int(s) for s in exact[rows, source]))
-
-    def matrix(self) -> np.ndarray:
-        m = np.zeros((self.n, self.n))
-        for i, (src, s) in enumerate(zip(self.source, self.signs)):
-            m[i, src] = s
-        return m
-
-
-def identity_perm(n: int) -> SignedPerm:
-    return SignedPerm(tuple(range(n)), (1,) * n)
-
-
-def compose_perms(a: SignedPerm, b: SignedPerm) -> SignedPerm:
-    """Signed permutation of x -> a(b(x))."""
-    if a.n != b.n:
-        raise GroupOperationError("signed permutations of different sizes")
-    source = tuple(b.source[a.source[i]] for i in range(a.n))
-    signs = tuple(a.signs[i] * b.signs[a.source[i]] for i in range(a.n))
-    return SignedPerm(source, signs)
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,7 @@ def _angles_close(a: float, b: float, tol: float = ANGLE_TOL) -> bool:
     return d <= tol or TWO_PI - d <= tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymmetryConfig:
     """Admissible symmetry configuration (n, alpha, m) under a regime.
 

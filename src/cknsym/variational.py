@@ -13,8 +13,10 @@ manifold, and steps are accepted only on strict energy decrease, so the
 reported energy history is monotone by construction.  Each step is a
 Sobolev gradient step (Neuberger): the class gradient preconditioned by the
 p = 2 kinetic Hessian restricted to the class (Wang and Zhou), which at
-p = 2 makes the full step nonlinear inverse iteration.  The grid
-``symmetrize`` serves only the seed and the end-of-run certificates.
+p = 2 makes the full step nonlinear inverse iteration.  The orbit basis S
+of the class is the only projector the solve applies: the seed and every
+accepted gradient are read through S^T, and the grid ``symmetrize`` serves
+only the end-of-run certificates.
 
 Sign-changing structure is certified, not assumed: the returned report
 exhibits a lattice element of character -1 together with the node where it
@@ -48,7 +50,7 @@ from .grid import (
     read_array,
     write_array,
 )
-from .kvdoc import format_kv, format_value
+from .kvdoc import exact_int, format_kv, format_value
 from .lattice import SignedPerm, apply_perm_to_grid, lattice_subgroup
 from .symmetry import (
     SymmetryConfig,
@@ -443,7 +445,8 @@ def _plane_profile_basis(points_per_axis: int, radius: float) -> tuple[np.ndarra
 # ... ahead of the tail.  E is orthonormal, and lattice elements carry planes
 # onto planes keeping plane radii, so each element g acting on the grid
 # satisfies g E = E R_g for a signed permutation R_g of the tensor's axes:
-# E^T symmetrize = (signed average of R_g) E^T, an average on the tensor.
+# E^T symmetrize = P E^T, P the signed average of R_g on the tensor.  P is an
+# orthogonal projector whose range the orbit basis S spans, so S^T P = S^T.
 
 
 def _class_basis(cfg: SymmetryConfig, grid: BallGrid) -> tuple[np.ndarray, int]:
@@ -481,14 +484,6 @@ def _tensor_action(n: int, alpha: int, m: tuple[int, ...],
     return tuple((perm, w / len(elements)) for perm, w in weights.items() if w)
 
 
-def _tensor_average(coefficients: np.ndarray, cfg: SymmetryConfig, planes: int) -> np.ndarray:
-    """The sampling subgroup's signed average applied to class coefficients."""
-    acc = np.zeros(coefficients.shape)
-    for perm, w in _tensor_action(cfg.n, cfg.alpha, cfg.m, planes):
-        acc += w * apply_perm_to_grid(coefficients, perm)
-    return acc
-
-
 def _contract_planes(t: np.ndarray, ms: list[np.ndarray]) -> np.ndarray:
     """Contract the k-th leading axis of t with the second axis of ms[k],
     leading axis first; each result axis takes its place, so no axis moves
@@ -512,20 +507,6 @@ def class_field(coefficients: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) -
     return _contract_planes(coefficients, [q] * planes).reshape(grid.shape)
 
 
-def class_coefficients(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) -> np.ndarray:
-    """The coefficients of u's orthogonal projection onto the class.
-
-    E^T symmetrize(u) in exact arithmetic, computed as E^T u followed by the
-    sampling subgroup's signed average on the coefficient tensor, so no
-    grid-sized copy of u is permuted.
-    """
-    q, planes = _class_basis(cfg, grid)
-    npts = grid.points_per_axis
-    split = (npts * npts,) * planes + (npts,) * (grid.n - 2 * planes)
-    return _tensor_average(_contract_planes(np.reshape(values, split), [q.T] * planes),
-                           cfg, planes)
-
-
 def class_basis(cfg: SymmetryConfig, grid: BallGrid) -> tuple[np.ndarray, np.ndarray, int]:
     """An orthonormal basis S of the class in coefficient space, as
     (col, val, dim) over the flat coefficient indices: S y = val * y[col]
@@ -544,6 +525,21 @@ def class_basis(cfg: SymmetryConfig, grid: BallGrid) -> tuple[np.ndarray, np.nda
     roots = np.flatnonzero(keep & (low == labels))
     col = np.where(keep, np.searchsorted(roots, low), len(roots))
     return col, np.where(keep, proj / np.sqrt(np.where(keep, norm, 1.0)), 0.0), len(roots)
+
+
+def class_coordinates(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid,
+                      basis: tuple[np.ndarray, np.ndarray, int]) -> np.ndarray:
+    """S^T E^T u: the coordinates in ``basis`` (S, from ``class_basis``) of
+    grid field u's orthogonal projection onto the class.  E^T contracts each
+    rotation plane with Q^T, leading plane first, so no grid-sized copy of u
+    is made, and S^T bins the coefficients through col and val; as
+    S^T P = S^T, no average is applied."""
+    q, planes = _class_basis(cfg, grid)
+    col, val, dim = basis
+    npts = grid.points_per_axis
+    split = (npts * npts,) * planes + (npts,) * (grid.n - 2 * planes)
+    c = _contract_planes(np.reshape(values, split), [q.T] * planes).ravel()
+    return np.bincount(col, val * c, minlength=dim + 1)[:dim]
 
 
 def _class_hessian(energy: "DiscreteEnergy", cfg: SymmetryConfig,
@@ -783,10 +779,12 @@ def sign_certificate(values: np.ndarray, cfg: SymmetryConfig) -> SignCertificate
 
 
 def seed_field(cfg: SymmetryConfig, grid: BallGrid) -> np.ndarray:
-    """Symmetrized Gaussian bump along the stabilizer witness direction.
+    """Masked Gaussian bump along the stabilizer witness direction, peak 1.
 
-    The witness is fixed only by character +1 elements, so the signed
-    average cannot cancel the bump at its own center.
+    It is not projected: ``solve`` reads it through S^T E^T.  The witness is
+    fixed only by character +1 elements, so the signed average cannot
+    cancel the bump at its own center; the circle averages can, which
+    ``solve`` refuses as the {0} class.
     """
     w = stabilizer_witness(cfg)
     w = w / np.linalg.norm(w)
@@ -797,11 +795,7 @@ def seed_field(cfg: SymmetryConfig, grid: BallGrid) -> np.ndarray:
         return np.exp(-d2 / (2.0 * (SEED_WIDTH * grid.radius) ** 2))
 
     u = field_from_function(grid, bump)
-    u = symmetrize(u, cfg, grid)
-    peak = float(np.max(np.abs(u)))
-    if peak <= 0.0:
-        raise VariationalError("the symmetrized seed vanishes on this grid")
-    return u / peak
+    return u / float(np.max(u))
 
 
 # --------------------------------------------------------------------------
@@ -871,14 +865,26 @@ def _save_checkpoint(path: str | Path, cfg: SymmetryConfig, grid: BallGrid,
 
 def load_checkpoint(path: str | Path) -> dict:
     """A checkpoint's solver state; VariationalError if the file is malformed,
-    its grid cannot fit or its coordinates do not span the class."""
+    holds a state the solver never writes (a step outside (0, 1], an
+    iteration that is not an int >= 0, a history that is not a non-empty
+    list of positive finite levels), its grid cannot fit or its coordinates
+    do not span the class."""
     try:
         header, grid, y = read_array(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
         cfg = SymmetryConfig(grid.n, header["alpha"], tuple(header["m"]),
                              regime=header["regime"])
+        if not isinstance(header["history"], list):
+            raise ValueError(f"history must be a list, got {header['history']!r}")
         state = {"solver_exponent": float(header["solver_exponent"]),
-                 "iteration": int(header["iteration"]), "step": float(header["step"]),
+                 "iteration": exact_int(header["iteration"], ValueError,
+                                        "iteration must be an integer >= 0, got {!r}", 0),
+                 "step": float(header["step"]),
                  "history": [float(v) for v in header["history"]]}
+        # written as "not 0 < x" so that NaN is refused too
+        if not 0.0 < state["step"] <= 1.0:
+            raise ValueError(f"step must be finite and in (0, 1], got {state['step']}")
+        if not (state["history"] and all(0.0 < v < math.inf for v in state["history"])):
+            raise ValueError("history must be a non-empty list of positive finite floats")
     except (KeyError, TypeError, ValueError) as exc:
         raise VariationalError(f"unusable checkpoint {path}: {exc}") from exc
     _refuse_unfit(grid)  # the class tables of a huge grid would not fit either
@@ -998,8 +1004,8 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     is the last accepted relative step (1, a full metric step, on a fresh
     solve), halving down to MIN_STEP.  Each trial costs one energy pass, whose
     gradient, if accepted, is scattered onto the grid and pulled back by
-    E^T, the tensor average and S^T; the grid ``symmetrize`` runs only on
-    the seed and for the end-of-run gap.  A class that projects the seed
+    S^T E^T (``class_coordinates``), as is the seed; the grid ``symmetrize``
+    runs once, for the end-of-run gap.  A class that projects the seed
     below 1e-8 of its peak is {0} (the circle averages force f = -f on a
     block of odd complex width) and is refused as unsupported.  A grid
     whose ``solve_peak_bytes`` exceed physical memory is refused before
@@ -1034,15 +1040,11 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     def coefficients(y: np.ndarray) -> np.ndarray:  # S y
         return (val * np.append(y, 0.0).take(col)).reshape(class_shape(cfg, grid))
 
-    def coordinates(values: np.ndarray) -> np.ndarray:  # S^T E^T u of a grid field
-        c = class_coefficients(values, cfg, grid).ravel()
-        return np.bincount(col, val * c, minlength=dim + 1)[:dim]
-
     if resume_from is not None:
         state = load_checkpoint(resume_from)
         if state["config"] != cfg or state["grid"] != grid:
             raise VariationalError("checkpoint does not match the requested problem")
-        if abs(state["solver_exponent"] - q_solver) > 1e-12:
+        if not abs(state["solver_exponent"] - q_solver) <= 1e-12:  # NaN is refused too
             raise VariationalError("checkpoint was produced with a different exponent")
         y = state["coordinates"]
         if float(np.max(np.abs(y), initial=0.0)) == 0.0:  # initial: the {0} class has no y
@@ -1052,7 +1054,7 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
         history = list(state["history"])
     else:
         # the seed is sup-normalized (peak 1) and is not kept
-        y = coordinates(seed_field(cfg, grid))
+        y = class_coordinates(seed_field(cfg, grid), cfg, grid, basis)
         peak = float(np.max(np.abs(class_field(coefficients(y), cfg, grid))))
         if peak <= 1e-8:
             raise UnsupportedConfigError(
@@ -1075,7 +1077,7 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     quot, grad, scale = energy.quotient_and_gradient(class_field(coefficients(y), cfg, grid))
     if resume_from is None:
         history = [energy.level_from_quotient(quot)]
-    d = coordinates(energy._to_cube(grad))  # the in-class gradient; the residual reads it
+    d = class_coordinates(energy._to_cube(grad), cfg, grid, basis)  # the residual reads it
     min_rel = math.inf
     rel = math.inf
     stop_reason = "max iterations"
@@ -1106,7 +1108,7 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
                     value = math.inf
                 if value < quot - 1e-4 * trial_step * scale * slope:
                     y, quot, scale, rho = trial / peak, value, trial_scale, trial_step
-                    d = coordinates(energy._to_cube(grad))
+                    d = class_coordinates(energy._to_cube(grad), cfg, grid, basis)
                     history.append(energy.level_from_quotient(value))
                     break
             trial_step /= 2.0

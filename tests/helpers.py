@@ -1,5 +1,7 @@
 """Test helpers that no command or solve path calls: the closed-form
-energies behind criterion 8, a typed reader of ``report.txt``, the
+energies behind criterion 8, a typed reader of ``report.txt``, signed
+permutations acting on points and composed, the class projection through
+the tensor average that the pull-back through S is checked against, the
 pointwise read of a class profile that the interpolated bias is checked
 against, the class Hessian by one energy pass per column, which the
 factored build is checked against, the all-pairs code closure that the
@@ -14,7 +16,9 @@ import numpy as np
 
 from cknsym.grid import BallGrid
 from cknsym.kvdoc import get_float, get_int, get_ints, parse_kv
+from cknsym.lattice import SignedPerm, apply_perm_to_grid
 from cknsym.symmetry import (
+    GroupOperationError,
     InvalidConfigError,
     SymmetryConfig,
     k_of,
@@ -27,7 +31,10 @@ from cknsym.variational import (
     DiscreteEnergy,
     ProblemParams,
     _axis_weights,
-    class_coefficients,
+    _class_basis,
+    _contract_planes,
+    _tensor_action,
+    class_coordinates,
     class_field,
     class_shape,
 )
@@ -111,6 +118,50 @@ def report_summary_from_doc(text: str) -> dict:
     return out
 
 
+def identity_perm(n: int) -> SignedPerm:
+    return SignedPerm(tuple(range(n)), (1,) * n)
+
+
+def compose_perms(a: SignedPerm, b: SignedPerm) -> SignedPerm:
+    """Signed permutation of x -> a(b(x))."""
+    if a.n != b.n:
+        raise GroupOperationError("signed permutations of different sizes")
+    source = tuple(b.source[a.source[i]] for i in range(a.n))
+    signs = tuple(a.signs[i] * b.signs[a.source[i]] for i in range(a.n))
+    return SignedPerm(source, signs)
+
+
+def apply_point(perm: SignedPerm, x: np.ndarray) -> np.ndarray:
+    """perm applied to the points along x's last axis."""
+    x = np.asarray(x)
+    return np.asarray(perm.signs) * x[..., list(perm.source)]
+
+
+def perm_matrix(perm: SignedPerm) -> np.ndarray:
+    m = np.zeros((perm.n, perm.n))
+    for i, (src, s) in enumerate(zip(perm.source, perm.signs)):
+        m[i, src] = s
+    return m
+
+
+def tensor_average(coefficients: np.ndarray, cfg: SymmetryConfig) -> np.ndarray:
+    """The sampling subgroup's signed average applied to class coefficients."""
+    planes = cfg.n - coefficients.ndim  # one axis per plane and per tail axis
+    acc = np.zeros(coefficients.shape)
+    for perm, w in _tensor_action(cfg.n, cfg.alpha, cfg.m, planes):
+        acc += w * apply_perm_to_grid(coefficients, perm)
+    return acc
+
+
+def class_coefficients(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) -> np.ndarray:
+    """The coefficients of u's orthogonal projection onto the class, as E^T u
+    followed by the tensor average: E^T symmetrize(u) in exact arithmetic."""
+    q, planes = _class_basis(cfg, grid)
+    npts = grid.points_per_axis
+    split = (npts * npts,) * planes + (npts,) * (grid.n - 2 * planes)
+    return tensor_average(_contract_planes(np.reshape(values, split), [q.T] * planes), cfg)
+
+
 def class_values(coefficients: np.ndarray, grid: BallGrid, pts: np.ndarray) -> np.ndarray:
     """E c at the rows of pts (m x n), read through their plane radii and tail
     coordinates, in point chunks whose intermediate fits in one grid array."""
@@ -158,8 +209,7 @@ def class_hessian_by_columns(energy: DiscreteEnergy, cfg: SymmetryConfig,
         y[j] = 1.0
         c = (val * y[col]).reshape(class_shape(cfg, grid))
         gk = energy.evaluate(class_field(c, cfg, grid))[2]
-        d = class_coefficients(energy._to_cube(gk), cfg, grid).ravel()
-        out[:, j] = np.bincount(col, val * d, minlength=dim + 1)[:dim]
+        out[:, j] = class_coordinates(energy._to_cube(gk), cfg, grid, basis)
     return out
 
 

@@ -377,8 +377,14 @@ def _tensor_checkpoint(header: bytes) -> bytes:
     return json.dumps(old, sort_keys=True).encode() + b"\n" + bytes(3 * 8 * 64)
 
 
+def _with(header: bytes, **state) -> bytes:
+    return json.dumps({**json.loads(header), **state}).encode()
+
+
+# "empty-history" and "zero-step" hold states the solver never writes
 @pytest.mark.parametrize("corruption",
-                         ["garbage", "missing-n", "truncated", "version-1", "version-2"])
+                         ["garbage", "missing-n", "truncated", "version-1", "version-2",
+                          "empty-history", "zero-step"])
 def test_solve_resume_from_a_corrupt_checkpoint_is_a_validation_error(
         tmp_path, capsys, corruption):
     part = write_doc(tmp_path / "part.kv", SOLVE_DOC + "checkpoint_every: 4\n")
@@ -389,7 +395,9 @@ def test_solve_resume_from_a_corrupt_checkpoint_is_a_validation_error(
             "missing-n": header.replace(b'"n": 4, ', b"") + b"\n" + payload,
             "truncated": good[:-5],
             "version-1": _grid_checkpoint(header),
-            "version-2": _tensor_checkpoint(header)}[corruption]
+            "version-2": _tensor_checkpoint(header),
+            "empty-history": _with(header, history=[]) + b"\n" + payload,
+            "zero-step": _with(header, step=0.0) + b"\n" + payload}[corruption]
     bad = tmp_path / "bad.dat"
     bad.write_bytes(data)
     capsys.readouterr()

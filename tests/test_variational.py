@@ -27,7 +27,7 @@ from cknsym.variational import (
     _class_profile,
     _save_checkpoint,
     class_basis,
-    class_coefficients,
+    class_coordinates,
     class_field,
     class_shape,
     equivariance_residual,
@@ -46,11 +46,13 @@ from cknsym.variational import (
 from helpers import (
     GaussianProfile,
     analytic_energy,
+    class_coefficients,
     class_hessian_by_columns,
     class_values,
     dilation_invariance_gap,
     pointwise_bias,
     report_summary_from_doc,
+    tensor_average,
     traced_peak,
 )
 
@@ -544,14 +546,54 @@ def _oracle_class_coefficients(values, cfg, grid):
     ids=["9^4", "17^4", "7^5", "5^6", "7^6"])
 def test_tensor_projection_matches_the_grid_oracle(cfg, grid):
     rng = np.random.default_rng(20)
-    planes = variational._class_basis(cfg, grid)[1]
     for _ in range(2):
         u = rng.standard_normal(grid.shape)
         c = class_coefficients(u, cfg, grid)
         expect = _oracle_class_coefficients(u, cfg, grid)
         assert np.linalg.norm(c - expect) <= 1e-12 * np.linalg.norm(expect)
-        again = variational._tensor_average(c, cfg, planes)
+        again = tensor_average(c, cfg)
         assert np.linalg.norm(again - c) <= 1e-12 * np.linalg.norm(c)
+
+
+def _averaged_coordinates(values, cfg, grid, basis):
+    """S^T P E^T u, P the tensor average: the pull-back before S^T P = S^T was used."""
+    col, val, dim = basis
+    return np.bincount(col, val * class_coefficients(values, cfg, grid).ravel(),
+                       minlength=dim + 1)[:dim]
+
+
+@pytest.mark.parametrize("cfg, grid", CLASS_CASES, ids=CLASS_CASE_IDS)
+def test_class_coordinates_need_no_average(cfg, grid):
+    """S^T E^T u equals S^T P E^T u and S^T E^T symmetrize(u): S spans the
+    range of the orthogonal projector P, so S^T P = S^T."""
+    basis = class_basis(cfg, grid)
+    rng = np.random.default_rng(25)
+    for _ in range(2):
+        u = rng.standard_normal(grid.shape)
+        y = class_coordinates(u, cfg, grid, basis)
+        expect = _averaged_coordinates(u, cfg, grid, basis)
+        assert np.linalg.norm(y - expect) <= 1e-12 * np.linalg.norm(expect)
+        projected = class_coordinates(symmetrize(u, cfg, grid), cfg, grid, basis)
+        assert np.linalg.norm(projected - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+@pytest.mark.parametrize("cfg, grid", CLASS_CASES, ids=CLASS_CASE_IDS)
+def test_seed_coordinates_match_the_symmetrized_seed(cfg, grid):
+    """The solve's seed, the raw bump read through S^T E^T and scaled to a
+    class-field peak of 1, equals the grid-symmetrized, sup-normalized bump
+    read through S^T P E^T and scaled the same way."""
+    basis = class_basis(cfg, grid)
+    col, val, _ = basis
+
+    def scaled(y):
+        c = (val * np.append(y, 0.0).take(col)).reshape(class_shape(cfg, grid))
+        return y / np.max(np.abs(class_field(c, cfg, grid)))
+
+    u = seed_field(cfg, grid)
+    sym = symmetrize(u, cfg, grid)
+    expect = scaled(_averaged_coordinates(sym / np.max(np.abs(sym)), cfg, grid, basis))
+    got = scaled(class_coordinates(u, cfg, grid, basis))
+    assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
 
 
 def test_tensor_projection_refuses_an_element_that_splits_a_plane(monkeypatch):
@@ -562,7 +604,7 @@ def test_tensor_projection_refuses_an_element_that_splits_a_plane(monkeypatch):
     variational._tensor_action.cache_clear()
     try:
         with pytest.raises(VariationalError, match="splits a rotation plane"):
-            class_coefficients(np.ones(GRID4.shape), CFG4, GRID4)
+            class_basis(CFG4, GRID4)
     finally:
         variational._tensor_action.cache_clear()
 
@@ -577,11 +619,10 @@ def test_class_basis_is_orthonormal_and_spans_the_class(cfg, grid):
     s[np.arange(col.size), col] = val
     s = s[:, :dim]
     assert np.max(np.abs(s.T @ s - np.eye(dim)), initial=0.0) <= 1e-15
-    planes = variational._class_basis(cfg, grid)[1]
     rng = np.random.default_rng(23)
     for _ in range(2):
         c = rng.standard_normal(class_shape(cfg, grid))
-        expect = variational._tensor_average(c, cfg, planes).ravel()
+        expect = tensor_average(c, cfg).ravel()
         assert np.linalg.norm(s @ (s.T @ c.ravel()) - expect) <= 1e-12 * np.linalg.norm(c)
     assert (dim == 0) == (cfg.m == (0, 1))
 
@@ -611,8 +652,8 @@ def test_gradient_pull_back_copies_no_grid_array(cfg, grid):
     contractions run leading plane first, so no transposed copy is made."""
     energy = DiscreteEnergy(grid, params_for_config(cfg))
     u = energy._to_cube(np.linspace(-1.0, 1.0, len(grid.interior)))
-    class_coefficients(u, cfg, grid)  # builds the class tables
-    assert traced_peak(lambda: class_coefficients(u, cfg, grid)) <= 0.15 * 8 * u.size
+    basis = class_basis(cfg, grid)  # builds the class tables
+    assert traced_peak(lambda: class_coordinates(u, cfg, grid, basis)) <= 0.15 * 8 * u.size
 
 
 def test_end_of_run_certificates_hold_two_grid_arrays():
@@ -656,7 +697,7 @@ def test_equivariance_residual_of_zero_field_is_zero():
 
 
 def test_equivariance_residual_detects_broken_symmetry():
-    u = seed_field(CFG4, GRID4)
+    u = symmetrize(seed_field(CFG4, GRID4), CFG4, GRID4)
     assert equivariance_residual(u, CFG4) <= 1e-12
     broken = u.copy()
     broken[1, 2, 3, 4] += 0.5
@@ -667,11 +708,12 @@ def test_seed_field_is_normalized_masked_and_sign_changing():
     u = seed_field(CFG4, GRID4)
     assert np.max(np.abs(u)) == pytest.approx(1.0)
     assert np.all(u[~GRID4.mask] == 0.0)
-    assert u.min() < 0.0 < u.max()
+    v = class_field(class_coefficients(u, CFG4, GRID4), CFG4, GRID4)  # the seed's class field
+    assert v.min() < 0.0 < v.max()
 
 
 def test_sign_certificate_on_equivariant_field():
-    u = seed_field(CFG4, GRID4)
+    u = symmetrize(seed_field(CFG4, GRID4), CFG4, GRID4)
     cert = sign_certificate(u, CFG4)
     assert cert.element_sign == -1
     assert cert.certifies_sign_change
@@ -1026,8 +1068,8 @@ def test_report_doc_round_trip(small_report):
 
 
 def test_descent_makes_no_grid_symmetrization(monkeypatch):
-    """The seed and the end-of-run gap symmetrize on the grid; the pull-back
-    of each accepted step averages on the coefficient tensor instead."""
+    """Only the end-of-run gap symmetrizes on the grid; the seed and each
+    accepted step's gradient are read through S^T E^T alone."""
     calls = []
     real = variational.symmetrize
 
@@ -1042,7 +1084,7 @@ def test_descent_makes_no_grid_symmetrization(monkeypatch):
         report = solve(CFG4, GRID4, options=SolveOptions(max_iters=iters))
         assert report.iterations == iters
         counts.append(len(calls))
-    assert counts[0] == counts[1]
+    assert counts == [1, 1]
 
 
 def test_solver_is_deterministic():
@@ -1145,6 +1187,9 @@ def test_checkpoint_must_match_the_problem(tmp_path):
         solve(CFG4, GRID4,
               options=SolveOptions(max_iters=4, subcritical_shift=0.75),
               resume_from=cp)
+    _save_checkpoint(cp, CFG4, GRID4, math.nan, 3, 0.1, np.linspace(1.0, 2.0, 28), [1.0])
+    with pytest.raises(VariationalError, match="different exponent"):
+        solve(CFG4, GRID4, options=SolveOptions(max_iters=4), resume_from=cp)
 
 
 def test_resume_rejects_a_vanishing_checkpoint_field(tmp_path):
@@ -1181,8 +1226,19 @@ def test_solver_refuses_the_zero_class():
         solve(cfg, BallGrid(6, 5, 1.0), options=SolveOptions(max_iters=1))
 
 
+# descent states the solver never writes: a relative step outside (0, 1], an
+# iteration that is not an int >= 0, a history that is not a non-empty list of
+# positive finite levels
+UNWRITTEN_STATES = [("step", 0.0), ("step", -1.0), ("step", math.nan), ("step", math.inf),
+                    ("step", 1.5), ("iteration", -1), ("iteration", 2.5), ("iteration", True),
+                    ("history", []), ("history", [0.0]), ("history", [2.0, -1.0]),
+                    ("history", [math.nan]), ("history", [math.inf]), ("history", "1"),
+                    ("history", {"0": 1.0})]
+
+
 def _corrupt_checkpoints(tmp_path):
-    """A garbage file, a header without n, and a truncated payload."""
+    """A garbage file, a header without n, a truncated payload, and a header
+    per state in UNWRITTEN_STATES."""
     good = tmp_path / "good.ckpt"
     q_solver = params_for_config(CFG4).q - 0.5
     _save_checkpoint(good, CFG4, GRID4, q_solver, 3, 0.1, np.linspace(1.0, 2.0, 28), [1.0])
@@ -1192,6 +1248,9 @@ def _corrupt_checkpoints(tmp_path):
     files = {"garbage": b"\xff\xfe\x00garbage" + bytes(range(256)),
              "missing-n": json.dumps(no_n).encode() + b"\n" + payload,
              "truncated": good.read_bytes()[:-5]}
+    for i, (key, value) in enumerate(UNWRITTEN_STATES):
+        files[f"{key}-{i}"] = (json.dumps({**json.loads(header), key: value}).encode()
+                               + b"\n" + payload)
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
     return [tmp_path / name for name in files]
@@ -1221,6 +1280,16 @@ def test_load_checkpoint_rejects_corrupt_files(tmp_path):
     for path in _corrupt_checkpoints(tmp_path):
         with pytest.raises(VariationalError):
             load_checkpoint(path)
+
+
+def test_load_checkpoint_accepts_the_states_the_solver_writes(tmp_path):
+    """The bounds of UNWRITTEN_STATES are tight: a full step, iteration 0 and
+    a one-level history load."""
+    cp = tmp_path / "edge.ckpt"
+    q_solver = params_for_config(CFG4).q - 0.5
+    _save_checkpoint(cp, CFG4, GRID4, q_solver, 0, 1.0, np.linspace(1.0, 2.0, 28), [1e-300])
+    state = load_checkpoint(cp)
+    assert (state["iteration"], state["step"], state["history"]) == (0, 1.0, [1e-300])
 
 
 def test_checkpoint_writes_leave_no_temporary_file(tmp_path):
