@@ -16,7 +16,12 @@ p = 2 kinetic Hessian restricted to the class (Wang and Zhou), which at
 p = 2 makes the full step nonlinear inverse iteration.  The orbit basis S
 of the class is the only projector the solve applies: the seed and every
 accepted gradient are read through S^T, and the grid ``symmetrize`` serves
-only the end-of-run certificates.
+only the end-of-run certificates.  At p = 2 a line-search trial builds no
+grid field: the kinetic term is the quadratic form of that Hessian, and a
+class field is constant on the bins of one squared radius per rotation
+plane and one tail index, so the potential term is a weighted sum over
+bins (symmetric criticality, Palais, lets the whole descent run in these
+reduced coordinates).  Other p run one interior energy pass per trial.
 
 Sign-changing structure is certified, not assumed: the returned report
 exhibits a lattice element of character -1 together with the node where it
@@ -170,7 +175,10 @@ class DiscreteEnergy:
     and both node gradients as interior vectors; the other methods are
     views, and ``gradient`` scatters its vector onto the grid.  ``kinetic``
     keeps the roll stencils over the whole cube as the reference the
-    interior pass reproduces bit for bit.
+    interior pass reproduces bit for bit.  ``solve`` runs this pass on each
+    line-search trial at p != 2 only (``_GridPass``); at p = 2 its trials
+    read K, B and the class gradient off class coordinates and plane-radius
+    bins (``_BinPass``), and this pass serves the end-of-run scalars.
     """
 
     def __init__(self, grid: BallGrid, params: ProblemParams):
@@ -542,6 +550,34 @@ def class_coordinates(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid,
     return np.bincount(col, val * c, minlength=dim + 1)[:dim]
 
 
+def _plane_radius_bins(grid: BallGrid, planes: int,
+                       shifts: list[int]) -> tuple[np.ndarray, list[list[int]]]:
+    """Each interior node's bin, and each rotation plane's first node per bin.
+
+    On plane k the N^2 nodes a are binned by the squared plane radii at a
+    and at a + shifts[k] (a flat step within the plane), numbered in order
+    of first occurrence; Q rows depend only on the plane radius, so the
+    nodes of a bin share their Q rows.  A node's bin is flat in C order
+    over (bins of each plane, ..., tail index).  np.unique would sort the
+    bins, and it loads numpy.ma.
+    """
+    npts = grid.points_per_axis
+    tails = npts ** (grid.n - 2 * planes)
+    sq = (np.arange(npts) - npts // 2) ** 2
+    rad = (sq[:, None] + sq[None, :]).ravel()  # each plane node's squared radius, in steps
+    key, firsts = 0, []
+    for k, shift in enumerate(shifts):
+        keys = (rad * rad.size + np.roll(rad, -shift)).tolist()  # radii at a and a + shift
+        first: dict[int, int] = {}
+        for a, pair in enumerate(keys):
+            first.setdefault(pair, a)
+        ids = {pair: b for b, pair in enumerate(first)}
+        node = grid.interior // (tails * npts ** (2 * (planes - 1 - k))) % npts ** 2
+        key = key * len(first) + np.array([ids[pair] for pair in keys])[node]
+        firsts.append(list(first.values()))
+    return key * tails + grid.interior % tails, firsts
+
+
 def _class_hessian(energy: "DiscreteEnergy", cfg: SymmetryConfig,
                    basis: tuple[np.ndarray, np.ndarray, int]) -> np.ndarray:
     """H = S^T E^T L E S, L the Hessian of the masked, w_grad-weighted p = 2
@@ -561,27 +597,19 @@ def _class_hessian(energy: "DiscreteEnergy", cfg: SymmetryConfig,
     col, val = col.reshape(-1, tails), val.reshape(-1, tails)
     fwd, bwd = g.neighbours
     w = np.append(energy._w_grad_in, 0.0) * (g.cell_volume / g.h ** 2)  # zero sentinel
-    sq = (np.arange(npts) - npts // 2) ** 2
-    rad = (sq[:, None] + sq[None, :]).ravel()  # each plane node's squared radius, in steps
     rows, cols = (r, 1) * planes, (1, r) * planes  # i and i' of each plane's pair axes
     acc = np.zeros((dim + 1) ** 2)
     for k in (None, *range(g.n)):
         values = (0.5 * (2 * g.n * w[:-1] + sum(w.take(f) + w.take(b) for f, b in zip(fwd, bwd)))
                   if k is None else np.where(fwd[k] < len(w) - 1, -(w[:-1] + w.take(fwd[k])), 0.0))
-        key, tables = 0, []
-        for p in range(planes):
-            shift = 0 if k is None or k // 2 != p else npts if k % 2 == 0 else 1
-            keys = (rad * rad.size + np.roll(rad, -shift)).tolist()  # radii at a and a'
-            ids = {key: i for i, key in enumerate(dict.fromkeys(keys))}  # np.unique loads numpy.ma
-            bins, first = np.array([ids[key] for key in keys]), [keys.index(key) for key in ids]
-            node = g.interior // (tails * npts ** (2 * (planes - 1 - p))) % npts ** 2
-            key = key * len(first) + bins[node]
-            tables.append((q[first, :, None] * np.roll(q, -shift, axis=0)[first, None, :])
-                          .reshape(len(first), r * r).T)
-        sizes = [len(table.T) for table in tables] + [tails]
-        binned = np.bincount(key * tails + g.interior % tails, values,
-                             minlength=math.prod(sizes)).reshape(sizes)
-        del values, key, node
+        shifts = [0 if k is None or k // 2 != p else npts if k % 2 == 0 else 1
+                  for p in range(planes)]
+        key, firsts = _plane_radius_bins(g, planes, shifts)
+        tables = [(q[first, :, None] * np.roll(q, -shift, axis=0)[first, None, :])
+                  .reshape(len(first), r * r).T for first, shift in zip(firsts, shifts)]
+        sizes = [len(first) for first in firsts] + [tails]
+        binned = np.bincount(key, values, minlength=math.prod(sizes)).reshape(sizes)
+        del values, key
         step = npts ** (g.n - 1 - k) if k is not None and k >= 2 * planes else 0
         for t in range(tails - step):  # past the last tail index no pair is interior
             part = _contract_planes(binned[..., t], tables).reshape((r, r) * planes)
@@ -592,6 +620,78 @@ def _class_hessian(energy: "DiscreteEnergy", cfg: SymmetryConfig,
         del part, pairs  # before the next term builds its own
     h = acc.reshape(dim + 1, dim + 1)[:dim, :dim]
     return h + h.T
+
+
+class _GridPass:
+    """A trial's quotient pass for any p: the class field E c on the grid,
+    one interior energy pass, and the accepted gradient pulled back through
+    S^T E^T (``class_coordinates``)."""
+
+    def __init__(self, energy: DiscreteEnergy, cfg: SymmetryConfig,
+                 basis: tuple[np.ndarray, np.ndarray, int]):
+        self.energy, self.cfg, self.basis = energy, cfg, basis
+
+    def field(self, coefficients: np.ndarray) -> np.ndarray:
+        """Values of E c whose largest |.| is its peak, as the pass reads them."""
+        return class_field(coefficients, self.cfg, self.energy.grid)
+
+    def quotient_and_gradient(self, values: np.ndarray, y: np.ndarray) -> tuple:
+        """(quotient, gradient, B^(p/q)) of the field of y, given as ``field`` values."""
+        return self.energy.quotient_and_gradient(values)
+
+    def coordinates(self, gradient) -> np.ndarray:
+        """The class coordinates d of a pass's gradient."""
+        return class_coordinates(self.energy._to_cube(gradient), self.cfg, self.energy.grid,
+                                 self.basis)
+
+
+class _BinPass:
+    """The same pass at p = 2, in class coordinates and on plane-radius bins.
+
+    K = y^T H y / 2 exactly, H the p = 2 kinetic Hessian in the class, and
+    H y is its gradient.  E c depends on each node only through its plane
+    radii and tail index, so the class field is U = E_d c on the bins, E_d
+    contracting each plane axis with Q_d, the rows of Q at the distinct
+    plane radii.  The cube is a product of planes and tail lines, so every
+    bin holds a node: max |U| is the grid field's peak.  B is
+    h^n sum W |U|^q, W the interior potential weights summed per bin (zero
+    on bins off the ball), and its class gradient is S^T E_d^T of
+    q h^n W |U|^(q-2) U.  A trial makes no grid-sized or interior-sized
+    array.
+    """
+
+    def __init__(self, energy: DiscreteEnergy, cfg: SymmetryConfig,
+                 basis: tuple[np.ndarray, np.ndarray, int], hessian: np.ndarray):
+        self.basis, self.hessian, self.q = basis, hessian, energy.params.q
+        g = energy.grid
+        q, self.planes = _class_basis(cfg, g)
+        key, firsts = _plane_radius_bins(g, self.planes, [0] * self.planes)
+        shape = tuple(map(len, firsts)) + (g.points_per_axis,) * (g.n - 2 * self.planes)
+        self.weights = np.bincount(key, energy._w_pot_in * g.cell_volume,
+                                   minlength=math.prod(shape)).reshape(shape)
+        self.rows = q[firsts[0]]  # every plane bins alike: shift 0
+
+    def field(self, coefficients: np.ndarray) -> np.ndarray:
+        return _contract_planes(coefficients, [self.rows] * self.planes)
+
+    def quotient_and_gradient(self, values: np.ndarray, y: np.ndarray) -> tuple:
+        hy = self.hessian @ y
+        k = 0.5 * float(y @ hy)
+        gb = np.abs(values) ** (self.q - 2.0)  # then h^n W |U|^(q-2) U, as q > p = 2
+        gb *= values
+        gb *= self.weights
+        b = float(gb.ravel() @ values.ravel())
+        if not (k > 0 and b > 0):
+            raise VariationalError("quotient needs a nonzero field inside the ball")
+        scale = b ** (2.0 / self.q)
+        # (H y - (p / q) (K / B) dB/dy) / B^(p/q), and dB/dy = q S^T E_d^T gb
+        return k / scale, (hy, gb, 2.0 * k / b, scale), scale
+
+    def coordinates(self, gradient) -> np.ndarray:
+        hy, gb, factor, scale = gradient
+        col, val, dim = self.basis
+        pulled = _contract_planes(gb, [self.rows.T] * self.planes).ravel()
+        return (hy - factor * np.bincount(col, val * pulled, minlength=dim + 1)[:dim]) / scale
 
 
 def _axis_weights(grid: BallGrid, x: np.ndarray, plane: bool) -> np.ndarray:
@@ -930,17 +1030,20 @@ def solve_peak_bytes(grid: BallGrid, dim: int = 0) -> int:
       interior indices and neighbour tables: (2n + 1) M;
     - the energy's two interior weights, 2 M, and its summation array: 1;
     - the solver: the iterate's field and its Nehari rescaling at the end;
-      in the descent, a trial's field, or the pull-back's scattered
-      gradient: 2; the metric's kept eigenvectors: at most dim^2;
+      in the descent at p != 2, a trial's field, or the pull-back's
+      scattered gradient: 2 (at p = 2 the descent holds H and bin tensors
+      instead, within the metric's stage); the metric's kept eigenvectors:
+      at most dim^2;
     - the largest of four stages:
       - the end-of-run certificates: the sign certificate holds 3 arrays,
         the others at most 2 (and 2 M in the interpolated bias);
       - the reduced level estimate: 10 profile tables of n_r^2 (2 n_r)^(n - 4)
         entries, n_r = 2(N - 1) (two rotation planes, the fewest any
         accepted class averages);
-      - a line-search trial's energy pass, on interior vectors only: its
-        stacks, temporaries, two gradients and the quotient gradient's
-        temporaries peak at (2n + 10) M;
+      - an energy pass (a line-search trial's at p != 2, the end-of-run
+        pass on w at every p), on interior vectors only: its stacks,
+        temporaries, two gradients and the quotient gradient's temporaries
+        peak at (2n + 10) M;
       - the metric's build, before the descent's two fields exist: its
         interior vectors and contractions, then H and its eigenvectors;
     - the class tensors (a trial's coefficients, the pull-back's plane
@@ -948,9 +1051,10 @@ def solve_peak_bytes(grid: BallGrid, dim: int = 0) -> int:
       tables fit in the mask's unused 7/8; the lattice subgroup (38 KB for
       (6, 0, (1, 0))) and the other caches in a fixed 64 KiB.
     The other stages (seeding, class maps) peak lower.  A whole solve traced
-    with tracemalloc, after numpy.random's first-use import, peaks at 0.93
-    of this bound at 13^4, 0.94 at 21^4, 0.88 to 0.89 at 7^5 to 11^5 and
-    0.90 to 0.91 at 5^6 to 9^6.
+    with tracemalloc, after numpy.random's first-use import, peaks at 0.92
+    to 0.93 of this bound at 13^4, 0.94 at 21^4, 0.80 to 0.82 at 7^5 to
+    11^5 and 0.89 to 0.90 at 5^6 to 9^6, at p = 2 and p = 3 alike: the
+    end-of-run stages hold the peak.
     """
     cube = math.prod(grid.shape)
     inside = _interior_count_bound(grid)
@@ -987,8 +1091,12 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     of the circle averages over all rotation planes and the exact lattice
     symmetrization, with coefficients c = S y in the orthonormal orbit basis
     S (``class_basis``): the iterate, direction and checkpoint are class
-    coordinates, one grid field is built for each trial's sup-normalisation
-    and energy pass, and the iterate is never re-projected on the grid.
+    coordinates, and the iterate is never re-projected on the grid.  At
+    p != 2 one grid field is built for each trial's sup-normalisation and
+    energy pass (``_GridPass``).  At p = 2 a trial builds none
+    (``_BinPass``): K is y^T H y / 2, and the class field, its peak and B
+    are read on plane-radius bins; the first point, fresh or resumed, is
+    evaluated the same way.
     The circle averages keep minimizing sequences inside the
     rotation-invariant profiles the continuum symmetry demands; without them
     a coarse lattice admits spurious isolated concentration bumps whose
@@ -1002,15 +1110,17 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     the ball and carry no energy, are cut.  Armijo runs on the quotient
     along -H^+ g with slope g . H^+ g, from the step rho B^(p/q), where rho
     is the last accepted relative step (1, a full metric step, on a fresh
-    solve), halving down to MIN_STEP.  Each trial costs one energy pass, whose
-    gradient, if accepted, is scattered onto the grid and pulled back by
-    S^T E^T (``class_coordinates``), as is the seed; the grid ``symmetrize``
-    runs once, for the end-of-run gap.  A class that projects the seed
-    below 1e-8 of its peak is {0} (the circle averages force f = -f on a
-    block of odd complex width) and is refused as unsupported.  A grid
-    whose ``solve_peak_bytes`` exceed physical memory is refused before
-    anything is allocated.  A candidate whose sign change is not certified
-    or whose equivariance residual exceeds 1e-8 is refused, not reported.
+    solve), halving down to MIN_STEP.  Each trial costs one pass, whose
+    gradient, if accepted, is pulled back into class coordinates: at p != 2
+    scattered onto the grid and read by S^T E^T (``class_coordinates``), as
+    the seed is; at p = 2 read off the bins by S^T E_d^T.  The grid
+    ``symmetrize`` runs once, for the end-of-run gap.  A class that
+    projects the seed below 1e-8 of its peak is {0} (the circle averages
+    force f = -f on a block of odd complex width) and is refused as
+    unsupported.  A grid whose ``solve_peak_bytes`` exceed physical memory
+    is refused before anything is allocated.  A candidate whose sign change
+    is not certified or whose equivariance residual exceeds 1e-8 is
+    refused, not reported.
 
     Deterministic: the seed is closed-form, the loop draws no randomness,
     and reruns with identical inputs produce identical reports.  The solver
@@ -1068,16 +1178,21 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     # the metric: the p = 2 kinetic Hessian in class coordinates, inverted on
     # the directions that carry energy (the others leave the ball)
     _refuse_unfit(grid, dim)
-    lam, vec = np.linalg.eigh(_class_hessian(energy, cfg, basis))
+    hessian = _class_hessian(energy, cfg, basis)
+    lam, vec = np.linalg.eigh(hessian)
     keep = lam > METRIC_CUT * lam[-1]
     lam, vec = lam[keep], vec[:, keep]
+    # at p = 2 the kinetic form is the quadratic form of H, and a pass needs no grid
+    trials = (_BinPass(energy, cfg, basis, hessian) if work.p == 2.0
+              else _GridPass(energy, cfg, basis))
+    del hessian
 
-    # a trial's grid field is built from its sup-normalized coordinates, so
-    # the field of a resumed iterate is the one its gradient was taken at
-    quot, grad, scale = energy.quotient_and_gradient(class_field(coefficients(y), cfg, grid))
+    # a trial's field is built from its sup-normalized coordinates, so the
+    # field of a resumed iterate is the one its gradient was taken at
+    quot, grad, scale = trials.quotient_and_gradient(trials.field(coefficients(y)), y)
     if resume_from is None:
         history = [energy.level_from_quotient(quot)]
-    d = class_coordinates(energy._to_cube(grad), cfg, grid, basis)  # the residual reads it
+    d = trials.coordinates(grad)  # the residual reads it
     min_rel = math.inf
     rel = math.inf
     stop_reason = "max iterations"
@@ -1098,17 +1213,18 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
             # step from the unmoved base point: the trial tends to y as the
             # step shrinks, so backtracking terminates while the slope is positive
             trial = y - trial_step * scale * direction
-            u = class_field(coefficients(trial), cfg, grid)
-            peak = float(np.max(np.abs(u)))
+            values = trials.field(coefficients(trial))
+            peak = float(np.max(np.abs(values)))
             if peak > 0.0:
-                u /= peak
+                values /= peak
+                moved = trial / peak
                 try:
-                    value, grad, trial_scale = energy.quotient_and_gradient(u)
+                    value, grad, trial_scale = trials.quotient_and_gradient(values, moved)
                 except VariationalError:
                     value = math.inf
                 if value < quot - 1e-4 * trial_step * scale * slope:
-                    y, quot, scale, rho = trial / peak, value, trial_scale, trial_step
-                    d = class_coordinates(energy._to_cube(grad), cfg, grid, basis)
+                    y, quot, scale, rho = moved, value, trial_scale, trial_step
+                    d = trials.coordinates(grad)
                     history.append(energy.level_from_quotient(value))
                     break
             trial_step /= 2.0
@@ -1123,7 +1239,7 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     if options.checkpoint_path:
         _save_checkpoint(options.checkpoint_path, cfg, grid, q_solver, it, rho, y, history)
 
-    grad = u = None  # spent: d holds the final gradient's class coordinates
+    grad = values = trials = None  # spent: d holds the final gradient's class coordinates
     rel = _relative_residual(y, d, quot)
     min_rel = min(min_rel, rel)
     c = coefficients(y)

@@ -583,11 +583,9 @@ def test_seed_coordinates_match_the_symmetrized_seed(cfg, grid):
     class-field peak of 1, equals the grid-symmetrized, sup-normalized bump
     read through S^T P E^T and scaled the same way."""
     basis = class_basis(cfg, grid)
-    col, val, _ = basis
 
     def scaled(y):
-        c = (val * np.append(y, 0.0).take(col)).reshape(class_shape(cfg, grid))
-        return y / np.max(np.abs(class_field(c, cfg, grid)))
+        return y / np.max(np.abs(class_field(_coefficients(y, cfg, grid, basis), cfg, grid)))
 
     u = seed_field(cfg, grid)
     sym = symmetrize(u, cfg, grid)
@@ -641,6 +639,76 @@ def test_class_hessian_matches_one_energy_pass_per_column(cfg, grid):
     expect = class_hessian_by_columns(energy, cfg, basis)
     assert np.max(np.abs(h - expect)) <= 1e-12 * np.max(np.abs(expect))
     assert np.array_equal(h, h.T)
+
+
+def _bin_pass(cfg, grid):
+    """The p = 2 energy of cfg's regime at the solver exponent, its class
+    basis and the bin pass ``solve`` runs its trials through."""
+    params = params_for_config(cfg)
+    energy = DiscreteEnergy(grid, params.with_exponent(params.q - 0.5))
+    basis = class_basis(cfg, grid)
+    hessian = variational._class_hessian(energy, cfg, basis)
+    return energy, basis, variational._BinPass(energy, cfg, basis, hessian)
+
+
+def _coefficients(y, cfg, grid, basis):
+    """S y as a class-coefficient tensor."""
+    col, val, _ = basis
+    return (val * np.append(y, 0.0).take(col)).reshape(class_shape(cfg, grid))
+
+
+# (5, 0, (1,)) has no a_eq_b_nonzero configuration: n = 5 fails its tail condition
+BIN_CASES = [(SymmetryConfig(n, 0, m, regime), BallGrid(n, points, 1.0))
+             for n, m, points in ((4, (1,), 13), (4, (1,), 21), (5, (1,), 9), (6, (1, 0), 7))
+             for regime in REGIMES if (n, regime) != (5, "a_eq_b_nonzero")]
+
+
+@pytest.mark.parametrize("cfg, grid", BIN_CASES, ids=[
+    f"{grid.points_per_axis}^{grid.n}-{cfg.regime}" for cfg, grid in BIN_CASES])
+def test_bin_pass_matches_the_grid_pass(cfg, grid):
+    """At p = 2 the pass in class coordinates on plane-radius bins gives the
+    peak, quotient and class gradient of the interior energy pass on the
+    class field followed by S^T E^T."""
+    energy, basis, bins = _bin_pass(cfg, grid)
+    rng = np.random.default_rng(26)
+    for _ in range(2):
+        y = rng.standard_normal(basis[2])
+        c = _coefficients(y, cfg, grid, basis)
+        u = class_field(c, cfg, grid)
+        peak = float(np.max(np.abs(u)))
+        quot, grad, scale = energy.quotient_and_gradient(u / peak)
+        d = class_coordinates(energy._to_cube(grad), cfg, grid, basis)
+        values = bins.field(c)
+        got_peak = float(np.max(np.abs(values)))
+        got_quot, got_grad, got_scale = bins.quotient_and_gradient(values / got_peak,
+                                                                  y / got_peak)
+        got_d = bins.coordinates(got_grad)
+        assert got_peak == pytest.approx(peak, rel=1e-12)
+        assert got_quot == pytest.approx(quot, rel=1e-12)
+        assert got_scale == pytest.approx(scale, rel=1e-12)
+        assert np.linalg.norm(got_d - d) <= 1e-12 * np.linalg.norm(d)
+
+
+@pytest.mark.parametrize("cfg, grid, share, unit", [
+    (CFG4, BallGrid(4, 21, 1.0), 0.5, "interior"),
+    (SymmetryConfig(5, 0, (1,)), BallGrid(5, 11, 1.0), 0.25, "cube"),
+    (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 9, 1.0), 0.25, "cube")],
+    ids=["21^4", "11^5", "9^6"])
+def test_bin_pass_trial_makes_no_grid_array(cfg, grid, share, unit):
+    """One p = 2 line-search trial, from coordinates to the accepted class
+    gradient, holds bin tensors only: below half an interior vector at
+    21^4 and a quarter of a grid array at 11^5 and 9^6."""
+    _, basis, bins = _bin_pass(cfg, grid)
+    y = np.random.default_rng(27).standard_normal(basis[2])
+
+    def trial():
+        values = bins.field(_coefficients(y, cfg, grid, basis))
+        peak = float(np.max(np.abs(values)))
+        values /= peak
+        bins.coordinates(bins.quotient_and_gradient(values, y / peak)[1])
+
+    size = len(grid.interior) if unit == "interior" else math.prod(grid.shape)
+    assert traced_peak(trial) <= share * 8 * size
 
 
 @pytest.mark.parametrize("cfg, grid", [(SymmetryConfig(5, 0, (1,)), BallGrid(5, 11, 1.0)),
@@ -1014,6 +1082,10 @@ PINNED_SMALL_HISTORY = (
     103521.6883066217, 103521.6882617828, 103521.68824172781)
 PINNED_6D_HISTORY = (
     8.439651597439061e+24, 7.744398654227724e+23, 1.7051956976610568e+23, 7.174223244601938e+22)
+# p = 3 runs its trials through the interior energy pass on the grid, bit for bit
+PINNED_P3_HISTORY = (
+    1257.733812674959, 443.0767147081623, 347.0764185734626, 301.3264876936096,
+    276.63780196947, 260.1457881007214, 245.2591282285895)
 
 
 def test_metric_descent_converges_along_its_pinned_history(small_report):
@@ -1026,6 +1098,13 @@ def test_metric_descent_converges_along_its_pinned_history(small_report):
                 options=SolveOptions(max_iters=3))
     assert six.iterations == 3 and six.class_dimension == 60
     assert six.energy_history == pytest.approx(PINNED_6D_HISTORY, rel=1e-10)
+
+
+def test_grid_pass_keeps_its_pinned_history_at_p_three():
+    report = solve(CFG4, GRID4, params=params_for_config(CFG4, 3.0),
+                   options=SolveOptions(max_iters=6))
+    assert report.iterations == 6
+    assert report.energy_history == PINNED_P3_HISTORY
 
 
 @pytest.mark.parametrize("broken", ["certificate", "equivariance"])
