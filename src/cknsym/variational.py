@@ -17,11 +17,9 @@ p = 2 makes the full step nonlinear inverse iteration.  The orbit basis S
 of the class is the only projector the solve applies: the seed and every
 accepted gradient are read through S^T, and the grid ``symmetrize`` serves
 only the end-of-run certificates.  At p = 2 a line-search trial builds no
-grid field: the kinetic term is the quadratic form of that Hessian, and a
-class field is constant on the bins of one squared radius per rotation
-plane and one tail index, so the potential term is a weighted sum over
-bins (symmetric criticality, Palais, lets the whole descent run in these
-reduced coordinates).  Other p run one interior energy pass per trial.
+grid field: K is the quadratic form of that Hessian and B a weighted sum
+over plane-radius bins (symmetric criticality, Palais); other p run one
+interior energy pass per trial.
 
 Sign-changing structure is certified, not assumed: the returned report
 exhibits a lattice element of character -1 together with the node where it
@@ -175,10 +173,8 @@ class DiscreteEnergy:
     and both node gradients as interior vectors; the other methods are
     views, and ``gradient`` scatters its vector onto the grid.  ``kinetic``
     keeps the roll stencils over the whole cube as the reference the
-    interior pass reproduces bit for bit.  ``solve`` runs this pass on each
-    line-search trial at p != 2 only (``_GridPass``); at p = 2 its trials
-    read K, B and the class gradient off class coordinates and plane-radius
-    bins (``_BinPass``), and this pass serves the end-of-run scalars.
+    interior pass reproduces bit for bit.  ``solve`` runs ``evaluate`` on
+    each line-search trial at p != 2 and on the end-of-run field at every p.
     """
 
     def __init__(self, grid: BallGrid, params: ProblemParams):
@@ -552,15 +548,11 @@ def class_coordinates(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid,
 
 def _plane_radius_bins(grid: BallGrid, planes: int,
                        shifts: list[int]) -> tuple[np.ndarray, list[list[int]]]:
-    """Each interior node's bin, and each rotation plane's first node per bin.
-
-    On plane k the N^2 nodes a are binned by the squared plane radii at a
-    and at a + shifts[k] (a flat step within the plane), numbered in order
-    of first occurrence; Q rows depend only on the plane radius, so the
-    nodes of a bin share their Q rows.  A node's bin is flat in C order
-    over (bins of each plane, ..., tail index).  np.unique would sort the
-    bins, and it loads numpy.ma.
-    """
+    """Each interior node's bin, flat in C order over (bins of each plane,
+    ..., tail index), and each plane's first node per bin.  On plane k the
+    N^2 nodes a are binned by the squared plane radii at a and a + shifts[k]
+    (a flat step), in order of first occurrence (np.unique loads numpy.ma);
+    Q rows depend only on the plane radius, so a bin's nodes share them."""
     npts = grid.points_per_axis
     tails = npts ** (grid.n - 2 * planes)
     sq = (np.arange(npts) - npts // 2) ** 2
@@ -623,24 +615,23 @@ def _class_hessian(energy: "DiscreteEnergy", cfg: SymmetryConfig,
 
 
 class _GridPass:
-    """A trial's quotient pass for any p: the class field E c on the grid,
-    one interior energy pass, and the accepted gradient pulled back through
-    S^T E^T (``class_coordinates``)."""
+    """A trial's pass for any p.  ``field`` gives values whose largest |.|
+    is the field's peak, ``quotient_and_gradient(values, y)`` the quotient,
+    its gradient and B^(p/q) there, and ``coordinates`` an accepted
+    gradient's class coordinates.  Here: E c on the grid, the interior
+    energy pass, and S^T E^T."""
 
     def __init__(self, energy: DiscreteEnergy, cfg: SymmetryConfig,
                  basis: tuple[np.ndarray, np.ndarray, int]):
         self.energy, self.cfg, self.basis = energy, cfg, basis
 
     def field(self, coefficients: np.ndarray) -> np.ndarray:
-        """Values of E c whose largest |.| is its peak, as the pass reads them."""
         return class_field(coefficients, self.cfg, self.energy.grid)
 
     def quotient_and_gradient(self, values: np.ndarray, y: np.ndarray) -> tuple:
-        """(quotient, gradient, B^(p/q)) of the field of y, given as ``field`` values."""
         return self.energy.quotient_and_gradient(values)
 
     def coordinates(self, gradient) -> np.ndarray:
-        """The class coordinates d of a pass's gradient."""
         return class_coordinates(self.energy._to_cube(gradient), self.cfg, self.energy.grid,
                                  self.basis)
 
@@ -1029,14 +1020,16 @@ def solve_peak_bytes(grid: BallGrid, dim: int = 0) -> int:
     - the grid's coordinates, radii, mask and float mask: n + 3 arrays; its
       interior indices and neighbour tables: (2n + 1) M;
     - the energy's two interior weights, 2 M, and its summation array: 1;
-    - the solver: the iterate's field and its Nehari rescaling at the end;
-      in the descent at p != 2, a trial's field, or the pull-back's
-      scattered gradient: 2 (at p = 2 the descent holds H and bin tensors
-      instead, within the metric's stage); the metric's kept eigenvectors:
-      at most dim^2;
+    - the solver: one field, a trial's in the descent at p != 2 (at p = 2
+      the descent holds H and bin tensors instead, within the metric's
+      stage), then at the end the iterate's, which the certificates on it
+      read before it is rescaled onto the Nehari manifold and freed: 1;
+      the metric's kept eigenvectors: at most dim^2;
     - the largest of four stages:
       - the end-of-run certificates: the sign certificate holds 3 arrays,
-        the others at most 2 (and 2 M in the interpolated bias);
+        the others at most 2 (and 2 M in the interpolated bias); 3 also
+        covers a second field, the Nehari rescaling or, at p != 2, the
+        pull-back's scattered gradient;
       - the reduced level estimate: 10 profile tables of n_r^2 (2 n_r)^(n - 4)
         entries, n_r = 2(N - 1) (two rotation planes, the fewest any
         accepted class averages);
@@ -1052,16 +1045,15 @@ def solve_peak_bytes(grid: BallGrid, dim: int = 0) -> int:
       (6, 0, (1, 0))) and the other caches in a fixed 64 KiB.
     The other stages (seeding, class maps) peak lower.  A whole solve traced
     with tracemalloc, after numpy.random's first-use import, peaks at 0.92
-    to 0.93 of this bound at 13^4, 0.94 at 21^4, 0.80 to 0.82 at 7^5 to
-    11^5 and 0.89 to 0.90 at 5^6 to 9^6, at p = 2 and p = 3 alike: the
-    end-of-run stages hold the peak.
+    to 0.93 of this bound at 13^4, 0.94 at 21^4, 0.79 to 0.80 at 7^5 to
+    11^5 and 0.89 to 0.90 at 5^6 to 9^6, at p = 2 and p = 3 alike.
     """
     cube = math.prod(grid.shape)
     inside = _interior_count_bound(grid)
     n_r = int(math.ceil(grid.radius / (grid.h / REDUCED_REFINE)))  # as reduced_level_estimate
     tables = n_r ** 2 * (2 * n_r) ** max(grid.n - 4, 0)
     stage = max(3 * cube, 10 * tables, (2 * grid.n + 10) * inside, cube + dim * dim)
-    return ((grid.n + 6) * cube + (2 * grid.n + 3) * inside + dim * dim + stage) * 8 + 2 ** 16
+    return ((grid.n + 5) * cube + (2 * grid.n + 3) * inside + dim * dim + stage) * 8 + 2 ** 16
 
 
 def _refuse_unfit(grid: BallGrid, dim: int = 0) -> None:
@@ -1092,11 +1084,10 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     symmetrization, with coefficients c = S y in the orthonormal orbit basis
     S (``class_basis``): the iterate, direction and checkpoint are class
     coordinates, and the iterate is never re-projected on the grid.  At
-    p != 2 one grid field is built for each trial's sup-normalisation and
-    energy pass (``_GridPass``).  At p = 2 a trial builds none
-    (``_BinPass``): K is y^T H y / 2, and the class field, its peak and B
-    are read on plane-radius bins; the first point, fresh or resumed, is
-    evaluated the same way.
+    p != 2 each trial builds one grid field for its sup-normalisation and
+    energy pass (``_GridPass``); at p = 2 none does, nor the first point,
+    fresh or resumed (``_BinPass``: K = y^T H y / 2, and the peak and B are
+    read on plane-radius bins).
     The circle averages keep minimizing sequences inside the
     rotation-invariant profiles the continuum symmetry demands; without them
     a coarse lattice admits spurious isolated concentration bumps whose
@@ -1111,9 +1102,8 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     along -H^+ g with slope g . H^+ g, from the step rho B^(p/q), where rho
     is the last accepted relative step (1, a full metric step, on a fresh
     solve), halving down to MIN_STEP.  Each trial costs one pass, whose
-    gradient, if accepted, is pulled back into class coordinates: at p != 2
-    scattered onto the grid and read by S^T E^T (``class_coordinates``), as
-    the seed is; at p = 2 read off the bins by S^T E_d^T.  The grid
+    gradient, if accepted, is pulled back into class coordinates (at p != 2
+    through the grid by ``class_coordinates``, as the seed is).  The grid
     ``symmetrize`` runs once, for the end-of-run gap.  A class that
     projects the seed below 1e-8 of its peak is {0} (the circle averages
     force f = -f on a block of odd complex width) and is refused as
@@ -1244,12 +1234,20 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     min_rel = min(min_rel, rel)
     c = coefficients(y)
     u = class_field(c, cfg, grid)
+    # the certificates that read u run first, so u is freed before w exists
+    # and the end-of-run stages hold one solver field, not two
+    gap = symmetrize(u, cfg, grid)
+    sym_gap = float(np.max(np.abs(np.subtract(gap, u, out=gap), out=gap)))
+    del gap
+    equivariance = equivariance_residual(u, cfg)
     p, q = work.p, work.q
     # on an extreme radius the Nehari amplitude, and with it the energies of
     # w, can leave the float range: such a candidate is refused below, so
     # numpy's overflow warnings are not wanted while it is measured
     with np.errstate(over="ignore", invalid="ignore"):
-        w = energy.nehari_project(u) * grid.mask_f
+        w = energy.nehari_project(u)
+        del u
+        w *= grid.mask_f
         # one energy pass gives every end-of-run scalar of w
         kin_w, pot_w, grad_w, gb_w = energy.evaluate(w)
         grad_w /= p  # d J / d node, in place: gk / p - gb / q
@@ -1269,11 +1267,7 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
             f"at radius {grid.radius:g} these values of the candidate are "
             f"not positive finite floats: {', '.join(out_of_range)}; rescale the problem "
             f"to a radius nearer 1")
-    gap = symmetrize(u, cfg, grid)
-    sym_gap = float(np.max(np.abs(np.subtract(gap, u, out=gap), out=gap)))
-    del gap
     cert = sign_certificate(w, cfg)
-    equivariance = equivariance_residual(u, cfg)
     if not cert.certifies_sign_change or equivariance > 1e-8:
         raise VariationalError(
             f"the candidate breaks the solver's promise: sign change certified "

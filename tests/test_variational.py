@@ -1082,7 +1082,10 @@ PINNED_SMALL_HISTORY = (
     103521.6883066217, 103521.6882617828, 103521.68824172781)
 PINNED_6D_HISTORY = (
     8.439651597439061e+24, 7.744398654227724e+23, 1.7051956976610568e+23, 7.174223244601938e+22)
-# p = 3 runs its trials through the interior energy pass on the grid, bit for bit
+# p = 3 runs its trials through the interior energy pass on the grid, bit for bit.
+# Compared with ==: its class contractions (matmul) and the metric's eigh go
+# through BLAS and LAPACK, so the last bits hold on the capture platform's
+# OpenBLAS build and thread count and may differ on another.
 PINNED_P3_HISTORY = (
     1257.733812674959, 443.0767147081623, 347.0764185734626, 301.3264876936096,
     276.63780196947, 260.1457881007214, 245.2591282285895)
