@@ -77,20 +77,25 @@ class BallGrid:
         grids = np.meshgrid(*([self.axis] * self.n), indexing="ij")
         return np.stack(grids)
 
+    def _index_squares(self) -> np.ndarray:
+        """|k|^2 at each node, k its index offset from the centre: exact in
+        floats, so every signed coordinate permutation keeps it, ``radii`` (h |k|)
+        and ``mask`` (the open ball |k| < (N - 1) / 2, off the outer index layer)."""
+        npts = self.points_per_axis
+        sq = (np.arange(npts, dtype=float) - npts // 2) ** 2
+        out = np.zeros(self.shape)
+        for i in range(self.n):  # in place, one broadcast axis at a time
+            out += sq.reshape((npts,) + (1,) * (self.n - 1 - i))
+        return out
+
     @cached_property
     def radii(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.coords ** 2, axis=0))
+        r = self._index_squares()
+        return np.multiply(np.sqrt(r, out=r), self.h, out=r)
 
     @cached_property
     def mask(self) -> np.ndarray:
-        m = self.radii < self.radius
-        for ax in range(self.n):
-            edge = [slice(None)] * self.n
-            for idx in (0, -1):
-                edge[ax] = idx
-                if m[tuple(edge)].any():
-                    raise GridError("interior reaches the outer index layer")
-        return m
+        return self._index_squares() < ((self.points_per_axis - 1) // 2) ** 2
 
     @cached_property
     def mask_f(self) -> np.ndarray:

@@ -16,10 +16,10 @@ p = 2 kinetic Hessian restricted to the class (Wang and Zhou), which at
 p = 2 makes the full step nonlinear inverse iteration.  The orbit basis S
 of the class is the only projector the solve applies: the seed and every
 accepted gradient are read through S^T, and the grid ``symmetrize`` serves
-only the end-of-run certificates.  At p = 2 a line-search trial builds no
-grid field: K is the quadratic form of that Hessian and B a weighted sum
-over plane-radius bins (symmetric criticality, Palais); other p run one
-interior energy pass per trial.
+only the end-of-run certificates.  No line-search trial builds a grid
+field (symmetric criticality, Palais): B is a weighted sum over
+plane-radius bins, and K is the quadratic form of that Hessian at p = 2,
+else a weighted sum over one interior node per lattice orbit.
 
 Sign-changing structure is certified, not assumed: the returned report
 exhibits a lattice element of character -1 together with the node where it
@@ -174,7 +174,7 @@ class DiscreteEnergy:
     views, and ``gradient`` scatters its vector onto the grid.  ``kinetic``
     keeps the roll stencils over the whole cube as the reference the
     interior pass reproduces bit for bit.  ``solve`` runs ``evaluate`` on
-    each line-search trial at p != 2 and on the end-of-run field at every p.
+    the end-of-run field only.
     """
 
     def __init__(self, grid: BallGrid, params: ProblemParams):
@@ -211,11 +211,6 @@ class DiscreteEnergy:
         """
         self._cube.reshape(-1)[self.grid.interior] = values
         return np.sum(self._cube)
-
-    def _to_cube(self, values: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.grid.shape)
-        out.reshape(-1)[self.grid.interior] = values
-        return out
 
     def _psi(self, sq: np.ndarray) -> np.ndarray:
         p = self.params.p
@@ -308,7 +303,9 @@ class DiscreteEnergy:
     def gradient(self, u: np.ndarray) -> np.ndarray:
         """d value / d node as a grid field, exactly; vanishes off the interior mask."""
         _, _, gk, gb = self.evaluate(u)
-        return self._to_cube(gk / self.params.p - gb / self.params.q)
+        out = np.zeros(self.grid.shape)
+        out.reshape(-1)[self.grid.interior] = gk / self.params.p - gb / self.params.q
+        return out
 
     def quotient(self, u: np.ndarray) -> float:
         """Scale-invariant ratio K / B^(p/q); its minimizers are the Nehari ones."""
@@ -317,14 +314,6 @@ class DiscreteEnergy:
         if not (k > 0 and b > 0):
             raise VariationalError("quotient needs a nonzero field inside the ball")
         return k / b ** (self.params.p / self.params.q)
-
-    def quotient_and_gradient(self, u: np.ndarray) -> tuple[float, np.ndarray, float]:
-        """The quotient, its interior node gradient and B^(p/q), from one energy pass."""
-        k, b, gk, gb = self.evaluate(u)
-        if not (k > 0 and b > 0):
-            raise VariationalError("quotient needs a nonzero field inside the ball")
-        r = self.params.p / self.params.q
-        return k / b ** r, (gk - r * (k / b) * gb) / b ** r, b ** r
 
     def level_from_quotient(self, quotient: float) -> float:
         """J value on the Nehari manifold along the ray realizing the quotient."""
@@ -571,7 +560,7 @@ def _plane_radius_bins(grid: BallGrid, planes: int,
 
 
 def _class_hessian(energy: "DiscreteEnergy", cfg: SymmetryConfig,
-                   basis: tuple[np.ndarray, np.ndarray, int]) -> np.ndarray:
+                   basis: tuple[np.ndarray, np.ndarray, int], bins: tuple) -> np.ndarray:
     """H = S^T E^T L E S, L the Hessian of the masked, w_grad-weighted p = 2
     kinetic form: a diagonal term and, per axis k, a term over the interior
     pairs (x, x + e_k).  E is Q on each rotation plane and the identity on
@@ -580,7 +569,7 @@ def _class_hessian(energy: "DiscreteEnergy", cfg: SymmetryConfig,
     plane radius, so nodes are binned by the radii at a and a') couples
     coefficients whose tail indices agree, or differ by e_k on a tail axis.
     S gathers it into G per tail index; with the diagonal term halved,
-    H = G + G^T is exactly symmetric."""
+    H = G + G^T is exactly symmetric.  ``bins``: the plane-radius bins at shift 0."""
     g = energy.grid
     q, planes = _class_basis(cfg, g)
     col, val, dim = basis
@@ -596,7 +585,7 @@ def _class_hessian(energy: "DiscreteEnergy", cfg: SymmetryConfig,
                   if k is None else np.where(fwd[k] < len(w) - 1, -(w[:-1] + w.take(fwd[k])), 0.0))
         shifts = [0 if k is None or k // 2 != p else npts if k % 2 == 0 else 1
                   for p in range(planes)]
-        key, firsts = _plane_radius_bins(g, planes, shifts)
+        key, firsts = _plane_radius_bins(g, planes, shifts) if any(shifts) else bins
         tables = [(q[first, :, None] * np.roll(q, -shift, axis=0)[first, None, :])
                   .reshape(len(first), r * r).T for first, shift in zip(firsts, shifts)]
         sizes = [len(first) for first in firsts] + [tails]
@@ -614,30 +603,10 @@ def _class_hessian(energy: "DiscreteEnergy", cfg: SymmetryConfig,
     return h + h.T
 
 
-class _GridPass:
-    """A trial's pass for any p.  ``field`` gives values whose largest |.|
-    is the field's peak, ``quotient_and_gradient(values, y)`` the quotient,
-    its gradient and B^(p/q) there, and ``coordinates`` an accepted
-    gradient's class coordinates.  Here: E c on the grid, the interior
-    energy pass, and S^T E^T."""
-
-    def __init__(self, energy: DiscreteEnergy, cfg: SymmetryConfig,
-                 basis: tuple[np.ndarray, np.ndarray, int]):
-        self.energy, self.cfg, self.basis = energy, cfg, basis
-
-    def field(self, coefficients: np.ndarray) -> np.ndarray:
-        return class_field(coefficients, self.cfg, self.energy.grid)
-
-    def quotient_and_gradient(self, values: np.ndarray, y: np.ndarray) -> tuple:
-        return self.energy.quotient_and_gradient(values)
-
-    def coordinates(self, gradient) -> np.ndarray:
-        return class_coordinates(self.energy._to_cube(gradient), self.cfg, self.energy.grid,
-                                 self.basis)
-
-
 class _BinPass:
-    """The same pass at p = 2, in class coordinates and on plane-radius bins.
+    """A trial's pass at p = 2: ``field`` gives values whose largest |.| is
+    the field's peak, ``quotient_and_gradient(values, y)`` the quotient, its
+    gradient and B^(p/q), ``coordinates`` a gradient's class coordinates.
 
     K = y^T H y / 2 exactly, H the p = 2 kinetic Hessian in the class, and
     H y is its gradient.  E c depends on each node only through its plane
@@ -651,12 +620,12 @@ class _BinPass:
     array.
     """
 
-    def __init__(self, energy: DiscreteEnergy, cfg: SymmetryConfig,
-                 basis: tuple[np.ndarray, np.ndarray, int], hessian: np.ndarray):
-        self.basis, self.hessian, self.q = basis, hessian, energy.params.q
+    def __init__(self, energy: DiscreteEnergy, cfg: SymmetryConfig, basis: tuple, bins: tuple,
+                 hessian: np.ndarray | None = None):
+        self.basis, self.hessian, self.p, self.q = basis, hessian, energy.params.p, energy.params.q
         g = energy.grid
         q, self.planes = _class_basis(cfg, g)
-        key, firsts = _plane_radius_bins(g, self.planes, [0] * self.planes)
+        key, firsts = bins
         shape = tuple(map(len, firsts)) + (g.points_per_axis,) * (g.n - 2 * self.planes)
         self.weights = np.bincount(key, energy._w_pot_in * g.cell_volume,
                                    minlength=math.prod(shape)).reshape(shape)
@@ -665,24 +634,32 @@ class _BinPass:
     def field(self, coefficients: np.ndarray) -> np.ndarray:
         return _contract_planes(coefficients, [self.rows] * self.planes)
 
-    def quotient_and_gradient(self, values: np.ndarray, y: np.ndarray) -> tuple:
+    def _kinetic(self, values: np.ndarray, y: np.ndarray) -> tuple:  # K, and H y for its gradient
         hy = self.hessian @ y
-        k = 0.5 * float(y @ hy)
-        gb = np.abs(values) ** (self.q - 2.0)  # then h^n W |U|^(q-2) U, as q > p = 2
+        return 0.5 * float(y @ hy), hy
+
+    def quotient_and_gradient(self, values: np.ndarray, y: np.ndarray) -> tuple:
+        k, gk = self._kinetic(values, y)
+        # then h^n W |U|^(q-2) U, reading 0 at U = 0: 0 ** (q - 2) is inf for q < 2
+        gb = np.power(np.abs(values), self.q - 2.0, out=np.ones(values.shape),
+                      where=values != 0.0)
         gb *= values
         gb *= self.weights
         b = float(gb.ravel() @ values.ravel())
         if not (k > 0 and b > 0):
             raise VariationalError("quotient needs a nonzero field inside the ball")
-        scale = b ** (2.0 / self.q)
-        # (H y - (p / q) (K / B) dB/dy) / B^(p/q), and dB/dy = q S^T E_d^T gb
-        return k / scale, (hy, gb, 2.0 * k / b, scale), scale
+        scale = b ** (self.p / self.q)
+        # (dK/dy - (p / q) (K / B) dB/dy) / B^(p/q), and dB/dy = q S^T E_d^T gb
+        return k / scale, (gk, gb, self.p * k / b, scale), scale
+
+    def _pull_back(self, binned: np.ndarray) -> np.ndarray:  # S^T E_d^T
+        col, val, dim = self.basis
+        pulled = _contract_planes(binned, [self.rows.T] * self.planes).ravel()
+        return np.bincount(col, val * pulled, minlength=dim + 1)[:dim]
 
     def coordinates(self, gradient) -> np.ndarray:
         hy, gb, factor, scale = gradient
-        col, val, dim = self.basis
-        pulled = _contract_planes(gb, [self.rows.T] * self.planes).ravel()
-        return (hy - factor * np.bincount(col, val * pulled, minlength=dim + 1)[:dim]) / scale
+        return (hy - factor * self._pull_back(gb)) / scale
 
 
 def _axis_weights(grid: BallGrid, x: np.ndarray, plane: bool) -> np.ndarray:
@@ -993,9 +970,9 @@ def _relative_residual(c: np.ndarray, d: np.ndarray, quot: float) -> float:
 
 def _interior_count_bound(grid: BallGrid) -> int:
     """Nodes k with |k|^2 <= ((N - 1) / 2)^2 in index units: the interior
-    count plus the sphere's own nodes, which rounding may leave out, counted
-    through the distribution of |k|^2 without building the mask.  Past 257
-    points per axis (a 4-D cube array alone is then 35 GB) N^n stands in."""
+    count plus the sphere's own nodes, counted through the distribution of
+    |k|^2 without building the mask.  Past 257 points per axis (a 4-D cube
+    array alone is then 35 GB) N^n stands in."""
     half = (grid.points_per_axis - 1) // 2
     if half > 128:
         return math.prod(grid.shape)
@@ -1020,33 +997,29 @@ def solve_peak_bytes(grid: BallGrid, dim: int = 0) -> int:
     - the grid's coordinates, radii, mask and float mask: n + 3 arrays; its
       interior indices and neighbour tables: (2n + 1) M;
     - the energy's two interior weights, 2 M, and its summation array: 1;
-    - the solver: one field, a trial's in the descent at p != 2 (at p = 2
-      the descent holds H and bin tensors instead, within the metric's
-      stage), then at the end the iterate's, which the certificates on it
-      read before it is rescaled onto the Nehari manifold and freed: 1;
-      the metric's kept eigenvectors: at most dim^2;
+    - the solver: one field, the iterate's at the end, freed once it is
+      rescaled onto the Nehari manifold (the descent's bin tensors and
+      tables fit in the metric's stage): 1; its kept eigenvectors: dim^2;
     - the largest of four stages:
       - the end-of-run certificates: the sign certificate holds 3 arrays,
         the others at most 2 (and 2 M in the interpolated bias); 3 also
-        covers a second field, the Nehari rescaling or, at p != 2, the
-        pull-back's scattered gradient;
+        covers a second field, the Nehari rescaling;
       - the reduced level estimate: 10 profile tables of n_r^2 (2 n_r)^(n - 4)
         entries, n_r = 2(N - 1) (two rotation planes, the fewest any
         accepted class averages);
-      - an energy pass (a line-search trial's at p != 2, the end-of-run
-        pass on w at every p), on interior vectors only: its stacks,
-        temporaries, two gradients and the quotient gradient's temporaries
-        peak at (2n + 10) M;
-      - the metric's build, before the descent's two fields exist: its
-        interior vectors and contractions, then H and its eigenvectors;
+      - the end-of-run energy pass on w, on interior vectors only: its
+        stacks, temporaries and two gradients peak within (2n + 10) M;
+      - the metric's build: its interior vectors and contractions, then H
+        and its eigenvectors, and at p != 2 the orbit tables' build, at most
+        2n + 5 interior vectors;
     - the class tensors (a trial's coefficients, the pull-back's plane
       contractions, the basis; at most N^(n-2) entries each) and the plane
       tables fit in the mask's unused 7/8; the lattice subgroup (38 KB for
       (6, 0, (1, 0))) and the other caches in a fixed 64 KiB.
     The other stages (seeding, class maps) peak lower.  A whole solve traced
-    with tracemalloc, after numpy.random's first-use import, peaks at 0.92
-    to 0.93 of this bound at 13^4, 0.94 at 21^4, 0.79 to 0.80 at 7^5 to
-    11^5 and 0.89 to 0.90 at 5^6 to 9^6, at p = 2 and p = 3 alike.
+    with tracemalloc, after numpy.random's first-use import, peaks at 0.91
+    to 0.92 of this bound at 13^4, 0.94 at 21^4, 0.78 to 0.80 at 7^5 to
+    11^5 and 0.88 to 0.90 at 5^6 to 9^6, at p = 2 and p = 3 alike.
     """
     cube = math.prod(grid.shape)
     inside = _interior_count_bound(grid)
@@ -1083,11 +1056,10 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     of the circle averages over all rotation planes and the exact lattice
     symmetrization, with coefficients c = S y in the orthonormal orbit basis
     S (``class_basis``): the iterate, direction and checkpoint are class
-    coordinates, and the iterate is never re-projected on the grid.  At
-    p != 2 each trial builds one grid field for its sup-normalisation and
-    energy pass (``_GridPass``); at p = 2 none does, nor the first point,
-    fresh or resumed (``_BinPass``: K = y^T H y / 2, and the peak and B are
-    read on plane-radius bins).
+    coordinates, and the iterate is never re-projected on the grid.  No
+    trial builds a grid field, nor does the first point, fresh or resumed:
+    the peak and B are read on plane-radius bins, and K is y^T H y / 2 at
+    p = 2 (``_BinPass``), else a sum over lattice orbits (``_OrbitPass``).
     The circle averages keep minimizing sequences inside the
     rotation-invariant profiles the continuum symmetry demands; without them
     a coarse lattice admits spurious isolated concentration bumps whose
@@ -1102,15 +1074,14 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     along -H^+ g with slope g . H^+ g, from the step rho B^(p/q), where rho
     is the last accepted relative step (1, a full metric step, on a fresh
     solve), halving down to MIN_STEP.  Each trial costs one pass, whose
-    gradient, if accepted, is pulled back into class coordinates (at p != 2
-    through the grid by ``class_coordinates``, as the seed is).  The grid
-    ``symmetrize`` runs once, for the end-of-run gap.  A class that
-    projects the seed below 1e-8 of its peak is {0} (the circle averages
-    force f = -f on a block of odd complex width) and is refused as
-    unsupported.  A grid whose ``solve_peak_bytes`` exceed physical memory
-    is refused before anything is allocated.  A candidate whose sign change
-    is not certified or whose equivariance residual exceeds 1e-8 is
-    refused, not reported.
+    gradient, if accepted, is pulled back into class coordinates through
+    the bins.  The grid ``symmetrize`` runs once, for the end-of-run gap.
+    A class that projects the seed below 1e-8 of its peak is {0} (the
+    circle averages force f = -f on a block of odd complex width) and is
+    refused as unsupported.  A grid whose ``solve_peak_bytes`` exceed
+    physical memory is refused before anything is allocated.  A candidate
+    whose sign change is not certified or whose returned field's
+    equivariance residual exceeds 1e-8 is refused, not reported.
 
     Deterministic: the seed is closed-form, the loop draws no randomness,
     and reruns with identical inputs produce identical reports.  The solver
@@ -1168,14 +1139,18 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     # the metric: the p = 2 kinetic Hessian in class coordinates, inverted on
     # the directions that carry energy (the others leave the ball)
     _refuse_unfit(grid, dim)
-    hessian = _class_hessian(energy, cfg, basis)
+    planes = _class_basis(cfg, grid)[1]
+    bins = _plane_radius_bins(grid, planes, [0] * planes)  # the metric's and the trials'
+    hessian = _class_hessian(energy, cfg, basis, bins)
     lam, vec = np.linalg.eigh(hessian)
     keep = lam > METRIC_CUT * lam[-1]
     lam, vec = lam[keep], vec[:, keep]
-    # at p = 2 the kinetic form is the quadratic form of H, and a pass needs no grid
-    trials = (_BinPass(energy, cfg, basis, hessian) if work.p == 2.0
-              else _GridPass(energy, cfg, basis))
-    del hessian
+    if work.p == 2.0:  # the kinetic form is the quadratic form of H
+        trials = _BinPass(energy, cfg, basis, bins, hessian)
+    else:  # imported here, so a p = 2 solve never compiles the orbit pass
+        from .orbits import _OrbitPass
+        trials = _OrbitPass(energy, cfg, basis, bins)
+    del hessian, bins
 
     # a trial's field is built from its sup-normalized coordinates, so the
     # field of a resumed iterate is the one its gradient was taken at
@@ -1234,12 +1209,11 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     min_rel = min(min_rel, rel)
     c = coefficients(y)
     u = class_field(c, cfg, grid)
-    # the certificates that read u run first, so u is freed before w exists
-    # and the end-of-run stages hold one solver field, not two
+    # the gap reads u first, so u is freed before w exists and the
+    # end-of-run stages hold one solver field, not two
     gap = symmetrize(u, cfg, grid)
     sym_gap = float(np.max(np.abs(np.subtract(gap, u, out=gap), out=gap)))
     del gap
-    equivariance = equivariance_residual(u, cfg)
     p, q = work.p, work.q
     # on an extreme radius the Nehari amplitude, and with it the energies of
     # w, can leave the float range: such a candidate is refused below, so
@@ -1267,6 +1241,7 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
             f"at radius {grid.radius:g} these values of the candidate are "
             f"not positive finite floats: {', '.join(out_of_range)}; rescale the problem "
             f"to a radius nearer 1")
+    equivariance = equivariance_residual(w, cfg)  # of the returned field
     cert = sign_certificate(w, cfg)
     if not cert.certifies_sign_change or equivariance > 1e-8:
         raise VariationalError(

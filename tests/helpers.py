@@ -1,6 +1,8 @@
 """Test helpers that no command or solve path calls: the closed-form
 energies behind criterion 8, a typed reader of ``report.txt``, signed
-permutations acting on points and composed, the class projection through
+permutations acting on points and composed, the quotient and its node
+gradient from one interior energy pass, which the solver's trial passes
+are checked against, the class projection through
 the tensor average that the pull-back through S is checked against, the
 pointwise read of a class profile that the interpolated bias is checked
 against, the class Hessian by one energy pass per column, which the
@@ -30,6 +32,7 @@ from cknsym.variational import (
     INTERPOLATED_SAMPLES,
     DiscreteEnergy,
     ProblemParams,
+    VariationalError,
     _axis_weights,
     _class_basis,
     _contract_planes,
@@ -196,6 +199,24 @@ def pointwise_bias(coefficients: np.ndarray, cfg: SymmetryConfig, grid: BallGrid
     return worst / peak
 
 
+def to_cube(grid: BallGrid, values: np.ndarray) -> np.ndarray:
+    """The grid field holding an interior vector on the interior, 0 elsewhere."""
+    out = np.zeros(grid.shape)
+    out.reshape(-1)[grid.interior] = values
+    return out
+
+
+def quotient_and_gradient(energy: DiscreteEnergy,
+                          u: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """The quotient K / B^(p/q), its interior node gradient and B^(p/q),
+    from one energy pass on the grid field u."""
+    k, b, gk, gb = energy.evaluate(u)
+    if not (k > 0 and b > 0):
+        raise VariationalError("quotient needs a nonzero field inside the ball")
+    r = energy.params.p / energy.params.q
+    return k / b ** r, (gk - r * (k / b) * gb) / b ** r, b ** r
+
+
 def class_hessian_by_columns(energy: DiscreteEnergy, cfg: SymmetryConfig,
                              basis: tuple[np.ndarray, np.ndarray, int]) -> np.ndarray:
     """S^T E^T L E S column by column, for a p = 2 energy: column j is the
@@ -209,7 +230,7 @@ def class_hessian_by_columns(energy: DiscreteEnergy, cfg: SymmetryConfig,
         y[j] = 1.0
         c = (val * y[col]).reshape(class_shape(cfg, grid))
         gk = energy.evaluate(class_field(c, cfg, grid))[2]
-        out[:, j] = class_coordinates(energy._to_cube(gk), cfg, grid, basis)
+        out[:, j] = class_coordinates(to_cube(grid, gk), cfg, grid, basis)
     return out
 
 

@@ -240,7 +240,7 @@ def test_criterion_09_solver_refinement_study():
         assert report.monotone, f"non-monotone history at {points}^4"
         assert report.converged, f"no convergence at {points}^4: {report.stop_reason}"
         assert report.stop_reason == "first variation tolerance"
-        assert report.equivariance <= 1e-8
+        assert report.equivariance <= 1e-12
         cert = report.certificate
         assert cert.min_value < 0.0 < cert.max_value
         reports[points] = report

@@ -16,6 +16,8 @@ from cknsym.grid import (
     save_field,
     write_array,
 )
+from cknsym.lattice import apply_perm_to_grid, lattice_subgroup
+from cknsym.symmetry import SymmetryConfig
 from cknsym.variational import DiscreteEnergy, ProblemParams
 
 
@@ -77,6 +79,18 @@ def test_mask_is_flip_symmetric():
     grid = BallGrid(3, 9)
     for ax in range(3):
         assert np.array_equal(grid.mask, np.flip(grid.mask, axis=ax))
+
+
+@pytest.mark.parametrize("m, grid", [((1,), BallGrid(4, 13)), ((1,), BallGrid(4, 21)),
+                                     ((1,), BallGrid(4, 25)), ((1,), BallGrid(5, 7)),
+                                     ((1, 0), BallGrid(6, 7)), ((1, 0), BallGrid(6, 11))],
+                         ids=["13^4", "21^4", "25^4", "7^5", "7^6", "11^6"])
+def test_mask_and_radii_are_lattice_invariant(m, grid):
+    """Both come from exact integer index squares, so every lattice element
+    keeps them bit for bit, also where the grid spacing is not dyadic."""
+    for e in lattice_subgroup(SymmetryConfig(grid.n, 0, m)):
+        assert np.array_equal(apply_perm_to_grid(grid.mask, e.perm), grid.mask)
+        assert np.array_equal(apply_perm_to_grid(grid.radii, e.perm), grid.radii)
 
 
 def test_weight_values_unit_exponent_and_origin_floor():

@@ -15,6 +15,7 @@ import cknsym.variational as variational
 from cknsym.grid import BallGrid, backward_diffs, field_from_function, forward_diffs
 from cknsym.kvdoc import DocumentError
 from cknsym.lattice import LatticeElement, SignedPerm, apply_perm_to_grid, lattice_subgroup
+from cknsym.orbits import _OrbitPass
 from cknsym.symmetry import REGIMES, SymmetryConfig
 from cknsym.variational import (
     DiscreteEnergy,
@@ -51,8 +52,10 @@ from helpers import (
     class_values,
     dilation_invariance_gap,
     pointwise_bias,
+    quotient_and_gradient,
     report_summary_from_doc,
     tensor_average,
+    to_cube,
     traced_peak,
 )
 
@@ -190,7 +193,7 @@ def test_quotient_gradient_consistency(p):
     eps = 1e-6
     u = random_bumps(GRID4, rng)
     h = random_bumps(GRID4, rng)
-    exact = node_pairing(energy.quotient_and_gradient(u)[1], h.ravel()[GRID4.interior])
+    exact = node_pairing(quotient_and_gradient(energy, u)[1], h.ravel()[GRID4.interior])
     fd = (energy.quotient(u + eps * h) - energy.quotient(u - eps * h)) / (2 * eps)
     assert fd == pytest.approx(exact, rel=1e-5)
 
@@ -299,7 +302,7 @@ def _assert_pass_matches_the_oracles(energy, u):
     assert np.array_equal(energy.gradient(u), gk0 / energy.params.p - gb0 / energy.params.q)
     assert (energy.kinetic(u), energy.potential(u)) == (k0, b0)
     r = energy.params.p / energy.params.q
-    quot, gq, scale = energy.quotient_and_gradient(u)
+    quot, gq, scale = quotient_and_gradient(energy, u)
     assert quot == energy.quotient(u) == k0 / b0 ** r
     assert scale == b0 ** r
     assert np.array_equal(gq, ((gk0 - r * (k0 / b0) * gb0) / b0 ** r).ravel()[inside])
@@ -635,20 +638,31 @@ def test_class_hessian_matches_one_energy_pass_per_column(cfg, grid):
     Hessian restricted to the class, and exactly symmetric."""
     energy = DiscreteEnergy(grid, params_for_config(cfg))
     basis = class_basis(cfg, grid)
-    h = variational._class_hessian(energy, cfg, basis)
+    h = variational._class_hessian(energy, cfg, basis, _plane_bins(cfg, grid))
     expect = class_hessian_by_columns(energy, cfg, basis)
     assert np.max(np.abs(h - expect)) <= 1e-12 * np.max(np.abs(expect))
     assert np.array_equal(h, h.T)
 
 
-def _bin_pass(cfg, grid):
-    """The p = 2 energy of cfg's regime at the solver exponent, its class
-    basis and the bin pass ``solve`` runs its trials through."""
-    params = params_for_config(cfg)
-    energy = DiscreteEnergy(grid, params.with_exponent(params.q - 0.5))
+def _plane_bins(cfg, grid):
+    """The interior's plane-radius bins at shift 0, as ``solve`` builds them."""
+    planes = variational._class_basis(cfg, grid)[1]
+    return variational._plane_radius_bins(grid, planes, [0] * planes)
+
+
+def _trial_pass(cfg, grid, p=2.0):
+    """The energy of cfg's regime at p and the solver exponent (halfway to
+    p where the solver's shift would pass it), its class basis and the pass
+    ``solve`` runs its trials through: the bin pass at p = 2, else the orbit pass."""
+    params = params_for_config(cfg, p)
+    q = params.q - 0.5 if params.q - 0.5 > p else (params.q + p) / 2.0
+    energy = DiscreteEnergy(grid, params.with_exponent(q))
     basis = class_basis(cfg, grid)
-    hessian = variational._class_hessian(energy, cfg, basis)
-    return energy, basis, variational._BinPass(energy, cfg, basis, hessian)
+    bins = _plane_bins(cfg, grid)
+    if p != 2.0:
+        return energy, basis, _OrbitPass(energy, cfg, basis, bins)
+    hessian = variational._class_hessian(energy, cfg, basis, bins)
+    return energy, basis, variational._BinPass(energy, cfg, basis, bins, hessian)
 
 
 def _coefficients(y, cfg, grid, basis):
@@ -663,30 +677,52 @@ BIN_CASES = [(SymmetryConfig(n, 0, m, regime), BallGrid(n, points, 1.0))
              for regime in REGIMES if (n, regime) != (5, "a_eq_b_nonzero")]
 
 
-@pytest.mark.parametrize("cfg, grid", BIN_CASES, ids=[
-    f"{grid.points_per_axis}^{grid.n}-{cfg.regime}" for cfg, grid in BIN_CASES])
-def test_bin_pass_matches_the_grid_pass(cfg, grid):
-    """At p = 2 the pass in class coordinates on plane-radius bins gives the
-    peak, quotient and class gradient of the interior energy pass on the
-    class field followed by S^T E^T."""
-    energy, basis, bins = _bin_pass(cfg, grid)
-    rng = np.random.default_rng(26)
+def _assert_pass_matches_the_grid_pass(cfg, grid, p, seed):
+    """The trial pass gives the peak, quotient, B^(p/q) and class gradient
+    of the interior energy pass on the class field followed by S^T E^T, on
+    random class vectors, within 1e-12 relative."""
+    energy, basis, trials = _trial_pass(cfg, grid, p)
+    rng = np.random.default_rng(seed)
     for _ in range(2):
         y = rng.standard_normal(basis[2])
         c = _coefficients(y, cfg, grid, basis)
         u = class_field(c, cfg, grid)
         peak = float(np.max(np.abs(u)))
-        quot, grad, scale = energy.quotient_and_gradient(u / peak)
-        d = class_coordinates(energy._to_cube(grad), cfg, grid, basis)
-        values = bins.field(c)
+        quot, grad, scale = quotient_and_gradient(energy, u / peak)
+        d = class_coordinates(to_cube(grid, grad), cfg, grid, basis)
+        values = trials.field(c)
         got_peak = float(np.max(np.abs(values)))
-        got_quot, got_grad, got_scale = bins.quotient_and_gradient(values / got_peak,
-                                                                  y / got_peak)
-        got_d = bins.coordinates(got_grad)
+        got_quot, got_grad, got_scale = trials.quotient_and_gradient(values / got_peak,
+                                                                    y / got_peak)
+        got_d = trials.coordinates(got_grad)
         assert got_peak == pytest.approx(peak, rel=1e-12)
         assert got_quot == pytest.approx(quot, rel=1e-12)
         assert got_scale == pytest.approx(scale, rel=1e-12)
         assert np.linalg.norm(got_d - d) <= 1e-12 * np.linalg.norm(d)
+
+
+@pytest.mark.parametrize("cfg, grid", BIN_CASES, ids=[
+    f"{grid.points_per_axis}^{grid.n}-{cfg.regime}" for cfg, grid in BIN_CASES])
+def test_bin_pass_matches_the_grid_pass(cfg, grid):
+    """At p = 2 the pass in class coordinates on plane-radius bins is the
+    interior energy pass on the class field."""
+    _assert_pass_matches_the_grid_pass(cfg, grid, 2.0, 26)
+
+
+ORBIT_CASES = [(SymmetryConfig(n, 0, m, regime), BallGrid(n, points, 1.0), p)
+               for n, m, points in ((4, (1,), 13), (4, (1,), 17), (5, (1,), 7), (6, (1, 0), 7))
+               for regime in REGIMES if (n, regime) != (5, "a_eq_b_nonzero")
+               for p in (1.5, 3.0)]
+
+
+@pytest.mark.parametrize("cfg, grid, p", ORBIT_CASES, ids=[
+    f"{grid.points_per_axis}^{grid.n}-{cfg.regime}-p{p}" for cfg, grid, p in ORBIT_CASES])
+def test_orbit_pass_matches_the_grid_pass(cfg, grid, p):
+    """At p != 2 the kinetic sum over one interior node per lattice orbit,
+    with its stencil and B read off the bins, is the interior energy pass
+    on the class field; at p = 1.5 the 4-D exponents sit below 2, where
+    |u|^(q-2) u must read 0 at u = 0."""
+    _assert_pass_matches_the_grid_pass(cfg, grid, p, 31)
 
 
 @pytest.mark.parametrize("cfg, grid, share, unit", [
@@ -698,7 +734,7 @@ def test_bin_pass_trial_makes_no_grid_array(cfg, grid, share, unit):
     """One p = 2 line-search trial, from coordinates to the accepted class
     gradient, holds bin tensors only: below half an interior vector at
     21^4 and a quarter of a grid array at 11^5 and 9^6."""
-    _, basis, bins = _bin_pass(cfg, grid)
+    _, basis, bins = _trial_pass(cfg, grid)
     y = np.random.default_rng(27).standard_normal(basis[2])
 
     def trial():
@@ -718,8 +754,7 @@ def test_gradient_pull_back_copies_no_grid_array(cfg, grid):
     """Pulling a grid array back into the class holds only the contracted
     tensors (0.09 of a grid array at 11^5, 0.11 at 9^6): the plane
     contractions run leading plane first, so no transposed copy is made."""
-    energy = DiscreteEnergy(grid, params_for_config(cfg))
-    u = energy._to_cube(np.linspace(-1.0, 1.0, len(grid.interior)))
+    u = to_cube(grid, np.linspace(-1.0, 1.0, len(grid.interior)))
     basis = class_basis(cfg, grid)  # builds the class tables
     assert traced_peak(lambda: class_coordinates(u, cfg, grid, basis)) <= 0.15 * 8 * u.size
 
@@ -1082,11 +1117,15 @@ PINNED_SMALL_HISTORY = (
     103521.6883066217, 103521.6882617828, 103521.68824172781)
 PINNED_6D_HISTORY = (
     8.439651597439061e+24, 7.744398654227724e+23, 1.7051956976610568e+23, 7.174223244601938e+22)
-# p = 3 runs its trials through the interior energy pass on the grid, bit for bit.
-# Compared with ==: its class contractions (matmul) and the metric's eigh go
-# through BLAS and LAPACK, so the last bits hold on the capture platform's
-# OpenBLAS build and thread count and may differ on another.
+# p = 3 runs its trials through the orbit pass.  Compared with ==: its class
+# contractions (matmul) and the metric's eigh go through BLAS and LAPACK, so
+# the last bits hold on the capture platform's OpenBLAS build and thread
+# count and may differ on another.
 PINNED_P3_HISTORY = (
+    1257.7338126749585, 443.07671470816564, 347.076418573477, 301.32648769362413,
+    276.63780196948323, 260.14578810073607, 245.25912822854917)
+# the same run with its trials through the interior energy pass on the grid
+GRID_PASS_P3_HISTORY = (
     1257.733812674959, 443.0767147081623, 347.0764185734626, 301.3264876936096,
     276.63780196947, 260.1457881007214, 245.2591282285895)
 
@@ -1103,11 +1142,12 @@ def test_metric_descent_converges_along_its_pinned_history(small_report):
     assert six.energy_history == pytest.approx(PINNED_6D_HISTORY, rel=1e-10)
 
 
-def test_grid_pass_keeps_its_pinned_history_at_p_three():
+def test_orbit_pass_keeps_its_pinned_history_at_p_three():
     report = solve(CFG4, GRID4, params=params_for_config(CFG4, 3.0),
                    options=SolveOptions(max_iters=6))
     assert report.iterations == 6
     assert report.energy_history == PINNED_P3_HISTORY
+    assert report.energy_history == pytest.approx(GRID_PASS_P3_HISTORY, rel=1e-10)
 
 
 @pytest.mark.parametrize("broken", ["certificate", "equivariance"])
@@ -1236,15 +1276,32 @@ def test_solver_refuses_a_grid_that_cannot_fit():
               options=SolveOptions(max_iters=1))
 
 
+@pytest.mark.parametrize("cfg, grid, p", [(CFG4, BallGrid(4, 13, 1.0), 2.0),
+                                          (CFG4, BallGrid(4, 21, 1.0), 2.0),
+                                          (SymmetryConfig(5, 0, (1,)), BallGrid(5, 9, 1.0), 2.0),
+                                          (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 5, 1.0), 2.0),
+                                          (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 7, 1.0), 2.0),
+                                          (CFG4, BallGrid(4, 13, 1.0), 3.0),
+                                          (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 7, 1.0), 3.0)],
+                         ids=["13^4", "21^4", "9^5", "5^6", "7^6", "13^4-p3", "7^6-p3"])
+def test_peak_estimate_matches_the_traced_peak(cfg, grid, p):
+    """At p = 3 the trace includes the orbit pass's table build."""
+    peak = traced_peak(lambda: solve(cfg, grid, params=params_for_config(cfg, p),
+                                     options=SolveOptions(max_iters=4)))
+    assert 0.75 <= peak / solve_peak_bytes(grid, class_basis(cfg, grid)[2]) <= 1.0
+
+
 @pytest.mark.parametrize("cfg, grid", [(CFG4, BallGrid(4, 13, 1.0)),
                                        (CFG4, BallGrid(4, 21, 1.0)),
-                                       (SymmetryConfig(5, 0, (1,)), BallGrid(5, 9, 1.0)),
-                                       (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 5, 1.0)),
                                        (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 7, 1.0))],
-                         ids=["13^4", "21^4", "9^5", "5^6", "7^6"])
-def test_peak_estimate_matches_the_traced_peak(cfg, grid):
-    peak = traced_peak(lambda: solve(cfg, grid, options=SolveOptions(max_iters=4)))
-    assert 0.75 <= peak / solve_peak_bytes(grid, class_basis(cfg, grid)[2]) <= 1.0
+                         ids=["13^4", "21^4", "7^6"])
+def test_returned_field_is_equivariant(cfg, grid):
+    """The reported equivariance is that of the returned field w = t u mask,
+    which holds on grids whose spacing is not dyadic only because the
+    lattice keeps the mask."""
+    report = solve(cfg, grid, options=SolveOptions(max_iters=4))
+    assert report.equivariance == equivariance_residual(report.field, cfg)
+    assert report.equivariance <= 1e-12
 
 
 def test_checkpoint_resume_continues_the_same_run(tmp_path):
