@@ -20,7 +20,7 @@ class _OrbitPass(_BinPass):
 
     def __init__(self, energy: DiscreteEnergy, cfg: SymmetryConfig, basis: tuple, bins: tuple):
         super().__init__(energy, cfg, basis, bins)
-        g, self.h, self.eps = energy.grid, energy.grid.h, energy.eps
+        g, self.h, self.sigma = energy.grid, energy.grid.h, energy._sigma
         inside, npts, full = g.interior, g.points_per_axis, 2 ** g.n - 1
         index = np.unravel_index(inside, g.shape)
         low, stab, counts = inside.copy(), np.zeros(len(inside)), np.zeros(full + 1)
@@ -45,10 +45,10 @@ class _OrbitPass(_BinPass):
         ue = np.append(values.ravel(), 0.0).take(self.stencil)
         fw = (ue[1:n + 1] - ue[0]) / self.h
         bw = (ue[0] - ue[n + 1:]) / self.h
-        sq = self.bits @ (fw * fw) + (1.0 - self.bits) @ (bw * bw) + self.eps ** 2
-        sigma = sq ** ((self.p - 2.0) / 2.0)
-        sq *= sigma  # psi(F_A) + eps^p
-        return float(np.sum(self.weights_k * (sq - self.eps ** self.p))), (fw, bw, sigma)
+        sq = self.bits @ (fw * fw) + (1.0 - self.bits) @ (bw * bw)
+        sigma = self.sigma(sq)
+        sq *= sigma  # psi(F_A)
+        return float(np.sum(self.weights_k * sq)), (fw, bw, sigma)
 
     def coordinates(self, gradient) -> np.ndarray:
         (fw, bw, sigma), gb, factor, scale = gradient

@@ -3,23 +3,25 @@
 The continuum functional is J(u) = (1/p) int |grad u|^p |x|^(-a p)
 - (1/q) int |u|^q |x|^(-b q), with q tied to (p, a, b) so that both terms
 scale identically under u -> lam^gamma u(lam x).  On the grid the kinetic
-term averages forward and backward difference stacks, which keeps the p = 2
-energy exactly invariant under every signed coordinate permutation and
-suppresses checkerboard modes for all p.  Minimization runs inside the cone
-of fields that transform by the sign character under the grid-exact sampling
-subgroup: the iterate lives in orthonormal class coordinates and is never
-re-projected on the grid, its field is rescaled onto the discrete Nehari
-manifold, and steps are accepted only on strict energy decrease, so the
-reported energy history is monotone by construction.  Each step is a
-Sobolev gradient step (Neuberger): the class gradient preconditioned by the
-p = 2 kinetic Hessian restricted to the class (Wang and Zhou), which at
-p = 2 makes the full step nonlinear inverse iteration.  The orbit basis S
-of the class is the only projector the solve applies: the seed and every
-accepted gradient are read through S^T, and the grid ``symmetrize`` serves
-only the end-of-run certificates.  No line-search trial builds a grid
-field (symmetric criticality, Palais): B is a weighted sum over
-plane-radius bins, and K is the quadratic form of that Hessian at p = 2,
-else a weighted sum over one interior node per lattice orbit.
+term averages the densities |g|^p of the forward and backward difference
+stacks, which keeps the p = 2 energy exactly invariant under every signed
+coordinate permutation and suppresses checkerboard modes for all p; as in
+the continuum, K is p-homogeneous and B q-homogeneous, exactly.
+Minimization runs inside the cone of fields that transform by the sign
+character under the grid-exact sampling subgroup: the iterate lives in
+orthonormal class coordinates and is never re-projected on the grid, its
+field is rescaled onto the discrete Nehari manifold by the closed-form
+scale t^(q - p) = K / B, and steps are accepted only on strict energy
+decrease, so the reported energy history is monotone by construction.
+Each step is a Sobolev gradient step (Neuberger): the class gradient
+preconditioned by the p = 2 kinetic Hessian restricted to the class (Wang
+and Zhou), which at p = 2 makes the full step nonlinear inverse iteration.
+The orbit basis S of the class is the only projector the solve applies:
+the seed and every accepted gradient are read through S^T, and the grid
+``symmetrize`` serves only the end-of-run certificates.  No line-search
+trial builds a grid field (symmetric criticality, Palais): B is a weighted
+sum over plane-radius bins, and K is the quadratic form of that Hessian at
+p = 2, else a weighted sum over one interior node per lattice orbit.
 
 Sign-changing structure is certified, not assumed: the returned report
 exhibits a lattice element of character -1 together with the node where it
@@ -70,7 +72,6 @@ MIN_STEP = 1e-10  # the line search halves the relative step down to this
 METRIC_CUT = 1e-6  # metric eigenvalues below this share of the largest carry no energy
 INTERPOLATED_SAMPLES = 8  # random full-group elements in the bias diagnostic
 REDUCED_REFINE = 4  # profile table step of the reduced level: grid step / 4
-KINETIC_EPS = 1e-8  # kinetic-density regularisation for p != 2
 SEED_OFFSET = 0.55  # seed bump center along the witness, in radii
 SEED_WIDTH = 0.18  # seed bump standard deviation, in radii
 WEIGHT_STRENGTH = 0.3  # b of the default weights; a = b scales it under a_eq_b_nonzero
@@ -154,16 +155,18 @@ class SolveOptions:
             if not 0 < getattr(self, name) < math.inf:
                 raise VariationalError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         for name in ("max_iters", "checkpoint_every"):
-            if not getattr(self, name) >= 0:
-                raise VariationalError(f"{name} must be >= 0, got {getattr(self, name)}")
+            exact_int(getattr(self, name), VariationalError,
+                      f"{name} must be an integer >= 0, got {{!r}}", 0)
 
 
 class DiscreteEnergy:
     """J and its exact discrete gradient on a masked ball grid.
 
-    The kinetic density is psi(g) = (|g|^2 + eps^2)^(p/2) - eps^p with
-    eps = 0 for p = 2 and KINETIC_EPS otherwise, so the density
-    vanishes at zero gradient and stays differentiable at p < 2.  Gradients
+    The kinetic density is psi(|g|^2) = |g|^p at every p, so K(t u) =
+    t^p K(u) and B(t u) = t^q B(u) exactly, and the Nehari scale of a ray
+    is the closed form t^(q - p) = K / B.  Its derivative factor
+    |g|^(p - 2) is read as 1 where g = 0, where it only ever multiplies a
+    zero difference (for p > 1, |g|^(p - 2) g tends to 0 there).  Gradients
     are assembled with the exact difference adjoints and are zero off the
     interior mask, making them true derivatives of the discrete value:
     finite-difference tests hold to square-root machine precision.
@@ -182,7 +185,6 @@ class DiscreteEnergy:
             raise VariationalError(f"params dimension {params.n} != grid dimension {grid.n}")
         self.grid = grid
         self.params = params
-        self.eps = 0.0 if params.p == 2.0 else KINETIC_EPS
 
     @cached_property
     def _w_grad(self) -> np.ndarray:
@@ -213,17 +215,11 @@ class DiscreteEnergy:
         return np.sum(self._cube)
 
     def _psi(self, sq: np.ndarray) -> np.ndarray:
-        p = self.params.p
-        if self.eps == 0.0:  # p == 2
-            return sq
-        return (sq + self.eps ** 2) ** (p / 2.0) - self.eps ** p
+        return sq ** (self.params.p / 2.0)
 
     def _sigma(self, sq: np.ndarray) -> np.ndarray:
-        # d psi / d sq, times 2: the vector factor in the kinetic gradient
-        p = self.params.p
-        if self.eps == 0.0:  # p == 2
-            return np.ones_like(sq)
-        return (sq + self.eps ** 2) ** ((p - 2.0) / 2.0)
+        # d psi / d sq, times 2: the vector factor in the kinetic gradient, 1 at sq = 0
+        return np.power(sq, (self.params.p - 2.0) / 2.0, out=np.ones(sq.shape), where=sq != 0.0)
 
     def _stacks(self, u: np.ndarray) -> tuple[np.ndarray, ...]:
         """Masked field, forward and backward stacks over the whole cube by
@@ -234,28 +230,6 @@ class DiscreteEnergy:
         bw = backward_diffs(g, u)
         return u, fw, bw, np.sum(fw * fw, axis=0), np.sum(bw * bw, axis=0)
 
-    def _interior_stacks(self, u: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The interior values of u with a zero sentinel appended (length
-        M + 1), the forward and backward stacks (n, M) and their |.|^2.
-
-        Every neighbour off the interior reads the sentinel, which is what
-        the masked field holds there, so each entry is the roll stencil's
-        value at that node, in the same operation order.
-        """
-        g = self.grid
-        fwd, bwd = g.neighbours
-        ue = np.zeros(fwd.shape[1] + 1)
-        uv = ue[:-1]
-        np.reshape(u, g.shape).take(g.interior, out=uv, mode="clip")
-        fw = (ue.take(fwd) - uv) / g.h
-        bw = (uv - ue.take(bwd)) / g.h
-        return ue, fw, bw, np.sum(fw * fw, axis=0), np.sum(bw * bw, axis=0)
-
-    def _kinetic(self, sf: np.ndarray, sb: np.ndarray) -> float:
-        """K from the interior squared norms."""
-        dens = self._psi(sf) + self._psi(sb)
-        return float(0.5 * self.grid.cell_volume * self._cube_sum(self._w_grad_in * dens))
-
     def _potential(self, uv: np.ndarray) -> float:
         """B from the interior values."""
         q = self.params.q
@@ -264,12 +238,22 @@ class DiscreteEnergy:
     def evaluate(self, u: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
         """(K, B, dK/du, dB/du) from one build of the interior difference stacks;
         the gradients are interior vectors (length M, in ``grid.interior``
-        order), as both vanish off the interior."""
+        order), as both vanish off the interior.
+
+        The interior values carry a zero sentinel (length M + 1) that every
+        neighbour off the interior reads, which is what the masked field
+        holds there, so each stack entry is the roll stencil's value at that
+        node, in the same operation order.
+        """
         g = self.grid
         q = self.params.q
         fwd, bwd = g.neighbours
-        ue, fw, bw, sf, sb = self._interior_stacks(u)
+        ue = np.zeros(fwd.shape[1] + 1)
         uv = ue[:-1]
+        np.reshape(u, g.shape).take(g.interior, out=uv, mode="clip")
+        fw = (ue.take(fwd) - uv) / g.h
+        bw = (uv - ue.take(bwd)) / g.h
+        sf, sb = np.sum(fw * fw, axis=0), np.sum(bw * bw, axis=0)
         wf = self._sigma(sf) * self._w_grad_in
         wb = self._sigma(sb) * self._w_grad_in
         gk_f = np.zeros(uv.shape)
@@ -287,7 +271,9 @@ class DiscreteEnergy:
         # |u|^(q-2) u reads 0 at u = 0 for every q: 0 ** (q - 2) is inf for q < 2
         gb = q * g.cell_volume * self._w_pot_in * np.power(
             np.abs(uv), q - 2.0, out=np.ones(uv.shape), where=uv != 0.0) * uv
-        return self._kinetic(sf, sb), self._potential(uv), gk, gb
+        dens = self._psi(sf) + self._psi(sb)
+        return (float(0.5 * g.cell_volume * self._cube_sum(self._w_grad_in * dens)),
+                self._potential(uv), gk, gb)
 
     def kinetic(self, u: np.ndarray) -> float:
         _, _, _, sf, sb = self._stacks(u)
@@ -322,49 +308,6 @@ class DiscreteEnergy:
             return (1.0 / p - 1.0 / q) * quotient ** (q / (q - p))
         except OverflowError:  # a float power raises where a product reads inf
             return math.inf
-
-    def nehari_scale(self, u: np.ndarray) -> float:
-        """t > 0 with d/dt J(t u) = 0; closed form polished by Newton when eps > 0.
-
-        The polish works on the precomputed interior squared difference
-        stacks, so each iteration is elementwise arithmetic, not a gradient
-        assembly.
-        """
-        g = self.grid
-        ue, _, _, sf, sb = self._interior_stacks(u)
-        k = self._kinetic(sf, sb)
-        b = self._potential(ue[:-1])
-        if not (k > 0 and b > 0):
-            raise VariationalError("Nehari scaling needs a nonzero field inside the ball")
-        p, q = self.params.p, self.params.q
-        try:
-            t = (k / b) ** (1.0 / (q - p))
-        except OverflowError:  # a float power raises where a product reads inf
-            return math.inf
-        if self.eps == 0.0:
-            return float(t)
-        e2 = self.eps ** 2
-
-        def slope(tv: float) -> float:
-            kf = (tv * tv * sf + e2) ** ((p - 2.0) / 2.0) * sf
-            kb = (tv * tv * sb + e2) ** ((p - 2.0) / 2.0) * sb
-            kin = 0.5 * g.cell_volume * float(self._cube_sum(self._w_grad_in * (kf + kb)))
-            return tv * kin - tv ** (q - 1.0) * b
-
-        for _ in range(30):
-            g0 = slope(t)
-            if abs(g0) <= 1e-12 * max(k, b):
-                break
-            dt = t * 1e-7
-            deriv = (slope(t + dt) - g0) / dt
-            if deriv == 0.0:
-                break
-            t_new = t - g0 / deriv
-            t = t / 2.0 if t_new <= 0.0 else t_new
-        return float(t)
-
-    def nehari_project(self, u: np.ndarray) -> np.ndarray:
-        return self.nehari_scale(u) * u
 
 
 # --------------------------------------------------------------------------
@@ -997,13 +940,12 @@ def solve_peak_bytes(grid: BallGrid, dim: int = 0) -> int:
     - the grid's coordinates, radii, mask and float mask: n + 3 arrays; its
       interior indices and neighbour tables: (2n + 1) M;
     - the energy's two interior weights, 2 M, and its summation array: 1;
-    - the solver: one field, the iterate's at the end, freed once it is
-      rescaled onto the Nehari manifold (the descent's bin tensors and
-      tables fit in the metric's stage): 1; its kept eigenvectors: dim^2;
+    - the solver: one field, the iterate's at the end, rescaled in place
+      onto the Nehari manifold (the descent's bin tensors and tables fit in
+      the metric's stage): 1; its kept eigenvectors: dim^2;
     - the largest of four stages:
-      - the end-of-run certificates: the sign certificate holds 3 arrays,
-        the others at most 2 (and 2 M in the interpolated bias); 3 also
-        covers a second field, the Nehari rescaling;
+      - the end-of-run certificates: at most 2 arrays each (the
+        interpolated bias 1 and 2 M);
       - the reduced level estimate: 10 profile tables of n_r^2 (2 n_r)^(n - 4)
         entries, n_r = 2(N - 1) (two rotation planes, the fewest any
         accepted class averages);
@@ -1017,15 +959,15 @@ def solve_peak_bytes(grid: BallGrid, dim: int = 0) -> int:
       tables fit in the mask's unused 7/8; the lattice subgroup (38 KB for
       (6, 0, (1, 0))) and the other caches in a fixed 64 KiB.
     The other stages (seeding, class maps) peak lower.  A whole solve traced
-    with tracemalloc, after numpy.random's first-use import, peaks at 0.91
-    to 0.92 of this bound at 13^4, 0.94 at 21^4, 0.78 to 0.80 at 7^5 to
-    11^5 and 0.88 to 0.90 at 5^6 to 9^6, at p = 2 and p = 3 alike.
+    with tracemalloc, after numpy.random's first-use import, peaks at 0.85
+    of this bound at 13^4, 0.88 at 21^4, 0.77 to 0.82 at 7^5 to 11^5 and
+    0.90 at 5^6 to 9^6, at p = 2 and p = 3 alike.
     """
     cube = math.prod(grid.shape)
     inside = _interior_count_bound(grid)
     n_r = int(math.ceil(grid.radius / (grid.h / REDUCED_REFINE)))  # as reduced_level_estimate
     tables = n_r ** 2 * (2 * n_r) ** max(grid.n - 4, 0)
-    stage = max(3 * cube, 10 * tables, (2 * grid.n + 10) * inside, cube + dim * dim)
+    stage = max(2 * cube, 10 * tables, (2 * grid.n + 10) * inside, cube + dim * dim)
     return ((grid.n + 5) * cube + (2 * grid.n + 3) * inside + dim * dim + stage) * 8 + 2 ** 16
 
 
@@ -1050,7 +992,10 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     is the (monotone) sequence of Nehari levels of the iterates.  Working on
     normalized fields sidesteps the large Nehari amplitudes that appear when
     the solver exponent sits close to p.  The returned field is the final
-    iterate rescaled onto the Nehari manifold.
+    iterate rescaled in place onto the Nehari manifold, by the closed-form
+    scale t^(q - p) = K / B that the last pass gives (K and B are exactly
+    p- and q-homogeneous); one energy pass on it then gives every
+    end-of-run scalar.
 
     The iterate lives in the coordinates y of the working class, the range
     of the circle averages over all rotation planes and the exact lattice
@@ -1208,19 +1153,20 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     rel = _relative_residual(y, d, quot)
     min_rel = min(min_rel, rel)
     c = coefficients(y)
-    u = class_field(c, cfg, grid)
-    # the gap reads u first, so u is freed before w exists and the
-    # end-of-run stages hold one solver field, not two
-    gap = symmetrize(u, cfg, grid)
-    sym_gap = float(np.max(np.abs(np.subtract(gap, u, out=gap), out=gap)))
+    w = class_field(c, cfg, grid)
+    # the gap reads the sup-normalized field, which is then rescaled in
+    # place: the end-of-run stages hold one solver field
+    gap = symmetrize(w, cfg, grid)
+    sym_gap = float(np.max(np.abs(np.subtract(gap, w, out=gap), out=gap)))
     del gap
     p, q = work.p, work.q
     # on an extreme radius the Nehari amplitude, and with it the energies of
     # w, can leave the float range: such a candidate is refused below, so
     # numpy's overflow warnings are not wanted while it is measured
     with np.errstate(over="ignore", invalid="ignore"):
-        w = energy.nehari_project(u)
-        del u
+        # onto the Nehari manifold: t^(q - p) = K / B, which the last pass
+        # gives as quot * scale^(1 - q/p), scale = B^(p/q)
+        w *= (quot * np.float64(scale) ** (1.0 - q / p)) ** (1.0 / (q - p))
         w *= grid.mask_f
         # one energy pass gives every end-of-run scalar of w
         kin_w, pot_w, grad_w, gb_w = energy.evaluate(w)

@@ -333,15 +333,32 @@ def test_solve_refuses_a_grid_that_cannot_fit(tmp_path, capsys):
     assert "physical memory" in err
 
 
-def test_cli_import_loads_no_scipy_module():
+def _probe(code: str) -> str:
+    """The stdout of code run by a fresh interpreter on this package's sources."""
     src = str(Path(cknsym.__file__).resolve().parents[1])
-    probe = ("import sys, cknsym.cli; "
-             "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == ""
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_cli_import_loads_no_scipy_module():
+    probe = ("import sys, cknsym.cli; "
+             "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _probe(probe).strip() == ""
+
+
+def test_p_two_solve_never_imports_the_orbit_pass():
+    probe = ("import sys\n"
+             "from cknsym.grid import BallGrid\n"
+             "from cknsym.symmetry import SymmetryConfig\n"
+             "from cknsym.variational import SolveOptions, params_for_config, solve\n"
+             "cfg = SymmetryConfig(4, 0, (1,))\n"
+             "for p in (2.0, 3.0):\n"
+             "    solve(cfg, BallGrid(4, 9, 1.0), params=params_for_config(cfg, p),\n"
+             "          options=SolveOptions(max_iters=2))\n"
+             "    print(p, 'cknsym.orbits' in sys.modules)\n")
+    assert _probe(probe) == "2.0 False\n3.0 True\n"
 
 
 def test_solve_resume_refuses_a_checkpoint_grid_that_cannot_fit(tmp_path, capsys):

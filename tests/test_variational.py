@@ -170,7 +170,7 @@ def test_gradient_supported_on_interior():
     assert np.all(grad[~GRID4.mask] == 0.0)
 
 
-@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_finite_difference_gradient_consistency(p):
     """The assembled gradient matches central differences of the value."""
     params = ProblemParams(4, p, 0.0, 0.0)
@@ -255,42 +255,6 @@ def _oracle_energy_parts(energy, u):
     return kin_value, pot_value, kin * g.mask_f, pot * g.mask_f
 
 
-def _oracle_nehari_scale(energy, u):
-    """The Nehari scale by the full-cube roll stacks and the original Newton
-    polish; the interior polish must reproduce it bit for bit."""
-    g = energy.grid
-    p, q = energy.params.p, energy.params.q
-    u = u * g.mask_f
-    fw = forward_diffs(g, u)
-    bw = backward_diffs(g, u)
-    sf, sb = np.sum(fw * fw, axis=0), np.sum(bw * bw, axis=0)
-    w_pot = g.weight_values(energy.params.potential_weight_exponent) * g.mask_f
-    k = float(0.5 * g.cell_volume * np.sum(energy._w_grad * (energy._psi(sf) + energy._psi(sb))))
-    b = float(g.cell_volume * np.sum(w_pot * np.abs(u) ** q))
-    t = (k / b) ** (1.0 / (q - p))
-    if energy.eps == 0.0:
-        return float(t)
-    e2 = energy.eps ** 2
-
-    def slope(tv):
-        kf = (tv * tv * sf + e2) ** ((p - 2.0) / 2.0) * sf
-        kb = (tv * tv * sb + e2) ** ((p - 2.0) / 2.0) * sb
-        kin = 0.5 * g.cell_volume * float(np.sum(energy._w_grad * (kf + kb)))
-        return tv * kin - tv ** (q - 1.0) * b
-
-    for _ in range(30):
-        g0 = slope(t)
-        if abs(g0) <= 1e-12 * max(k, b):
-            break
-        dt = t * 1e-7
-        deriv = (slope(t + dt) - g0) / dt
-        if deriv == 0.0:
-            break
-        t_new = t - g0 / deriv
-        t = t / 2.0 if t_new <= 0.0 else t_new
-    return float(t)
-
-
 def _assert_pass_matches_the_oracles(energy, u):
     """The pass's interior-vector gradients are the oracle's node gradients
     read at the interior nodes; the oracle's are zero elsewhere."""
@@ -306,7 +270,6 @@ def _assert_pass_matches_the_oracles(energy, u):
     assert quot == energy.quotient(u) == k0 / b0 ** r
     assert scale == b0 ** r
     assert np.array_equal(gq, ((gk0 - r * (k0 / b0) * gb0) / b0 ** r).ravel()[inside])
-    assert energy.nehari_scale(u) == _oracle_nehari_scale(energy, u)
 
 
 @pytest.mark.parametrize("grid, params", [
@@ -351,7 +314,28 @@ def test_energy_pass_reads_the_tables_of_its_own_grid():
 
 
 # --------------------------------------------------------------------------
-# Nehari projection
+# Nehari scaling: K is p-homogeneous and B q-homogeneous, so the scale of a
+# ray is the closed form t^(q - p) = K / B
+
+
+def nehari_scale(energy, u):
+    """The t > 0 with d/dt J(t u) = 0, from one energy pass on u."""
+    k, b, _, _ = energy.evaluate(u)
+    return (k / b) ** (1.0 / (energy.params.q - energy.params.p))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_energy_pass_is_exactly_homogeneous(p):
+    """K(t u) = t^p K(u) and B(t u) = t^q B(u) to rounding over six decades
+    of t, so the closed-form Nehari scale is exact at every p."""
+    params = ProblemParams(4, p, 0.1, 0.3)
+    energy = DiscreteEnergy(GRID4, params)
+    u = random_bumps(GRID4, np.random.default_rng(16))
+    k, b, _, _ = energy.evaluate(u)
+    for t in np.geomspace(1e-3, 1e3, 13):
+        kt, bt, _, _ = energy.evaluate(t * u)
+        assert abs(kt - t ** p * k) <= 1e-14 * t ** p * k
+        assert abs(bt - t ** params.q * b) <= 1e-14 * t ** params.q * b
 
 
 @pytest.mark.parametrize("p, tol", [(2.0, 1e-12), (3.0, 1e-9)])
@@ -359,7 +343,7 @@ def test_nehari_projection_balances_the_two_terms(p, tol):
     params = ProblemParams(4, p, 0.0, 0.0)
     energy = DiscreteEnergy(GRID4, params)
     u = random_bumps(GRID4, np.random.default_rng(6))
-    w = energy.nehari_project(u)
+    w = nehari_scale(energy, u) * u
     k, b = energy.kinetic(w), energy.potential(w)
     assert abs(k - b) / max(k, b) <= tol
 
@@ -368,37 +352,44 @@ def test_nehari_identity_on_the_manifold():
     """On the manifold, J equals (1/p - 1/q) times the kinetic term."""
     energy = DiscreteEnergy(GRID4, PARAMS4)
     u = random_bumps(GRID4, np.random.default_rng(7))
-    w = energy.nehari_project(u)
+    w = nehari_scale(energy, u) * u
     level = (1.0 / PARAMS4.p - 1.0 / PARAMS4.q) * energy.kinetic(w)
     assert energy.value(w) == pytest.approx(level, rel=1e-10)
 
 
 def test_nehari_scale_is_one_on_the_manifold():
-    energy = DiscreteEnergy(GRID4, PARAMS4)
-    u = random_bumps(GRID4, np.random.default_rng(8))
-    w = energy.nehari_project(u)
-    assert energy.nehari_scale(w) == pytest.approx(1.0, rel=1e-12)
+    for p in (1.5, 2.0, 3.0):
+        energy = DiscreteEnergy(GRID4, ProblemParams(4, p, 0.0, 0.0))
+        u = random_bumps(GRID4, np.random.default_rng(8))
+        w = nehari_scale(energy, u) * u
+        assert nehari_scale(energy, w) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_nehari_projection_ignores_input_scale():
-    energy = DiscreteEnergy(GRID4, PARAMS4)
+    energy = DiscreteEnergy(GRID4, ProblemParams(4, 3.0, 0.0, 0.0))
     u = random_bumps(GRID4, np.random.default_rng(9))
-    w1 = energy.nehari_project(u)
-    w2 = energy.nehari_project(2.0 * u)
+    w1 = nehari_scale(energy, u) * u
+    w2 = nehari_scale(energy, 2.0 * u) * (2.0 * u)
     assert np.allclose(w1, w2, rtol=1e-12, atol=1e-14)
 
 
 def test_nehari_projection_needs_nonzero_field():
-    energy = DiscreteEnergy(GRID4, PARAMS4)
-    with pytest.raises(VariationalError):
-        energy.nehari_project(np.zeros(GRID4.shape))
+    """The solver reads the Nehari scale off its trial pass, which refuses
+    a zero field rather than divide by its zero B."""
+    for p in (2.0, 3.0):
+        _, basis, trials = _trial_pass(CFG4, GRID4, p)
+        zero = np.zeros(basis[2])
+        values = trials.field(_coefficients(zero, CFG4, GRID4, basis))
+        with pytest.raises(VariationalError, match="nonzero field"):
+            trials.quotient_and_gradient(values, zero)
 
 
 def test_level_from_quotient_matches_projected_value():
-    energy = DiscreteEnergy(GRID4, PARAMS4)
-    u = random_bumps(GRID4, np.random.default_rng(10))
-    level = energy.level_from_quotient(energy.quotient(u))
-    assert level == pytest.approx(energy.value(energy.nehari_project(u)), rel=1e-12)
+    for p in (2.0, 3.0):
+        energy = DiscreteEnergy(GRID4, ProblemParams(4, p, 0.0, 0.0))
+        u = random_bumps(GRID4, np.random.default_rng(10))
+        level = energy.level_from_quotient(energy.quotient(u))
+        assert level == pytest.approx(energy.value(nehari_scale(energy, u) * u), rel=1e-12)
 
 
 def test_negative_energy_forces_large_mass_ratio():
@@ -408,7 +399,7 @@ def test_negative_energy_forces_large_mass_ratio():
     checked = 0
     for _ in range(10):
         u = random_bumps(GRID4, rng)
-        t = 2.0 * energy.nehari_scale(u)  # past the manifold, J(tu) < 0
+        t = 2.0 * nehari_scale(energy, u)  # past the manifold, J(tu) < 0
         v = t * u
         k, b = energy.kinetic(v), energy.potential(v)
         if energy.value(v) <= 0.0:
@@ -1122,9 +1113,14 @@ PINNED_6D_HISTORY = (
 # the last bits hold on the capture platform's OpenBLAS build and thread
 # count and may differ on another.
 PINNED_P3_HISTORY = (
+    1257.7338126749585, 443.07671470815893, 347.0764185734755, 301.32648769362413,
+    276.6378019694831, 260.1457881007351, 245.25912822854949)
+# the same run with the regularised density (|g|^2 + 1e-16)^(p/2) - 1e-8^p,
+# its trials through the orbit pass and then through the interior energy
+# pass on the grid
+REGULARISED_P3_HISTORY = (
     1257.7338126749585, 443.07671470816564, 347.076418573477, 301.32648769362413,
     276.63780196948323, 260.14578810073607, 245.25912822854917)
-# the same run with its trials through the interior energy pass on the grid
 GRID_PASS_P3_HISTORY = (
     1257.733812674959, 443.0767147081623, 347.0764185734626, 301.3264876936096,
     276.63780196947, 260.1457881007214, 245.2591282285895)
@@ -1147,6 +1143,7 @@ def test_orbit_pass_keeps_its_pinned_history_at_p_three():
                    options=SolveOptions(max_iters=6))
     assert report.iterations == 6
     assert report.energy_history == PINNED_P3_HISTORY
+    assert report.energy_history == pytest.approx(REGULARISED_P3_HISTORY, rel=1e-10)
     assert report.energy_history == pytest.approx(GRID_PASS_P3_HISTORY, rel=1e-10)
 
 
@@ -1251,6 +1248,26 @@ def test_solver_refuses_values_beyond_the_float_range(cfg, grid, match):
     # a RuntimeWarning fails the test (pyproject filterwarnings), as does an OverflowError
     with pytest.raises(VariationalError, match=match):
         solve(cfg, grid, options=SolveOptions(max_iters=4))
+
+
+@pytest.mark.parametrize("radius", [1e5, 1e30])
+def test_solver_lands_on_the_nehari_manifold_far_from_unit_radius(radius):
+    """At p = 3 the returned field lies on the Nehari manifold at any radius
+    and its level is the last history level: the density |g|^p has no
+    regulariser whose scale the differences could fall below."""
+    report = solve(CFG4, BallGrid(4, 9, radius), params=params_for_config(CFG4, 3.0),
+                   options=SolveOptions(max_iters=6))
+    assert report.nehari_residual <= 1e-12
+    assert report.level == pytest.approx(report.energy_history[-1], rel=1e-12)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("max_iters", 3.0), ("max_iters", True), ("max_iters", -1), ("max_iters", math.nan),
+    ("checkpoint_every", 1.5), ("checkpoint_every", False), ("checkpoint_every", -2)])
+def test_solve_options_refuse_counts_that_are_not_integers(name, value):
+    with pytest.raises(VariationalError, match=f"^{name} must be an integer >= 0, got "):
+        SolveOptions(**{name: value})
+    assert getattr(SolveOptions(**{name: np.int64(3)}), name) == 3  # numpy integers are ints
 
 
 def test_solver_rejects_pinwheel_only_configs():
