@@ -17,11 +17,13 @@ Each step is a Sobolev gradient step (Neuberger): the class gradient
 preconditioned by the p = 2 kinetic Hessian restricted to the class (Wang
 and Zhou), which at p = 2 makes the full step nonlinear inverse iteration.
 The orbit basis S of the class is the only projector the solve applies:
-the seed and every accepted gradient are read through S^T, and the grid
-``symmetrize`` serves only the end-of-run certificates.  No line-search
-trial builds a grid field (symmetric criticality, Palais): B is a weighted
-sum over plane-radius bins, and K is the quadratic form of that Hessian at
-p = 2, else a weighted sum over one interior node per lattice orbit.
+the seed and every accepted gradient are read through S^T, and the
+end-of-run certificates read the lattice's views of the returned field in
+one pass (``grid_certificates``), with no grid ``symmetrize``.  No
+line-search trial builds a grid field (symmetric criticality, Palais): B
+is a weighted sum over plane-radius bins, and K is the quadratic form of
+that Hessian at p = 2, else a weighted sum over one interior node per
+lattice orbit.
 
 Sign-changing structure is certified, not assumed: the returned report
 exhibits a lattice element of character -1 together with the node where it
@@ -243,7 +245,9 @@ class DiscreteEnergy:
         The interior values carry a zero sentinel (length M + 1) that every
         neighbour off the interior reads, which is what the masked field
         holds there, so each stack entry is the roll stencil's value at that
-        node, in the same operation order.
+        node, in the same operation order.  The stacks are built one at a
+        time, the backward one negated: its squares and the terms of its
+        adjoint are the same bits.
         """
         g = self.grid
         q = self.params.q
@@ -251,27 +255,24 @@ class DiscreteEnergy:
         ue = np.zeros(fwd.shape[1] + 1)
         uv = ue[:-1]
         np.reshape(u, g.shape).take(g.interior, out=uv, mode="clip")
-        fw = (ue.take(fwd) - uv) / g.h
-        bw = (uv - ue.take(bwd)) / g.h
-        sf, sb = np.sum(fw * fw, axis=0), np.sum(bw * bw, axis=0)
-        wf = self._sigma(sf) * self._w_grad_in
-        wb = self._sigma(sb) * self._w_grad_in
-        gk_f = np.zeros(uv.shape)
-        gk_b = np.zeros(uv.shape)
         te = np.zeros(ue.shape)  # one weighted axis, with the zero sentinel
         t = te[:-1]
-        for i in range(g.n):  # the difference adjoints, one weighted axis at a time
-            np.multiply(wf, fw[i], out=t)
-            gk_f += (te.take(bwd[i]) - t) / g.h
-            np.multiply(wb, bw[i], out=t)
-            gk_b += (t - te.take(fwd[i])) / g.h
-        del fw, bw, wf, wb, te, t  # spent: the rest of the pass reads only uv, sf and sb
-        gk = gk_f + gk_b
+        sq, parts = [], []  # per stack: the nodewise |.|^2 and the kinetic gradient
+        for ahead, behind in ((fwd, bwd), (bwd, fwd)):
+            d = (ue.take(ahead) - uv) / g.h
+            sq.append(np.sum(d * d, axis=0))
+            wd = self._sigma(sq[-1]) * self._w_grad_in
+            parts.append(np.zeros(uv.shape))
+            for i in range(g.n):  # the difference adjoint, one weighted axis at a time
+                np.multiply(wd, d[i], out=t)
+                parts[-1] += (te.take(behind[i]) - t) / g.h
+            del d, wd  # before the next stack is built
+        gk = parts[0] + parts[1]
         gk *= 0.5 * self.params.p * g.cell_volume
         # |u|^(q-2) u reads 0 at u = 0 for every q: 0 ** (q - 2) is inf for q < 2
         gb = q * g.cell_volume * self._w_pot_in * np.power(
             np.abs(uv), q - 2.0, out=np.ones(uv.shape), where=uv != 0.0) * uv
-        dens = self._psi(sf) + self._psi(sb)
+        dens = self._psi(sq[0]) + self._psi(sq[1])
         return (float(0.5 * g.cell_volume * self._cube_sum(self._w_grad_in * dens)),
                 self._potential(uv), gk, gb)
 
@@ -689,20 +690,6 @@ def reduced_level_estimate(coefficients: np.ndarray, cfg: SymmetryConfig, grid: 
         return math.inf
 
 
-def equivariance_residual(values: np.ndarray, cfg: SymmetryConfig) -> float:
-    """Worst |u(g x) - sign(g) u(x)| over sampling elements, relative to sup |u|."""
-    peak = float(np.max(np.abs(values)))
-    if peak == 0.0:
-        return 0.0
-    worst = 0.0
-    diff = np.empty(values.shape)  # moved is a view of values, so not in place
-    for e in lattice_subgroup(cfg):  # diff = u(g x) - sign * u(x), bit for bit
-        (np.subtract if e.sign > 0 else np.add)(apply_perm_to_grid(values, e.perm), values,
-                                                out=diff)
-        worst = max(worst, float(np.max(np.abs(diff, out=diff))))
-    return worst / peak
-
-
 def interpolated_equivariance_bias(coefficients: np.ndarray, cfg: SymmetryConfig,
                                    grid: BallGrid) -> float:
     """Worst |E c(g x) - phi(g) E c(x)| / sup |E c| over interior nodes x and
@@ -762,27 +749,41 @@ class SignCertificate:
                 and self.max_value > 0.0 > self.min_value)
 
 
-def sign_certificate(values: np.ndarray, cfg: SymmetryConfig) -> SignCertificate:
-    flips = [e for e in lattice_subgroup(cfg) if e.sign == -1]
-    if not flips:
+def grid_certificates(values: np.ndarray,
+                      cfg: SymmetryConfig) -> tuple[float, float, SignCertificate]:
+    """(equivariance, symmetrization gap, sign certificate) of u, relative to
+    sup |u|, from one pass over the sampling subgroup's views of u.
+    Element g gives diff = u(g x) - sign(g) u(x): the equivariance is the
+    worst max |diff|, the gap max |P u - u| (P u - u, P the ``symmetrize``
+    projection, is the mean of sign(g) diff, so the gap never exceeds the
+    equivariance), and the first character -1 element's max |diff| is the
+    certificate's residual.  The pass runs over one leading slice of the
+    grid at a time, so it holds two slices, not two grid arrays."""
+    elements = lattice_subgroup(cfg)
+    flip = next((j for j, e in enumerate(elements) if e.sign < 0), None)
+    if flip is None:
         raise UnsupportedConfigError(
             "sampling subgroup has no sign-reversing element; a sign change "
             "cannot be certified on this grid")
-    e = flips[0]
     idx = np.unravel_index(int(np.argmax(np.abs(values))), values.shape)
-    moved = apply_perm_to_grid(values, e.perm)
-    peak = float(np.max(np.abs(values)))
-    gap = moved + values  # not in place: moved is a view of values
-    np.abs(gap, out=gap)
-    return SignCertificate(
-        node_index=tuple(int(i) for i in idx),
-        value=float(values[idx]),
-        mapped_value=float(moved[idx]),
-        element_sign=e.sign,
-        antisymmetry_residual=float(np.max(gap)) / max(peak, 1e-300),
-        max_value=float(values.max()),
-        min_value=float(values.min()),
-    )
+    peak = float(abs(values[idx])) or 1.0  # a zero field reads 0 throughout
+    views = [apply_perm_to_grid(values, e.perm) for e in elements]
+    acc, diff = np.empty(values.shape[1:]), np.empty(values.shape[1:])
+    tops, gap = [0.0] * len(elements), 0.0  # each element's max |diff|, the gap's max
+    for k in range(values.shape[0]):  # one leading slice at a time
+        acc.fill(0.0)
+        for j, (e, moved) in enumerate(zip(elements, views)):
+            # copied, then in place: a ufunc reading the strided view buffers it, slower
+            np.copyto(diff, moved[k])
+            (np.subtract if e.sign > 0 else np.add)(diff, values[k], out=diff)
+            (np.add if e.sign > 0 else np.subtract)(acc, diff, out=acc)
+            tops[j] = max(tops[j], float(np.max(np.abs(diff, out=diff))))
+        gap = max(gap, float(np.max(np.abs(acc, out=acc))))
+    cert = SignCertificate(node_index=tuple(int(i) for i in idx), value=float(values[idx]),
+                           mapped_value=float(views[flip][idx]), element_sign=-1,
+                           antisymmetry_residual=tops[flip] / peak,
+                           max_value=float(values.max()), min_value=float(values.min()))
+    return max(tops) / peak, gap / len(elements) / peak, cert
 
 
 # --------------------------------------------------------------------------
@@ -944,13 +945,14 @@ def solve_peak_bytes(grid: BallGrid, dim: int = 0) -> int:
       onto the Nehari manifold (the descent's bin tensors and tables fit in
       the metric's stage): 1; its kept eigenvectors: dim^2;
     - the largest of four stages:
-      - the end-of-run certificates: at most 2 arrays each (the
-        interpolated bias 1 and 2 M);
+      - the end-of-run certificates: 1 array (two leading slices in their
+        pass), then the interpolated bias 1 and 2 M;
       - the reduced level estimate: 10 profile tables of n_r^2 (2 n_r)^(n - 4)
         entries, n_r = 2(N - 1) (two rotation planes, the fewest any
         accepted class averages);
-      - the end-of-run energy pass on w, on interior vectors only: its
-        stacks, temporaries and two gradients peak within (2n + 10) M;
+      - the end-of-run energy pass on w, on interior vectors only: one
+        stack at a time, its temporaries and two gradients peak within
+        (2n + 5) M;
       - the metric's build: its interior vectors and contractions, then H
         and its eigenvectors, and at p != 2 the orbit tables' build, at most
         2n + 5 interior vectors;
@@ -959,15 +961,15 @@ def solve_peak_bytes(grid: BallGrid, dim: int = 0) -> int:
       tables fit in the mask's unused 7/8; the lattice subgroup (38 KB for
       (6, 0, (1, 0))) and the other caches in a fixed 64 KiB.
     The other stages (seeding, class maps) peak lower.  A whole solve traced
-    with tracemalloc, after numpy.random's first-use import, peaks at 0.85
-    of this bound at 13^4, 0.88 at 21^4, 0.77 to 0.82 at 7^5 to 11^5 and
-    0.90 at 5^6 to 9^6, at p = 2 and p = 3 alike.
+    with tracemalloc, after numpy.random's first-use import, peaks at 0.86
+    to 0.87 of this bound at 13^4, 0.88 at 21^4, 0.77 to 0.82 at 7^5 to
+    11^5 and 0.90 at 5^6 to 9^6, at p = 2 and p = 3 alike.
     """
     cube = math.prod(grid.shape)
     inside = _interior_count_bound(grid)
     n_r = int(math.ceil(grid.radius / (grid.h / REDUCED_REFINE)))  # as reduced_level_estimate
     tables = n_r ** 2 * (2 * n_r) ** max(grid.n - 4, 0)
-    stage = max(2 * cube, 10 * tables, (2 * grid.n + 10) * inside, cube + dim * dim)
+    stage = max(cube + 2 * inside, 10 * tables, (2 * grid.n + 5) * inside, cube + dim * dim)
     return ((grid.n + 5) * cube + (2 * grid.n + 3) * inside + dim * dim + stage) * 8 + 2 ** 16
 
 
@@ -1020,7 +1022,9 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     is the last accepted relative step (1, a full metric step, on a fresh
     solve), halving down to MIN_STEP.  Each trial costs one pass, whose
     gradient, if accepted, is pulled back into class coordinates through
-    the bins.  The grid ``symmetrize`` runs once, for the end-of-run gap.
+    the bins.  The equivariance, the symmetrization gap and the sign
+    certificate of the returned field come from one pass over the lattice
+    (``grid_certificates``); no grid ``symmetrize`` runs.
     A class that projects the seed below 1e-8 of its peak is {0} (the
     circle averages force f = -f on a block of odd complex width) and is
     refused as unsupported.  A grid whose ``solve_peak_bytes`` exceed
@@ -1154,11 +1158,6 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     min_rel = min(min_rel, rel)
     c = coefficients(y)
     w = class_field(c, cfg, grid)
-    # the gap reads the sup-normalized field, which is then rescaled in
-    # place: the end-of-run stages hold one solver field
-    gap = symmetrize(w, cfg, grid)
-    sym_gap = float(np.max(np.abs(np.subtract(gap, w, out=gap), out=gap)))
-    del gap
     p, q = work.p, work.q
     # on an extreme radius the Nehari amplitude, and with it the energies of
     # w, can leave the float range: such a candidate is refused below, so
@@ -1187,8 +1186,7 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
             f"at radius {grid.radius:g} these values of the candidate are "
             f"not positive finite floats: {', '.join(out_of_range)}; rescale the problem "
             f"to a radius nearer 1")
-    equivariance = equivariance_residual(w, cfg)  # of the returned field
-    cert = sign_certificate(w, cfg)
+    equivariance, sym_gap, cert = grid_certificates(w, cfg)  # of the returned field
     if not cert.certifies_sign_change or equivariance > 1e-8:
         raise VariationalError(
             f"the candidate breaks the solver's promise: sign change certified "

@@ -290,13 +290,15 @@ def test_solve_refuses_the_zero_class(tmp_path, capsys):
 @pytest.mark.parametrize("broken", ["certificate", "equivariance"])
 def test_solve_refuses_a_candidate_that_breaks_its_promise(tmp_path, capsys, monkeypatch,
                                                            broken):
-    if broken == "certificate":
-        real = variational.sign_certificate
-        monkeypatch.setattr(variational, "sign_certificate",
-                            lambda values, cfg: dataclasses.replace(real(values, cfg),
-                                                                    element_sign=1))
-    else:
-        monkeypatch.setattr(variational, "equivariance_residual", lambda values, cfg: 1e-3)
+    real = variational.grid_certificates
+
+    def doctored(values, cfg):
+        equivariance, gap, cert = real(values, cfg)
+        if broken == "certificate":
+            return equivariance, gap, dataclasses.replace(cert, element_sign=1)
+        return 1e-3, gap, cert
+
+    monkeypatch.setattr(variational, "grid_certificates", doctored)
     doc = write_doc(tmp_path / "solve.kv", SOLVE_DOC)
     assert run("solve", "--config", doc, "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
