@@ -11,11 +11,14 @@ gradients can be assembled without any boundary bookkeeping.  The roll
 stencils ``forward_diffs``/``backward_diffs`` are the reference; the energy
 pass reads the same differences on interior nodes only, through the cached
 ``interior`` indices and ``neighbours`` tables, where a neighbour off the
-interior points at a zero sentinel.  Quadrature is
-midpoint; radial weights |x|^(-c) are tabulated with the radius floored at
-h*sqrt(n)/4 (the midpoint between the origin cell's center and its farthest
-corner) so the origin cell carries a finite representative value instead of
-a singularity.
+interior points at a zero sentinel.  Quadrature is midpoint; radial weights
+|x|^(-c) are tabulated on the interior with the radius floored at h*sqrt(n)/4
+(the midpoint between the origin cell's center and its farthest corner) so
+the origin cell carries a finite representative value instead of a singularity.
+
+A grid caches only its ``axis``, boolean ``mask``, ``interior`` indices and
+``neighbours``: the index squares behind the mask and the weights, like the
+seed's squared distance, are sums of per-axis tables (``axis_sum``).
 """
 
 from __future__ import annotations
@@ -71,35 +74,25 @@ class BallGrid:
     def shape(self) -> tuple[int, ...]:
         return (self.points_per_axis,) * self.n
 
-    @cached_property
-    def coords(self) -> np.ndarray:
-        """Shape (n,) + shape; coords[i] is the i-th coordinate at every node."""
-        grids = np.meshgrid(*([self.axis] * self.n), indexing="ij")
-        return np.stack(grids)
+    def axis_sum(self, tables: list[np.ndarray]) -> np.ndarray:
+        """The grid array of tables[0][k_0] + ... + tables[n-1][k_{n-1}] at node
+        k, summed in axis order, in place, one broadcast axis at a time."""
+        npts = self.points_per_axis
+        out = np.zeros(self.shape)
+        for i, table in enumerate(tables):
+            out += table.reshape((npts,) + (1,) * (self.n - 1 - i))
+        return out
 
     def _index_squares(self) -> np.ndarray:
         """|k|^2 at each node, k its index offset from the centre: exact in
-        floats, so every signed coordinate permutation keeps it, ``radii`` (h |k|)
-        and ``mask`` (the open ball |k| < (N - 1) / 2, off the outer index layer)."""
+        floats, so every signed coordinate permutation keeps it, the weights
+        (of h |k|) and ``mask`` (|k| < (N - 1) / 2, off the outer layer)."""
         npts = self.points_per_axis
-        sq = (np.arange(npts, dtype=float) - npts // 2) ** 2
-        out = np.zeros(self.shape)
-        for i in range(self.n):  # in place, one broadcast axis at a time
-            out += sq.reshape((npts,) + (1,) * (self.n - 1 - i))
-        return out
-
-    @cached_property
-    def radii(self) -> np.ndarray:
-        r = self._index_squares()
-        return np.multiply(np.sqrt(r, out=r), self.h, out=r)
+        return self.axis_sum([(np.arange(npts, dtype=float) - npts // 2) ** 2] * self.n)
 
     @cached_property
     def mask(self) -> np.ndarray:
         return self._index_squares() < ((self.points_per_axis - 1) // 2) ** 2
-
-    @cached_property
-    def mask_f(self) -> np.ndarray:
-        return self.mask.astype(float)
 
     @cached_property
     def interior(self) -> np.ndarray:
@@ -130,12 +123,9 @@ class BallGrid:
     def cell_volume(self) -> float:
         return self.h ** self.n
 
-    def points(self) -> np.ndarray:
-        """All nodes as an (N^n, n) array, C order."""
-        return self.coords.reshape(self.n, -1).T
-
     def weight_values(self, exponent: float) -> np.ndarray:
-        """|x|^(-exponent), regularized on the origin cell.
+        """|x|^(-exponent) = (h |k|)^(-exponent) at the M interior nodes, in
+        ``interior`` order, regularized on the origin cell.
 
         The origin node is evaluated at the midpoint between the cell center
         and its farthest corner, i.e. at radius h*sqrt(n)/4, which keeps the
@@ -143,16 +133,9 @@ class BallGrid:
         radius >= h and is unaffected.
         """
         if exponent == 0.0:
-            return np.ones(self.shape)
-        r = np.maximum(self.radii, self.h * math.sqrt(self.n) / 4.0)
-        return r ** (-exponent)
-
-
-def field_from_function(grid: BallGrid, fn) -> np.ndarray:
-    """Sample fn at interior nodes (zero outside); fn maps (m, n) points to m values."""
-    pts = grid.points()
-    vals = np.asarray(fn(pts), dtype=float).reshape(grid.shape)
-    return np.where(grid.mask, vals, 0.0)
+            return np.ones(len(self.interior))
+        r = np.sqrt(self._index_squares().take(self.interior)) * self.h
+        return np.maximum(r, self.h * math.sqrt(self.n) / 4.0) ** (-exponent)
 
 
 def forward_diffs(grid: BallGrid, values: np.ndarray) -> np.ndarray:

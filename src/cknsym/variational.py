@@ -52,7 +52,6 @@ import numpy as np
 from .grid import (
     BallGrid,
     backward_diffs,
-    field_from_function,
     forward_diffs,
     read_array,
     write_array,
@@ -190,16 +189,17 @@ class DiscreteEnergy:
 
     @cached_property
     def _w_grad(self) -> np.ndarray:
-        return self.grid.weight_values(self.params.grad_weight_exponent) * self.grid.mask_f
+        out = np.zeros(self.grid.shape)
+        out.reshape(-1)[self.grid.interior] = self._w_grad_in
+        return out
 
     @cached_property
     def _w_grad_in(self) -> np.ndarray:
-        return self.grid.weight_values(self.params.grad_weight_exponent).take(self.grid.interior)
+        return self.grid.weight_values(self.params.grad_weight_exponent)
 
     @cached_property
     def _w_pot_in(self) -> np.ndarray:
-        return self.grid.weight_values(self.params.potential_weight_exponent).take(
-            self.grid.interior)
+        return self.grid.weight_values(self.params.potential_weight_exponent)
 
     @cached_property
     def _cube(self) -> np.ndarray:
@@ -227,7 +227,7 @@ class DiscreteEnergy:
         """Masked field, forward and backward stacks over the whole cube by
         the roll stencils, and their nodewise |.|^2: the reference."""
         g = self.grid
-        u = u * g.mask_f  # off-ball values are gauge: the form reads zeros there
+        u = u * g.mask  # off-ball values are gauge: the form reads zeros there
         fw = forward_diffs(g, u)
         bw = backward_diffs(g, u)
         return u, fw, bw, np.sum(fw * fw, axis=0), np.sum(bw * bw, axis=0)
@@ -668,18 +668,31 @@ def reduced_level_estimate(coefficients: np.ndarray, cfg: SymmetryConfig, grid: 
     prof = _class_profile(coefficients, grid, rho, line)
     mesh = np.meshgrid(*([rho] * planes + [line] * (grid.n - 2 * planes)),
                        indexing="ij", sparse=True)
-
-    grad_sq = sum(_table_derivative(prof, ax, h_f, even_start=ax < planes) ** 2
-                  for ax in range(prof.ndim))
-    radius_sq = sum(m * m for m in mesh)
-    jac = np.where(radius_sq <= grid.radius * grid.radius, math.prod(mesh[:planes]), 0.0)
-    r = np.sqrt(radius_sq)
-    w_grad = jac * r ** params.grad_weight_exponent  # r ** 0.0 is exactly 1
-    w_pot = jac * r ** params.potential_weight_exponent
-    cell = (2.0 * math.pi) ** planes * h_f ** prof.ndim
     p, q = params.p, params.q
-    kin = cell * float(np.sum(grad_sq ** (p / 2.0) * w_grad))
-    pot = cell * float(np.sum(np.abs(prof) ** q * w_pot))
+    # prof and the kinetic integrand dens are the only whole tables: the rest
+    # is built on 8 slabs, so its temporaries stay within one more table
+    dens = np.empty(prof.shape)
+    step = -(-prof.shape[1] // 8)
+    for lo in range(0, prof.shape[1], step):  # along axis 0, on slabs across axis 1
+        dens[:, lo:lo + step] = _table_derivative(prof[:, lo:lo + step], 0, h_f, planes > 0) ** 2
+    step = -(-len(prof) // 8)
+    for lo in range(0, len(prof), step):  # the other axes, then in place, across axis 0
+        at = slice(lo, lo + step)
+        f, d, part = prof[at], dens[at], [mesh[0][at], *mesh[1:]]
+        for ax in range(1, prof.ndim):
+            d += _table_derivative(f, ax, h_f, ax < planes) ** 2
+        radius_sq = sum(m * m for m in part)
+        jac = np.where(radius_sq <= grid.radius * grid.radius, math.prod(part[:planes]), 0.0)
+        r = np.sqrt(radius_sq, out=radius_sq)
+        d **= p / 2.0
+        d *= jac * r ** params.grad_weight_exponent  # r ** 0.0 is exactly 1
+        np.abs(f, out=f)
+        f **= q
+        f *= jac * r ** params.potential_weight_exponent
+        del radius_sq, jac, r  # before the next slab's derivatives
+    cell = (2.0 * math.pi) ** planes * h_f ** prof.ndim
+    kin = cell * float(np.sum(dens))
+    pot = cell * float(np.sum(prof))
     if pot <= 0.0 or kin <= 0.0:
         raise VariationalError("reduced quadrature degenerate: a profile integral reads 0 "
                                "(a zero profile, or one that underflows)")
@@ -708,7 +721,9 @@ def interpolated_equivariance_bias(coefficients: np.ndarray, cfg: SymmetryConfig
         raise VariationalError(f"the interpolated bias needs alpha = 0, got {cfg.alpha}")
     if not cfg.tail_active:
         return 0.0
-    peak = float(np.max(np.abs(class_field(coefficients, cfg, grid))))
+    u = class_field(coefficients, cfg, grid)
+    peak = float(np.max(np.abs(u, out=u)))  # in place: one grid array, not two
+    del u
     if peak == 0.0:
         return 0.0
     d = cfg.tail_dim
@@ -796,18 +811,17 @@ def seed_field(cfg: SymmetryConfig, grid: BallGrid) -> np.ndarray:
     It is not projected: ``solve`` reads it through S^T E^T.  The witness is
     fixed only by character +1 elements, so the signed average cannot
     cancel the bump at its own center; the circle averages can, which
-    ``solve`` refuses as the {0} class.
+    ``solve`` refuses as the {0} class.  It holds one grid array: |x - c|^2,
+    summed from one table per axis, then the rest in place.
     """
     w = stabilizer_witness(cfg)
     w = w / np.linalg.norm(w)
     center = SEED_OFFSET * grid.radius * w
-
-    def bump(pts: np.ndarray) -> np.ndarray:
-        d2 = np.sum((pts - center) ** 2, axis=1)
-        return np.exp(-d2 / (2.0 * (SEED_WIDTH * grid.radius) ** 2))
-
-    u = field_from_function(grid, bump)
-    return u / float(np.max(u))
+    u = grid.axis_sum([(grid.axis - c) ** 2 for c in center])
+    u /= -2.0 * (SEED_WIDTH * grid.radius) ** 2
+    np.exp(u, out=u)
+    u *= grid.mask
+    return np.divide(u, np.max(u), out=u)
 
 
 # --------------------------------------------------------------------------
@@ -912,21 +926,20 @@ def _relative_residual(c: np.ndarray, d: np.ndarray, quot: float) -> float:
     return float(np.sqrt(np.sum(d * d) * np.sum(c * c)) / quot)
 
 
-def _interior_count_bound(grid: BallGrid) -> int:
-    """Nodes k with |k|^2 <= ((N - 1) / 2)^2 in index units: the interior
-    count plus the sphere's own nodes, counted through the distribution of
-    |k|^2 without building the mask.  Past 257 points per axis (a 4-D cube
-    array alone is then 35 GB) N^n stands in."""
+def _interior_count(grid: BallGrid) -> int:
+    """M, the nodes k with |k|^2 < ((N - 1) / 2)^2, counted through the
+    distribution of |k|^2 without building the mask.  Past 257 points per
+    axis (a 4-D cube array alone is then 35 GB) N^n stands in."""
     half = (grid.points_per_axis - 1) // 2
     if half > 128:
         return math.prod(grid.shape)
     top = half * half
-    counts = np.zeros(top + 1, dtype=np.int64)
+    counts = np.zeros(top, dtype=np.int64)
     counts[0] = 1
     for _ in range(grid.n):  # add one axis: shift the distribution by each k^2
         nxt = np.zeros_like(counts)
-        for k in range(-half, half + 1):
-            nxt[k * k:] += counts[:top + 1 - k * k]
+        for k in range(-half + 1, half):
+            nxt[k * k:] += counts[:top - k * k]
         counts = nxt
     return int(counts.sum())
 
@@ -936,41 +949,41 @@ def solve_peak_bytes(grid: BallGrid, dim: int = 0) -> int:
     dimension dim (0 leaves out the class metric).
 
     Counted from the code in grid arrays of N^n floats, interior vectors of
-    M = ``_interior_count_bound`` entries and reduced-level profile tables,
-    with the boolean mask counted as a full array and an index as a float:
-    - the grid's coordinates, radii, mask and float mask: n + 3 arrays; its
-      interior indices and neighbour tables: (2n + 1) M;
-    - the energy's two interior weights, 2 M, and its summation array: 1;
-    - the solver: one field, the iterate's at the end, rescaled in place
-      onto the Nehari manifold (the descent's bin tensors and tables fit in
-      the metric's stage): 1; its kept eigenvectors: dim^2;
-    - the largest of four stages:
-      - the end-of-run certificates: 1 array (two leading slices in their
-        pass), then the interpolated bias 1 and 2 M;
-      - the reduced level estimate: 10 profile tables of n_r^2 (2 n_r)^(n - 4)
-        entries, n_r = 2(N - 1) (two rotation planes, the fewest any
-        accepted class averages);
-      - the end-of-run energy pass on w, on interior vectors only: one
-        stack at a time, its temporaries and two gradients peak within
-        (2n + 5) M;
-      - the metric's build: its interior vectors and contractions, then H
-        and its eigenvectors, and at p != 2 the orbit tables' build, at most
-        2n + 5 interior vectors;
+    M = ``_interior_count`` entries and reduced-level profile tables of
+    n_r^2 (2 n_r)^(n - 4) entries, n_r = 2(N - 1) (two rotation planes, the
+    fewest any accepted class averages), with the boolean mask counted as a
+    full array and an index as a float:
+    - held throughout: the mask, 1; the interior indices and neighbour
+      tables, (2n + 1) M; the energy's two interior weights, 2 M; then
+    - the larger of two phases:
+      - the metric: H, dim^2, and either its build (at most 2n + 5 interior
+        vectors, the orbit tables' at p != 2 included) or 1 array and eigh's
+        eigenvectors, dim^2; the descent's H, kept eigenvectors, bin tensors
+        and tables fit in it;
+      - the end of the run, after the eigenvectors are dropped: the returned
+        field (rescaled in place onto the Nehari manifold) and the energy's
+        summation array, 2, then the largest of: the energy pass on w, one
+        difference stack of interior vectors at a time, (2n + 5) M; the
+        reduced level estimate, 3 tables (the profile, its kinetic
+        integrand, slices of the rest); the certificates, 1 (two leading
+        slices in their pass), then the interpolated bias, 1 and 2 M;
     - the class tensors (a trial's coefficients, the pull-back's plane
       contractions, the basis; at most N^(n-2) entries each) and the plane
       tables fit in the mask's unused 7/8; the lattice subgroup (38 KB for
       (6, 0, (1, 0))) and the other caches in a fixed 64 KiB.
-    The other stages (seeding, class maps) peak lower.  A whole solve traced
-    with tracemalloc, after numpy.random's first-use import, peaks at 0.86
-    to 0.87 of this bound at 13^4, 0.88 at 21^4, 0.77 to 0.82 at 7^5 to
-    11^5 and 0.90 at 5^6 to 9^6, at p = 2 and p = 3 alike.
+    Seeding (the bump and the index squares behind the mask, 2 arrays) and
+    the class maps peak lower than the end.  A whole solve traced with
+    tracemalloc, after numpy.random's first-use import, peaks at 0.83 to
+    0.84 of this bound at 13^4, 0.85 at 21^4, 0.77 to 0.81 at 7^5 to 11^5
+    and 0.77 to 0.83 at 5^6 to 11^6, at p = 2 and p = 3 alike.
     """
     cube = math.prod(grid.shape)
-    inside = _interior_count_bound(grid)
+    inside = _interior_count(grid)
     n_r = int(math.ceil(grid.radius / (grid.h / REDUCED_REFINE)))  # as reduced_level_estimate
     tables = n_r ** 2 * (2 * n_r) ** max(grid.n - 4, 0)
-    stage = max(cube + 2 * inside, 10 * tables, (2 * grid.n + 5) * inside, cube + dim * dim)
-    return ((grid.n + 5) * cube + (2 * grid.n + 3) * inside + dim * dim + stage) * 8 + 2 ** 16
+    metric = dim * dim + max((2 * grid.n + 5) * inside, cube + dim * dim)
+    end = 2 * cube + max((2 * grid.n + 5) * inside, 3 * tables, cube + 2 * inside)
+    return (cube + (2 * grid.n + 3) * inside + max(metric, end)) * 8 + 2 ** 16
 
 
 def _refuse_unfit(grid: BallGrid, dim: int = 0) -> None:
@@ -1153,7 +1166,7 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     if options.checkpoint_path:
         _save_checkpoint(options.checkpoint_path, cfg, grid, q_solver, it, rho, y, history)
 
-    grad = values = trials = None  # spent: d holds the final gradient's class coordinates
+    grad = values = trials = vec = None  # spent: d holds the final gradient's class coordinates
     rel = _relative_residual(y, d, quot)
     min_rel = min(min_rel, rel)
     c = coefficients(y)
@@ -1166,7 +1179,7 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
         # onto the Nehari manifold: t^(q - p) = K / B, which the last pass
         # gives as quot * scale^(1 - q/p), scale = B^(p/q)
         w *= (quot * np.float64(scale) ** (1.0 - q / p)) ** (1.0 / (q - p))
-        w *= grid.mask_f
+        w *= grid.mask
         # one energy pass gives every end-of-run scalar of w
         kin_w, pot_w, grad_w, gb_w = energy.evaluate(w)
         grad_w /= p  # d J / d node, in place: gk / p - gb / q

@@ -1,6 +1,7 @@
-"""Test helpers that no command or solve path calls: the closed-form
-energies behind criterion 8, a typed reader of ``report.txt``, signed
-permutations acting on points and composed, the quotient and its node
+"""Test helpers that no command or solve path calls: the grid's nodes as a
+point cloud and the pointwise sampler the seed is checked against, the
+closed-form energies behind criterion 8, a typed reader of ``report.txt``,
+signed permutations acting on points and composed, the quotient and its node
 gradient from one interior energy pass, which the solver's trial passes
 are checked against, the class projection through
 the tensor average that the pull-back through S is checked against, the
@@ -43,6 +44,17 @@ from cknsym.variational import (
 )
 
 
+def grid_points(grid: BallGrid) -> np.ndarray:
+    """All nodes as an (N^n, n) array, C order."""
+    return np.stack(np.meshgrid(*([grid.axis] * grid.n), indexing="ij")).reshape(grid.n, -1).T
+
+
+def field_from_function(grid: BallGrid, fn) -> np.ndarray:
+    """Sample fn at interior nodes (zero outside); fn maps (m, n) points to m values."""
+    vals = np.asarray(fn(grid_points(grid)), dtype=float).reshape(grid.shape)
+    return np.where(grid.mask, vals, 0.0)
+
+
 @dataclass(frozen=True)
 class GaussianProfile:
     """lam^gamma exp(-|lam x|^2 / (2 w^2)) with its closed-form gradient."""
@@ -68,14 +80,14 @@ def analytic_energy(grid: BallGrid, params: ProblemParams, profile) -> float:
     functional itself from difference-stencil error.  ``profile`` needs
     ``values(pts)`` and ``gradients(pts)`` over (m, n) point arrays.
     """
-    pts = grid.points()
+    pts = grid_points(grid)
     inside = grid.mask.ravel()
     u = np.asarray(profile.values(pts), dtype=float).ravel()[inside]
     du = np.asarray(profile.gradients(pts), dtype=float)[inside]
     grad_mag = np.sqrt(np.sum(du * du, axis=1))
-    w_grad = (grid.weight_values(params.grad_weight_exponent).ravel()[inside]
+    w_grad = (grid.weight_values(params.grad_weight_exponent)
               if params.grad_weight_exponent != 0.0 else 1.0)
-    w_pot = (grid.weight_values(params.potential_weight_exponent).ravel()[inside]
+    w_pot = (grid.weight_values(params.potential_weight_exponent)
              if params.potential_weight_exponent != 0.0 else 1.0)
     kin = grid.cell_volume * float(np.sum(w_grad * grad_mag ** params.p))
     pot = grid.cell_volume * float(np.sum(w_pot * np.abs(u) ** params.q))
@@ -189,7 +201,7 @@ def pointwise_bias(coefficients: np.ndarray, cfg: SymmetryConfig, grid: BallGrid
         return 0.0
     rng = np.random.default_rng(0)
     inside = grid.mask.ravel()
-    pts = grid.points()[inside]
+    pts = grid_points(grid)[inside]
     own = u.ravel()[inside]
     worst = 0.0
     for _ in range(INTERPOLATED_SAMPLES):

@@ -41,7 +41,7 @@ from cknsym.variational import (
     symmetrize,
 )
 
-from helpers import dilation_invariance_gap
+from helpers import dilation_invariance_gap, grid_points
 
 
 def announce(number, label, detail):
@@ -49,13 +49,13 @@ def announce(number, label, detail):
 
 
 def smooth_bumps(grid, rng, count=3):
-    pts = grid.points()
+    pts = grid_points(grid)
     u = np.zeros(len(pts))
     for _ in range(count):
         c = rng.uniform(-0.4, 0.4, size=grid.n)
         w = rng.uniform(0.15, 0.3)
         u += rng.uniform(-1.0, 1.0) * np.exp(-np.sum((pts - c) ** 2, axis=1) / (2 * w * w))
-    u = u.reshape(grid.shape) * grid.mask_f
+    u = u.reshape(grid.shape) * grid.mask
     return u / np.max(np.abs(u))
 
 
@@ -263,7 +263,7 @@ def test_criterion_10_symmetrization_contract():
 
     worst_idem = 0.0
     for _ in range(100):
-        h = rng.standard_normal(grid.shape) * grid.mask_f
+        h = rng.standard_normal(grid.shape) * grid.mask
         s = symmetrize(h, cfg, grid)
         assert np.linalg.norm(s) <= np.linalg.norm(h) * (1 + 1e-12)
         assert energy.kinetic(s) <= energy.kinetic(h) * (1 + 1e-12)
@@ -276,7 +276,7 @@ def test_criterion_10_symmetrization_contract():
     grad = energy.gradient(u)
     worst_pair = 0.0
     for _ in range(20):
-        h = rng.standard_normal(grid.shape) * grid.mask_f
+        h = rng.standard_normal(grid.shape) * grid.mask
         lhs = float(np.sum(grad * symmetrize(h, cfg, grid)))
         rhs = float(np.sum(grad * h))
         worst_pair = max(worst_pair, abs(lhs - rhs) / max(abs(rhs), 1e-300))

@@ -10,7 +10,6 @@ from cknsym.grid import (
     BallGrid,
     GridError,
     backward_diffs,
-    field_from_function,
     forward_diffs,
     load_field,
     save_field,
@@ -19,6 +18,8 @@ from cknsym.grid import (
 from cknsym.lattice import apply_perm_to_grid, lattice_subgroup
 from cknsym.symmetry import SymmetryConfig
 from cknsym.variational import DiscreteEnergy, ProblemParams
+
+from helpers import to_cube
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -51,7 +52,7 @@ def test_numpy_built_grid_stores_ints_and_its_field_round_trips(tmp_path):
     grid = BallGrid(np.int64(3), np.int32(9))
     assert type(grid.n) is int and type(grid.points_per_axis) is int
     assert grid == BallGrid(3, 9) and hash(grid) == hash(BallGrid(3, 9))
-    values = np.random.default_rng(4).standard_normal(grid.shape) * grid.mask_f
+    values = np.random.default_rng(4).standard_normal(grid.shape) * grid.mask
     save_field(tmp_path / "field.dat", grid, values)
     loaded_grid, loaded = load_field(tmp_path / "field.dat")
     assert loaded_grid == grid and np.array_equal(loaded, values)
@@ -67,7 +68,8 @@ def test_axis_is_symmetric_with_origin_node():
 
 def test_mask_excludes_outer_layer_and_matches_radii():
     grid = BallGrid(3, 11)
-    assert np.array_equal(grid.mask, grid.radii < grid.radius)
+    radii = grid.h * np.sqrt(np.sum((np.indices(grid.shape) - 5) ** 2, axis=0))  # h |k|
+    assert np.array_equal(grid.mask, radii < grid.radius)
     for ax in range(3):
         sl = [slice(None)] * 3
         for idx in (0, -1):
@@ -86,22 +88,24 @@ def test_mask_is_flip_symmetric():
                                      ((1, 0), BallGrid(6, 7)), ((1, 0), BallGrid(6, 11))],
                          ids=["13^4", "21^4", "25^4", "7^5", "7^6", "11^6"])
 def test_mask_and_radii_are_lattice_invariant(m, grid):
-    """Both come from exact integer index squares, so every lattice element
-    keeps them bit for bit, also where the grid spacing is not dyadic."""
+    """The mask and the radial weights come from exact integer index squares,
+    so every lattice element keeps them bit for bit, also where the grid
+    spacing is not dyadic."""
+    weights = to_cube(grid, grid.weight_values(1.0))  # 1 / max(h |k|, h sqrt(n) / 4)
     for e in lattice_subgroup(SymmetryConfig(grid.n, 0, m)):
         assert np.array_equal(apply_perm_to_grid(grid.mask, e.perm), grid.mask)
-        assert np.array_equal(apply_perm_to_grid(grid.radii, e.perm), grid.radii)
+        assert np.array_equal(apply_perm_to_grid(weights, e.perm), weights)
 
 
 def test_weight_values_unit_exponent_and_origin_floor():
     grid = BallGrid(4, 9)
-    w = grid.weight_values(1.0)
+    w = to_cube(grid, grid.weight_values(1.0))
     # origin cell representative: midpoint between center and farthest corner
     origin = (4, 4, 4, 4)
     assert w[origin] == pytest.approx(1.0 / (grid.h * math.sqrt(4) / 4.0))
     neighbor = (5, 4, 4, 4)
     assert w[neighbor] == pytest.approx(1.0 / grid.h)
-    assert np.array_equal(grid.weight_values(0.0), np.ones(grid.shape))
+    assert np.array_equal(grid.weight_values(0.0), np.ones(len(grid.interior)))
 
 
 def test_quadrature_recovers_ball_volume():
@@ -117,15 +121,9 @@ def test_weighted_quadrature_matches_analytic_radial_integral():
     assert val == pytest.approx(2.0 * math.pi, rel=0.02)
 
 
-def test_field_from_function_vanishes_outside_ball():
-    grid = BallGrid(2, 9)
-    f = field_from_function(grid, lambda pts: np.ones(len(pts)))
-    assert np.array_equal(f != 0.0, grid.mask)
-
-
 def test_differences_exact_on_linear_data():
     grid = BallGrid(2, 9)
-    u = 3.0 * grid.coords[0] - 2.0 * grid.coords[1]
+    u = 3.0 * grid.axis[:, None] - 2.0 * grid.axis[None, :]
     fw = forward_diffs(grid, u)
     bw = backward_diffs(grid, u)
     inner = (slice(1, -1),) * 2
@@ -148,7 +146,7 @@ def test_backward_is_shifted_forward():
 def test_field_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     grid = BallGrid(3, 9)
-    values = rng.standard_normal(grid.shape) * grid.mask_f
+    values = rng.standard_normal(grid.shape) * grid.mask
     path = tmp_path / "field.dat"
     save_field(path, grid, values)
     grid2, loaded = load_field(path)

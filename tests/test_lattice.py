@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cknsym.grid import BallGrid, field_from_function
+from cknsym.grid import BallGrid
 from cknsym.lattice import (
     LatticeElement,
     SignedPerm,
@@ -26,7 +26,7 @@ from cknsym.symmetry import (
     twist_order,
 )
 
-from helpers import apply_point, compose_perms, identity_perm, perm_matrix
+from helpers import apply_point, compose_perms, field_from_function, identity_perm, perm_matrix
 
 
 def signed_perms(n: int):

@@ -12,11 +12,11 @@ from scipy import ndimage
 
 import cknsym.lattice as lattice
 import cknsym.variational as variational
-from cknsym.grid import BallGrid, backward_diffs, field_from_function, forward_diffs
+from cknsym.grid import BallGrid, backward_diffs, forward_diffs
 from cknsym.kvdoc import DocumentError
 from cknsym.lattice import LatticeElement, SignedPerm, apply_perm_to_grid, lattice_subgroup
 from cknsym.orbits import _OrbitPass
-from cknsym.symmetry import REGIMES, SymmetryConfig
+from cknsym.symmetry import REGIMES, SymmetryConfig, stabilizer_witness
 from cknsym.variational import (
     DiscreteEnergy,
     ProblemParams,
@@ -50,6 +50,8 @@ from helpers import (
     class_hessian_by_columns,
     class_values,
     dilation_invariance_gap,
+    field_from_function,
+    grid_points,
     pointwise_bias,
     quotient_and_gradient,
     report_summary_from_doc,
@@ -65,13 +67,13 @@ PARAMS4 = ProblemParams(4, 2.0, 0.0, 0.0)
 
 def random_bumps(grid, rng, count=3):
     """Smooth random field: a few Gaussian bumps, masked, peak-normalized."""
-    pts = grid.points()
+    pts = grid_points(grid)
     u = np.zeros(len(pts))
     for _ in range(count):
         c = rng.uniform(-0.4, 0.4, size=grid.n)
         w = rng.uniform(0.15, 0.3)
         u += rng.uniform(-1.0, 1.0) * np.exp(-np.sum((pts - c) ** 2, axis=1) / (2 * w * w))
-    u = u.reshape(grid.shape) * grid.mask_f
+    u = u.reshape(grid.shape) * grid.mask
     return u / np.max(np.abs(u))
 
 
@@ -234,8 +236,8 @@ def _oracle_energy_parts(energy, u):
     reproduce them bit for bit."""
     g = energy.grid
     q = energy.params.q
-    w_pot = g.weight_values(energy.params.potential_weight_exponent) * g.mask_f
-    u = u * g.mask_f
+    w_pot = to_cube(g, g.weight_values(energy.params.potential_weight_exponent))
+    u = u * g.mask
     fw = forward_diffs(g, u)
     bw = backward_diffs(g, u)
     dens = energy._psi(np.sum(fw * fw, axis=0)) + energy._psi(np.sum(bw * bw, axis=0))
@@ -251,7 +253,7 @@ def _oracle_energy_parts(energy, u):
     pot = q * g.cell_volume * w_pot * np.power(
         np.abs(u), q - 2.0, out=np.ones(g.shape), where=u != 0.0) * u
     pot_value = float(g.cell_volume * np.sum(w_pot * np.abs(u) ** q))
-    return kin_value, pot_value, kin * g.mask_f, pot * g.mask_f
+    return kin_value, pot_value, kin * g.mask, pot * g.mask
 
 
 def _assert_pass_matches_the_oracles(energy, u):
@@ -425,7 +427,7 @@ def test_negative_energy_forces_large_mass_ratio():
 
 def test_symmetrize_is_idempotent():
     rng = np.random.default_rng(12)
-    u = rng.standard_normal(GRID4.shape) * GRID4.mask_f
+    u = rng.standard_normal(GRID4.shape) * GRID4.mask
     s1 = symmetrize(u, CFG4, GRID4)
     s2 = symmetrize(s1, CFG4, GRID4)
     assert np.max(np.abs(s2 - s1)) <= 1e-10 * np.max(np.abs(s1))
@@ -433,7 +435,7 @@ def test_symmetrize_is_idempotent():
 
 def test_symmetrize_output_is_equivariant():
     rng = np.random.default_rng(13)
-    u = rng.standard_normal(GRID4.shape) * GRID4.mask_f
+    u = rng.standard_normal(GRID4.shape) * GRID4.mask
     s = symmetrize(u, CFG4, GRID4)
     assert grid_certificates(s, CFG4)[0] <= 1e-10
 
@@ -442,7 +444,7 @@ def test_symmetrize_contracts_node_and_gradient_norms():
     energy = DiscreteEnergy(GRID4, PARAMS4)
     rng = np.random.default_rng(14)
     for _ in range(5):
-        u = rng.standard_normal(GRID4.shape) * GRID4.mask_f
+        u = rng.standard_normal(GRID4.shape) * GRID4.mask
         s = symmetrize(u, CFG4, GRID4)
         assert np.linalg.norm(s) <= np.linalg.norm(u) * (1 + 1e-12)
         assert energy.kinetic(s) <= energy.kinetic(u) * (1 + 1e-12)
@@ -455,7 +457,7 @@ def test_equivariant_pairing_identity():
     u = symmetrize(random_bumps(GRID4, rng), CFG4, GRID4)
     grad = energy.gradient(u)
     for _ in range(5):
-        h = rng.standard_normal(GRID4.shape) * GRID4.mask_f
+        h = rng.standard_normal(GRID4.shape) * GRID4.mask
         lhs = node_pairing(grad, symmetrize(h, CFG4, GRID4))
         rhs = node_pairing(grad, h)
         assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-12)
@@ -528,7 +530,7 @@ def test_class_map_is_an_orthogonal_projection_into_the_class(cfg, grid):
 
 def test_class_map_kills_odd_plane_modes():
     """A field odd in one rotation plane has zero circle average."""
-    pts = GRID4.points()
+    pts = grid_points(GRID4)
     u = (pts[:, 0] * np.exp(-np.sum(pts ** 2, axis=1))).reshape(GRID4.shape)
     assert np.max(np.abs(class_coefficients(u, CFG4, GRID4))) <= 1e-12
 
@@ -817,6 +819,31 @@ def test_seed_field_is_normalized_masked_and_sign_changing():
     assert v.min() < 0.0 < v.max()
 
 
+@pytest.mark.parametrize("cfg, grid", [(CFG4, GRID4), (CFG4, BallGrid(4, 21, 1.0)),
+                                       (SymmetryConfig(5, 0, (1,)), BallGrid(5, 9, 1.0)),
+                                       (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 7, 1.0)),
+                                       (CFG4, BallGrid(4, 9, 2.5))],
+                         ids=["9^4", "21^4", "9^5", "7^6", "9^4-r2.5"])
+def test_seed_matches_the_pointwise_sampler(cfg, grid):
+    """The seed sums one squared-offset table per axis; it equals the bump
+    sampled at every node's coordinates, bit for bit, also where h is not
+    dyadic, and holds one grid array once the mask is built, plus the one
+    ufunc buffer (np.getbufsize() entries) that numpy takes for a broadcast
+    or casting operand: a whole grid at 9^4."""
+    w = stabilizer_witness(cfg)
+    center = variational.SEED_OFFSET * grid.radius * (w / np.linalg.norm(w))
+
+    def bump(pts):
+        d2 = np.sum((pts - center) ** 2, axis=1)
+        return np.exp(-d2 / (2.0 * (variational.SEED_WIDTH * grid.radius) ** 2))
+
+    expect = field_from_function(grid, bump)
+    expect = expect / float(np.max(expect))
+    assert seed_field(cfg, grid).tobytes() == expect.tobytes()  # bit for bit, signed zeros too
+    buffer = 8 * np.getbufsize()
+    assert traced_peak(lambda: seed_field(cfg, grid)) <= 1.1 * 8 * math.prod(grid.shape) + buffer
+
+
 def test_sign_certificate_on_equivariant_field():
     u = symmetrize(seed_field(CFG4, GRID4), CFG4, GRID4)
     cert = grid_certificates(u, CFG4)[2]
@@ -830,7 +857,7 @@ def test_sign_certificate_on_equivariant_field():
 def test_sign_certificate_needs_a_sign_reversing_element():
     pin_only = SymmetryConfig(4, 1, ())
     grid = GRID4
-    values = np.exp(-np.sum(grid.points() ** 2, axis=1)).reshape(grid.shape)
+    values = np.exp(-np.sum(grid_points(grid) ** 2, axis=1)).reshape(grid.shape)
     with pytest.raises(UnsupportedConfigError):
         grid_certificates(values, pin_only)
 
@@ -958,7 +985,7 @@ def test_class_profile_is_the_class_field_at_nodes(cfg, grid):
     bound = 1e-11 * np.max(np.abs(u))
     assert np.max(np.abs(got - expect)) <= bound
     assert np.max(np.abs(got - oracle)) <= bound
-    assert np.max(np.abs(class_values(c, grid, grid.points()) - u.ravel())) <= bound
+    assert np.max(np.abs(class_values(c, grid, grid_points(grid)) - u.ravel())) <= bound
     # even in the signed plane radius, as the estimate's derivative assumes
     off = rho + 0.3 * grid.h
     between = _class_profile(c, grid, off, line)
@@ -1264,7 +1291,7 @@ def test_potential_gradient_reads_zero_at_zero_nodes(q):
     assert np.all(np.isfinite(gb))
     assert np.all(gb[uv == 0.0] == 0.0)
     if q >= 2.0:
-        w_pot = GRID4.weight_values(params.potential_weight_exponent).ravel()[GRID4.interior]
+        w_pot = GRID4.weight_values(params.potential_weight_exponent)
         plain = q * GRID4.cell_volume * w_pot * np.abs(uv) ** (q - 2.0) * uv
         assert np.array_equal(gb, plain)
 
@@ -1338,13 +1365,30 @@ def test_solver_refuses_a_grid_that_cannot_fit():
                                           (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 5, 1.0), 2.0),
                                           (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 7, 1.0), 2.0),
                                           (CFG4, BallGrid(4, 13, 1.0), 3.0),
-                                          (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 7, 1.0), 3.0)],
-                         ids=["13^4", "21^4", "9^5", "5^6", "7^6", "13^4-p3", "7^6-p3"])
+                                          (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 7, 1.0), 3.0),
+                                          (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 9, 1.0), 2.0)],
+                         ids=["13^4", "21^4", "9^5", "5^6", "7^6", "13^4-p3", "7^6-p3", "9^6"])
 def test_peak_estimate_matches_the_traced_peak(cfg, grid, p):
     """At p = 3 the trace includes the orbit pass's table build."""
     peak = traced_peak(lambda: solve(cfg, grid, params=params_for_config(cfg, p),
                                      options=SolveOptions(max_iters=4)))
     assert 0.75 <= peak / solve_peak_bytes(grid, class_basis(cfg, grid)[2]) <= 1.0
+
+
+@pytest.mark.parametrize("n, points", [(2, 5), (3, 11), (4, 9), (4, 21), (5, 9), (6, 7)])
+def test_interior_count_is_the_mask_count(n, points):
+    grid = BallGrid(n, points, 2.5)
+    assert variational._interior_count(grid) == len(grid.interior)
+
+
+def test_grid_caches_no_float_cube():
+    """A grid caches its axis, boolean mask, interior indices and neighbour
+    tables; no coordinate, radius or float mask array outlives a solve."""
+    grid = BallGrid(4, 9, 1.0)
+    solve(CFG4, grid, options=SolveOptions(max_iters=4))
+    assert grid.mask.dtype == bool
+    assert not [key for key, value in vars(grid).items() if isinstance(value, np.ndarray)
+                and value.shape == grid.shape and value.dtype.kind == "f"]
 
 
 @pytest.mark.parametrize("cfg, grid", [(CFG4, BallGrid(4, 13, 1.0)),
