@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kvdoc import exact_int
+from .kvdoc import exact_float, exact_int
 
 MAX_DIM = 6
 FIELD_FORMAT = "cknsym-field"
@@ -176,7 +176,8 @@ def write_array(path: str | Path, fmt: str, version: int, grid: BallGrid,
 
 
 def read_array(path: str | Path, fmt: str, version: int) -> tuple[dict, BallGrid, np.ndarray]:
-    """Header, grid and array of a ``write_array`` file; GridError if malformed."""
+    """Header, grid and array of a ``write_array`` file; GridError if
+    malformed, a number of the wrong JSON type included."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()
@@ -189,11 +190,10 @@ def read_array(path: str | Path, fmt: str, version: int) -> tuple[dict, BallGrid
     if header.get("version") != version:
         raise GridError(f"unsupported {fmt} version {header.get('version')!r}")
     try:
-        grid = BallGrid(int(header["n"]), int(header["points_per_axis"]),
-                        float(header["radius"]))
-        shape = tuple(int(k) for k in header.get("shape", grid.shape))
-        if min(shape, default=0) < 0:
-            raise ValueError(f"negative shape {list(shape)}")
+        radius = exact_float(header["radius"], GridError, "radius must be a number, got {!r}")
+        grid = BallGrid(header["n"], header["points_per_axis"], radius)
+        shape = tuple(exact_int(k, GridError, "shape entries must be integers >= 0, got {!r}", 0)
+                      for k in header.get("shape", grid.shape))
     except (KeyError, TypeError, ValueError) as exc:
         raise GridError(f"malformed {fmt} header: {exc!r}") from exc
     if len(payload) != math.prod(shape) * 8:

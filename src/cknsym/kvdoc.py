@@ -11,6 +11,7 @@ floats carry 17 significant digits, which keeps round-trips exact.
 from __future__ import annotations
 
 import operator
+import sys
 
 
 class DocumentError(ValueError):
@@ -65,6 +66,14 @@ def exact_int(value, error: type[Exception], message: str, low: int,
     if number is None or not low <= number <= high:
         raise error(message.format(value))
     return number
+
+
+def exact_float(value, error: type[Exception], message: str) -> float:
+    """The float of ``value``, a float or an int within the float range (a JSON
+    number), else ``error(message.format(value))``: bools and strings are refused."""
+    if isinstance(value, float) or (type(value) is int and abs(value) <= sys.float_info.max):
+        return float(value)
+    raise error(message.format(value))
 
 
 def format_value(value) -> str:

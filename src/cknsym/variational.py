@@ -16,14 +16,15 @@ decrease, so the reported energy history is monotone by construction.
 Each step is a Sobolev gradient step (Neuberger): the class gradient
 preconditioned by the p = 2 kinetic Hessian restricted to the class (Wang
 and Zhou), which at p = 2 makes the full step nonlinear inverse iteration.
-The orbit basis S of the class is the only projector the solve applies:
-the seed and every accepted gradient are read through S^T, and the
-end-of-run certificates read the lattice's views of the returned field in
-one pass (``grid_certificates``), with no grid ``symmetrize``.  No
-line-search trial builds a grid field (symmetric criticality, Palais): B
-is a weighted sum over plane-radius bins, and K is the quadratic form of
-that Hessian at p = 2, else a weighted sum over one interior node per
-lattice orbit.
+The orbit basis S of the class is the only projector the solve applies,
+and the class maps run on plane-radius bins only: on the interior E c is a
+bin tensor gathered through each node's bin, and E^T of a field vanishing
+off it pulls back its sums per bin.  The seed and every accepted gradient
+are read so, and the certificates read the lattice's views of the returned
+field in one pass (``grid_certificates``), with no grid ``symmetrize``.
+No line-search trial builds a grid field (symmetric criticality, Palais):
+B is a weighted sum over the bins, and K is the quadratic form of that
+Hessian at p = 2, else a weighted sum over one interior node per orbit.
 
 Sign-changing structure is certified, not assumed: the returned report
 exhibits a lattice element of character -1 together with the node where it
@@ -56,7 +57,7 @@ from .grid import (
     read_array,
     write_array,
 )
-from .kvdoc import exact_int, format_kv, format_value
+from .kvdoc import exact_float, exact_int, format_kv, format_value
 from .lattice import SignedPerm, apply_perm_to_grid, lattice_subgroup
 from .symmetry import (
     SymmetryConfig,
@@ -438,12 +439,6 @@ def class_shape(cfg: SymmetryConfig, grid: BallGrid) -> tuple[int, ...]:
     return (q.shape[1],) * planes + (grid.points_per_axis,) * (grid.n - 2 * planes)
 
 
-def class_field(coefficients: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) -> np.ndarray:
-    """The grid field E c of class coefficients c."""
-    q, planes = _class_basis(cfg, grid)
-    return _contract_planes(coefficients, [q] * planes).reshape(grid.shape)
-
-
 def class_basis(cfg: SymmetryConfig, grid: BallGrid) -> tuple[np.ndarray, np.ndarray, int]:
     """An orthonormal basis S of the class in coefficient space, as
     (col, val, dim) over the flat coefficient indices: S y = val * y[col]
@@ -462,21 +457,6 @@ def class_basis(cfg: SymmetryConfig, grid: BallGrid) -> tuple[np.ndarray, np.nda
     roots = np.flatnonzero(keep & (low == labels))
     col = np.where(keep, np.searchsorted(roots, low), len(roots))
     return col, np.where(keep, proj / np.sqrt(np.where(keep, norm, 1.0)), 0.0), len(roots)
-
-
-def class_coordinates(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid,
-                      basis: tuple[np.ndarray, np.ndarray, int]) -> np.ndarray:
-    """S^T E^T u: the coordinates in ``basis`` (S, from ``class_basis``) of
-    grid field u's orthogonal projection onto the class.  E^T contracts each
-    rotation plane with Q^T, leading plane first, so no grid-sized copy of u
-    is made, and S^T bins the coefficients through col and val; as
-    S^T P = S^T, no average is applied."""
-    q, planes = _class_basis(cfg, grid)
-    col, val, dim = basis
-    npts = grid.points_per_axis
-    split = (npts * npts,) * planes + (npts,) * (grid.n - 2 * planes)
-    c = _contract_planes(np.reshape(values, split), [q.T] * planes).ravel()
-    return np.bincount(col, val * c, minlength=dim + 1)[:dim]
 
 
 def _plane_radius_bins(grid: BallGrid, planes: int,
@@ -548,35 +528,46 @@ def _class_hessian(energy: "DiscreteEnergy", cfg: SymmetryConfig,
 
 
 class _BinPass:
-    """A trial's pass at p = 2: ``field`` gives values whose largest |.| is
-    the field's peak, ``quotient_and_gradient(values, y)`` the quotient, its
-    gradient and B^(p/q), ``coordinates`` a gradient's class coordinates.
+    """The class maps on plane-radius bins and a trial's pass at p = 2:
+    ``field`` gives values whose largest |.| is the field's peak, ``read``
+    a grid field's class coordinates, ``quotient_and_gradient(values, y)``
+    the quotient, its gradient and B^(p/q), ``coordinates`` a gradient's.
 
-    K = y^T H y / 2 exactly, H the p = 2 kinetic Hessian in the class, and
-    H y is its gradient.  E c depends on each node only through its plane
-    radii and tail index, so the class field is U = E_d c on the bins, E_d
-    contracting each plane axis with Q_d, the rows of Q at the distinct
-    plane radii.  The cube is a product of planes and tail lines, so every
-    bin holds a node: max |U| is the grid field's peak.  B is
-    h^n sum W |U|^q, W the interior potential weights summed per bin (zero
-    on bins off the ball), and its class gradient is S^T E_d^T of
-    q h^n W |U|^(q-2) U.  A trial makes no grid-sized or interior-sized
-    array.
+    E c depends on each node only through its plane radii and tail index,
+    so the class field is U = E_d c on the bins, E_d contracting each plane
+    axis with Q_d, the rows of Q at the distinct plane radii: on the
+    interior E c is U gathered through the bin key, and E^T of a field
+    vanishing off it is E_d^T of its sums per bin.  The cube is a product of planes
+    and tail lines, so every bin holds a node: max |U| is the grid field's
+    peak.  K = y^T H y / 2 exactly, H the p = 2 kinetic Hessian in the
+    class.  B is h^n sum W |U|^q, W the interior potential weights summed
+    per bin (zero on bins off the ball), and its class gradient is S^T E_d^T
+    of q h^n W |U|^(q-2) U.  A trial makes no grid- or interior-sized array.
     """
 
     def __init__(self, energy: DiscreteEnergy, cfg: SymmetryConfig, basis: tuple, bins: tuple,
                  hessian: np.ndarray | None = None):
         self.basis, self.hessian, self.p, self.q = basis, hessian, energy.params.p, energy.params.q
-        g = energy.grid
+        self.grid = g = energy.grid
         q, self.planes = _class_basis(cfg, g)
-        key, firsts = bins
+        self.key, firsts = bins
         shape = tuple(map(len, firsts)) + (g.points_per_axis,) * (g.n - 2 * self.planes)
-        self.weights = np.bincount(key, energy._w_pot_in * g.cell_volume,
+        self.weights = np.bincount(self.key, energy._w_pot_in * g.cell_volume,
                                    minlength=math.prod(shape)).reshape(shape)
         self.rows = q[firsts[0]]  # every plane bins alike: shift 0
 
     def field(self, coefficients: np.ndarray) -> np.ndarray:
         return _contract_planes(coefficients, [self.rows] * self.planes)
+
+    def grid_field(self, coefficients: np.ndarray) -> np.ndarray:  # E c: U on the interior
+        out = np.zeros(self.grid.shape)
+        out.reshape(-1)[self.grid.interior] = self.field(coefficients).take(self.key)
+        return out
+
+    def read(self, values: np.ndarray) -> np.ndarray:  # S^T E^T u, u zero off the interior
+        sums = np.bincount(self.key, np.reshape(values, -1).take(self.grid.interior),
+                           minlength=self.weights.size)
+        return self._pull_back(sums.reshape(self.weights.shape))
 
     def _kinetic(self, values: np.ndarray, y: np.ndarray) -> tuple:  # K, and H y for its gradient
         hy = self.hessian @ y
@@ -704,9 +695,10 @@ def reduced_level_estimate(coefficients: np.ndarray, cfg: SymmetryConfig, grid: 
 
 
 def interpolated_equivariance_bias(coefficients: np.ndarray, cfg: SymmetryConfig,
-                                   grid: BallGrid) -> float:
+                                   grid: BallGrid, bins: _BinPass) -> float:
     """Worst |E c(g x) - phi(g) E c(x)| / sup |E c| over interior nodes x and
-    INTERPOLATED_SAMPLES seeded random full-group elements g, for in-class c.
+    INTERPOLATED_SAMPLES seeded random full-group elements g, for in-class c,
+    read on ``bins``: the peak over all, the differences over interior ones.
 
     At alpha = 0, g moves plane radii only by the plane permutation of its
     twists, as the lattice element with the same twists and character does;
@@ -721,11 +713,10 @@ def interpolated_equivariance_bias(coefficients: np.ndarray, cfg: SymmetryConfig
         raise VariationalError(f"the interpolated bias needs alpha = 0, got {cfg.alpha}")
     if not cfg.tail_active:
         return 0.0
-    u = class_field(coefficients, cfg, grid)
-    peak = float(np.max(np.abs(u, out=u)))  # in place: one grid array, not two
-    del u
+    peak = float(np.max(np.abs(bins.field(coefficients))))
     if peak == 0.0:
         return 0.0
+    inside = np.bincount(bins.key, minlength=bins.weights.size).reshape(bins.weights.shape) > 0
     d = cfg.tail_dim
     flat = coefficients.reshape(coefficients.shape[:-d] + (-1,))  # the tail axes as one
     nodes = np.indices((grid.points_per_axis,) * d).reshape(d, -1).T * grid.h - grid.radius
@@ -736,8 +727,7 @@ def interpolated_equivariance_bias(coefficients: np.ndarray, cfg: SymmetryConfig
         for x in (nodes @ random_element(cfg, rng).tail.T).T:
             rows = (rows[:, :, None] * _axis_weights(grid, x, False)[:, None]).reshape(len(x), -1)
         moved = (flat @ rows.T).reshape(coefficients.shape)
-        diff = class_field(moved - coefficients, cfg, grid).take(grid.interior)
-        worst = max(worst, float(np.max(np.abs(diff))))
+        worst = max(worst, float(np.max(np.abs(bins.field(moved - coefficients)[inside]))))
     return worst / peak
 
 
@@ -808,11 +798,11 @@ def grid_certificates(values: np.ndarray,
 def seed_field(cfg: SymmetryConfig, grid: BallGrid) -> np.ndarray:
     """Masked Gaussian bump along the stabilizer witness direction, peak 1.
 
-    It is not projected: ``solve`` reads it through S^T E^T.  The witness is
-    fixed only by character +1 elements, so the signed average cannot
-    cancel the bump at its own center; the circle averages can, which
-    ``solve`` refuses as the {0} class.  It holds one grid array: |x - c|^2,
-    summed from one table per axis, then the rest in place.
+    It is not projected: ``solve`` reads it through S^T E^T on the bins.
+    The witness is fixed only by character +1 elements, so the signed
+    average cannot cancel the bump at its own center; the circle averages
+    can, which ``solve`` refuses as the {0} class.  It holds one grid array:
+    |x - c|^2, summed from one table per axis, then the rest in place.
     """
     w = stabilizer_witness(cfg)
     w = w / np.linalg.norm(w)
@@ -890,22 +880,24 @@ def _save_checkpoint(path: str | Path, cfg: SymmetryConfig, grid: BallGrid,
 
 
 def load_checkpoint(path: str | Path) -> dict:
-    """A checkpoint's solver state; VariationalError if the file is malformed,
-    holds a state the solver never writes (a step outside (0, 1], an
-    iteration that is not an int >= 0, a history that is not a non-empty
-    list of positive finite levels), its grid cannot fit or its coordinates
-    do not span the class."""
+    """A checkpoint's solver state; VariationalError if the file is malformed
+    (a number written as a bool or a string included), holds a state the
+    solver never writes (a step outside (0, 1], an iteration that is not an
+    int >= 0, a history that is not a non-empty list of positive finite
+    levels), its grid cannot fit or its coordinates do not span the class."""
     try:
         header, grid, y = read_array(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
         cfg = SymmetryConfig(grid.n, header["alpha"], tuple(header["m"]),
                              regime=header["regime"])
         if not isinstance(header["history"], list):
             raise ValueError(f"history must be a list, got {header['history']!r}")
-        state = {"solver_exponent": float(header["solver_exponent"]),
+        state = {"solver_exponent": exact_float(header["solver_exponent"], ValueError,
+                                                "solver_exponent must be a number, got {!r}"),
                  "iteration": exact_int(header["iteration"], ValueError,
                                         "iteration must be an integer >= 0, got {!r}", 0),
-                 "step": float(header["step"]),
-                 "history": [float(v) for v in header["history"]]}
+                 "step": exact_float(header["step"], ValueError, "step must be a number, got {!r}"),
+                 "history": [exact_float(v, ValueError, "history entries must be numbers, got {!r}")
+                             for v in header["history"]]}
         # written as "not 0 < x" so that NaN is refused too
         if not 0.0 < state["step"] <= 1.0:
             raise ValueError(f"step must be finite and in (0, 1], got {state['step']}")
@@ -957,32 +949,33 @@ def solve_peak_bytes(grid: BallGrid, dim: int = 0) -> int:
       tables, (2n + 1) M; the energy's two interior weights, 2 M; then
     - the larger of two phases:
       - the metric: H, dim^2, and either its build (at most 2n + 5 interior
-        vectors, the orbit tables' at p != 2 included) or 1 array and eigh's
-        eigenvectors, dim^2; the descent's H, kept eigenvectors, bin tensors
-        and tables fit in it;
+        vectors, the orbit tables' at p != 2 included) or 1 array (the seed)
+        and eigh's eigenvectors, dim^2; the descent's H, kept eigenvectors,
+        bin key, bin tensors and tables fit in it;
       - the end of the run, after the eigenvectors are dropped: the returned
         field (rescaled in place onto the Nehari manifold) and the energy's
         summation array, 2, then the largest of: the energy pass on w, one
         difference stack of interior vectors at a time, (2n + 5) M; the
         reduced level estimate, 3 tables (the profile, its kinetic
-        integrand, slices of the rest); the certificates, 1 (two leading
-        slices in their pass), then the interpolated bias, 1 and 2 M;
+        integrand, slices of the rest); the certificates, 1 (|w| for the
+        argmax, then two leading slices); the bias, run on the bins before
+        the trial pass is released, fits in the energy pass's term;
     - the class tensors (a trial's coefficients, the pull-back's plane
       contractions, the basis; at most N^(n-2) entries each) and the plane
       tables fit in the mask's unused 7/8; the lattice subgroup (38 KB for
       (6, 0, (1, 0))) and the other caches in a fixed 64 KiB.
-    Seeding (the bump and the index squares behind the mask, 2 arrays) and
-    the class maps peak lower than the end.  A whole solve traced with
-    tracemalloc, after numpy.random's first-use import, peaks at 0.83 to
-    0.84 of this bound at 13^4, 0.85 at 21^4, 0.77 to 0.81 at 7^5 to 11^5
-    and 0.77 to 0.83 at 5^6 to 11^6, at p = 2 and p = 3 alike.
+    Building the mask peaks lower than the end.  eigh's LAPACK workspace
+    (about 2.35 dim^2 more, untraced) is not counted.  A whole solve
+    traced with tracemalloc, after numpy.random's first-use import, peaks
+    at 0.83 to 0.84 of this bound at 13^4, 0.85 at 21^4, 0.78 to 0.84 at
+    7^5 to 11^5 and 0.77 to 0.82 at 5^6 to 11^6, at p = 2 and p = 3 alike.
     """
     cube = math.prod(grid.shape)
     inside = _interior_count(grid)
     n_r = int(math.ceil(grid.radius / (grid.h / REDUCED_REFINE)))  # as reduced_level_estimate
     tables = n_r ** 2 * (2 * n_r) ** max(grid.n - 4, 0)
     metric = dim * dim + max((2 * grid.n + 5) * inside, cube + dim * dim)
-    end = 2 * cube + max((2 * grid.n + 5) * inside, 3 * tables, cube + 2 * inside)
+    end = 2 * cube + max((2 * grid.n + 5) * inside, 3 * tables, cube)
     return (cube + (2 * grid.n + 3) * inside + max(metric, end)) * 8 + 2 ** 16
 
 
@@ -1020,13 +1013,16 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     trial builds a grid field, nor does the first point, fresh or resumed:
     the peak and B are read on plane-radius bins, and K is y^T H y / 2 at
     p = 2 (``_BinPass``), else a sum over lattice orbits (``_OrbitPass``).
-    The circle averages keep minimizing sequences inside the
-    rotation-invariant profiles the continuum symmetry demands; without them
-    a coarse lattice admits spurious isolated concentration bumps whose
-    discrete energy undercuts the symmetric level and drifts under
-    refinement.  The level estimate reads the final coefficients through the
-    class's own profile and the interpolated bias reads their tail factor;
-    neither resamples the grid field.
+    The seed is read on those bins too (its interior values summed per bin)
+    and the returned field is the bin tensor gathered onto the interior: no
+    stage contracts a grid-sized tensor.  The circle averages keep
+    minimizing sequences inside the rotation-invariant profiles the
+    continuum symmetry demands; without them a coarse lattice admits
+    spurious isolated concentration bumps whose discrete energy undercuts
+    the symmetric level and drifts under refinement.  The level estimate
+    reads the final coefficients through the class's own profile and the
+    interpolated bias reads their tail factor on the bins; neither
+    resamples the grid field.
 
     The metric H (``_class_hessian``) is diagonalized once per solve, and
     its eigenvalues below METRIC_CUT of the largest, whose directions leave
@@ -1082,21 +1078,7 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
         y = state["coordinates"]
         if float(np.max(np.abs(y), initial=0.0)) == 0.0:  # initial: the {0} class has no y
             raise VariationalError("checkpoint field vanishes")
-        start_iter = state["iteration"]
-        rho = state["step"]
-        history = list(state["history"])
-    else:
-        # the seed is sup-normalized (peak 1) and is not kept
-        y = class_coordinates(seed_field(cfg, grid), cfg, grid, basis)
-        peak = float(np.max(np.abs(class_field(coefficients(y), cfg, grid))))
-        if peak <= 1e-8:
-            raise UnsupportedConfigError(
-                f"the working class is {{0}}: projecting the seed onto it (circle "
-                f"averages, then lattice symmetrization) leaves {peak:.2g} "
-                f"of its peak, so there is no sign-changing candidate to certify")
-        y = y / peak
-        start_iter = 0
-        rho = 1.0
+        start_iter, rho, history = state["iteration"], state["step"], list(state["history"])
 
     # the metric: the p = 2 kinetic Hessian in class coordinates, inverted on
     # the directions that carry energy (the others leave the ball)
@@ -1104,14 +1086,23 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     planes = _class_basis(cfg, grid)[1]
     bins = _plane_radius_bins(grid, planes, [0] * planes)  # the metric's and the trials'
     hessian = _class_hessian(energy, cfg, basis, bins)
-    lam, vec = np.linalg.eigh(hessian)
-    keep = lam > METRIC_CUT * lam[-1]
-    lam, vec = lam[keep], vec[:, keep]
     if work.p == 2.0:  # the kinetic form is the quadratic form of H
         trials = _BinPass(energy, cfg, basis, bins, hessian)
     else:  # imported here, so a p = 2 solve never compiles the orbit pass
         from .orbits import _OrbitPass
         trials = _OrbitPass(energy, cfg, basis, bins)
+    if resume_from is None:
+        y = trials.read(seed_field(cfg, grid))  # the seed: sup-normalized (peak 1), not kept
+        peak = float(np.max(np.abs(trials.field(coefficients(y)))))
+        if peak <= 1e-8:
+            raise UnsupportedConfigError(
+                f"the working class is {{0}}: projecting the seed onto it (circle "
+                f"averages, then lattice symmetrization) leaves {peak:.2g} "
+                f"of its peak, so there is no sign-changing candidate to certify")
+        y, start_iter, rho = y / peak, 0, 1.0
+    lam, vec = np.linalg.eigh(hessian)
+    keep = lam > METRIC_CUT * lam[-1]
+    lam, vec = lam[keep], vec[:, keep]
     del hessian, bins
 
     # a trial's field is built from its sup-normalized coordinates, so the
@@ -1120,8 +1111,7 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     if resume_from is None:
         history = [energy.level_from_quotient(quot)]
     d = trials.coordinates(grad)  # the residual reads it
-    min_rel = math.inf
-    rel = math.inf
+    min_rel = rel = math.inf
     stop_reason = "max iterations"
     it = start_iter
     for it in range(start_iter + 1, options.max_iters + 1):
@@ -1166,11 +1156,12 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     if options.checkpoint_path:
         _save_checkpoint(options.checkpoint_path, cfg, grid, q_solver, it, rho, y, history)
 
+    c = coefficients(y)
+    w = trials.grid_field(c)  # zero off the interior
+    bias = interpolated_equivariance_bias(c, cfg, grid, trials)  # on the bins, before they go
     grad = values = trials = vec = None  # spent: d holds the final gradient's class coordinates
     rel = _relative_residual(y, d, quot)
     min_rel = min(min_rel, rel)
-    c = coefficients(y)
-    w = class_field(c, cfg, grid)
     p, q = work.p, work.q
     # on an extreme radius the Nehari amplitude, and with it the energies of
     # w, can leave the float range: such a candidate is refused below, so
@@ -1179,7 +1170,6 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
         # onto the Nehari manifold: t^(q - p) = K / B, which the last pass
         # gives as quot * scale^(1 - q/p), scale = B^(p/q)
         w *= (quot * np.float64(scale) ** (1.0 - q / p)) ** (1.0 / (q - p))
-        w *= grid.mask
         # one energy pass gives every end-of-run scalar of w
         kin_w, pot_w, grad_w, gb_w = energy.evaluate(w)
         grad_w /= p  # d J / d node, in place: gk / p - gb / q
@@ -1225,7 +1215,7 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
         relative_residual=rel,
         min_relative_residual=min_rel,
         equivariance=equivariance,
-        interpolated_bias=interpolated_equivariance_bias(c, cfg, grid),
+        interpolated_bias=bias,
         symmetrization_gap=sym_gap,
         certificate=cert,
         energy_history=tuple(history),

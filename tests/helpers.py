@@ -3,10 +3,11 @@ point cloud and the pointwise sampler the seed is checked against, the
 closed-form energies behind criterion 8, a typed reader of ``report.txt``,
 signed permutations acting on points and composed, the quotient and its node
 gradient from one interior energy pass, which the solver's trial passes
-are checked against, the class projection through
-the tensor average that the pull-back through S is checked against, the
-pointwise read of a class profile that the interpolated bias is checked
-against, the class Hessian by one energy pass per column, which the
+are checked against, the class synthesis E and its adjoint contracted over
+the whole cube, which the bin maps are checked against, the class
+projection through the tensor average that the pull-back through S is
+checked against, the pointwise read of a class profile that the
+interpolated bias is checked against, the class Hessian by one energy pass per column, which the
 factored build is checked against, the all-pairs code closure that the
 orbit-representative one is checked against, the recursive multiplicity
 tuples that the flat enumeration is checked against, and a traced heap peak."""
@@ -38,8 +39,6 @@ from cknsym.variational import (
     _class_basis,
     _contract_planes,
     _tensor_action,
-    class_coordinates,
-    class_field,
     class_shape,
 )
 
@@ -168,13 +167,35 @@ def tensor_average(coefficients: np.ndarray, cfg: SymmetryConfig) -> np.ndarray:
     return acc
 
 
-def class_coefficients(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) -> np.ndarray:
-    """The coefficients of u's orthogonal projection onto the class, as E^T u
-    followed by the tensor average: E^T symmetrize(u) in exact arithmetic."""
+def class_field(coefficients: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) -> np.ndarray:
+    """The grid field E c of class coefficients c, each rotation plane's axis
+    contracted with Q over the whole cube."""
+    q, planes = _class_basis(cfg, grid)
+    return _contract_planes(coefficients, [q] * planes).reshape(grid.shape)
+
+
+def class_adjoint(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) -> np.ndarray:
+    """E^T u: each rotation plane of grid field u contracted with Q^T over
+    the whole cube, leading plane first."""
     q, planes = _class_basis(cfg, grid)
     npts = grid.points_per_axis
     split = (npts * npts,) * planes + (npts,) * (grid.n - 2 * planes)
-    return tensor_average(_contract_planes(np.reshape(values, split), [q.T] * planes), cfg)
+    return _contract_planes(np.reshape(values, split), [q.T] * planes)
+
+
+def class_coordinates(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid,
+                      basis: tuple[np.ndarray, np.ndarray, int]) -> np.ndarray:
+    """S^T E^T u: the coordinates in ``basis`` of grid field u's orthogonal
+    projection onto the class, S^T binning E^T u through col and val."""
+    col, val, dim = basis
+    return np.bincount(col, val * class_adjoint(values, cfg, grid).ravel(),
+                       minlength=dim + 1)[:dim]
+
+
+def class_coefficients(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) -> np.ndarray:
+    """The coefficients of u's orthogonal projection onto the class, as E^T u
+    followed by the tensor average: E^T symmetrize(u) in exact arithmetic."""
+    return tensor_average(class_adjoint(values, cfg, grid), cfg)
 
 
 def class_values(coefficients: np.ndarray, grid: BallGrid, pts: np.ndarray) -> np.ndarray:

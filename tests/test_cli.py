@@ -400,10 +400,12 @@ def _with(header: bytes, **state) -> bytes:
     return json.dumps({**json.loads(header), **state}).encode()
 
 
-# "empty-history" and "zero-step" hold states the solver never writes
+# "empty-history" and "zero-step" hold states the solver never writes; the
+# last three hold numbers that a lenient reader would coerce into ones it writes
 @pytest.mark.parametrize("corruption",
                          ["garbage", "missing-n", "truncated", "version-1", "version-2",
-                          "empty-history", "zero-step"])
+                          "empty-history", "zero-step", "float-n", "string-radius",
+                          "string-step"])
 def test_solve_resume_from_a_corrupt_checkpoint_is_a_validation_error(
         tmp_path, capsys, corruption):
     part = write_doc(tmp_path / "part.kv", SOLVE_DOC + "checkpoint_every: 4\n")
@@ -416,7 +418,10 @@ def test_solve_resume_from_a_corrupt_checkpoint_is_a_validation_error(
             "version-1": _grid_checkpoint(header),
             "version-2": _tensor_checkpoint(header),
             "empty-history": _with(header, history=[]) + b"\n" + payload,
-            "zero-step": _with(header, step=0.0) + b"\n" + payload}[corruption]
+            "zero-step": _with(header, step=0.0) + b"\n" + payload,
+            "float-n": _with(header, n=4.7) + b"\n" + payload,
+            "string-radius": _with(header, radius="1e0") + b"\n" + payload,
+            "string-step": _with(header, step="0.5") + b"\n" + payload}[corruption]
     bad = tmp_path / "bad.dat"
     bad.write_bytes(data)
     capsys.readouterr()

@@ -190,6 +190,27 @@ def test_load_field_rejects_corrupt_files(tmp_path):
             load_field(reshaped)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n", 2.7), ("n", 2.0), ("n", "2"), ("points_per_axis", 9.9), ("points_per_axis", "9"),
+    ("radius", "1e0"), ("radius", True), ("radius", 10 ** 400), ("shape", [9.0, 9]),
+    ("shape", ["9", 9])],
+    ids=["n-2.7", "n-2.0", "n-str", "points-9.9", "points-str", "radius-str", "radius-bool",
+         "radius-huge-int", "shape-float", "shape-str"])
+def test_load_field_refuses_header_values_it_would_coerce(tmp_path, key, value):
+    """Every value here but the huge radius reads as the written one once
+    converted, so only its JSON type is wrong: an integer must be an
+    integer, and a number must not be a bool or a string.  An int past the
+    float range is refused, not raised as OverflowError by float()."""
+    grid = BallGrid(2, 9)
+    path = tmp_path / "field.dat"
+    save_field(path, grid, np.zeros(grid.shape))
+    assert load_field(path)[0] == grid
+    header, payload = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(json.dumps({**json.loads(header), key: value}).encode() + b"\n" + payload)
+    with pytest.raises(GridError, match="malformed cknsym-field header"):
+        load_field(path)
+
+
 def test_field_header_format_is_stable(tmp_path):
     path = tmp_path / "field.dat"
     save_field(path, BallGrid(2, 9), np.zeros((9, 9)))

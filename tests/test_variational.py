@@ -28,8 +28,6 @@ from cknsym.variational import (
     _class_profile,
     _save_checkpoint,
     class_basis,
-    class_coordinates,
-    class_field,
     class_shape,
     grid_certificates,
     interpolated_equivariance_bias,
@@ -47,6 +45,8 @@ from helpers import (
     GaussianProfile,
     analytic_energy,
     class_coefficients,
+    class_coordinates,
+    class_field,
     class_hessian_by_columns,
     class_values,
     dilation_invariance_gap,
@@ -654,6 +654,13 @@ def _plane_bins(cfg, grid):
     return variational._plane_radius_bins(grid, planes, [0] * planes)
 
 
+def _bin_map(cfg, grid):
+    """The class maps on the interior's plane-radius bins, as ``solve``'s
+    trial pass holds them (without the metric, which they do not read)."""
+    energy = DiscreteEnergy(grid, params_for_config(cfg))
+    return variational._BinPass(energy, cfg, class_basis(cfg, grid), _plane_bins(cfg, grid))
+
+
 def _trial_pass(cfg, grid, p=2.0):
     """The energy of cfg's regime at p and the solver exponent (halfway to
     p where the solver's shift would pass it), its class basis and the pass
@@ -673,6 +680,54 @@ def _coefficients(y, cfg, grid, basis):
     """S y as a class-coefficient tensor."""
     col, val, _ = basis
     return (val * np.append(y, 0.0).take(col)).reshape(class_shape(cfg, grid))
+
+
+MAP_CASES = [(CFG4, GRID4), (CFG4, BallGrid(4, 21, 1.0)),
+             (SymmetryConfig(5, 0, (1,)), BallGrid(5, 9, 1.0)),
+             (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 5, 1.0)),
+             (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 9, 1.0)),
+             (SymmetryConfig(6, 0, (1, 0), "a_eq_b_zero"), BallGrid(6, 7, 1.0))]
+
+
+@pytest.mark.parametrize("cfg, grid", MAP_CASES,
+                         ids=["9^4", "21^4", "9^5", "5^6", "9^6", "7^6-a_eq_b_zero"])
+def test_bin_maps_match_the_cube_maps(cfg, grid):
+    """On the interior E c is the bin tensor E_d c gathered through the bin
+    key, and S^T E^T of a field that vanishes off the interior is the
+    pull-back of its sums per bin: both match the contractions over the
+    whole cube within 1e-12 relative, and the gathered field is 0 off the
+    interior."""
+    bins = _bin_map(cfg, grid)
+    basis = bins.basis
+    rng = np.random.default_rng(28)
+    for _ in range(2):
+        c = _coefficients(rng.standard_normal(basis[2]), cfg, grid, basis)
+        got = bins.grid_field(c)
+        expect = class_field(c, cfg, grid) * grid.mask
+        assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+        assert not got[~grid.mask].any()
+        u = to_cube(grid, rng.standard_normal(len(grid.interior)))
+        expect = class_coordinates(u, cfg, grid, basis)
+        assert np.linalg.norm(bins.read(u) - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_solve_contracts_no_grid_sized_tensor(monkeypatch, p):
+    """No stage of a 4-D solve contracts a tensor with as many entries as
+    the grid, in or out: E and E^T run on the plane-radius bins."""
+    sizes = []
+    real = variational._contract_planes
+
+    def recorded(t, ms):
+        out = real(t, ms)
+        sizes.extend([t.size, out.size, *(m.size for m in ms)])
+        return out
+
+    monkeypatch.setattr(variational, "_contract_planes", recorded)
+    report = solve(CFG4, GRID4, params=params_for_config(CFG4, p),
+                   options=SolveOptions(max_iters=4))
+    assert report.iterations == 4
+    assert sizes and max(sizes) < math.prod(GRID4.shape)
 
 
 # (5, 0, (1,)) has no a_eq_b_nonzero configuration: n = 5 fails its tail condition
@@ -755,12 +810,14 @@ def test_bin_pass_trial_makes_no_grid_array(cfg, grid, share, unit):
                                        (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 9, 1.0))],
                          ids=["11^5", "9^6"])
 def test_gradient_pull_back_copies_no_grid_array(cfg, grid):
-    """Pulling a grid array back into the class holds only the contracted
-    tensors (0.09 of a grid array at 11^5, 0.11 at 9^6): the plane
-    contractions run leading plane first, so no transposed copy is made."""
-    u = to_cube(grid, np.linspace(-1.0, 1.0, len(grid.interior)))
-    basis = class_basis(cfg, grid)  # builds the class tables
-    assert traced_peak(lambda: class_coordinates(u, cfg, grid, basis)) <= 0.15 * 8 * u.size
+    """Reading the seed into the class holds its interior values (0.10 of a
+    grid array at 11^5, 0.04 at 9^6), their sums per bin and the plane
+    contractions of the pull-back that every accepted gradient shares, 0.12
+    of a grid array at 11^5 and 0.07 at 9^6 in all: the contractions run
+    leading plane first, so no transposed copy is made."""
+    u = seed_field(cfg, grid)
+    bins = _bin_map(cfg, grid)  # builds the class tables
+    assert traced_peak(lambda: bins.read(u)) <= 0.15 * 8 * u.size
 
 
 def test_end_of_run_certificates_hold_two_grid_arrays():
@@ -1025,21 +1082,23 @@ def test_interpolated_bias_is_the_tail_defect(cfg, grid, low, high):
     bias is exactly 0 without an active tail; the active O(2) tail of
     (6, 0, (1, 0)) is only lattice-sampled, so there it is not."""
     c = class_coefficients(seed_field(cfg, grid), cfg, grid)
-    bias = interpolated_equivariance_bias(c, cfg, grid)
+    bins = _bin_map(cfg, grid)
+    bias = interpolated_equivariance_bias(c, cfg, grid, bins)
     if low is None:
         assert bias == 0.0
     else:
         assert low < bias <= high
-    assert interpolated_equivariance_bias(3.0 * c, cfg, grid) == pytest.approx(bias, rel=1e-9,
-                                                                               abs=1e-15)
-    assert interpolated_equivariance_bias(np.zeros_like(c), cfg, grid) == 0.0
+    assert interpolated_equivariance_bias(3.0 * c, cfg, grid, bins) == pytest.approx(
+        bias, rel=1e-9, abs=1e-15)
+    assert interpolated_equivariance_bias(np.zeros_like(c), cfg, grid, bins) == 0.0
 
 
 @pytest.mark.parametrize("cfg, grid", [(SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 5, 1.0)),
                                        (CFG4, BallGrid(4, 17, 1.0))], ids=["5^6", "17^4"])
 def test_interpolated_bias_peaks_below_half_a_solve(cfg, grid):
     c = class_coefficients(seed_field(cfg, grid), cfg, grid)
-    peak = traced_peak(lambda: interpolated_equivariance_bias(c, cfg, grid))
+    bins = _bin_map(cfg, grid)
+    peak = traced_peak(lambda: interpolated_equivariance_bias(c, cfg, grid, bins))
     assert peak <= 0.25 * solve_peak_bytes(grid)
 
 
@@ -1050,9 +1109,10 @@ def test_interpolated_bias_matches_the_pointwise_read(cfg, grid):
     """The tail-factor read equals the pointwise read of the whole profile
     at moved interior nodes, for the seed's class coefficients and for the
     projection of a random field."""
+    bins = _bin_map(cfg, grid)
     for u in (seed_field(cfg, grid), random_bumps(grid, np.random.default_rng(21))):
         c = class_coefficients(u, cfg, grid)
-        bias = interpolated_equivariance_bias(c, cfg, grid)
+        bias = interpolated_equivariance_bias(c, cfg, grid, bins)
         assert bias > 1e-6
         assert abs(bias - pointwise_bias(c, cfg, grid)) <= 1e-12
 
@@ -1063,10 +1123,11 @@ def test_interpolated_bias_matches_the_pointwise_read(cfg, grid):
 def test_interpolated_bias_without_an_active_tail_is_zero(cfg, grid):
     """The pointwise read gives rounding only where there is no active tail,
     and the tail-factor read gives exactly 0 there."""
+    bins = _bin_map(cfg, grid)
     for u in (seed_field(cfg, grid), random_bumps(grid, np.random.default_rng(22))):
         c = class_coefficients(u, cfg, grid)
         assert pointwise_bias(c, cfg, grid) <= 1e-12
-        assert interpolated_equivariance_bias(c, cfg, grid) == 0.0
+        assert interpolated_equivariance_bias(c, cfg, grid, bins) == 0.0
 
 
 def test_interpolated_bias_refuses_a_pinwheel_class():
@@ -1076,7 +1137,7 @@ def test_interpolated_bias_refuses_a_pinwheel_class():
     c = class_coefficients(seed_field(cfg, GRID4), cfg, GRID4)
     assert pointwise_bias(c, cfg, GRID4) > 1.0
     with pytest.raises(VariationalError, match="alpha = 0"):
-        interpolated_equivariance_bias(c, cfg, GRID4)
+        interpolated_equivariance_bias(c, cfg, GRID4, _bin_map(cfg, GRID4))
 
 
 # --------------------------------------------------------------------------
@@ -1164,11 +1225,13 @@ PINNED_6D_HISTORY = (
     8.439651597439061e+24, 7.744398654227724e+23, 1.7051956976610568e+23, 7.174223244601938e+22)
 # p = 3 runs its trials through the orbit pass.  Compared with ==: its class
 # contractions (matmul) and the metric's eigh go through BLAS and LAPACK, so
-# the last bits hold on the capture platform's OpenBLAS build and thread
-# count and may differ on another.
+# the last bits hold on the capture platform's OpenBLAS build and may differ
+# on another.  Captured under the tier-1 command
+# (PYTHONPATH=src python -m pytest -q) with OpenBLAS's default thread count,
+# and the same under OPENBLAS_NUM_THREADS=1.
 PINNED_P3_HISTORY = (
-    1257.7338126749585, 443.07671470815893, 347.0764185734755, 301.32648769362413,
-    276.6378019694831, 260.1457881007351, 245.25912822854949)
+    1257.7338126749607, 443.0767147081575, 347.0764185734662, 301.32648769361504,
+    276.6378019694744, 260.14578810072595, 245.2591282285745)
 # the same run with the regularised density (|g|^2 + 1e-16)^(p/2) - 1e-8^p,
 # its trials through the orbit pass and then through the interior energy
 # pass on the grid
@@ -1244,7 +1307,8 @@ def test_report_doc_round_trip(small_report):
 
 def test_descent_makes_no_grid_symmetrization(monkeypatch):
     """No stage of a solve symmetrizes on the grid: the seed and each
-    accepted step's gradient are read through S^T E^T alone, and the
+    accepted step's gradient are read through the bin pull-back
+    S^T E_d^T alone, and the
     end-of-run certificates read each lattice element's view of the
     returned field once."""
     calls, views = [], []
@@ -1494,6 +1558,25 @@ def _corrupt_checkpoints(tmp_path):
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
     return [tmp_path / name for name in files]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n", 4.7), ("points_per_axis", "9"), ("radius", True), ("step", "0.5"), ("step", True),
+    ("solver_exponent", "3.5"), ("solver_exponent", False), ("history", ["1e3", True]),
+    ("history", [True])],
+    ids=["n-float", "points-str", "radius-bool", "step-str", "step-bool", "exponent-str",
+         "exponent-bool", "history-str", "history-bool"])
+def test_load_checkpoint_refuses_header_values_it_would_coerce(tmp_path, key, value):
+    """Converted, each value reads as a state the solver writes (n: 4.7 as
+    4, a history entry true as 1.0), so only its JSON type is wrong."""
+    cp = tmp_path / "state.ckpt"
+    q_solver = params_for_config(CFG4).q - 0.5
+    _save_checkpoint(cp, CFG4, GRID4, q_solver, 3, 0.5, np.linspace(1.0, 2.0, 28), [1e3])
+    assert load_checkpoint(cp)["step"] == 0.5
+    header, payload = cp.read_bytes().split(b"\n", 1)
+    cp.write_bytes(json.dumps({**json.loads(header), key: value}).encode() + b"\n" + payload)
+    with pytest.raises(VariationalError, match="unusable checkpoint"):
+        load_checkpoint(cp)
 
 
 def test_load_checkpoint_refuses_a_grid_that_cannot_fit(tmp_path):
