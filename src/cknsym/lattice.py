@@ -108,6 +108,21 @@ def _lattice_subgroup(n: int, alpha: int, m: tuple[int, ...]) -> tuple[LatticeEl
     return tuple(elements)
 
 
+def axis_orbits(cfg: SymmetryConfig) -> dict[int, int]:
+    """The orbits of the coordinate axes under the sampling subgroup, as
+    {least axis: size} in axis order.  The subgroup is a group, so axis i's
+    orbit is the set of source[i] over its elements.  Built once per
+    (n, alpha, m), as the subgroup is."""
+    return dict(_axis_orbits(cfg.n, cfg.alpha, cfg.m))
+
+
+@functools.cache
+def _axis_orbits(n: int, alpha: int, m: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    elements = _lattice_subgroup(n, alpha, m)
+    least = [min(e.perm.source[i] for e in elements) for i in range(n)]
+    return tuple((a, least.count(a)) for a in sorted(set(least)))
+
+
 def apply_perm_to_grid(values: np.ndarray, perm: SignedPerm) -> np.ndarray:
     """Compose a grid field with a signed permutation: out(x) = values(g x).
 

@@ -17,14 +17,13 @@ Each step is a Sobolev gradient step (Neuberger): the class gradient
 preconditioned by the p = 2 kinetic Hessian restricted to the class (Wang
 and Zhou), which at p = 2 makes the full step nonlinear inverse iteration.
 The orbit basis S of the class is the only projector the solve applies,
-and the class maps run on plane-radius bins only: on the interior E c is a
-bin tensor gathered through each node's bin, and E^T of a field vanishing
-off it pulls back its sums per bin.  The seed and every accepted gradient
-are read so, and the certificates read the lattice's views of the returned
-field in one pass (``grid_certificates``), with no grid ``symmetrize``.
-No line-search trial builds a grid field (symmetric criticality, Palais):
-B is a weighted sum over the bins, and K is the quadratic form of that
-Hessian at p = 2, else a weighted sum over one interior node per orbit.
+and the class maps E and E^T run on plane-radius bins only (``_BinPass``):
+the seed and every accepted gradient are read so, and the certificates
+read the lattice's views of the returned field in one pass
+(``grid_certificates``), with no grid ``symmetrize``.  No line-search
+trial builds a grid field (symmetric criticality, Palais): B is a weighted
+sum over the bins, and K is the quadratic form of that Hessian at p = 2,
+else a weighted sum over one interior node per orbit (``_OrbitPass``).
 
 Sign-changing structure is certified, not assumed: the returned report
 exhibits a lattice element of character -1 together with the node where it
@@ -58,7 +57,7 @@ from .grid import (
     write_array,
 )
 from .kvdoc import exact_float, exact_int, format_kv, format_value
-from .lattice import SignedPerm, apply_perm_to_grid, lattice_subgroup
+from .lattice import SignedPerm, apply_perm_to_grid, axis_orbits, lattice_subgroup
 from .symmetry import (
     SymmetryConfig,
     config_to_pairs,
@@ -493,7 +492,10 @@ def _class_hessian(energy: "DiscreteEnergy", cfg: SymmetryConfig,
     plane radius, so nodes are binned by the radii at a and a') couples
     coefficients whose tail indices agree, or differ by e_k on a tail axis.
     S gathers it into G per tail index; with the diagonal term halved,
-    H = G + G^T is exactly symmetric.  ``bins``: the plane-radius bins at shift 0."""
+    H = G + G^T is exactly symmetric.  Lattice elements keep the mask and
+    weights and carry axis k's pairs onto those of each axis in its orbit:
+    the pair terms and the diagonal's neighbour sums are built for one axis
+    per orbit, times its size.  ``bins``: the plane-radius bins at shift 0."""
     g = energy.grid
     q, planes = _class_basis(cfg, g)
     col, val, dim = basis
@@ -504,9 +506,11 @@ def _class_hessian(energy: "DiscreteEnergy", cfg: SymmetryConfig,
     w = np.append(energy._w_grad_in, 0.0) * (g.cell_volume / g.h ** 2)  # zero sentinel
     rows, cols = (r, 1) * planes, (1, r) * planes  # i and i' of each plane's pair axes
     acc = np.zeros((dim + 1) ** 2)
-    for k in (None, *range(g.n)):
-        values = (0.5 * (2 * g.n * w[:-1] + sum(w.take(f) + w.take(b) for f, b in zip(fwd, bwd)))
-                  if k is None else np.where(fwd[k] < len(w) - 1, -(w[:-1] + w.take(fwd[k])), 0.0))
+    orbits = axis_orbits(cfg)
+    for k in (None, *orbits):
+        values = (0.5 * (2 * g.n * w[:-1] + sum(s * (w.take(fwd[a]) + w.take(bwd[a]))
+                                                for a, s in orbits.items())) if k is None else
+                  np.where(fwd[k] < len(w) - 1, -orbits[k] * (w[:-1] + w.take(fwd[k])), 0.0))
         shifts = [0 if k is None or k // 2 != p else npts if k % 2 == 0 else 1
                   for p in range(planes)]
         key, firsts = _plane_radius_bins(g, planes, shifts) if any(shifts) else bins
@@ -1009,31 +1013,28 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     of the circle averages over all rotation planes and the exact lattice
     symmetrization, with coefficients c = S y in the orthonormal orbit basis
     S (``class_basis``): the iterate, direction and checkpoint are class
-    coordinates, and the iterate is never re-projected on the grid.  No
-    trial builds a grid field, nor does the first point, fresh or resumed:
-    the peak and B are read on plane-radius bins, and K is y^T H y / 2 at
-    p = 2 (``_BinPass``), else a sum over lattice orbits (``_OrbitPass``).
-    The seed is read on those bins too (its interior values summed per bin)
-    and the returned field is the bin tensor gathered onto the interior: no
-    stage contracts a grid-sized tensor.  The circle averages keep
-    minimizing sequences inside the rotation-invariant profiles the
-    continuum symmetry demands; without them a coarse lattice admits
-    spurious isolated concentration bumps whose discrete energy undercuts
-    the symmetric level and drifts under refinement.  The level estimate
-    reads the final coefficients through the class's own profile and the
-    interpolated bias reads their tail factor on the bins; neither
-    resamples the grid field.
+    coordinates, and the iterate is never re-projected on the grid.  The
+    seed is read, and each trial's peak and B and the returned field are
+    built, on plane-radius bins: no stage contracts a grid-sized tensor.
+    The circle averages keep minimizing sequences inside the
+    rotation-invariant profiles the continuum symmetry demands; without them
+    a coarse lattice admits spurious isolated concentration bumps whose
+    discrete energy undercuts the symmetric level and drifts under
+    refinement.  The level estimate reads the final coefficients through the
+    class's own profile and the interpolated bias reads their tail factor on
+    the bins; neither resamples the grid field.
 
-    The metric H (``_class_hessian``) is diagonalized once per solve, and
-    its eigenvalues below METRIC_CUT of the largest, whose directions leave
-    the ball and carry no energy, are cut.  Armijo runs on the quotient
-    along -H^+ g with slope g . H^+ g, from the step rho B^(p/q), where rho
-    is the last accepted relative step (1, a full metric step, on a fresh
-    solve), halving down to MIN_STEP.  Each trial costs one pass, whose
-    gradient, if accepted, is pulled back into class coordinates through
-    the bins.  The equivariance, the symmetrization gap and the sign
-    certificate of the returned field come from one pass over the lattice
-    (``grid_certificates``); no grid ``symmetrize`` runs.
+    The metric H (``_class_hessian``, one term per axis orbit) is
+    diagonalized once per solve, and its eigenvalues below METRIC_CUT of the
+    largest, whose directions leave the ball and carry no energy, are cut.
+    Armijo runs on the quotient along -H^+ g with slope g . H^+ g, from the
+    step rho B^(p/q), where rho is the last accepted relative step (1, a
+    full metric step, on a fresh solve), halving down to MIN_STEP.  Each
+    trial costs one pass, whose gradient, if accepted, is pulled back into
+    class coordinates through the bins.  The equivariance, the
+    symmetrization gap and the sign certificate of the returned field come
+    from one pass over the lattice (``grid_certificates``); no grid
+    ``symmetrize`` runs.
     A class that projects the seed below 1e-8 of its peak is {0} (the
     circle averages force f = -f on a block of odd complex width) and is
     refused as unsupported.  A grid whose ``solve_peak_bytes`` exceed

@@ -12,6 +12,7 @@ from cknsym.lattice import (
     LatticeElement,
     SignedPerm,
     apply_perm_to_grid,
+    axis_orbits,
     lattice_subgroup,
 )
 from cknsym.enumeration import enumerate_configs
@@ -101,6 +102,25 @@ def test_lattice_subgroup_contains_inverses(cfg):
         inverses = [p for p in table if compose_perms(e.perm, p) == ident]
         assert len(inverses) == 1
         assert table[inverses[0]] == e.sign
+
+
+@pytest.mark.parametrize("cfg, expect", [
+    (SymmetryConfig(4, 0, (1,)), {0: 4}),
+    (SymmetryConfig(5, 0, (1,)), {0: 4, 4: 1}),
+    *[(SymmetryConfig(6, 0, (1, 0), regime), {0: 4, 4: 2}) for regime in REGIMES],
+    (SymmetryConfig(6, 0, (0, 1)), {0: 6}),
+], ids=["4,0,(1,)", "5,0,(1,)", *[f"6,0,(1,0)-{r}" for r in REGIMES], "6,0,(0,1)"])
+def test_axis_orbits_are_the_subgroups_orbits_of_the_axes(cfg, expect):
+    """Each orbit is keyed by its least axis, its size the number of axes
+    the subgroup carries that axis onto; the orbits cover every axis once."""
+    orbits = axis_orbits(cfg)
+    assert orbits == expect and list(orbits) == sorted(orbits)
+    covered = []
+    for rep, size in orbits.items():
+        orbit = {e.perm.source[rep] for e in lattice_subgroup(cfg)}
+        assert min(orbit) == rep and len(orbit) == size
+        covered += orbit
+    assert sorted(covered) == list(range(cfg.n)) and sum(orbits.values()) == cfg.n
 
 
 def test_pinwheel_only_subgroup_has_no_sign_reversal():

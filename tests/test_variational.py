@@ -635,17 +635,39 @@ def test_class_basis_is_orthonormal_and_spans_the_class(cfg, grid):
 @pytest.mark.parametrize("cfg, grid", [
     (CFG4, GRID4), (SymmetryConfig(4, 0, (1,), "a_eq_b_nonzero"), BallGrid(4, 13, 1.0)),
     (SymmetryConfig(5, 0, (1,)), BallGrid(5, 7, 1.0)),
-    (SymmetryConfig(6, 0, (1, 0), "a_eq_b_nonzero"), BallGrid(6, 5, 1.0))],
-    ids=["9^4", "13^4-weighted", "7^5", "5^6-weighted"])
+    (SymmetryConfig(6, 0, (1, 0), "a_eq_b_nonzero"), BallGrid(6, 5, 1.0)),
+    (CFG4, BallGrid(4, 17, 1.0)), (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 7, 1.0))],
+    ids=["9^4", "13^4-weighted", "7^5", "5^6-weighted", "17^4", "7^6"])
 def test_class_hessian_matches_one_energy_pass_per_column(cfg, grid):
-    """The plane-factored build is the masked, weighted p = 2 kinetic
-    Hessian restricted to the class, and exactly symmetric."""
+    """The plane-factored build, one term per lattice orbit of axes, is the
+    masked, weighted p = 2 kinetic Hessian restricted to the class, and
+    exactly symmetric."""
     energy = DiscreteEnergy(grid, params_for_config(cfg))
     basis = class_basis(cfg, grid)
     h = variational._class_hessian(energy, cfg, basis, _plane_bins(cfg, grid))
     expect = class_hessian_by_columns(energy, cfg, basis)
     assert np.max(np.abs(h - expect)) <= 1e-12 * np.max(np.abs(expect))
     assert np.array_equal(h, h.T)
+
+
+@pytest.mark.parametrize("cfg, grid", [(CFG4, GRID4),
+                                       (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 5, 1.0))],
+                         ids=["9^4", "5^6"])
+def test_class_hessian_bins_one_shifted_plane_per_call(monkeypatch, cfg, grid):
+    """Every plane axis of these classes lies in one lattice orbit, so the
+    metric builds one pair term on a plane: one shifted binning, not one
+    per plane axis."""
+    energy = DiscreteEnergy(grid, params_for_config(cfg))
+    basis, bins = class_basis(cfg, grid), _plane_bins(cfg, grid)
+    real, shifted = variational._plane_radius_bins, []
+
+    def counted(g, planes, shifts):
+        shifted.append(any(shifts))
+        return real(g, planes, shifts)
+
+    monkeypatch.setattr(variational, "_plane_radius_bins", counted)
+    variational._class_hessian(energy, cfg, basis, bins)
+    assert shifted == [True]
 
 
 def _plane_bins(cfg, grid):
@@ -1230,8 +1252,8 @@ PINNED_6D_HISTORY = (
 # (PYTHONPATH=src python -m pytest -q) with OpenBLAS's default thread count,
 # and the same under OPENBLAS_NUM_THREADS=1.
 PINNED_P3_HISTORY = (
-    1257.7338126749607, 443.0767147081575, 347.0764185734662, 301.32648769361504,
-    276.6378019694744, 260.14578810072595, 245.2591282285745)
+    1257.7338126749607, 443.0767147081268, 347.0764185732783, 301.32648769344706,
+    276.63780196934664, 260.14578810061454, 245.25912822878072)
 # the same run with the regularised density (|g|^2 + 1e-16)^(p/2) - 1e-8^p,
 # its trials through the orbit pass and then through the interior energy
 # pass on the grid
