@@ -15,7 +15,8 @@ the value of the sign character on the group element it realises.  Nothing
 here restates the group action: each element is a canonical element of
 ``cknsym.symmetry`` with quarter-turn angles, its permutation is read off
 ``to_matrix`` and its sign is ``phi``, so the projection and the diagnostics
-act through the same encoding of the group.
+act through the same encoding of the group.  A solve reads it on nodes only
+through ``interior_images``; ``apply_perm_to_grid`` gives whole-array views.
 """
 
 from __future__ import annotations
@@ -121,6 +122,23 @@ def _axis_orbits(n: int, alpha: int, m: tuple[int, ...]) -> tuple[tuple[int, int
     elements = _lattice_subgroup(n, alpha, m)
     least = [min(e.perm.source[i] for e in elements) for i in range(n)]
     return tuple((a, least.count(a)) for a in sorted(set(least)))
+
+
+def interior_images(cfg: SymmetryConfig, grid, nodes: slice = slice(None)):
+    """Each sampling element g with the flat C-order index of g x for every
+    interior node x (or those at ``nodes`` in ``interior``), in ``interior``
+    order: g keeps the interior, so over all nodes this is a permutation of
+    ``interior``.  One exact float product of the offsets about the centre."""
+    npts, n, inside = grid.points_per_axis, grid.n, grid.interior[nodes]
+    strides = [npts ** (n - 1 - i) for i in range(n)]
+    offsets = np.empty((n, len(inside)))  # axis-major: the product streams each row
+    for i in range(n):
+        offsets[i] = inside // strides[i] % npts - npts // 2
+    for e in lattice_subgroup(cfg):  # (g x)_i = s_i x_source[i]: x_source[i] weighs s_i strides[i]
+        weights = [float(s * t) for _, s, t in sorted(zip(e.perm.source, e.perm.signs, strides))]
+        image = (weights @ offsets).astype(np.intp)
+        image += (npts ** n - 1) // 2  # the centre's index
+        yield e, image
 
 
 def apply_perm_to_grid(values: np.ndarray, perm: SignedPerm) -> np.ndarray:

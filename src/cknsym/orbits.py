@@ -9,7 +9,7 @@ number of g with A_g = A or A_g^c = A (symmetric criticality, Palais)."""
 
 import numpy as np
 
-from .lattice import lattice_subgroup
+from .lattice import interior_images
 from .symmetry import SymmetryConfig
 from .variational import DiscreteEnergy, _BinPass
 
@@ -21,12 +21,9 @@ class _OrbitPass(_BinPass):
     def __init__(self, energy: DiscreteEnergy, cfg: SymmetryConfig, basis: tuple, bins: tuple):
         super().__init__(energy, cfg, basis, bins)
         g, self.h, self.sigma = energy.grid, energy.grid.h, energy._sigma
-        inside, npts, full = g.interior, g.points_per_axis, 2 ** g.n - 1
-        index = np.unravel_index(inside, g.shape)
+        inside, full = g.interior, 2 ** g.n - 1
         low, stab, counts = inside.copy(), np.zeros(len(inside)), np.zeros(full + 1)
-        for e in lattice_subgroup(cfg):
-            moved = np.ravel_multi_index([index[i] if s > 0 else npts - 1 - index[i]  # g x
-                                          for i, s in zip(e.perm.source, e.perm.signs)], g.shape)
+        for e, moved in interior_images(cfg, g):  # moved: g x
             np.minimum(low, moved, out=low)
             stab += moved == inside
             a = sum(1 << i for i, s in zip(e.perm.source, e.perm.signs) if s > 0)  # A_g

@@ -19,8 +19,8 @@ and Zhou), which at p = 2 makes the full step nonlinear inverse iteration.
 The orbit basis S of the class is the only projector the solve applies,
 and the class maps E and E^T run on plane-radius bins only (``_BinPass``):
 the seed and every accepted gradient are read so, and the certificates
-read the lattice's views of the returned field in one pass
-(``grid_certificates``), with no grid ``symmetrize``.  No line-search
+read the returned field, zero off the interior, at the lattice's images of
+it (``grid_certificates``), with no grid ``symmetrize``.  No line-search
 trial builds a grid field (symmetric criticality, Palais): B is a weighted
 sum over the bins, and K is the quadratic form of that Hessian at p = 2,
 else a weighted sum over one interior node per orbit (``_OrbitPass``).
@@ -57,7 +57,7 @@ from .grid import (
     write_array,
 )
 from .kvdoc import exact_float, exact_int, format_kv, format_value
-from .lattice import SignedPerm, apply_perm_to_grid, axis_orbits, lattice_subgroup
+from .lattice import SignedPerm, apply_perm_to_grid, axis_orbits, interior_images, lattice_subgroup
 from .symmetry import (
     SymmetryConfig,
     config_to_pairs,
@@ -75,6 +75,7 @@ INTERPOLATED_SAMPLES = 8  # random full-group elements in the bias diagnostic
 REDUCED_REFINE = 4  # profile table step of the reduced level: grid step / 4
 SEED_OFFSET = 0.55  # seed bump center along the witness, in radii
 SEED_WIDTH = 0.18  # seed bump standard deviation, in radii
+CERTIFICATE_BLOCK = 8192  # interior nodes per certificate block: its vectors stay cache-sized
 WEIGHT_STRENGTH = 0.3  # b of the default weights; a = b scales it under a_eq_b_nonzero
 
 
@@ -758,38 +759,42 @@ class SignCertificate:
                 and self.max_value > 0.0 > self.min_value)
 
 
-def grid_certificates(values: np.ndarray,
-                      cfg: SymmetryConfig) -> tuple[float, float, SignCertificate]:
+def grid_certificates(values: np.ndarray, cfg: SymmetryConfig,
+                      grid: BallGrid) -> tuple[float, float, SignCertificate]:
     """(equivariance, symmetrization gap, sign certificate) of u, relative to
-    sup |u|, from one pass over the sampling subgroup's views of u.
-    Element g gives diff = u(g x) - sign(g) u(x): the equivariance is the
-    worst max |diff|, the gap max |P u - u| (P u - u, P the ``symmetrize``
-    projection, is the mean of sign(g) diff, so the gap never exceeds the
-    equivariance), and the first character -1 element's max |diff| is the
-    certificate's residual.  The pass runs over one leading slice of the
-    grid at a time, so it holds two slices, not two grid arrays."""
+    sup |u|, from one pass over the sampling subgroup on blocks of interior
+    nodes (``interior_images``).  Element g gives diff = u(g x) - sign(g) u(x):
+    the equivariance is the worst max |diff|, the gap max |P u - u| (P the
+    ``symmetrize`` projection: P u - u is the mean of sign(g) diff, so the gap
+    never exceeds the equivariance), and the first character -1 element's
+    max |diff| is the certificate's residual.  Exact, as every element keeps
+    the interior, for a u that vanishes off it; VariationalError on another."""
     elements = lattice_subgroup(cfg)
     flip = next((j for j, e in enumerate(elements) if e.sign < 0), None)
     if flip is None:
         raise UnsupportedConfigError(
             "sampling subgroup has no sign-reversing element; a sign change "
             "cannot be certified on this grid")
-    idx = np.unravel_index(int(np.argmax(np.abs(values))), values.shape)
-    peak = float(abs(values[idx])) or 1.0  # a zero field reads 0 throughout
-    views = [apply_perm_to_grid(values, e.perm) for e in elements]
-    acc, diff = np.empty(values.shape[1:]), np.empty(values.shape[1:])
+    u = values.take(grid.interior)
+    if np.count_nonzero(u) != np.count_nonzero(values):
+        raise VariationalError("the field is nonzero off the interior, which the certificates skip")
+    k = int(np.argmax(np.abs(u)))  # ``interior`` ascends: the grid's first maximum
+    peak = float(abs(u[k])) or 1.0  # a zero field reads 0 throughout
     tops, gap = [0.0] * len(elements), 0.0  # each element's max |diff|, the gap's max
-    for k in range(values.shape[0]):  # one leading slice at a time
-        acc.fill(0.0)
-        for j, (e, moved) in enumerate(zip(elements, views)):
-            # copied, then in place: a ufunc reading the strided view buffers it, slower
-            np.copyto(diff, moved[k])
-            (np.subtract if e.sign > 0 else np.add)(diff, values[k], out=diff)
-            (np.add if e.sign > 0 else np.subtract)(acc, diff, out=acc)
-            tops[j] = max(tops[j], float(np.max(np.abs(diff, out=diff))))
-        gap = max(gap, float(np.max(np.abs(acc, out=acc))))
-    cert = SignCertificate(node_index=tuple(int(i) for i in idx), value=float(values[idx]),
-                           mapped_value=float(views[flip][idx]), element_sign=-1,
+    for lo in range(0, len(u), CERTIFICATE_BLOCK):  # a block of interior nodes at a time
+        block = slice(lo, lo + CERTIFICATE_BLOCK)
+        acc = np.zeros_like(u[block])  # the block's sum of sign(g) diff
+        for j, (e, image) in enumerate(interior_images(cfg, grid, block)):
+            diff = values.take(image)
+            if j == flip and lo <= k < lo + CERTIFICATE_BLOCK:
+                mapped = float(diff[k - lo])
+            diff -= e.sign * u[block]  # sign(g) = +-1: every product is exact
+            acc += e.sign * diff
+            tops[j] = max(tops[j], float(abs(diff).max()))
+        gap = max(gap, float(abs(acc).max()))
+    idx = np.unravel_index(grid.interior[k], values.shape)
+    cert = SignCertificate(node_index=tuple(map(int, idx)), value=float(u[k]),
+                           mapped_value=mapped, element_sign=-1,
                            antisymmetry_residual=tops[flip] / peak,
                            max_value=float(values.max()), min_value=float(values.min()))
     return max(tops) / peak, gap / len(elements) / peak, cert
@@ -961,9 +966,9 @@ def solve_peak_bytes(grid: BallGrid, dim: int = 0) -> int:
         summation array, 2, then the largest of: the energy pass on w, one
         difference stack of interior vectors at a time, (2n + 5) M; the
         reduced level estimate, 3 tables (the profile, its kinetic
-        integrand, slices of the rest); the certificates, 1 (|w| for the
-        argmax, then two leading slices); the bias, run on the bins before
-        the trial pass is released, fits in the energy pass's term;
+        integrand, slices of the rest); the certificates, 2 interior
+        vectors and n + 6 of a block, and the bias, run on the bins before
+        the trial pass is released, fit in the energy pass's term;
     - the class tensors (a trial's coefficients, the pull-back's plane
       contractions, the basis; at most N^(n-2) entries each) and the plane
       tables fit in the mask's unused 7/8; the lattice subgroup (38 KB for
@@ -971,7 +976,7 @@ def solve_peak_bytes(grid: BallGrid, dim: int = 0) -> int:
     Building the mask peaks lower than the end.  eigh's LAPACK workspace
     (about 2.35 dim^2 more, untraced) is not counted.  A whole solve
     traced with tracemalloc, after numpy.random's first-use import, peaks
-    at 0.83 to 0.84 of this bound at 13^4, 0.85 at 21^4, 0.78 to 0.84 at
+    at 0.83 to 0.84 of this bound at 13^4, 0.85 at 21^4, 0.77 to 0.84 at
     7^5 to 11^5 and 0.77 to 0.82 at 5^6 to 11^6, at p = 2 and p = 3 alike.
     """
     cube = math.prod(grid.shape)
@@ -979,7 +984,7 @@ def solve_peak_bytes(grid: BallGrid, dim: int = 0) -> int:
     n_r = int(math.ceil(grid.radius / (grid.h / REDUCED_REFINE)))  # as reduced_level_estimate
     tables = n_r ** 2 * (2 * n_r) ** max(grid.n - 4, 0)
     metric = dim * dim + max((2 * grid.n + 5) * inside, cube + dim * dim)
-    end = 2 * cube + max((2 * grid.n + 5) * inside, 3 * tables, cube)
+    end = 2 * cube + max((2 * grid.n + 5) * inside, 3 * tables)
     return (cube + (2 * grid.n + 3) * inside + max(metric, end)) * 8 + 2 ** 16
 
 
@@ -1033,8 +1038,8 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     trial costs one pass, whose gradient, if accepted, is pulled back into
     class coordinates through the bins.  The equivariance, the
     symmetrization gap and the sign certificate of the returned field come
-    from one pass over the lattice (``grid_certificates``); no grid
-    ``symmetrize`` runs.
+    from one pass on the interior (``grid_certificates``), exact as w is 0
+    off it and every element keeps it; no grid ``symmetrize`` runs.
     A class that projects the seed below 1e-8 of its peak is {0} (the
     circle averages force f = -f on a block of odd complex width) and is
     refused as unsupported.  A grid whose ``solve_peak_bytes`` exceed
@@ -1190,7 +1195,7 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
             f"at radius {grid.radius:g} these values of the candidate are "
             f"not positive finite floats: {', '.join(out_of_range)}; rescale the problem "
             f"to a radius nearer 1")
-    equivariance, sym_gap, cert = grid_certificates(w, cfg)  # of the returned field
+    equivariance, sym_gap, cert = grid_certificates(w, cfg, grid)  # of the returned field
     if not cert.certifies_sign_change or equivariance > 1e-8:
         raise VariationalError(
             f"the candidate breaks the solver's promise: sign change certified "

@@ -8,7 +8,9 @@ the whole cube, which the bin maps are checked against, the class
 projection through the tensor average that the pull-back through S is
 checked against, the pointwise read of a class profile that the
 interpolated bias is checked against, the class Hessian by one energy pass per column, which the
-factored build is checked against, the all-pairs code closure that the
+factored build is checked against, the certificates read over every
+lattice element's view of the whole cube, which the interior read is
+checked against, the all-pairs code closure that the
 orbit-representative one is checked against, the recursive multiplicity
 tuples that the flat enumeration is checked against, and a traced heap peak."""
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from cknsym.grid import BallGrid
 from cknsym.kvdoc import get_float, get_int, get_ints, parse_kv
-from cknsym.lattice import SignedPerm, apply_perm_to_grid
+from cknsym.lattice import SignedPerm, apply_perm_to_grid, lattice_subgroup
 from cknsym.symmetry import (
     GroupOperationError,
     InvalidConfigError,
@@ -34,6 +36,8 @@ from cknsym.variational import (
     INTERPOLATED_SAMPLES,
     DiscreteEnergy,
     ProblemParams,
+    SignCertificate,
+    UnsupportedConfigError,
     VariationalError,
     _axis_weights,
     _class_basis,
@@ -265,6 +269,39 @@ def class_hessian_by_columns(energy: DiscreteEnergy, cfg: SymmetryConfig,
         gk = energy.evaluate(class_field(c, cfg, grid))[2]
         out[:, j] = class_coordinates(to_cube(grid, gk), cfg, grid, basis)
     return out
+
+
+def view_certificates(values: np.ndarray,
+                      cfg: SymmetryConfig) -> tuple[float, float, SignCertificate]:
+    """``grid_certificates`` read over the whole cube, through each lattice
+    element's view of u, one leading slice at a time: the interior read is
+    checked against it bit for bit, and it also accepts a field that is
+    nonzero off the interior."""
+    elements = lattice_subgroup(cfg)
+    flip = next((j for j, e in enumerate(elements) if e.sign < 0), None)
+    if flip is None:
+        raise UnsupportedConfigError(
+            "sampling subgroup has no sign-reversing element; a sign change "
+            "cannot be certified on this grid")
+    idx = np.unravel_index(int(np.argmax(np.abs(values))), values.shape)
+    peak = float(abs(values[idx])) or 1.0  # a zero field reads 0 throughout
+    views = [apply_perm_to_grid(values, e.perm) for e in elements]
+    acc, diff = np.empty(values.shape[1:]), np.empty(values.shape[1:])
+    tops, gap = [0.0] * len(elements), 0.0  # each element's max |diff|, the gap's max
+    for k in range(values.shape[0]):  # one leading slice at a time
+        acc.fill(0.0)
+        for j, (e, moved) in enumerate(zip(elements, views)):
+            # copied, then in place: a ufunc reading the strided view buffers it, slower
+            np.copyto(diff, moved[k])
+            (np.subtract if e.sign > 0 else np.add)(diff, values[k], out=diff)
+            (np.add if e.sign > 0 else np.subtract)(acc, diff, out=acc)
+            tops[j] = max(tops[j], float(np.max(np.abs(diff, out=diff))))
+        gap = max(gap, float(np.max(np.abs(acc, out=acc))))
+    cert = SignCertificate(node_index=tuple(int(i) for i in idx), value=float(values[idx]),
+                           mapped_value=float(views[flip][idx]), element_sign=-1,
+                           antisymmetry_residual=tops[flip] / peak,
+                           max_value=float(values.max()), min_value=float(values.min()))
+    return max(tops) / peak, gap / len(elements) / peak, cert
 
 
 def traced_peak(call) -> int:

@@ -292,8 +292,8 @@ def test_solve_refuses_a_candidate_that_breaks_its_promise(tmp_path, capsys, mon
                                                            broken):
     real = variational.grid_certificates
 
-    def doctored(values, cfg):
-        equivariance, gap, cert = real(values, cfg)
+    def doctored(values, cfg, grid):
+        equivariance, gap, cert = real(values, cfg, grid)
         if broken == "certificate":
             return equivariance, gap, dataclasses.replace(cert, element_sign=1)
         return 1e-3, gap, cert
