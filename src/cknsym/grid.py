@@ -8,10 +8,10 @@ makes np.roll a safe (exact) shift: wraparound only ever transports zeros.
 
 Differences come in forward/backward pairs with exact adjoints, so energy
 gradients can be assembled without any boundary bookkeeping.  The roll
-stencils ``forward_diffs``/``backward_diffs`` are the reference; the energy
-pass reads the same differences on interior nodes only, through the cached
-``interior`` indices and ``neighbours`` tables, where a neighbour off the
-interior points at a zero sentinel.  Quadrature is midpoint; radial weights
+stencils ``forward_diffs``/``backward_diffs`` give them over the whole cube;
+the energy pass reads the same differences on interior nodes only, through
+the cached ``interior`` indices and ``neighbours`` tables, where a
+neighbour off the interior points at a zero sentinel.  Quadrature is midpoint; radial weights
 |x|^(-c) are tabulated on the interior with the radius floored at h*sqrt(n)/4
 (the midpoint between the origin cell's center and its farthest corner) so
 the origin cell carries a finite representative value instead of a singularity.

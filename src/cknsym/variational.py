@@ -20,10 +20,10 @@ The orbit basis S of the class is the only projector the solve applies,
 and the class maps E and E^T run on plane-radius bins only (``_BinPass``):
 the seed and every accepted gradient are read so, and the certificates
 read the returned field, zero off the interior, at the lattice's images of
-it (``grid_certificates``), with no grid ``symmetrize``.  No line-search
-trial builds a grid field (symmetric criticality, Palais): B is a weighted
-sum over the bins, and K is the quadratic form of that Hessian at p = 2,
-else a weighted sum over one interior node per orbit (``_OrbitPass``).
+it (``grid_certificates``).  No line-search trial builds a grid field
+(symmetric criticality, Palais): B is a weighted sum over the bins, and K
+is the quadratic form of that Hessian at p = 2, else a weighted sum over
+one interior node per orbit (``_OrbitPass``).
 
 Sign-changing structure is certified, not assumed: the returned report
 exhibits a lattice element of character -1 together with the node where it
@@ -169,17 +169,16 @@ class DiscreteEnergy:
     is the closed form t^(q - p) = K / B.  Its derivative factor
     |g|^(p - 2) is read as 1 where g = 0, where it only ever multiplies a
     zero difference (for p > 1, |g|^(p - 2) g tends to 0 there).  Gradients
-    are assembled with the exact difference adjoints and are zero off the
+    are assembled with the exact difference adjoints and vanish off the
     interior mask, making them true derivatives of the discrete value:
     finite-difference tests hold to square-root machine precision.
 
     ``evaluate`` is the one energy pass: one build of the difference stacks
     on the interior nodes (through the grid's neighbour tables) yields K, B
-    and both node gradients as interior vectors; the other methods are
-    views, and ``gradient`` scatters its vector onto the grid.  ``kinetic``
-    keeps the roll stencils over the whole cube as the reference the
-    interior pass reproduces bit for bit.  ``solve`` runs ``evaluate`` on
-    the end-of-run field only.
+    and both node gradients from an interior vector, summed over interior
+    vectors.  ``kinetic`` and ``potential`` read a grid field, the kinetic
+    through the roll stencils over the whole cube; no solve runs them.
+    ``solve`` runs ``evaluate`` on the end-of-run field only.
     """
 
     def __init__(self, grid: BallGrid, params: ProblemParams):
@@ -202,21 +201,6 @@ class DiscreteEnergy:
     def _w_pot_in(self) -> np.ndarray:
         return self.grid.weight_values(self.params.potential_weight_exponent)
 
-    @cached_property
-    def _cube(self) -> np.ndarray:
-        return np.zeros(self.grid.shape)
-
-    def _cube_sum(self, values: np.ndarray) -> np.float64:
-        """np.sum of the cube holding values on the interior and 0 elsewhere.
-
-        The sum runs over the whole cube, not the interior vector, because
-        numpy's pairwise summation order depends on where the terms sit:
-        this keeps K and B bit-identical to the full-cube sums of the roll
-        stencils.  The cube's off-interior zeros are never written.
-        """
-        self._cube.reshape(-1)[self.grid.interior] = values
-        return np.sum(self._cube)
-
     def _psi(self, sq: np.ndarray) -> np.ndarray:
         return sq ** (self.params.p / 2.0)
 
@@ -226,7 +210,7 @@ class DiscreteEnergy:
 
     def _stacks(self, u: np.ndarray) -> tuple[np.ndarray, ...]:
         """Masked field, forward and backward stacks over the whole cube by
-        the roll stencils, and their nodewise |.|^2: the reference."""
+        the roll stencils, and their nodewise |.|^2."""
         g = self.grid
         u = u * g.mask  # off-ball values are gauge: the form reads zeros there
         fw = forward_diffs(g, u)
@@ -235,27 +219,25 @@ class DiscreteEnergy:
 
     def _potential(self, uv: np.ndarray) -> float:
         """B from the interior values."""
-        q = self.params.q
-        return float(self.grid.cell_volume * self._cube_sum(self._w_pot_in * np.abs(uv) ** q))
+        return float(self.grid.cell_volume * np.sum(self._w_pot_in * np.abs(uv) ** self.params.q))
 
-    def evaluate(self, u: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
-        """(K, B, dK/du, dB/du) from one build of the interior difference stacks;
-        the gradients are interior vectors (length M, in ``grid.interior``
-        order), as both vanish off the interior.
+    def evaluate(self, uv: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
+        """(K, B, dK/du, dB/du) from one build of the interior difference
+        stacks, for the interior values uv (length M, in ``grid.interior``
+        order); the gradients are interior vectors too, as both vanish off
+        the interior.
 
-        The interior values carry a zero sentinel (length M + 1) that every
-        neighbour off the interior reads, which is what the masked field
-        holds there, so each stack entry is the roll stencil's value at that
-        node, in the same operation order.  The stacks are built one at a
-        time, the backward one negated: its squares and the terms of its
-        adjoint are the same bits.
+        The values carry a zero sentinel (length M + 1) that every neighbour
+        off the interior reads, which is what the masked field holds there,
+        so each stack entry is the roll stencil's value at that node, in the
+        same operation order.  The stacks are built one at a time, the
+        backward one negated: its squares and the terms of its adjoint are
+        the same bits.
         """
         g = self.grid
         q = self.params.q
         fwd, bwd = g.neighbours
-        ue = np.zeros(fwd.shape[1] + 1)
-        uv = ue[:-1]
-        np.reshape(u, g.shape).take(g.interior, out=uv, mode="clip")
+        ue = np.append(uv, 0.0)
         te = np.zeros(ue.shape)  # one weighted axis, with the zero sentinel
         t = te[:-1]
         sq, parts = [], []  # per stack: the nodewise |.|^2 and the kinetic gradient
@@ -274,7 +256,7 @@ class DiscreteEnergy:
         gb = q * g.cell_volume * self._w_pot_in * np.power(
             np.abs(uv), q - 2.0, out=np.ones(uv.shape), where=uv != 0.0) * uv
         dens = self._psi(sq[0]) + self._psi(sq[1])
-        return (float(0.5 * g.cell_volume * self._cube_sum(self._w_grad_in * dens)),
+        return (float(0.5 * g.cell_volume * np.sum(self._w_grad_in * dens)),
                 self._potential(uv), gk, gb)
 
     def kinetic(self, u: np.ndarray) -> float:
@@ -284,16 +266,6 @@ class DiscreteEnergy:
 
     def potential(self, u: np.ndarray) -> float:
         return self._potential(np.reshape(u, self.grid.shape).take(self.grid.interior))
-
-    def value(self, u: np.ndarray) -> float:
-        return self.kinetic(u) / self.params.p - self.potential(u) / self.params.q
-
-    def gradient(self, u: np.ndarray) -> np.ndarray:
-        """d value / d node as a grid field, exactly; vanishes off the interior mask."""
-        _, _, gk, gb = self.evaluate(u)
-        out = np.zeros(self.grid.shape)
-        out.reshape(-1)[self.grid.interior] = gk / self.params.p - gb / self.params.q
-        return out
 
     def quotient(self, u: np.ndarray) -> float:
         """Scale-invariant ratio K / B^(p/q); its minimizers are the Nehari ones."""
@@ -310,19 +282,6 @@ class DiscreteEnergy:
             return (1.0 / p - 1.0 / q) * quotient ** (q / (q - p))
         except OverflowError:  # a float power raises where a product reads inf
             return math.inf
-
-
-# --------------------------------------------------------------------------
-# symmetrization and certificates
-
-
-def symmetrize(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) -> np.ndarray:
-    """Average sign(g) * u(g x) over the sampling subgroup: an exact projection."""
-    elements = lattice_subgroup(cfg)
-    acc = np.zeros(grid.shape)
-    for e in elements:  # in place, reading each element's permuted view of values
-        (np.add if e.sign > 0 else np.subtract)(acc, apply_perm_to_grid(values, e.perm), out=acc)
-    return np.divide(acc, len(elements), out=acc)
 
 
 def _catmull_rom_matrix(t: np.ndarray, size: int, radial: bool) -> np.ndarray:
@@ -383,8 +342,9 @@ def _plane_profile_basis(points_per_axis: int, radius: float) -> tuple[np.ndarra
 # ... ahead of the tail.  E is orthonormal, and lattice elements carry planes
 # onto planes keeping plane radii, so each element g acting on the grid
 # satisfies g E = E R_g for a signed permutation R_g of the tensor's axes:
-# E^T symmetrize = P E^T, P the signed average of R_g on the tensor.  P is an
-# orthogonal projector whose range the orbit basis S spans, so S^T P = S^T.
+# E^T A = P E^T, A the signed lattice average on the grid and P that of R_g
+# on the tensor.  P is an orthogonal projector whose range the orbit basis S
+# spans, so S^T P = S^T.
 
 
 def _class_basis(cfg: SymmetryConfig, grid: BallGrid) -> tuple[np.ndarray, int]:
@@ -397,7 +357,8 @@ def _class_basis(cfg: SymmetryConfig, grid: BallGrid) -> tuple[np.ndarray, int]:
 def _tensor_action(n: int, alpha: int, m: tuple[int, ...],
                    planes: int) -> tuple[tuple[SignedPerm, float], ...]:
     """The sampling subgroup of (n, alpha, m) (any regime) as it acts on
-    class coefficients: pairs (R, w) with sum_R w R c = E^T symmetrize(E c).
+    class coefficients: pairs (R, w) with sum_R w R c = E^T A E c, A the
+    signed lattice average on the grid.
 
     Element g carries plane k onto plane source[2k] // 2, unsigned (Q rows
     depend only on the plane radius), and tail axis j onto tail axis
@@ -542,17 +503,17 @@ class _BinPass:
     so the class field is U = E_d c on the bins, E_d contracting each plane
     axis with Q_d, the rows of Q at the distinct plane radii: on the
     interior E c is U gathered through the bin key, and E^T of a field
-    vanishing off it is E_d^T of its sums per bin.  The cube is a product of planes
-    and tail lines, so every bin holds a node: max |U| is the grid field's
-    peak.  K = y^T H y / 2 exactly, H the p = 2 kinetic Hessian in the
-    class.  B is h^n sum W |U|^q, W the interior potential weights summed
-    per bin (zero on bins off the ball), and its class gradient is S^T E_d^T
-    of q h^n W |U|^(q-2) U.  A trial makes no grid- or interior-sized array.
+    vanishing off it is E_d^T of its sums per bin.  The cube is a product
+    of planes and tail lines, so every bin holds a node: max |U| is the grid
+    field's peak.  K = y^T H y / 2 exactly, H the p = 2 kinetic Hessian in
+    the class, which ``solve`` sets as ``hessian`` once the seed is read.  B
+    is h^n sum W |U|^q, W the interior potential weights summed per bin
+    (zero on bins off the ball), and its class gradient is S^T E_d^T of
+    q h^n W |U|^(q-2) U.  A trial makes no grid- or interior-sized array.
     """
 
-    def __init__(self, energy: DiscreteEnergy, cfg: SymmetryConfig, basis: tuple, bins: tuple,
-                 hessian: np.ndarray | None = None):
-        self.basis, self.hessian, self.p, self.q = basis, hessian, energy.params.p, energy.params.q
+    def __init__(self, energy: DiscreteEnergy, cfg: SymmetryConfig, basis: tuple, bins: tuple):
+        self.basis, self.p, self.q = basis, energy.params.p, energy.params.q
         self.grid = g = energy.grid
         q, self.planes = _class_basis(cfg, g)
         self.key, firsts = bins
@@ -563,11 +524,6 @@ class _BinPass:
 
     def field(self, coefficients: np.ndarray) -> np.ndarray:
         return _contract_planes(coefficients, [self.rows] * self.planes)
-
-    def grid_field(self, coefficients: np.ndarray) -> np.ndarray:  # E c: U on the interior
-        out = np.zeros(self.grid.shape)
-        out.reshape(-1)[self.grid.interior] = self.field(coefficients).take(self.key)
-        return out
 
     def read(self, values: np.ndarray) -> np.ndarray:  # S^T E^T u, u zero off the interior
         sums = np.bincount(self.key, np.reshape(values, -1).take(self.grid.interior),
@@ -764,10 +720,10 @@ def grid_certificates(values: np.ndarray, cfg: SymmetryConfig,
     """(equivariance, symmetrization gap, sign certificate) of u, relative to
     sup |u|, from one pass over the sampling subgroup on blocks of interior
     nodes (``interior_images``).  Element g gives diff = u(g x) - sign(g) u(x):
-    the equivariance is the worst max |diff|, the gap max |P u - u| (P the
-    ``symmetrize`` projection: P u - u is the mean of sign(g) diff, so the gap
-    never exceeds the equivariance), and the first character -1 element's
-    max |diff| is the certificate's residual.  Exact, as every element keeps
+    the equivariance is the worst max |diff|, the gap max |A u - u| (A the
+    signed lattice average, a projection: A u - u is the mean of sign(g)
+    diff, so the gap never exceeds the equivariance), and the first
+    character -1 element's max |diff| is the certificate's residual.  Exact, as every element keeps
     the interior, for a u that vanishes off it; VariationalError on another."""
     elements = lattice_subgroup(cfg)
     flip = next((j for j, e in enumerate(elements) if e.sign < 0), None)
@@ -952,45 +908,48 @@ def solve_peak_bytes(grid: BallGrid, dim: int = 0) -> int:
     Counted from the code in grid arrays of N^n floats, interior vectors of
     M = ``_interior_count`` entries and reduced-level profile tables of
     n_r^2 (2 n_r)^(n - 4) entries, n_r = 2(N - 1) (two rotation planes, the
-    fewest any accepted class averages), with the boolean mask counted as a
-    full array and an index as a float:
-    - held throughout: the mask, 1; the interior indices and neighbour
-      tables, (2n + 1) M; the energy's two interior weights, 2 M; then
-    - the larger of two phases:
-      - the metric: H, dim^2, and either its build (at most 2n + 5 interior
-        vectors, the orbit tables' at p != 2 included) or 1 array (the seed)
-        and eigh's eigenvectors, dim^2; the descent's H, kept eigenvectors,
-        bin key, bin tensors and tables fit in it;
-      - the end of the run, after the eigenvectors are dropped: the returned
-        field (rescaled in place onto the Nehari manifold) and the energy's
-        summation array, 2, then the largest of: the energy pass on w, one
-        difference stack of interior vectors at a time, (2n + 5) M; the
-        reduced level estimate, 3 tables (the profile, its kinetic
-        integrand, slices of the rest); the certificates, 2 interior
-        vectors and n + 6 of a block, and the bias, run on the bins before
-        the trial pass is released, fit in the energy pass's term;
-    - the class tensors (a trial's coefficients, the pull-back's plane
-      contractions, the basis; at most N^(n-2) entries each) and the plane
-      tables fit in the mask's unused 7/8; the lattice subgroup (38 KB for
-      (6, 0, (1, 0))) and the other caches in a fixed 64 KiB.
-    Building the mask peaks lower than the end.  eigh's LAPACK workspace
-    (about 2.35 dim^2 more, untraced) is not counted.  A whole solve
-    traced with tracemalloc, after numpy.random's first-use import, peaks
-    at 0.83 to 0.84 of this bound at 13^4, 0.85 at 21^4, 0.77 to 0.84 at
-    7^5 to 11^5 and 0.77 to 0.82 at 5^6 to 11^6, at p = 2 and p = 3 alike.
+    fewest any accepted class averages), with an index counted as a float:
+    - held throughout: the boolean mask, 1/8, and the class tensors (each
+      at most N^(n-2) entries) and plane tables in as much again; the
+      interior indices and neighbour tables, (2n + 1) M; the energy's two
+      weights, 2 M; the bin key, or at the end the field's interior values,
+      M; the lattice subgroup (38 KB for (6, 0, (1, 0))) and other caches in
+      a fixed 64 KiB; then the largest of four phases:
+      - 1 array (the seed, the float index squares behind the mask, or the
+        neighbour build's index cube) and 3 vectors (the seed's interior
+        values, and at p != 2 the orbit pass's least nodes and stabilizers);
+      - the metric, after the seed is read: H, dim^2, and either its build,
+        at most 2n + 5 vectors, or eigh's eigenvectors (or H + H^T), dim^2,
+        and 8 vectors (H's weights, the orbit pass's tables and a trial's
+        arrays at p != 2), then 128 KiB of ufunc buffers for H + H^T;
+      - the end of the run, on interior vectors: the energy pass, one
+        difference stack at a time, (2n + 5) M, or the reduced level
+        estimate, 3 tables (the profile, its kinetic integrand, slices of
+        the rest);
+      - the certificates: the returned field, built last, 1, and the |.| of
+        its interior values, M, or n + 6 vectors of a block of
+        CERTIFICATE_BLOCK nodes (or of M, if fewer).
+    eigh's LAPACK workspace (about 2.35 dim^2 more, untraced) is not
+    counted.  A 4-iteration solve traced with tracemalloc, after
+    numpy.random's first-use import, peaks at 0.74 to 0.97 of this bound at
+    9^4 to 25^4, 0.86 to 0.96 at 7^5 to 11^5 and 0.84 to 0.94 at 5^6 to
+    11^6, at p = 2 and p = 3; a 3-iteration 13^6 solve at 0.84.
     """
     cube = math.prod(grid.shape)
     inside = _interior_count(grid)
     n_r = int(math.ceil(grid.radius / (grid.h / REDUCED_REFINE)))  # as reduced_level_estimate
     tables = n_r ** 2 * (2 * n_r) ** max(grid.n - 4, 0)
-    metric = dim * dim + max((2 * grid.n + 5) * inside, cube + dim * dim)
-    end = 2 * cube + max((2 * grid.n + 5) * inside, 3 * tables)
-    return (cube + (2 * grid.n + 3) * inside + max(metric, end)) * 8 + 2 ** 16
+    stage = (2 * grid.n + 5) * inside  # the energy pass, or the metric's build
+    block = min(CERTIFICATE_BLOCK, inside)
+    phase = max(cube + 3 * inside, dim * dim + max(stage, dim * dim + 8 * inside) + 2 ** 14,
+                stage, 3 * tables, cube + max(inside, (grid.n + 6) * block))
+    return int((cube / 4 + (2 * grid.n + 4) * inside + phase) * 8) + 2 ** 16
 
 
 def _refuse_unfit(grid: BallGrid, dim: int = 0) -> None:
-    """VariationalError when ``solve_peak_bytes`` exceeds physical memory."""
-    need = solve_peak_bytes(grid, dim)
+    """VariationalError when ``solve_peak_bytes`` and eigh's untraced LAPACK
+    workspace (2.35 dim^2 floats, measured) exceed physical memory."""
+    need = solve_peak_bytes(grid, dim) + int(2.35 * 8 * dim * dim)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise VariationalError(
@@ -1008,19 +967,20 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     energy through a strictly increasing map, so the recorded energy history
     is the (monotone) sequence of Nehari levels of the iterates.  Working on
     normalized fields sidesteps the large Nehari amplitudes that appear when
-    the solver exponent sits close to p.  The returned field is the final
-    iterate rescaled in place onto the Nehari manifold, by the closed-form
-    scale t^(q - p) = K / B that the last pass gives (K and B are exactly
-    p- and q-homogeneous); one energy pass on it then gives every
-    end-of-run scalar.
+    the solver exponent sits close to p.  The end of a run holds interior
+    vectors: the final class field's interior values, rescaled in place
+    onto the Nehari manifold by the closed-form scale t^(q - p) = K / B of
+    the last pass (K and B are exactly p- and q-homogeneous), give every
+    end-of-run scalar in one energy pass; the returned field is built last.
 
     The iterate lives in the coordinates y of the working class, the range
     of the circle averages over all rotation planes and the exact lattice
     symmetrization, with coefficients c = S y in the orthonormal orbit basis
     S (``class_basis``): the iterate, direction and checkpoint are class
     coordinates, and the iterate is never re-projected on the grid.  The
-    seed is read, and each trial's peak and B and the returned field are
-    built, on plane-radius bins: no stage contracts a grid-sized tensor.
+    seed is read, before the metric is built, and each trial's peak and B
+    and the returned field are built, on plane-radius bins: no stage
+    contracts a grid-sized tensor.
     The circle averages keep minimizing sequences inside the
     rotation-invariant profiles the continuum symmetry demands; without them
     a coarse lattice admits spurious isolated concentration bumps whose
@@ -1039,10 +999,10 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     class coordinates through the bins.  The equivariance, the
     symmetrization gap and the sign certificate of the returned field come
     from one pass on the interior (``grid_certificates``), exact as w is 0
-    off it and every element keeps it; no grid ``symmetrize`` runs.
-    A class that projects the seed below 1e-8 of its peak is {0} (the
-    circle averages force f = -f on a block of odd complex width) and is
-    refused as unsupported.  A grid whose ``solve_peak_bytes`` exceed
+    off it and every element keeps it.  A class that projects the seed
+    below 1e-8 of its peak is {0} (the circle averages force f = -f on a
+    block of odd complex width) and is refused as unsupported, before the
+    metric is built.  A grid whose ``solve_peak_bytes`` exceed
     physical memory is refused before anything is allocated.  A candidate
     whose sign change is not certified or whose returned field's
     equivariance residual exceeds 1e-8 is refused, not reported.
@@ -1086,14 +1046,12 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
             raise VariationalError("checkpoint field vanishes")
         start_iter, rho, history = state["iteration"], state["step"], list(state["history"])
 
-    # the metric: the p = 2 kinetic Hessian in class coordinates, inverted on
-    # the directions that carry energy (the others leave the ball)
+    # the seed is read, and a {0} class refused, before the metric is built
     _refuse_unfit(grid, dim)
     planes = _class_basis(cfg, grid)[1]
     bins = _plane_radius_bins(grid, planes, [0] * planes)  # the metric's and the trials'
-    hessian = _class_hessian(energy, cfg, basis, bins)
-    if work.p == 2.0:  # the kinetic form is the quadratic form of H
-        trials = _BinPass(energy, cfg, basis, bins, hessian)
+    if work.p == 2.0:
+        trials = _BinPass(energy, cfg, basis, bins)
     else:  # imported here, so a p = 2 solve never compiles the orbit pass
         from .orbits import _OrbitPass
         trials = _OrbitPass(energy, cfg, basis, bins)
@@ -1106,6 +1064,11 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
                 f"averages, then lattice symmetrization) leaves {peak:.2g} "
                 f"of its peak, so there is no sign-changing candidate to certify")
         y, start_iter, rho = y / peak, 0, 1.0
+    # the metric: the p = 2 kinetic Hessian in class coordinates, inverted on
+    # the directions that carry energy (the others leave the ball)
+    hessian = _class_hessian(energy, cfg, basis, bins)
+    if work.p == 2.0:  # the kinetic form is the quadratic form of H
+        trials.hessian = hessian
     lam, vec = np.linalg.eigh(hessian)
     keep = lam > METRIC_CUT * lam[-1]
     lam, vec = lam[keep], vec[:, keep]
@@ -1163,25 +1126,25 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
         _save_checkpoint(options.checkpoint_path, cfg, grid, q_solver, it, rho, y, history)
 
     c = coefficients(y)
-    w = trials.grid_field(c)  # zero off the interior
+    u = trials.field(c).take(trials.key)  # the class field on the interior
     bias = interpolated_equivariance_bias(c, cfg, grid, trials)  # on the bins, before they go
     grad = values = trials = vec = None  # spent: d holds the final gradient's class coordinates
     rel = _relative_residual(y, d, quot)
     min_rel = min(min_rel, rel)
     p, q = work.p, work.q
     # on an extreme radius the Nehari amplitude, and with it the energies of
-    # w, can leave the float range: such a candidate is refused below, so
+    # u, can leave the float range: such a candidate is refused below, so
     # numpy's overflow warnings are not wanted while it is measured
     with np.errstate(over="ignore", invalid="ignore"):
         # onto the Nehari manifold: t^(q - p) = K / B, which the last pass
         # gives as quot * scale^(1 - q/p), scale = B^(p/q)
-        w *= (quot * np.float64(scale) ** (1.0 - q / p)) ** (1.0 / (q - p))
-        # one energy pass gives every end-of-run scalar of w
-        kin_w, pot_w, grad_w, gb_w = energy.evaluate(w)
+        u *= (quot * np.float64(scale) ** (1.0 - q / p)) ** (1.0 / (q - p))
+        # one energy pass gives every end-of-run scalar of u
+        kin_w, pot_w, grad_w, gb_w = energy.evaluate(u)
         grad_w /= p  # d J / d node, in place: gk / p - gb / q
         grad_w -= gb_w / q
         del gb_w
-        grad_norm = float(np.sqrt(energy._cube_sum(grad_w * grad_w) / grid.cell_volume))
+        grad_norm = float(np.sqrt(np.sum(grad_w * grad_w) / grid.cell_volume))
         del grad_w
         level_estimate = reduced_level_estimate(c, cfg, grid, work)
     # a Nehari scale of inf or 0 shows as a kinetic and potential of nan or 0
@@ -1195,6 +1158,9 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
             f"at radius {grid.radius:g} these values of the candidate are "
             f"not positive finite floats: {', '.join(out_of_range)}; rescale the problem "
             f"to a radius nearer 1")
+    w = np.zeros(grid.shape)  # the returned field, the solve's one grid array at its end
+    w.reshape(-1)[grid.interior] = u
+    del u
     equivariance, sym_gap, cert = grid_certificates(w, cfg, grid)  # of the returned field
     if not cert.certifies_sign_change or equivariance > 1e-8:
         raise VariationalError(

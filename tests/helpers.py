@@ -1,6 +1,8 @@
 """Test helpers that no command or solve path calls: the grid's nodes as a
 point cloud and the pointwise sampler the seed is checked against, the
-closed-form energies behind criterion 8, a typed reader of ``report.txt``,
+grid symmetrization (the signed lattice average), the energy value and its
+node gradient as a grid field, the closed-form energies behind criterion
+8, a typed reader of ``report.txt``,
 signed permutations acting on points and composed, the quotient and its node
 gradient from one interior energy pass, which the solver's trial passes
 are checked against, the class synthesis E and its adjoint contracted over
@@ -236,6 +238,15 @@ def pointwise_bias(coefficients: np.ndarray, cfg: SymmetryConfig, grid: BallGrid
     return worst / peak
 
 
+def symmetrize(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) -> np.ndarray:
+    """Average sign(g) * u(g x) over the sampling subgroup: an exact projection."""
+    elements = lattice_subgroup(cfg)
+    acc = np.zeros(grid.shape)
+    for e in elements:  # in place, reading each element's permuted view of values
+        (np.add if e.sign > 0 else np.subtract)(acc, apply_perm_to_grid(values, e.perm), out=acc)
+    return np.divide(acc, len(elements), out=acc)
+
+
 def to_cube(grid: BallGrid, values: np.ndarray) -> np.ndarray:
     """The grid field holding an interior vector on the interior, 0 elsewhere."""
     out = np.zeros(grid.shape)
@@ -243,11 +254,23 @@ def to_cube(grid: BallGrid, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def energy_value(energy: DiscreteEnergy, u: np.ndarray) -> float:
+    """J = K / p - B / q of the grid field u, from the grid views."""
+    return energy.kinetic(u) / energy.params.p - energy.potential(u) / energy.params.q
+
+
+def energy_gradient(energy: DiscreteEnergy, u: np.ndarray) -> np.ndarray:
+    """d J / d node as a grid field, exactly: one energy pass on the interior
+    values of u, scattered onto the grid; it vanishes off the interior."""
+    _, _, gk, gb = energy.evaluate(np.take(u, energy.grid.interior))
+    return to_cube(energy.grid, gk / energy.params.p - gb / energy.params.q)
+
+
 def quotient_and_gradient(energy: DiscreteEnergy,
                           u: np.ndarray) -> tuple[float, np.ndarray, float]:
     """The quotient K / B^(p/q), its interior node gradient and B^(p/q),
-    from one energy pass on the grid field u."""
-    k, b, gk, gb = energy.evaluate(u)
+    from one energy pass on the interior values of the grid field u."""
+    k, b, gk, gb = energy.evaluate(np.take(u, energy.grid.interior))
     if not (k > 0 and b > 0):
         raise VariationalError("quotient needs a nonzero field inside the ball")
     r = energy.params.p / energy.params.q
@@ -266,7 +289,7 @@ def class_hessian_by_columns(energy: DiscreteEnergy, cfg: SymmetryConfig,
         y = np.zeros(dim + 1)
         y[j] = 1.0
         c = (val * y[col]).reshape(class_shape(cfg, grid))
-        gk = energy.evaluate(class_field(c, cfg, grid))[2]
+        gk = energy.evaluate(class_field(c, cfg, grid).take(grid.interior))[2]
         out[:, j] = class_coordinates(to_cube(grid, gk), cfg, grid, basis)
     return out
 

@@ -38,7 +38,6 @@ from cknsym.variational import (
     seed_field,
     solve,
     solve_peak_bytes,
-    symmetrize,
 )
 
 from helpers import (
@@ -50,11 +49,14 @@ from helpers import (
     class_hessian_by_columns,
     class_values,
     dilation_invariance_gap,
+    energy_gradient,
+    energy_value,
     field_from_function,
     grid_points,
     pointwise_bias,
     quotient_and_gradient,
     report_summary_from_doc,
+    symmetrize,
     tensor_average,
     to_cube,
     traced_peak,
@@ -139,7 +141,7 @@ def test_params_for_config_respects_regime():
 def test_zero_field_has_zero_energy():
     energy = DiscreteEnergy(GRID4, PARAMS4)
     zero = np.zeros(GRID4.shape)
-    assert energy.value(zero) == 0.0
+    assert energy_value(energy, zero) == 0.0
     assert energy.kinetic(zero) == 0.0
     assert energy.potential(zero) == 0.0
 
@@ -154,7 +156,7 @@ def test_value_splits_into_kinetic_and_potential():
     u = random_bumps(GRID4, np.random.default_rng(1))
     k, b = energy.kinetic(u), energy.potential(u)
     assert k > 0 and b > 0
-    assert energy.value(u) == pytest.approx(k / 2 - b / 4, rel=1e-14)
+    assert energy_value(energy, u) == pytest.approx(k / 2 - b / 4, rel=1e-14)
 
 
 def test_quotient_is_scale_invariant():
@@ -168,7 +170,7 @@ def test_quotient_is_scale_invariant():
 def test_gradient_supported_on_interior():
     energy = DiscreteEnergy(GRID4, PARAMS4)
     u = random_bumps(GRID4, np.random.default_rng(3))
-    grad = energy.gradient(u)
+    grad = energy_gradient(energy, u)
     assert np.all(grad[~GRID4.mask] == 0.0)
 
 
@@ -182,8 +184,8 @@ def test_finite_difference_gradient_consistency(p):
     for _ in range(3):
         u = random_bumps(GRID4, rng)
         h = random_bumps(GRID4, rng)
-        exact = node_pairing(energy.gradient(u), h)
-        fd = (energy.value(u + eps * h) - energy.value(u - eps * h)) / (2 * eps)
+        exact = node_pairing(energy_gradient(energy, u), h)
+        fd = (energy_value(energy, u + eps * h) - energy_value(energy, u - eps * h)) / (2 * eps)
         assert fd == pytest.approx(exact, rel=1e-6)
 
 
@@ -259,19 +261,26 @@ def _oracle_energy_parts(energy, u):
 
 def _assert_pass_matches_the_oracles(energy, u):
     """The pass's interior-vector gradients are the oracle's node gradients
-    read at the interior nodes; the oracle's are zero elsewhere."""
+    read at the interior nodes, bit for bit; the oracle's are zero
+    elsewhere.  The pass sums K and B over interior vectors, the oracle over
+    the cube, so they and the quotient built from them agree within 1e-12
+    relative; the roll-stencil ``kinetic`` is the oracle's sum."""
     inside = energy.grid.interior
-    k, b, gk, gb = energy.evaluate(u)
+    k, b, gk, gb = energy.evaluate(u.take(inside))
     k0, b0, gk0, gb0 = _oracle_energy_parts(energy, u)
-    assert (k, b) == (k0, b0)
+    assert k == pytest.approx(k0, rel=1e-12) and b == pytest.approx(b0, rel=1e-12)
     assert np.array_equal(gk, gk0.ravel()[inside]) and np.array_equal(gb, gb0.ravel()[inside])
-    assert np.array_equal(energy.gradient(u), gk0 / energy.params.p - gb0 / energy.params.q)
-    assert (energy.kinetic(u), energy.potential(u)) == (k0, b0)
+    assert np.array_equal(energy_gradient(energy, u),
+                          gk0 / energy.params.p - gb0 / energy.params.q)
+    assert energy.kinetic(u) == k0
+    assert energy.potential(u) == pytest.approx(b0, rel=1e-12)
     r = energy.params.p / energy.params.q
     quot, gq, scale = quotient_and_gradient(energy, u)
-    assert quot == energy.quotient(u) == k0 / b0 ** r
-    assert scale == b0 ** r
-    assert np.array_equal(gq, ((gk0 - r * (k0 / b0) * gb0) / b0 ** r).ravel()[inside])
+    assert quot == pytest.approx(k0 / b0 ** r, rel=1e-12)
+    assert energy.quotient(u) == pytest.approx(k0 / b0 ** r, rel=1e-12)
+    assert scale == pytest.approx(b0 ** r, rel=1e-12)
+    expect = ((gk0 - r * (k0 / b0) * gb0) / b0 ** r).ravel()[inside]
+    assert np.linalg.norm(gq - expect) <= 1e-12 * np.linalg.norm(expect)
 
 
 @pytest.mark.parametrize("grid, params", [
@@ -299,11 +308,14 @@ def test_energy_pass_matches_the_separate_builds_bit_for_bit(grid, params):
 def test_energy_pass_holds_one_difference_stack_at_a_time(grid):
     """The pass peaks within (2n + 5) interior vectors (13 at 21^4, 15 at
     11^5, 17 at 9^6), besides its cached weights: it builds the second
-    stack only after the first is spent.  Holding both took (2n + 10)."""
+    stack only after the first is spent.  Holding both took (2n + 10).  It
+    caches no grid-shaped array."""
     energy = DiscreteEnergy(grid, ProblemParams(grid.n, 3.0, 0.0, 0.0))
-    u = random_bumps(grid, np.random.default_rng(7))
-    energy.evaluate(u)  # the weights and the summation array are cached
+    u = random_bumps(grid, np.random.default_rng(7)).take(grid.interior)
+    energy.evaluate(u)  # the weights are cached
     assert traced_peak(lambda: energy.evaluate(u)) <= (2 * grid.n + 5.5) * 8 * len(grid.interior)
+    assert not [key for key, value in vars(energy).items() if isinstance(value, np.ndarray)
+                and value.shape == grid.shape and value.dtype.kind == "f"]
 
 
 def test_energy_pass_reads_the_tables_of_its_own_grid():
@@ -334,7 +346,7 @@ def test_energy_pass_reads_the_tables_of_its_own_grid():
 
 def nehari_scale(energy, u):
     """The t > 0 with d/dt J(t u) = 0, from one energy pass on u."""
-    k, b, _, _ = energy.evaluate(u)
+    k, b, _, _ = energy.evaluate(u.take(energy.grid.interior))
     return (k / b) ** (1.0 / (energy.params.q - energy.params.p))
 
 
@@ -344,7 +356,7 @@ def test_energy_pass_is_exactly_homogeneous(p):
     of t, so the closed-form Nehari scale is exact at every p."""
     params = ProblemParams(4, p, 0.1, 0.3)
     energy = DiscreteEnergy(GRID4, params)
-    u = random_bumps(GRID4, np.random.default_rng(16))
+    u = random_bumps(GRID4, np.random.default_rng(16)).take(GRID4.interior)
     k, b, _, _ = energy.evaluate(u)
     for t in np.geomspace(1e-3, 1e3, 13):
         kt, bt, _, _ = energy.evaluate(t * u)
@@ -368,7 +380,7 @@ def test_nehari_identity_on_the_manifold():
     u = random_bumps(GRID4, np.random.default_rng(7))
     w = nehari_scale(energy, u) * u
     level = (1.0 / PARAMS4.p - 1.0 / PARAMS4.q) * energy.kinetic(w)
-    assert energy.value(w) == pytest.approx(level, rel=1e-10)
+    assert energy_value(energy, w) == pytest.approx(level, rel=1e-10)
 
 
 def test_nehari_scale_is_one_on_the_manifold():
@@ -403,7 +415,8 @@ def test_level_from_quotient_matches_projected_value():
         energy = DiscreteEnergy(GRID4, ProblemParams(4, p, 0.0, 0.0))
         u = random_bumps(GRID4, np.random.default_rng(10))
         level = energy.level_from_quotient(energy.quotient(u))
-        assert level == pytest.approx(energy.value(nehari_scale(energy, u) * u), rel=1e-12)
+        assert level == pytest.approx(energy_value(energy, nehari_scale(energy, u) * u),
+                                      rel=1e-12)
 
 
 def test_negative_energy_forces_large_mass_ratio():
@@ -416,7 +429,7 @@ def test_negative_energy_forces_large_mass_ratio():
         t = 2.0 * nehari_scale(energy, u)  # past the manifold, J(tu) < 0
         v = t * u
         k, b = energy.kinetic(v), energy.potential(v)
-        if energy.value(v) <= 0.0:
+        if energy_value(energy, v) <= 0.0:
             assert b / k >= energy.params.q / energy.params.p - 1e-12
             checked += 1
     assert checked == 10
@@ -456,7 +469,7 @@ def test_equivariant_pairing_identity():
     energy = DiscreteEnergy(GRID4, PARAMS4)
     rng = np.random.default_rng(15)
     u = symmetrize(random_bumps(GRID4, rng), CFG4, GRID4)
-    grad = energy.gradient(u)
+    grad = energy_gradient(energy, u)
     for _ in range(5):
         h = rng.standard_normal(GRID4.shape) * GRID4.mask
         lhs = node_pairing(grad, symmetrize(h, CFG4, GRID4))
@@ -695,8 +708,9 @@ def _trial_pass(cfg, grid, p=2.0):
     bins = _plane_bins(cfg, grid)
     if p != 2.0:
         return energy, basis, _OrbitPass(energy, cfg, basis, bins)
-    hessian = variational._class_hessian(energy, cfg, basis, bins)
-    return energy, basis, variational._BinPass(energy, cfg, basis, bins, hessian)
+    trials = variational._BinPass(energy, cfg, basis, bins)
+    trials.hessian = variational._class_hessian(energy, cfg, basis, bins)
+    return energy, basis, trials
 
 
 def _coefficients(y, cfg, grid, basis):
@@ -725,7 +739,7 @@ def test_bin_maps_match_the_cube_maps(cfg, grid):
     rng = np.random.default_rng(28)
     for _ in range(2):
         c = _coefficients(rng.standard_normal(basis[2]), cfg, grid, basis)
-        got = bins.grid_field(c)
+        got = to_cube(grid, bins.field(c).take(bins.key))  # as ``solve`` builds its field
         expect = class_field(c, cfg, grid) * grid.mask
         assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
         assert not got[~grid.mask].any()
@@ -1111,13 +1125,16 @@ def test_class_profile_is_the_class_field_at_nodes(cfg, grid):
     assert np.max(np.abs(class_values(c, grid, pts) - between.ravel())) <= bound
 
 
-def test_reduced_level_estimate_peaks_below_half_a_solve():
+def test_reduced_level_estimate_peaks_within_its_counted_tables():
+    """The estimate holds at most the 3 profile tables that
+    ``solve_peak_bytes`` counts for it: 0.375 MiB at 5^6."""
     cfg, grid = SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 5, 1.0)
     c = class_coefficients(seed_field(cfg, grid), cfg, grid)
     params = params_for_config(cfg)
     peak = traced_peak(
         lambda: reduced_level_estimate(c, cfg, grid, params.with_exponent(params.q - 0.5)))
-    assert peak <= 0.5 * solve_peak_bytes(grid)
+    n_r = int(math.ceil(grid.radius / (grid.h / variational.REDUCED_REFINE)))
+    assert peak <= 3 * 8 * n_r ** 2 * (2 * n_r) ** (grid.n - 4)
 
 
 # --------------------------------------------------------------------------
@@ -1358,34 +1375,26 @@ def test_report_doc_round_trip(small_report):
 
 
 def test_descent_makes_no_grid_symmetrization(monkeypatch):
-    """No stage of a solve symmetrizes on the grid: the seed and each
-    accepted step's gradient are read through the bin pull-back
-    S^T E_d^T alone, and the
-    end-of-run certificates read the returned field on the interior nodes,
-    through no grid-shaped view."""
-    calls, views = [], []
-    real, real_view = variational.symmetrize, variational.apply_perm_to_grid
-
-    def counted(values, cfg, grid):
-        calls.append(grid.points_per_axis)
-        return real(values, cfg, grid)
+    """No stage of a solve symmetrizes on the grid, and the package has no
+    grid symmetrization: the seed and each accepted step's gradient are
+    read through the bin pull-back S^T E_d^T alone, and the end-of-run
+    certificates read the returned field on the interior nodes, through no
+    grid-shaped view."""
+    assert not hasattr(variational, "symmetrize")
+    views = []
+    real_view = variational.apply_perm_to_grid
 
     def counted_view(values, perm):
         if values.shape == GRID4.shape:
             views.append(perm)
         return real_view(values, perm)
 
-    monkeypatch.setattr(variational, "symmetrize", counted)
     monkeypatch.setattr(variational, "apply_perm_to_grid", counted_view)
-    counts = []
     for iters in (2, 8):
-        calls.clear()
         views.clear()
         report = solve(CFG4, GRID4, options=SolveOptions(max_iters=iters))
         assert report.iterations == iters
-        counts.append(len(calls))
         assert len(views) == 0
-    assert counts == [0, 0]
 
 
 def test_solver_is_deterministic():
@@ -1402,8 +1411,8 @@ def test_potential_gradient_reads_zero_at_zero_nodes(q):
     params = ProblemParams(4, 1.5, 0.0, 0.0, q)
     u = np.random.default_rng(7).standard_normal(GRID4.shape)
     u[::2] = 0.0
-    _, _, _, gb = DiscreteEnergy(GRID4, params).evaluate(u)
     uv = u.ravel()[GRID4.interior]
+    _, _, _, gb = DiscreteEnergy(GRID4, params).evaluate(uv)
     assert np.all(np.isfinite(gb))
     assert np.all(gb[uv == 0.0] == 0.0)
     if q >= 2.0:
@@ -1491,6 +1500,17 @@ def test_peak_estimate_matches_the_traced_peak(cfg, grid, p):
     assert 0.75 <= peak / solve_peak_bytes(grid, class_basis(cfg, grid)[2]) <= 1.0
 
 
+def test_refusal_counts_the_untraced_eigh_workspace(monkeypatch):
+    """Physical memory above ``solve_peak_bytes`` but below it plus eigh's
+    LAPACK workspace, 2.35 dim^2 floats that tracing cannot see, refuses
+    the solve once its class dimension is known."""
+    have = solve_peak_bytes(GRID4, 28) + 8 * 28 * 28
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": have}
+    monkeypatch.setattr(variational.os, "sysconf", pages.__getitem__)
+    with pytest.raises(VariationalError, match="physical memory"):
+        solve(CFG4, GRID4, options=SolveOptions(max_iters=1))
+
+
 @pytest.mark.parametrize("n, points", [(2, 5), (3, 11), (4, 9), (4, 21), (5, 9), (6, 7)])
 def test_interior_count_is_the_mask_count(n, points):
     grid = BallGrid(n, points, 2.5)
@@ -1575,11 +1595,20 @@ def test_solver_builds_the_lattice_subgroup_once():
     assert build.cache_info().misses == 1
 
 
-def test_solver_refuses_the_zero_class():
-    # one block of odd complex width: the circle averages force f = -f
+def test_solver_refuses_the_zero_class(monkeypatch):
+    # one block of odd complex width: the circle averages force f = -f; the
+    # seed read refuses it before the metric is built
     cfg = SymmetryConfig(6, 0, (0, 1))
+    built, real = [], variational._class_hessian
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(variational, "_class_hessian", counted)
     with pytest.raises(UnsupportedConfigError, match="working class is"):
         solve(cfg, BallGrid(6, 5, 1.0), options=SolveOptions(max_iters=1))
+    assert not built
 
 
 # descent states the solver never writes: a relative step outside (0, 1], an
