@@ -18,8 +18,8 @@ class _OrbitPass(_BinPass):
     """``_BinPass`` with K on the representatives: the sum is K on the class, so
     its node gradient, on r and its neighbours, is binned and pulled back with B's."""
 
-    def __init__(self, energy: DiscreteEnergy, cfg: SymmetryConfig, basis: tuple, bins: tuple):
-        super().__init__(energy, cfg, basis, bins)
+    def __init__(self, energy: DiscreteEnergy, cfg: SymmetryConfig, basis: tuple, key: np.ndarray):
+        super().__init__(energy, cfg, basis, key)
         g, self.h, self.sigma = energy.grid, energy.grid.h, energy._sigma
         inside, full = g.interior, 2 ** g.n - 1
         low, stab, counts = inside.copy(), np.zeros(len(inside)), np.zeros(full + 1)
@@ -33,7 +33,7 @@ class _OrbitPass(_BinPass):
         self.bits = (patterns[:, None] >> np.arange(g.n) & 1).astype(float)  # k in A
         self.weights_k = (counts[patterns, None] * (0.5 * g.cell_volume)
                           * (energy._w_grad_in.take(reps) / stab.take(reps)))
-        key = np.append(bins[0], self.weights.size)  # off the interior: a zero bin
+        key = np.append(self.key, self.weights.size)  # off the interior: a zero bin
         self.stencil = np.concatenate([key.take(reps)[None],  # r, then its 2n neighbours
                                        *(key.take(t[:, reps]) for t in g.neighbours)])
 

@@ -67,7 +67,7 @@ from .symmetry import (
 )
 
 CHECKPOINT_FORMAT = "cknsym-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4  # 3 held coordinates in a profile basis whose column signs may differ
 
 MIN_STEP = 1e-10  # the line search halves the relative step down to this
 METRIC_CUT = 1e-6  # metric eigenvalues below this share of the largest carry no energy
@@ -311,29 +311,35 @@ def _catmull_rom_matrix(t: np.ndarray, size: int, radial: bool) -> np.ndarray:
 
 
 @functools.cache
-def _plane_profile_basis(points_per_axis: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis Q (N^2 x r) of the circle-invariant 2-plane slices
-    and the table factor A (n_rad x r) with Q = B A.
+def _plane_profile_basis(points_per_axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each plane node's radius id, the rows Q_d (R x r) of the orthonormal
+    plane profile basis Q = Q_d[ids] at the R distinct plane radii, and the
+    table factor A (n_rad x r) with Q_d = B_d A.
 
     A slice is circle-invariant when its node values depend only on the
     plane radius.  The admissible radial profiles are cubic interpolants of
-    a table with step h (reflected evenly through zero), evaluated at each
-    node's plane radius; stacking those evaluations gives a tall matrix B,
-    and Q is its left singular vectors with singular values above 1e-6 of
-    the largest.  Q Q^T is the least-squares projector onto the profiles,
-    the discrete circle average in the node inner product.  A = V_k S_k^-1,
-    so the profile of Q c interpolates the radial table A c.  Cached per
-    axis geometry.
+    a table with step h (reflected evenly through zero); B_d reads them at
+    the plane radii, and Q_d is the left singular vectors of sqrt(count) B_d
+    (singular values above 1e-6 of the largest) over sqrt(count), count the
+    nodes per radius.  So a radius's nodes read one row, Q^T Q = I, and
+    Q Q^T is the least-squares projector onto the profiles, the discrete
+    circle average in the node inner product.  A = V_k S_k^-1, so the
+    profile of Q c interpolates the radial table A c.  Radii are ranked by
+    bincount and searchsorted, which a solve runs anyway: the first
+    np.unique imports numpy.ma, 0.3-0.44 MB resident after a 9^4 solve.
     """
     npts = points_per_axis
-    h = 2.0 * radius / (npts - 1)
-    axis = -radius + h * np.arange(npts)
-    n_rad = int(math.ceil(math.sqrt(2.0) * radius / h)) + 4
-    basis = _catmull_rom_matrix(np.hypot(axis[:, None], axis[None, :]).ravel() / h,
-                                n_rad, radial=True)
+    n_rad = int(math.ceil(math.sqrt(2.0) * (npts - 1) / 2.0)) + 4
+    sq = (np.arange(npts) - npts // 2) ** 2
+    rad = (sq[:, None] + sq[None, :]).ravel()  # each plane node's squared radius, in steps
+    distinct = np.flatnonzero(np.bincount(rad))  # the R squared radii, ascending
+    ids = np.searchsorted(distinct, rad)
+    weight = np.sqrt(np.bincount(ids))[:, None]
+    basis = weight * _catmull_rom_matrix(np.sqrt(distinct), n_rad, radial=True)
     left, sing, right_t = np.linalg.svd(basis, full_matrices=False)
     keep = sing > 1e-6 * sing[0]
-    return left[:, keep], right_t[keep].T / sing[keep]
+    # C order: the metric's contractions took 1.45x as long on LAPACK's F-order rows
+    return ids, np.ascontiguousarray(left[:, keep] / weight), right_t[keep].T / sing[keep]
 
 
 # --------------------------------------------------------------------------
@@ -347,10 +353,9 @@ def _plane_profile_basis(points_per_axis: int, radius: float) -> tuple[np.ndarra
 # spans, so S^T P = S^T.
 
 
-def _class_basis(cfg: SymmetryConfig, grid: BallGrid) -> tuple[np.ndarray, int]:
-    """The plane profile basis Q and the number of rotation planes."""
-    return (_plane_profile_basis(grid.points_per_axis, grid.radius)[0],
-            make_layout(cfg).tail_start // 2)
+def _class_basis(cfg: SymmetryConfig, grid: BallGrid) -> tuple[np.ndarray, np.ndarray, int]:
+    """The plane radius ids, the profile rows Q_d and the number of rotation planes."""
+    return (*_plane_profile_basis(grid.points_per_axis)[:2], make_layout(cfg).tail_start // 2)
 
 
 @functools.cache
@@ -396,8 +401,8 @@ def _contract_planes(t: np.ndarray, ms: list[np.ndarray]) -> np.ndarray:
 
 def class_shape(cfg: SymmetryConfig, grid: BallGrid) -> tuple[int, ...]:
     """Shape of a class-coefficient tensor: r per rotation plane, N per tail axis."""
-    q, planes = _class_basis(cfg, grid)
-    return (q.shape[1],) * planes + (grid.points_per_axis,) * (grid.n - 2 * planes)
+    _, rows, planes = _class_basis(cfg, grid)
+    return (rows.shape[1],) * planes + (grid.points_per_axis,) * (grid.n - 2 * planes)
 
 
 def class_basis(cfg: SymmetryConfig, grid: BallGrid) -> tuple[np.ndarray, np.ndarray, int]:
@@ -410,7 +415,7 @@ def class_basis(cfg: SymmetryConfig, grid: BallGrid) -> tuple[np.ndarray, np.nda
     """
     shape = class_shape(cfg, grid)
     labels = np.arange(math.prod(shape))
-    action = _tensor_action(cfg.n, cfg.alpha, cfg.m, _class_basis(cfg, grid)[1])
+    action = _tensor_action(cfg.n, cfg.alpha, cfg.m, _class_basis(cfg, grid)[2])
     moved = [apply_perm_to_grid(labels.reshape(shape), perm).ravel() for perm, _ in action]
     low = np.min(moved or [labels], axis=0)  # each orbit's least index
     proj = sum((w * (row == low) for (_, w), row in zip(action, moved)), np.zeros(labels.size))
@@ -420,73 +425,68 @@ def class_basis(cfg: SymmetryConfig, grid: BallGrid) -> tuple[np.ndarray, np.nda
     return col, np.where(keep, proj / np.sqrt(np.where(keep, norm, 1.0)), 0.0), len(roots)
 
 
-def _plane_radius_bins(grid: BallGrid, planes: int,
-                       shifts: list[int]) -> tuple[np.ndarray, list[list[int]]]:
-    """Each interior node's bin, flat in C order over (bins of each plane,
-    ..., tail index), and each plane's first node per bin.  On plane k the
-    N^2 nodes a are binned by the squared plane radii at a and a + shifts[k]
-    (a flat step), in order of first occurrence (np.unique loads numpy.ma);
-    Q rows depend only on the plane radius, so a bin's nodes share them."""
+def _plane_radius_bins(grid: BallGrid, labels: list[np.ndarray], sizes: list[int]) -> np.ndarray:
+    """Each interior node's bin, flat in C order over (label on each plane,
+    ..., tail index): labels[k] labels plane k's N^2 nodes by ints below
+    sizes[k].  Labelled by plane radius ids, a bin's nodes share Q rows."""
     npts = grid.points_per_axis
-    tails = npts ** (grid.n - 2 * planes)
-    sq = (np.arange(npts) - npts // 2) ** 2
-    rad = (sq[:, None] + sq[None, :]).ravel()  # each plane node's squared radius, in steps
-    key, firsts = 0, []
-    for k, shift in enumerate(shifts):
-        keys = (rad * rad.size + np.roll(rad, -shift)).tolist()  # radii at a and a + shift
-        first: dict[int, int] = {}
-        for a, pair in enumerate(keys):
-            first.setdefault(pair, a)
-        ids = {pair: b for b, pair in enumerate(first)}
-        node = grid.interior // (tails * npts ** (2 * (planes - 1 - k))) % npts ** 2
-        key = key * len(first) + np.array([ids[pair] for pair in keys])[node]
-        firsts.append(list(first.values()))
-    return key * tails + grid.interior % tails, firsts
+    key, tails = 0, npts ** (grid.n - 2 * len(labels))
+    for k, (label, size) in enumerate(zip(labels, sizes)):
+        node = grid.interior // (tails * npts ** (2 * (len(labels) - 1 - k))) % npts ** 2
+        key = key * size + label.take(node)
+    return key * tails + grid.interior % tails
 
 
 def _class_hessian(energy: "DiscreteEnergy", cfg: SymmetryConfig,
-                   basis: tuple[np.ndarray, np.ndarray, int], bins: tuple) -> np.ndarray:
+                   basis: tuple[np.ndarray, np.ndarray, int], key: np.ndarray) -> np.ndarray:
     """H = S^T E^T L E S, L the Hessian of the masked, w_grad-weighted p = 2
     kinetic form: a diagonal term and, per axis k, a term over the interior
-    pairs (x, x + e_k).  E is Q on each rotation plane and the identity on
-    the tail, so a term summed over plane nodes a against Q[a, i] Q[a', i']
-    (a' = a + e_k on the plane holding k, else a; Q rows depend only on the
-    plane radius, so nodes are binned by the radii at a and a') couples
-    coefficients whose tail indices agree, or differ by e_k on a tail axis.
-    S gathers it into G per tail index; with the diagonal term halved,
-    H = G + G^T is exactly symmetric.  Lattice elements keep the mask and
-    weights and carry axis k's pairs onto those of each axis in its orbit:
-    the pair terms and the diagonal's neighbour sums are built for one axis
-    per orbit, times its size.  ``bins``: the plane-radius bins at shift 0."""
+    pairs (x, x + e_k).  E is Q_d[ids] on each rotation plane and the
+    identity on the tail, so a term summed over plane nodes a against
+    Q[a, i] Q[a', i'] (a' = a + e_k on the plane holding k, else a) is
+    binned by the radius ids at a, or by the pairs of ids at a and a', and
+    couples coefficients whose tail indices agree, or differ by e_k on a
+    tail axis.  S gathers it into G per tail index; with the diagonal term
+    halved, H = G + G^T is exactly symmetric.  Lattice elements keep the
+    mask and weights and carry axis k's pairs onto those of each axis in its
+    orbit: the pair terms and the diagonal's neighbour sums are built for
+    one axis per orbit, times its size.  ``key``: the radius-id bins."""
     g = energy.grid
-    q, planes = _class_basis(cfg, g)
+    ids, rows, planes = _class_basis(cfg, g)
     col, val, dim = basis
-    npts, r = g.points_per_axis, q.shape[1]
+    npts, (size, r) = g.points_per_axis, rows.shape
     tails = npts ** (g.n - 2 * planes)
     col, val = col.reshape(-1, tails), val.reshape(-1, tails)
     fwd, bwd = g.neighbours
     w = np.append(energy._w_grad_in, 0.0) * (g.cell_volume / g.h ** 2)  # zero sentinel
-    rows, cols = (r, 1) * planes, (1, r) * planes  # i and i' of each plane's pair axes
+    same = (rows[:, :, None] * rows[:, None, :]).reshape(size, r * r).T
+    ij, ji = (r, 1) * planes, (1, r) * planes  # i and i' of each plane's pair axes
     acc = np.zeros((dim + 1) ** 2)
     orbits = axis_orbits(cfg)
     for k in (None, *orbits):
         values = (0.5 * (2 * g.n * w[:-1] + sum(s * (w.take(fwd[a]) + w.take(bwd[a]))
                                                 for a, s in orbits.items())) if k is None else
                   np.where(fwd[k] < len(w) - 1, -orbits[k] * (w[:-1] + w.take(fwd[k])), 0.0))
-        shifts = [0 if k is None or k // 2 != p else npts if k % 2 == 0 else 1
-                  for p in range(planes)]
-        key, firsts = _plane_radius_bins(g, planes, shifts) if any(shifts) else bins
-        tables = [(q[first, :, None] * np.roll(q, -shift, axis=0)[first, None, :])
-                  .reshape(len(first), r * r).T for first, shift in zip(firsts, shifts)]
-        sizes = [len(first) for first in firsts] + [tails]
-        binned = np.bincount(key, values, minlength=math.prod(sizes)).reshape(sizes)
-        del values, key
+        tables, sizes, bins = [same] * planes, [size] * planes + [tails], key
+        if k is not None and k < 2 * planes:  # on its plane, bin by the pair of radius ids
+            e = npts if k % 2 == 0 else 1  # the flat step a -> a + e_k on the plane
+            pair = ids * size  # the ids at a and a + e_k; a plane's last e nodes are outer
+            pair[:-e] += ids[e:]
+            seen = np.flatnonzero(np.bincount(pair))
+            labels = [ids] * planes
+            labels[k // 2] = np.searchsorted(seen, pair)
+            tables[k // 2] = (rows[seen // size, :, None] * rows[seen % size, None, :]
+                              ).reshape(len(seen), r * r).T
+            sizes[k // 2] = len(seen)
+            bins = _plane_radius_bins(g, labels, sizes[:-1])
+        binned = np.bincount(bins, values, minlength=math.prod(sizes)).reshape(sizes)
+        del values, bins
         step = npts ** (g.n - 1 - k) if k is not None and k >= 2 * planes else 0
         for t in range(tails - step):  # past the last tail index no pair is interior
             part = _contract_planes(binned[..., t], tables).reshape((r, r) * planes)
-            part *= val[:, t].reshape(rows)
-            part *= val[:, t + step].reshape(cols)
-            pairs = col[:, t].reshape(rows) * (dim + 1) + col[:, t + step].reshape(cols)
+            part *= val[:, t].reshape(ij)
+            part *= val[:, t + step].reshape(ji)
+            pairs = col[:, t].reshape(ij) * (dim + 1) + col[:, t + step].reshape(ji)
             np.add.at(acc, pairs.ravel(), part.ravel())
         del part, pairs  # before the next term builds its own
     h = acc.reshape(dim + 1, dim + 1)[:dim, :dim]
@@ -512,15 +512,13 @@ class _BinPass:
     q h^n W |U|^(q-2) U.  A trial makes no grid- or interior-sized array.
     """
 
-    def __init__(self, energy: DiscreteEnergy, cfg: SymmetryConfig, basis: tuple, bins: tuple):
+    def __init__(self, energy: DiscreteEnergy, cfg: SymmetryConfig, basis: tuple, key: np.ndarray):
         self.basis, self.p, self.q = basis, energy.params.p, energy.params.q
         self.grid = g = energy.grid
-        q, self.planes = _class_basis(cfg, g)
-        self.key, firsts = bins
-        shape = tuple(map(len, firsts)) + (g.points_per_axis,) * (g.n - 2 * self.planes)
-        self.weights = np.bincount(self.key, energy._w_pot_in * g.cell_volume,
+        self.key, (_, self.rows, self.planes) = key, _class_basis(cfg, g)
+        shape = (len(self.rows),) * self.planes + (g.points_per_axis,) * (g.n - 2 * self.planes)
+        self.weights = np.bincount(key, energy._w_pot_in * g.cell_volume,
                                    minlength=math.prod(shape)).reshape(shape)
-        self.rows = q[firsts[0]]  # every plane bins alike: shift 0
 
     def field(self, coefficients: np.ndarray) -> np.ndarray:
         return _contract_planes(coefficients, [self.rows] * self.planes)
@@ -562,7 +560,7 @@ def _axis_weights(grid: BallGrid, x: np.ndarray, plane: bool) -> np.ndarray:
     """Row i reads one axis of class coefficients at x[i]: a plane radius
     through the radial table factor A, or a tail coordinate off its grid line."""
     if plane:
-        table = _plane_profile_basis(grid.points_per_axis, grid.radius)[1]
+        table = _plane_profile_basis(grid.points_per_axis)[2]
         return _catmull_rom_matrix(x / grid.h, table.shape[0], radial=True) @ table
     return _catmull_rom_matrix((x + grid.radius) / grid.h, grid.points_per_axis, radial=False)
 
@@ -1048,13 +1046,13 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
 
     # the seed is read, and a {0} class refused, before the metric is built
     _refuse_unfit(grid, dim)
-    planes = _class_basis(cfg, grid)[1]
-    bins = _plane_radius_bins(grid, planes, [0] * planes)  # the metric's and the trials'
+    ids, rows, planes = _class_basis(cfg, grid)
+    key = _plane_radius_bins(grid, [ids] * planes, [len(rows)] * planes)  # the radius-id bins
     if work.p == 2.0:
-        trials = _BinPass(energy, cfg, basis, bins)
+        trials = _BinPass(energy, cfg, basis, key)
     else:  # imported here, so a p = 2 solve never compiles the orbit pass
         from .orbits import _OrbitPass
-        trials = _OrbitPass(energy, cfg, basis, bins)
+        trials = _OrbitPass(energy, cfg, basis, key)
     if resume_from is None:
         y = trials.read(seed_field(cfg, grid))  # the seed: sup-normalized (peak 1), not kept
         peak = float(np.max(np.abs(trials.field(coefficients(y)))))
@@ -1066,13 +1064,13 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
         y, start_iter, rho = y / peak, 0, 1.0
     # the metric: the p = 2 kinetic Hessian in class coordinates, inverted on
     # the directions that carry energy (the others leave the ball)
-    hessian = _class_hessian(energy, cfg, basis, bins)
+    hessian = _class_hessian(energy, cfg, basis, key)
     if work.p == 2.0:  # the kinetic form is the quadratic form of H
         trials.hessian = hessian
     lam, vec = np.linalg.eigh(hessian)
     keep = lam > METRIC_CUT * lam[-1]
     lam, vec = lam[keep], vec[:, keep]
-    del hessian, bins
+    del hessian, key
 
     # a trial's field is built from its sup-normalized coordinates, so the
     # field of a resumed iterate is the one its gradient was taken at

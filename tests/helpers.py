@@ -42,6 +42,7 @@ from cknsym.variational import (
     UnsupportedConfigError,
     VariationalError,
     _axis_weights,
+    _catmull_rom_matrix,
     _class_basis,
     _contract_planes,
     _tensor_action,
@@ -173,20 +174,34 @@ def tensor_average(coefficients: np.ndarray, cfg: SymmetryConfig) -> np.ndarray:
     return acc
 
 
+def plane_profile_by_nodes(points_per_axis: int) -> np.ndarray:
+    """The plane profile basis Q (N^2 x r) taken over every plane node: the
+    left singular vectors, with singular values above 1e-6 of the largest,
+    of the Catmull-Rom reads at each node's own hypot on a unit-radius axis,
+    so rows of one radius agree only to rounding."""
+    h = 2.0 / (points_per_axis - 1)
+    axis = -1.0 + h * np.arange(points_per_axis)
+    n_rad = int(math.ceil(math.sqrt(2.0) / h)) + 4
+    reads = _catmull_rom_matrix(np.hypot(axis[:, None], axis[None, :]).ravel() / h, n_rad,
+                                radial=True)
+    left, sing, _ = np.linalg.svd(reads, full_matrices=False)
+    return left[:, sing > 1e-6 * sing[0]]
+
+
 def class_field(coefficients: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) -> np.ndarray:
     """The grid field E c of class coefficients c, each rotation plane's axis
     contracted with Q over the whole cube."""
-    q, planes = _class_basis(cfg, grid)
-    return _contract_planes(coefficients, [q] * planes).reshape(grid.shape)
+    ids, rows, planes = _class_basis(cfg, grid)
+    return _contract_planes(coefficients, [rows[ids]] * planes).reshape(grid.shape)
 
 
 def class_adjoint(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) -> np.ndarray:
     """E^T u: each rotation plane of grid field u contracted with Q^T over
     the whole cube, leading plane first."""
-    q, planes = _class_basis(cfg, grid)
+    ids, rows, planes = _class_basis(cfg, grid)
     npts = grid.points_per_axis
     split = (npts * npts,) * planes + (npts,) * (grid.n - 2 * planes)
-    return _contract_planes(np.reshape(values, split), [q.T] * planes)
+    return _contract_planes(np.reshape(values, split), [rows[ids].T] * planes)
 
 
 def class_coordinates(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid,

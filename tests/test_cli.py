@@ -404,7 +404,7 @@ def _with(header: bytes, **state) -> bytes:
 # last three hold numbers that a lenient reader would coerce into ones it writes
 @pytest.mark.parametrize("corruption",
                          ["garbage", "missing-n", "truncated", "version-1", "version-2",
-                          "empty-history", "zero-step", "float-n", "string-radius",
+                          "version-3", "empty-history", "zero-step", "float-n", "string-radius",
                           "string-step"])
 def test_solve_resume_from_a_corrupt_checkpoint_is_a_validation_error(
         tmp_path, capsys, corruption):
@@ -417,6 +417,8 @@ def test_solve_resume_from_a_corrupt_checkpoint_is_a_validation_error(
             "truncated": good[:-5],
             "version-1": _grid_checkpoint(header),
             "version-2": _tensor_checkpoint(header),
+            # the same coordinates, read in a profile basis whose column signs may differ
+            "version-3": _with(header, version=3) + b"\n" + payload,
             "empty-history": _with(header, history=[]) + b"\n" + payload,
             "zero-step": _with(header, step=0.0) + b"\n" + payload,
             "float-n": _with(header, n=4.7) + b"\n" + payload,

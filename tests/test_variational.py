@@ -53,6 +53,7 @@ from helpers import (
     energy_value,
     field_from_function,
     grid_points,
+    plane_profile_by_nodes,
     pointwise_bias,
     quotient_and_gradient,
     report_summary_from_doc,
@@ -552,11 +553,11 @@ def test_class_map_kills_odd_plane_modes():
 def _oracle_class_coefficients(values, cfg, grid):
     """E^T symmetrize(u): the pull-back through the grid symmetrization that
     the solver ran before it averaged on the coefficient tensor."""
-    q, planes = variational._class_basis(cfg, grid)
+    ids, rows, planes = variational._class_basis(cfg, grid)
     npts = grid.points_per_axis
     split = (npts * npts,) * planes + (npts,) * (grid.n - 2 * planes)
     return variational._contract_planes(symmetrize(values, cfg, grid).reshape(split),
-                                        [q.T] * planes)
+                                        [rows[ids].T] * planes)
 
 
 @pytest.mark.parametrize("cfg, grid", [
@@ -646,6 +647,48 @@ def test_class_basis_is_orthonormal_and_spans_the_class(cfg, grid):
     assert (dim == 0) == (cfg.m == (0, 1))
 
 
+@pytest.mark.parametrize("npts", [9, 13, 41])
+def test_nodes_of_one_plane_radius_read_one_profile_row(npts):
+    """Plane nodes share a radius id exactly when they share a squared
+    radius, so every node of one radius reads the same Q row, bit for bit."""
+    ids, rows, _ = variational._plane_profile_basis(npts)
+    sq = (np.arange(npts) - npts // 2) ** 2
+    rad = (sq[:, None] + sq[None, :]).ravel()
+    by_node = rows[ids]
+    for radius in set(rad.tolist()):
+        at = rad == radius
+        assert len(set(ids[at].tolist())) == 1 and not np.any(ids[~at] == ids[at][0])
+        assert np.array_equal(by_node[at], np.broadcast_to(by_node[at][0], by_node[at].shape))
+
+
+@pytest.mark.parametrize("npts", range(5, 42, 2))
+def test_plane_profile_basis_matches_the_svd_over_every_node(npts):
+    """Q = Q_d[ids] spans what the SVD over all N^2 plane nodes spans, column
+    for column up to sign, and is orthonormal over the plane nodes."""
+    ids, rows, table = variational._plane_profile_basis(npts)
+    q, expect = rows[ids], plane_profile_by_nodes(npts)
+    assert q.shape == expect.shape and table.shape[1] == q.shape[1]
+    signs = np.sign(np.sum(q * expect, axis=0))
+    assert np.max(np.abs(q * signs - expect)) <= 1e-12 * np.max(np.abs(expect))
+    assert np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) <= 1e-14
+
+
+def test_solves_call_no_np_unique(monkeypatch):
+    """The plane radii and the pairs of them are ranked by bincount and
+    searchsorted: the first np.unique imports numpy.ma, which no stage of a
+    solve needs, and sets a solve's resident peak."""
+    def refused(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    monkeypatch.setattr(np, "unique", refused)
+    for cache in (variational._plane_profile_basis, variational._tensor_action,
+                  lattice._lattice_subgroup, lattice._axis_orbits):
+        cache.cache_clear()
+    solve(CFG4, GRID4, options=SolveOptions(max_iters=2))
+    solve(SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 5, 1.0), options=SolveOptions(max_iters=2))
+    solve(CFG4, GRID4, params=params_for_config(CFG4, 3.0), options=SolveOptions(max_iters=2))
+
+
 @pytest.mark.parametrize("cfg, grid", [
     (CFG4, GRID4), (SymmetryConfig(4, 0, (1,), "a_eq_b_nonzero"), BallGrid(4, 13, 1.0)),
     (SymmetryConfig(5, 0, (1,)), BallGrid(5, 7, 1.0)),
@@ -669,25 +712,26 @@ def test_class_hessian_matches_one_energy_pass_per_column(cfg, grid):
                          ids=["9^4", "5^6"])
 def test_class_hessian_bins_one_shifted_plane_per_call(monkeypatch, cfg, grid):
     """Every plane axis of these classes lies in one lattice orbit, so the
-    metric builds one pair term on a plane: one shifted binning, not one
-    per plane axis."""
+    metric builds one pair term on a plane: one binning by pairs of radius
+    ids, not one per plane axis."""
     energy = DiscreteEnergy(grid, params_for_config(cfg))
-    basis, bins = class_basis(cfg, grid), _plane_bins(cfg, grid)
-    real, shifted = variational._plane_radius_bins, []
+    basis, key = class_basis(cfg, grid), _plane_bins(cfg, grid)
+    ids = variational._class_basis(cfg, grid)[0]
+    real, paired = variational._plane_radius_bins, []
 
-    def counted(g, planes, shifts):
-        shifted.append(any(shifts))
-        return real(g, planes, shifts)
+    def counted(g, labels, sizes):
+        paired.append(any(label is not ids for label in labels))
+        return real(g, labels, sizes)
 
     monkeypatch.setattr(variational, "_plane_radius_bins", counted)
-    variational._class_hessian(energy, cfg, basis, bins)
-    assert shifted == [True]
+    variational._class_hessian(energy, cfg, basis, key)
+    assert paired == [True]
 
 
 def _plane_bins(cfg, grid):
-    """The interior's plane-radius bins at shift 0, as ``solve`` builds them."""
-    planes = variational._class_basis(cfg, grid)[1]
-    return variational._plane_radius_bins(grid, planes, [0] * planes)
+    """The interior's radius-id bins, as ``solve`` builds them."""
+    ids, rows, planes = variational._class_basis(cfg, grid)
+    return variational._plane_radius_bins(grid, [ids] * planes, [len(rows)] * planes)
 
 
 def _bin_map(cfg, grid):
@@ -705,11 +749,11 @@ def _trial_pass(cfg, grid, p=2.0):
     q = params.q - 0.5 if params.q - 0.5 > p else (params.q + p) / 2.0
     energy = DiscreteEnergy(grid, params.with_exponent(q))
     basis = class_basis(cfg, grid)
-    bins = _plane_bins(cfg, grid)
+    key = _plane_bins(cfg, grid)
     if p != 2.0:
-        return energy, basis, _OrbitPass(energy, cfg, basis, bins)
-    trials = variational._BinPass(energy, cfg, basis, bins)
-    trials.hessian = variational._class_hessian(energy, cfg, basis, bins)
+        return energy, basis, _OrbitPass(energy, cfg, basis, key)
+    trials = variational._BinPass(energy, cfg, basis, key)
+    trials.hessian = variational._class_hessian(energy, cfg, basis, key)
     return energy, basis, trials
 
 
@@ -1299,8 +1343,8 @@ PINNED_6D_HISTORY = (
 # (PYTHONPATH=src python -m pytest -q) with OpenBLAS's default thread count,
 # and the same under OPENBLAS_NUM_THREADS=1.
 PINNED_P3_HISTORY = (
-    1257.7338126749607, 443.0767147081268, 347.0764185732783, 301.32648769344706,
-    276.63780196934664, 260.14578810061454, 245.25912822878072)
+    1257.7338126749646, 443.0767147081383, 347.0764185734115, 301.32648769356615,
+    276.6378019694368, 260.145788100692, 245.25912822864663)
 # the same run with the regularised density (|g|^2 + 1e-16)^(p/2) - 1e-8^p,
 # its trials through the orbit pass and then through the interior energy
 # pass on the grid
@@ -1704,7 +1748,7 @@ def test_checkpoint_writes_leave_no_temporary_file(tmp_path):
     state = load_checkpoint(cp)
     assert state["coordinates"].shape == (28,) and state["iteration"] == 3
     header = json.loads(cp.read_bytes().split(b"\n", 1)[0])
-    assert header["shape"] == [28] and header["version"] == 3 and "arrays" not in header
+    assert header["shape"] == [28] and header["version"] == 4 and "arrays" not in header
 
 
 def test_load_checkpoint_rejects_foreign_files(tmp_path):
