@@ -172,6 +172,15 @@ def _rotations(words: np.ndarray, t: int) -> np.ndarray:
     return ((words << k) | (words >> (t - k))) & ((1 << t) - 1)
 
 
+def _distinct(words: np.ndarray) -> np.ndarray:
+    """The distinct words, ascending: ``np.unique`` without the numpy.ma
+    import its first call pays."""
+    words = np.sort(words, axis=None)
+    keep = np.ones(words.size, dtype=bool)
+    np.not_equal(words[1:], words[:-1], out=keep[1:])
+    return words[keep]
+
+
 def closure(t: int, seeds: Iterable) -> Code:
     """Smallest code containing the seeds.
 
@@ -195,11 +204,12 @@ def closure(t: int, seeds: Iterable) -> Code:
     total = np.zeros(0, dtype=np.int64)
     fresh = [np.array(seed_packed, dtype=np.int64)]
     while True:
-        reps = np.unique(_rotations(np.unique(np.concatenate(fresh)), t).min(axis=0))
-        frontier = reps[~np.isin(reps, total)]
+        reps = _distinct(_rotations(_distinct(np.concatenate(fresh)), t).min(axis=0))
+        # both ascend: a rep absent from total has one insertion point in it
+        frontier = reps[np.searchsorted(total, reps) == np.searchsorted(total, reps, "right")]
         if not frontier.size:
             return Code(t, frozenset(int(w) for w in total))
-        total = np.union1d(total, _rotations(frontier, t))
+        total = _distinct(np.concatenate((total, _rotations(frontier, t).ravel())))
         fresh = []
         for lo in range(0, frontier.size, 64):
             f = frontier[lo:lo + 64, None]

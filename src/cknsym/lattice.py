@@ -13,9 +13,9 @@ bias diagnostics, never as the projection.
 An element is stored as ``out[i] = signs[i] * x[source[i]]`` together with
 the value of the sign character on the group element it realises.  Nothing
 here restates the group action: each element is a canonical element of
-``cknsym.symmetry`` with quarter-turn angles, its permutation is read off
-``to_matrix`` and its sign is ``phi``, so the projection and the diagnostics
-act through the same encoding of the group.  A solve reads it on nodes only
+``cknsym.symmetry`` with quarter-turn angles, the permutations of its
+factors are read off ``to_matrix`` and their signs off ``phi``, so the
+projection and the diagnostics act through the same encoding of the group.  A solve reads it on nodes only
 through ``interior_images``; ``apply_perm_to_grid`` gives whole-array views.
 """
 
@@ -76,9 +76,13 @@ def lattice_subgroup(cfg: SymmetryConfig) -> tuple[LatticeElement, ...]:
     The elements are the canonical group elements whose rotation angles are
     quarter turns: pinwheel steps {0, 2^alpha} (the only steps that are
     signed permutations, all of sign +1), every canonical twist per block,
-    and every signed permutation of an active tail.  Each element's signed
-    permutation is read off ``to_matrix``, which is refused unless it is
-    grid-exact, and its sign is ``phi``.  The pinwheel varies slowest, then
+    and every signed permutation of an active tail.  Each factor's elements
+    are read once, with every other factor at the identity: the signed
+    permutation of its span off ``to_matrix``, which is refused unless it is
+    grid-exact, and its sign off ``phi``.  An element is a product of one
+    element per factor; the factors act on disjoint spans in coordinate
+    order, so its permutation joins theirs and its sign, ``phi`` being a
+    character, is the product of theirs.  The pinwheel varies slowest, then
     the blocks in layout order, then the tail; within a factor the step or
     twist varies slower than the angle.  Built once per (n, alpha, m): the
     regime does not enter the group.
@@ -91,22 +95,29 @@ def _lattice_subgroup(n: int, alpha: int, m: tuple[int, ...]) -> tuple[LatticeEl
     cfg = SymmetryConfig(n, alpha, m)  # a_less_b admits every admissible (n, alpha, m)
     layout = make_layout(cfg)
     quarters = [k * math.pi / 2.0 for k in range(4)]
-    pinwheel = [None]
+    unit = [(0, 0.0)] * len(layout.blocks)  # every block factor at the identity
+    factors = []  # (span, the factor's elements with every other factor the identity)
     if layout.pinwheel is not None:
-        pinwheel = [(step, a) for step in (0, 1 << cfg.alpha) for a in quarters]
-    blocks = [[(t, a) for t in range(twist_order(span.j)) for a in quarters]
-              for span in layout.blocks]
-    tails = [None]
-    if layout.tail_active:
-        d = layout.tail_dim
-        tails = [np.diag(flips) @ np.eye(d)[list(perm)]
-                 for perm in itertools.permutations(range(d))
-                 for flips in itertools.product((1, -1), repeat=d)]
-    elements = []
-    for pin, *blk, tail in itertools.product(pinwheel, *blocks, tails):
-        g = make_element(cfg, pinwheel=pin, blocks=tuple(blk), tail=tail)
-        elements.append(LatticeElement(SignedPerm.from_matrix(to_matrix(g)), phi(g)))
-    return tuple(elements)
+        factors.append((slice(layout.pinwheel.start, layout.pinwheel.stop),
+                        [make_element(cfg, pinwheel=(step, a))
+                         for step in (0, 1 << cfg.alpha) for a in quarters]))
+    for k, span in enumerate(layout.blocks):
+        factors.append((slice(span.start, span.stop),
+                        [make_element(cfg, blocks=tuple(unit[:k] + [(t, a)] + unit[k + 1:]))
+                         for t in range(twist_order(span.j)) for a in quarters]))
+    if layout.tail_dim:  # a width-1 tail holds the identity only
+        d, tails = layout.tail_dim, [None]
+        if layout.tail_active:
+            tails = [np.diag(flips) @ np.eye(d)[list(perm)]
+                     for perm in itertools.permutations(range(d))
+                     for flips in itertools.product((1, -1), repeat=d)]
+        factors.append((slice(layout.tail_start, n), [make_element(cfg, tail=t) for t in tails]))
+    elements = [((), (), 1)]  # (source, signs, character) on the factors so far
+    for span, factor in factors:
+        local = [(SignedPerm.from_matrix(to_matrix(g)[span, span]), phi(g)) for g in factor]
+        read = [(tuple(span.start + i for i in p.source), p.signs, c) for p, c in local]
+        elements = [(src + s, sgn + t, c * d) for src, sgn, c in elements for s, t, d in read]
+    return tuple(LatticeElement(SignedPerm(src, sgn), c) for src, sgn, c in elements)
 
 
 def axis_orbits(cfg: SymmetryConfig) -> dict[int, int]:

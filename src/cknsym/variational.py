@@ -62,7 +62,6 @@ from .symmetry import (
     SymmetryConfig,
     config_to_pairs,
     make_layout,
-    random_element,
     stabilizer_witness,
 )
 
@@ -71,11 +70,12 @@ CHECKPOINT_VERSION = 4  # 3 held coordinates in a profile basis whose column sig
 
 MIN_STEP = 1e-10  # the line search halves the relative step down to this
 METRIC_CUT = 1e-6  # metric eigenvalues below this share of the largest carry no energy
-INTERPOLATED_SAMPLES = 8  # random full-group elements in the bias diagnostic
+INTERPOLATED_SAMPLES = 8  # tail angles in the bias diagnostic, evenly over (0, pi/4]
 REDUCED_REFINE = 4  # profile table step of the reduced level: grid step / 4
 SEED_OFFSET = 0.55  # seed bump center along the witness, in radii
 SEED_WIDTH = 0.18  # seed bump standard deviation, in radii
 CERTIFICATE_BLOCK = 8192  # interior nodes per certificate block: its vectors stay cache-sized
+HESSIAN_BLOCK = 8192  # metric terms per block of tail indices, at least one index's
 WEIGHT_STRENGTH = 0.3  # b of the default weights; a = b scales it under a_eq_b_nonzero
 
 
@@ -388,12 +388,13 @@ def _tensor_action(n: int, alpha: int, m: tuple[int, ...],
     return tuple((perm, w / len(elements)) for perm, w in weights.items() if w)
 
 
-def _contract_planes(t: np.ndarray, ms: list[np.ndarray]) -> np.ndarray:
-    """Contract the k-th leading axis of t with the second axis of ms[k],
-    leading axis first; each result axis takes its place, so no axis moves
-    and no operand is copied."""
+def _contract_planes(t: np.ndarray, ms: list[np.ndarray], first: int = 0) -> np.ndarray:
+    """Contract axis first + k of t with the second axis of ms[k], leading
+    axis first; each result axis takes its place, so no axis moves and no
+    operand is copied.  The first axes batch: each index of them is
+    contracted by the same products as a tensor without them."""
     shape = t.shape
-    for k, m in enumerate(ms):
+    for k, m in enumerate(ms, start=first):
         t = np.matmul(m, t.reshape(math.prod(shape[:k]), shape[k], -1))
         shape = shape[:k] + (m.shape[0],) + shape[k + 1:]
     return t.reshape(shape)
@@ -446,8 +447,10 @@ def _class_hessian(energy: "DiscreteEnergy", cfg: SymmetryConfig,
     Q[a, i] Q[a', i'] (a' = a + e_k on the plane holding k, else a) is
     binned by the radius ids at a, or by the pairs of ids at a and a', and
     couples coefficients whose tail indices agree, or differ by e_k on a
-    tail axis.  S gathers it into G per tail index; with the diagonal term
-    halved, H = G + G^T is exactly symmetric.  Lattice elements keep the
+    tail axis.  S gathers it into G, a block of tail indices at a time
+    (HESSIAN_BLOCK entries or one index, in tail-index order, so G sums as a
+    loop over single indices would); with the diagonal term halved,
+    H = G + G^T is exactly symmetric.  Lattice elements keep the
     mask and weights and carry axis k's pairs onto those of each axis in its
     orbit: the pair terms and the diagonal's neighbour sums are built for
     one axis per orbit, times its size.  ``key``: the radius-id bins."""
@@ -456,12 +459,13 @@ def _class_hessian(energy: "DiscreteEnergy", cfg: SymmetryConfig,
     col, val, dim = basis
     npts, (size, r) = g.points_per_axis, rows.shape
     tails = npts ** (g.n - 2 * planes)
-    col, val = col.reshape(-1, tails), val.reshape(-1, tails)
+    col, val = (np.ascontiguousarray(a.reshape(-1, tails).T) for a in (col, val))  # tail first
     fwd, bwd = g.neighbours
     w = np.append(energy._w_grad_in, 0.0) * (g.cell_volume / g.h ** 2)  # zero sentinel
     same = (rows[:, :, None] * rows[:, None, :]).reshape(size, r * r).T
-    ij, ji = (r, 1) * planes, (1, r) * planes  # i and i' of each plane's pair axes
+    ij, ji = (-1,) + (r, 1) * planes, (-1,) + (1, r) * planes  # i and i' of each plane's pair axes
     acc = np.zeros((dim + 1) ** 2)
+    span = max(1, HESSIAN_BLOCK // r ** (2 * planes))  # tail indices per block
     orbits = axis_orbits(cfg)
     for k in (None, *orbits):
         values = (0.5 * (2 * g.n * w[:-1] + sum(s * (w.take(fwd[a]) + w.take(bwd[a]))
@@ -482,13 +486,16 @@ def _class_hessian(energy: "DiscreteEnergy", cfg: SymmetryConfig,
         binned = np.bincount(bins, values, minlength=math.prod(sizes)).reshape(sizes)
         del values, bins
         step = npts ** (g.n - 1 - k) if k is not None and k >= 2 * planes else 0
-        for t in range(tails - step):  # past the last tail index no pair is interior
-            part = _contract_planes(binned[..., t], tables).reshape((r, r) * planes)
-            part *= val[:, t].reshape(ij)
-            part *= val[:, t + step].reshape(ji)
-            pairs = col[:, t].reshape(ij) * (dim + 1) + col[:, t + step].reshape(ji)
+        for lo in range(0, tails - step, span):  # past the last tail index no pair is interior
+            t = slice(lo, min(lo + span, tails - step))
+            u = slice(t.start + step, t.stop + step)
+            pairs = col[t].reshape(ij) * (dim + 1) + col[u].reshape(ji)  # tail index first
+            part = _contract_planes(np.moveaxis(binned[..., t], -1, 0), tables, 1)
+            part = part.reshape(pairs.shape)
+            part *= val[t].reshape(ij)
+            part *= val[u].reshape(ji)
             np.add.at(acc, pairs.ravel(), part.ravel())
-        del part, pairs  # before the next term builds its own
+            del part, pairs  # before the next block builds its own
     h = acc.reshape(dim + 1, dim + 1)[:dim, :dim]
     return h + h.T
 
@@ -656,8 +663,10 @@ def reduced_level_estimate(coefficients: np.ndarray, cfg: SymmetryConfig, grid: 
 def interpolated_equivariance_bias(coefficients: np.ndarray, cfg: SymmetryConfig,
                                    grid: BallGrid, bins: _BinPass) -> float:
     """Worst |E c(g x) - phi(g) E c(x)| / sup |E c| over interior nodes x and
-    INTERPOLATED_SAMPLES seeded random full-group elements g, for in-class c,
-    read on ``bins``: the peak over all, the differences over interior ones.
+    full-group elements g whose tail rotates its first two axes by
+    theta_k = (k + 1) pi / (4 INTERPOLATED_SAMPLES), k < INTERPOLATED_SAMPLES,
+    for in-class c, read on ``bins``: the peak over all, the differences over
+    interior ones.
 
     At alpha = 0, g moves plane radii only by the plane permutation of its
     twists, as the lattice element with the same twists and character does;
@@ -666,24 +675,43 @@ def interpolated_equivariance_bias(coefficients: np.ndarray, cfg: SymmetryConfig
     of g, E c(g x) - phi(g) E c(x) = phi(g) (E T_R c - E c)(x), where T_R c
     reads the tail axes of c at R x_tail: exactly 0 without an active tail,
     else the off-lattice defect of the tail, which the class samples only on
-    the lattice.  VariationalError at alpha > 0: pinwheel steps mix planes.
+    the lattice.  The defect is unchanged when a lattice tail element acts
+    before or after R (it keeps c and the interior), and that group holds
+    the quarter turns and the reflections: on an O(2) tail every value the
+    group gives is taken at an angle in (0, pi/4], which theta_k samples,
+    pi/4 among them.  A wider
+    tail is read in its first coordinate plane, which its lattice carries
+    onto every other.  VariationalError at alpha > 0: pinwheel steps mix
+    planes.
     """
     if cfg.alpha > 0:
         raise VariationalError(f"the interpolated bias needs alpha = 0, got {cfg.alpha}")
     if not cfg.tail_active:
         return 0.0
+    rotations = []
+    for k in range(INTERPOLATED_SAMPLES):
+        theta = (k + 1) * math.pi / (4 * INTERPOLATED_SAMPLES)
+        rotation = np.eye(cfg.tail_dim)
+        rotation[:2, :2] = ((math.cos(theta), -math.sin(theta)), (math.sin(theta), math.cos(theta)))
+        rotations.append(rotation)
+    return _tail_bias(coefficients, grid, bins, rotations)
+
+
+def _tail_bias(coefficients: np.ndarray, grid: BallGrid, bins: _BinPass,
+               rotations: list[np.ndarray]) -> float:
+    """max |E T_R c - E c| / sup |E c| over interior nodes and the tail
+    matrices R in ``rotations``, T_R c reading the tail axes of c at R x_tail."""
     peak = float(np.max(np.abs(bins.field(coefficients))))
     if peak == 0.0:
         return 0.0
     inside = np.bincount(bins.key, minlength=bins.weights.size).reshape(bins.weights.shape) > 0
-    d = cfg.tail_dim
+    d = len(rotations[0])
     flat = coefficients.reshape(coefficients.shape[:-d] + (-1,))  # the tail axes as one
     nodes = np.indices((grid.points_per_axis,) * d).reshape(d, -1).T * grid.h - grid.radius
-    rng = np.random.default_rng(0)
     worst = 0.0
-    for _ in range(INTERPOLATED_SAMPLES):
+    for rotation in rotations:
         rows = np.ones((len(nodes), 1))  # row k reads the tail of c at R times tail node k
-        for x in (nodes @ random_element(cfg, rng).tail.T).T:
+        for x in (nodes @ rotation.T).T:
             rows = (rows[:, :, None] * _axis_weights(grid, x, False)[:, None]).reshape(len(x), -1)
         moved = (flat @ rows.T).reshape(coefficients.shape)
         worst = max(worst, float(np.max(np.abs(bins.field(moved - coefficients)[inside]))))
@@ -917,7 +945,10 @@ def solve_peak_bytes(grid: BallGrid, dim: int = 0) -> int:
         neighbour build's index cube) and 3 vectors (the seed's interior
         values, and at p != 2 the orbit pass's least nodes and stabilizers);
       - the metric, after the seed is read: H, dim^2, and either its build,
-        at most 2n + 5 vectors, or eigh's eigenvectors (or H + H^T), dim^2,
+        at most 2n + 5 vectors or, above 4-D, 3 arrays of a block of
+        HESSIAN_BLOCK terms (a 4-D class has one tail index, and one index's
+        terms, where they are more, stay below those vectors), or eigh's
+        eigenvectors (or H + H^T), dim^2,
         and 8 vectors (H's weights, the orbit pass's tables and a trial's
         arrays at p != 2), then 128 KiB of ufunc buffers for H + H^T;
       - the end of the run, on interior vectors: the energy pass, one
@@ -928,18 +959,20 @@ def solve_peak_bytes(grid: BallGrid, dim: int = 0) -> int:
         its interior values, M, or n + 6 vectors of a block of
         CERTIFICATE_BLOCK nodes (or of M, if fewer).
     eigh's LAPACK workspace (about 2.35 dim^2 more, untraced) is not
-    counted.  A 4-iteration solve traced with tracemalloc, after
-    numpy.random's first-use import, peaks at 0.74 to 0.97 of this bound at
-    9^4 to 25^4, 0.86 to 0.96 at 7^5 to 11^5 and 0.84 to 0.94 at 5^6 to
-    11^6, at p = 2 and p = 3; a 3-iteration 13^6 solve at 0.84.
+    counted.  A 4-iteration solve traced with tracemalloc (it imports no
+    numpy.random) peaks at 0.68 (p = 2) and 0.46 (p = 3) of this bound at
+    9^4, 0.87 to 0.96 at 13^4 to 25^4, 0.85 to 0.95 at 7^5 to 11^5 and 0.80
+    to 0.94 at 5^6 to 11^6, at p = 2 and p = 3; a 3-iteration 13^6 solve at
+    0.84.
     """
     cube = math.prod(grid.shape)
     inside = _interior_count(grid)
     n_r = int(math.ceil(grid.radius / (grid.h / REDUCED_REFINE)))  # as reduced_level_estimate
     tables = n_r ** 2 * (2 * n_r) ** max(grid.n - 4, 0)
     stage = (2 * grid.n + 5) * inside  # the energy pass, or the metric's build
+    build = max(stage, 3 * HESSIAN_BLOCK if grid.n > 4 else 0)
     block = min(CERTIFICATE_BLOCK, inside)
-    phase = max(cube + 3 * inside, dim * dim + max(stage, dim * dim + 8 * inside) + 2 ** 14,
+    phase = max(cube + 3 * inside, dim * dim + max(build, dim * dim + 8 * inside) + 2 ** 14,
                 stage, 3 * tables, cube + max(inside, (grid.n + 6) * block))
     return int((cube / 4 + (2 * grid.n + 4) * inside + phase) * 8) + 2 ** 16
 

@@ -3,19 +3,23 @@ point cloud and the pointwise sampler the seed is checked against, the
 grid symmetrization (the signed lattice average), the energy value and its
 node gradient as a grid field, the closed-form energies behind criterion
 8, a typed reader of ``report.txt``,
-signed permutations acting on points and composed, the quotient and its node
+signed permutations acting on points and composed, the sampling subgroup
+built element by element, which the per-factor build is checked against,
+the quotient and its node
 gradient from one interior energy pass, which the solver's trial passes
 are checked against, the class synthesis E and its adjoint contracted over
 the whole cube, which the bin maps are checked against, the class
 projection through the tensor average that the pull-back through S is
 checked against, the pointwise read of a class profile that the
 interpolated bias is checked against, the class Hessian by one energy pass per column, which the
-factored build is checked against, the certificates read over every
+factored build is checked against, and by one contraction per tail index,
+which the blocked build is checked against bit for bit, the certificates read over every
 lattice element's view of the whole cube, which the interior read is
 checked against, the all-pairs code closure that the
 orbit-representative one is checked against, the recursive multiplicity
 tuples that the flat enumeration is checked against, and a traced heap peak."""
 
+import itertools
 import math
 import tracemalloc
 from dataclasses import dataclass
@@ -24,15 +28,23 @@ import numpy as np
 
 from cknsym.grid import BallGrid
 from cknsym.kvdoc import get_float, get_int, get_ints, parse_kv
-from cknsym.lattice import SignedPerm, apply_perm_to_grid, lattice_subgroup
+from cknsym.lattice import (
+    LatticeElement,
+    SignedPerm,
+    apply_perm_to_grid,
+    axis_orbits,
+    lattice_subgroup,
+)
 from cknsym.symmetry import (
     GroupOperationError,
     InvalidConfigError,
     SymmetryConfig,
     k_of,
+    make_element,
+    make_layout,
     phi,
-    random_element,
     to_matrix,
+    twist_order,
 )
 from cknsym.variational import (
     INTERPOLATED_SAMPLES,
@@ -45,6 +57,7 @@ from cknsym.variational import (
     _catmull_rom_matrix,
     _class_basis,
     _contract_planes,
+    _plane_radius_bins,
     _tensor_action,
     class_shape,
 )
@@ -165,6 +178,31 @@ def perm_matrix(perm: SignedPerm) -> np.ndarray:
     return m
 
 
+def lattice_subgroup_by_elements(cfg: SymmetryConfig) -> tuple[LatticeElement, ...]:
+    """The sampling subgroup built element by element: each canonical
+    quarter-turn element is made whole, its signed permutation read off its
+    full ``to_matrix`` and its sign off ``phi``, in ``lattice_subgroup``'s
+    order (pinwheel slowest, then the blocks, then the tail)."""
+    layout = make_layout(cfg)
+    quarters = [k * math.pi / 2.0 for k in range(4)]
+    pinwheel = [None]
+    if layout.pinwheel is not None:
+        pinwheel = [(step, a) for step in (0, 1 << cfg.alpha) for a in quarters]
+    blocks = [[(t, a) for t in range(twist_order(span.j)) for a in quarters]
+              for span in layout.blocks]
+    tails = [None]
+    if layout.tail_active:
+        d = layout.tail_dim
+        tails = [np.diag(flips) @ np.eye(d)[list(perm)]
+                 for perm in itertools.permutations(range(d))
+                 for flips in itertools.product((1, -1), repeat=d)]
+    elements = []
+    for pin, *blk, tail in itertools.product(pinwheel, *blocks, tails):
+        g = make_element(cfg, pinwheel=pin, blocks=tuple(blk), tail=tail)
+        elements.append(LatticeElement(SignedPerm.from_matrix(to_matrix(g)), phi(g)))
+    return tuple(elements)
+
+
 def tensor_average(coefficients: np.ndarray, cfg: SymmetryConfig) -> np.ndarray:
     """The sampling subgroup's signed average applied to class coefficients."""
     planes = cfg.n - coefficients.ndim  # one axis per plane and per tail axis
@@ -236,18 +274,29 @@ def class_values(coefficients: np.ndarray, grid: BallGrid, pts: np.ndarray) -> n
 
 def pointwise_bias(coefficients: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) -> float:
     """The interpolated bias read pointwise: E c at every interior node moved
-    by each of the seeded random full-group elements, against phi(g) E c."""
+    by full-group elements g, against phi(g) E c.  The k-th g rotates the
+    first two tail axes by the bias's k-th angle, (k + 1) pi / (4
+    INTERPOLATED_SAMPLES), and has nontrivial pinwheel and block factors:
+    odd pinwheel steps, every twist in turn and off-lattice angles."""
     u = class_field(coefficients, cfg, grid)
     peak = float(np.max(np.abs(u)))
     if peak == 0.0:
         return 0.0
-    rng = np.random.default_rng(0)
+    layout = make_layout(cfg)
     inside = grid.mask.ravel()
     pts = grid_points(grid)[inside]
     own = u.ravel()[inside]
     worst = 0.0
-    for _ in range(INTERPOLATED_SAMPLES):
-        g = random_element(cfg, rng)
+    for k in range(INTERPOLATED_SAMPLES):
+        theta = (k + 1) * math.pi / (4 * INTERPOLATED_SAMPLES)
+        tail = None
+        if layout.tail_active:
+            tail = np.eye(layout.tail_dim)
+            tail[:2, :2] = ((math.cos(theta), -math.sin(theta)), (math.sin(theta), math.cos(theta)))
+        g = make_element(cfg, pinwheel=(2 * k + 1, 0.3 * (k + 1)) if cfg.alpha else None,
+                         blocks=tuple((k + b + 1, 0.7 * (k + 1) + b)
+                                      for b in range(len(layout.blocks))),
+                         tail=tail)
         resid = np.abs(class_values(coefficients, grid, pts @ to_matrix(g).T) - phi(g) * own)
         worst = max(worst, float(np.max(resid)))
     return worst / peak
@@ -309,6 +358,54 @@ def class_hessian_by_columns(energy: DiscreteEnergy, cfg: SymmetryConfig,
     return out
 
 
+def class_hessian_per_tail(energy: DiscreteEnergy, cfg: SymmetryConfig,
+                           basis: tuple[np.ndarray, np.ndarray, int],
+                           key: np.ndarray) -> np.ndarray:
+    """``variational._class_hessian`` with one contraction and one scatter
+    per tail index, in the order the blocked build adds its terms: the
+    blocked H is checked against it bit for bit."""
+    g = energy.grid
+    ids, rows, planes = _class_basis(cfg, g)
+    col, val, dim = basis
+    npts, (size, r) = g.points_per_axis, rows.shape
+    tails = npts ** (g.n - 2 * planes)
+    col, val = col.reshape(-1, tails), val.reshape(-1, tails)
+    fwd, bwd = g.neighbours
+    w = np.append(energy._w_grad_in, 0.0) * (g.cell_volume / g.h ** 2)  # zero sentinel
+    same = (rows[:, :, None] * rows[:, None, :]).reshape(size, r * r).T
+    ij, ji = (r, 1) * planes, (1, r) * planes  # i and i' of each plane's pair axes
+    acc = np.zeros((dim + 1) ** 2)
+    orbits = axis_orbits(cfg)
+    for k in (None, *orbits):
+        values = (0.5 * (2 * g.n * w[:-1] + sum(s * (w.take(fwd[a]) + w.take(bwd[a]))
+                                                for a, s in orbits.items())) if k is None else
+                  np.where(fwd[k] < len(w) - 1, -orbits[k] * (w[:-1] + w.take(fwd[k])), 0.0))
+        tables, sizes, bins = [same] * planes, [size] * planes + [tails], key
+        if k is not None and k < 2 * planes:  # on its plane, bin by the pair of radius ids
+            e = npts if k % 2 == 0 else 1  # the flat step a -> a + e_k on the plane
+            pair = ids * size  # the ids at a and a + e_k; a plane's last e nodes are outer
+            pair[:-e] += ids[e:]
+            seen = np.flatnonzero(np.bincount(pair))
+            labels = [ids] * planes
+            labels[k // 2] = np.searchsorted(seen, pair)
+            tables[k // 2] = (rows[seen // size, :, None] * rows[seen % size, None, :]
+                              ).reshape(len(seen), r * r).T
+            sizes[k // 2] = len(seen)
+            bins = _plane_radius_bins(g, labels, sizes[:-1])
+        binned = np.bincount(bins, values, minlength=math.prod(sizes)).reshape(sizes)
+        del values, bins
+        step = npts ** (g.n - 1 - k) if k is not None and k >= 2 * planes else 0
+        for t in range(tails - step):  # past the last tail index no pair is interior
+            part = _contract_planes(binned[..., t], tables).reshape((r, r) * planes)
+            part *= val[:, t].reshape(ij)
+            part *= val[:, t + step].reshape(ji)
+            pairs = col[:, t].reshape(ij) * (dim + 1) + col[:, t + step].reshape(ji)
+            np.add.at(acc, pairs.ravel(), part.ravel())
+        del part, pairs  # before the next term builds its own
+    h = acc.reshape(dim + 1, dim + 1)[:dim, :dim]
+    return h + h.T
+
+
 def view_certificates(values: np.ndarray,
                       cfg: SymmetryConfig) -> tuple[float, float, SignCertificate]:
     """``grid_certificates`` read over the whole cube, through each lattice
@@ -344,7 +441,9 @@ def view_certificates(values: np.ndarray,
 
 def traced_peak(call) -> int:
     """Bytes the heap grows to above its start while call() runs."""
-    np.random.default_rng(0)  # imports numpy's random module, once per process
+    # numpy.random's first-use import, once per process and untraced: the
+    # homomorphism check draws from it; a solve and a closure do not
+    np.random.default_rng(0)
     tracemalloc.start()
     base = tracemalloc.get_traced_memory()[0]
     tracemalloc.reset_peak()

@@ -363,6 +363,25 @@ def test_p_two_solve_never_imports_the_orbit_pass():
     assert _probe(probe) == "2.0 False\n3.0 True\n"
 
 
+def test_a_6d_solve_and_the_closure_sweep_skip_numpy_random_and_numpy_ma(tmp_path):
+    """Neither path pays a numpy module's first-use import: in a bare
+    interpreter numpy.random's took 12 ms and 6 MB resident, and numpy.ma's
+    (behind np.unique) 13 ms and 1.3 MB."""
+    doc = write_doc(tmp_path / "solve.kv", "n: 6\nalpha: 0\nm: 1,0\npoints_per_axis: 5\n"
+                                           "max_iters: 3\n")
+    probe = ("import contextlib, io, sys\n"
+             "from cknsym.cli import main\n"
+             "from cknsym.codes import closure, v_word\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    assert main(['solve', '--config', {doc!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+             "print('numpy.random' in sys.modules, 'numpy.ma' in sys.modules)\n"
+             "for s in range(2, 12):\n"
+             "    for r in range(1, s):\n"
+             "        closure(11, [v_word(11, r), v_word(11, s)])\n"
+             "print('numpy.random' in sys.modules, 'numpy.ma' in sys.modules)\n")
+    assert _probe(probe) == "False False\nFalse False\n"
+
+
 def test_solve_resume_refuses_a_checkpoint_grid_that_cannot_fit(tmp_path, capsys):
     part = write_doc(tmp_path / "part.kv", SOLVE_DOC + "checkpoint_every: 4\n")
     assert run("solve", "--config", part, "--out", str(tmp_path / "part")) == 0

@@ -27,7 +27,14 @@ from cknsym.symmetry import (
     twist_order,
 )
 
-from helpers import apply_point, compose_perms, field_from_function, identity_perm, perm_matrix
+from helpers import (
+    apply_point,
+    compose_perms,
+    field_from_function,
+    identity_perm,
+    lattice_subgroup_by_elements,
+    perm_matrix,
+)
 
 
 def signed_perms(n: int):
@@ -236,6 +243,15 @@ def test_lattice_subgroup_matches_the_hand_written_oracle(n):
     """Same elements, same order, same signs: symmetrize sums in this order."""
     for cfg in enumerate_configs(n, alpha_max=2):
         assert lattice_subgroup(cfg) == oracle_subgroup(cfg), cfg
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_lattice_subgroup_matches_the_element_by_element_build(n):
+    """Reading each factor once and joining disjoint spans gives the same
+    elements, order and signs as reading every whole element off
+    ``to_matrix`` and ``phi``."""
+    for cfg in enumerate_configs(n, alpha_max=2):
+        assert lattice_subgroup(cfg) == lattice_subgroup_by_elements(cfg), cfg
 
 
 @pytest.mark.parametrize("n", range(4, 9))

@@ -16,7 +16,7 @@ from cknsym.grid import BallGrid, backward_diffs, forward_diffs
 from cknsym.kvdoc import DocumentError
 from cknsym.lattice import LatticeElement, SignedPerm, apply_perm_to_grid, lattice_subgroup
 from cknsym.orbits import _OrbitPass
-from cknsym.symmetry import REGIMES, SymmetryConfig, stabilizer_witness
+from cknsym.symmetry import REGIMES, SymmetryConfig, random_element, stabilizer_witness
 from cknsym.variational import (
     DiscreteEnergy,
     ProblemParams,
@@ -47,6 +47,7 @@ from helpers import (
     class_coordinates,
     class_field,
     class_hessian_by_columns,
+    class_hessian_per_tail,
     class_values,
     dilation_invariance_gap,
     energy_gradient,
@@ -707,6 +708,22 @@ def test_class_hessian_matches_one_energy_pass_per_column(cfg, grid):
     assert np.array_equal(h, h.T)
 
 
+@pytest.mark.parametrize("cfg, grid", [
+    (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 5, 1.0)),
+    (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 9, 1.0)),
+    (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 13, 1.0)),
+    (SymmetryConfig(5, 0, (1,)), BallGrid(5, 9, 1.0)), (CFG4, BallGrid(4, 21, 1.0))],
+    ids=["5^6", "9^6", "13^6", "9^5", "21^4"])
+def test_class_hessian_blocks_equal_the_per_tail_loop(cfg, grid):
+    """Blocks of tail indices (several at 5^6 and 9^5, one at 13^6) add the
+    terms a loop over single tail indices adds, in its order: H is equal bit
+    for bit, so a solve's field is too."""
+    energy = DiscreteEnergy(grid, params_for_config(cfg))
+    basis, key = class_basis(cfg, grid), _plane_bins(cfg, grid)
+    h = variational._class_hessian(energy, cfg, basis, key)
+    assert np.array_equal(h, class_hessian_per_tail(energy, cfg, basis, key))
+
+
 @pytest.mark.parametrize("cfg, grid", [(CFG4, GRID4),
                                        (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 5, 1.0))],
                          ids=["9^4", "5^6"])
@@ -799,8 +816,8 @@ def test_solve_contracts_no_grid_sized_tensor(monkeypatch, p):
     sizes = []
     real = variational._contract_planes
 
-    def recorded(t, ms):
-        out = real(t, ms)
+    def recorded(t, ms, *first):
+        out = real(t, ms, *first)
         sizes.extend([t.size, out.size, *(m.size for m in ms)])
         return out
 
@@ -1228,6 +1245,27 @@ def test_interpolated_bias_matches_the_pointwise_read(cfg, grid):
         bias = interpolated_equivariance_bias(c, cfg, grid, bins)
         assert bias > 1e-6
         assert abs(bias - pointwise_bias(c, cfg, grid)) <= 1e-12
+
+
+def _tail_rotation(theta):
+    return np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+
+
+@pytest.mark.parametrize("grid", [BallGrid(6, 5, 1.0), BallGrid(6, 7, 1.0)], ids=["5^6", "7^6"])
+def test_interpolated_bias_reads_a_fundamental_domain_of_the_tail(grid):
+    """The tail defect is unchanged by the lattice's tail group on either
+    side, so the angles over (0, pi/4], pi/4 included, read what 64 angles
+    over [0, pi/2) read, and at least what 8 seeded Haar-random tails read."""
+    cfg = SymmetryConfig(6, 0, (1, 0))
+    bins = _bin_map(cfg, grid)
+    dense = [_tail_rotation(k * math.pi / 128) for k in range(64)]
+    rng = np.random.default_rng(0)
+    haar = [random_element(cfg, rng).tail for _ in range(variational.INTERPOLATED_SAMPLES)]
+    for u in (seed_field(cfg, grid), random_bumps(grid, np.random.default_rng(21))):
+        c = class_coefficients(u, cfg, grid)
+        bias = interpolated_equivariance_bias(c, cfg, grid, bins)
+        assert abs(bias - variational._tail_bias(c, grid, bins, dense)) <= 1e-12
+        assert bias >= variational._tail_bias(c, grid, bins, haar)
 
 
 @pytest.mark.parametrize("cfg, grid", [(CFG4, BallGrid(4, 13, 1.0)),
