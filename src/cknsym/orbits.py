@@ -18,8 +18,8 @@ class _OrbitPass(_BinPass):
     """``_BinPass`` with K on the representatives: the sum is K on the class, so
     its node gradient, on r and its neighbours, is binned and pulled back with B's."""
 
-    def __init__(self, energy: DiscreteEnergy, cfg: SymmetryConfig, basis: tuple, key: np.ndarray):
-        super().__init__(energy, cfg, basis, key)
+    def __init__(self, energy: DiscreteEnergy, cfg: SymmetryConfig):
+        super().__init__(energy, cfg)
         g, self.h, self.sigma = energy.grid, energy.grid.h, energy._sigma
         inside, full = g.interior, 2 ** g.n - 1
         low, stab, counts = inside.copy(), np.zeros(len(inside)), np.zeros(full + 1)

@@ -66,7 +66,7 @@ from .symmetry import (
 )
 
 CHECKPOINT_FORMAT = "cknsym-checkpoint"
-CHECKPOINT_VERSION = 4  # 3 held coordinates in a profile basis whose column signs may differ
+CHECKPOINT_VERSION = 5  # 4 did not record the problem's p, a and b
 
 MIN_STEP = 1e-10  # the line search halves the relative step down to this
 METRIC_CUT = 1e-6  # metric eigenvalues below this share of the largest carry no energy
@@ -98,6 +98,9 @@ class ProblemParams:
     q: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("p", "a", "b") if self.q is None else ("p", "a", "b", "q"):
+            object.__setattr__(self, name, exact_float(
+                getattr(self, name), VariationalError, f"{name} must be a number, got {{!r}}"))
         if not 1.0 < self.p < self.n:
             raise VariationalError(f"need 1 < p < n, got p={self.p}, n={self.n}")
         if not 0.0 <= self.a < (self.n - self.p) / self.p:
@@ -152,10 +155,13 @@ class SolveOptions:
     checkpoint_every: int = 0
 
     def __post_init__(self) -> None:
-        # written as "not 0 < x < inf" so that NaN is refused too
         for name in ("tol", "subcritical_shift"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise VariationalError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+            value = exact_float(getattr(self, name), VariationalError,
+                                f"{name} must be a number, got {{!r}}")
+            # written as "not 0 < x < inf" so that NaN is refused too
+            if not 0 < value < math.inf:
+                raise VariationalError(f"{name} must be finite and > 0, got {value}")
+            object.__setattr__(self, name, value)
         for name in ("max_iters", "checkpoint_every"):
             exact_int(getattr(self, name), VariationalError,
                       f"{name} must be an integer >= 0, got {{!r}}", 0)
@@ -188,12 +194,6 @@ class DiscreteEnergy:
         self.params = params
 
     @cached_property
-    def _w_grad(self) -> np.ndarray:
-        out = np.zeros(self.grid.shape)
-        out.reshape(-1)[self.grid.interior] = self._w_grad_in
-        return out
-
-    @cached_property
     def _w_grad_in(self) -> np.ndarray:
         return self.grid.weight_values(self.params.grad_weight_exponent)
 
@@ -207,15 +207,6 @@ class DiscreteEnergy:
     def _sigma(self, sq: np.ndarray) -> np.ndarray:
         # d psi / d sq, times 2: the vector factor in the kinetic gradient, 1 at sq = 0
         return np.power(sq, (self.params.p - 2.0) / 2.0, out=np.ones(sq.shape), where=sq != 0.0)
-
-    def _stacks(self, u: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Masked field, forward and backward stacks over the whole cube by
-        the roll stencils, and their nodewise |.|^2."""
-        g = self.grid
-        u = u * g.mask  # off-ball values are gauge: the form reads zeros there
-        fw = forward_diffs(g, u)
-        bw = backward_diffs(g, u)
-        return u, fw, bw, np.sum(fw * fw, axis=0), np.sum(bw * bw, axis=0)
 
     def _potential(self, uv: np.ndarray) -> float:
         """B from the interior values."""
@@ -260,9 +251,12 @@ class DiscreteEnergy:
                 self._potential(uv), gk, gb)
 
     def kinetic(self, u: np.ndarray) -> float:
-        _, _, _, sf, sb = self._stacks(u)
-        dens = self._psi(sf) + self._psi(sb)
-        return float(0.5 * self.grid.cell_volume * np.sum(self._w_grad * dens))
+        g = self.grid
+        u = u * g.mask  # off-ball values are gauge: the form reads zeros there
+        sf, sb = (np.sum(d * d, axis=0) for d in (forward_diffs(g, u), backward_diffs(g, u)))
+        w = np.zeros(g.shape)  # the gradient weights, zero off the interior
+        w.reshape(-1)[g.interior] = self._w_grad_in
+        return float(0.5 * g.cell_volume * np.sum(w * (self._psi(sf) + self._psi(sb))))
 
     def potential(self, u: np.ndarray) -> float:
         return self._potential(np.reshape(u, self.grid.shape).take(self.grid.interior))
@@ -353,14 +347,8 @@ def _plane_profile_basis(points_per_axis: int) -> tuple[np.ndarray, np.ndarray, 
 # spans, so S^T P = S^T.
 
 
-def _class_basis(cfg: SymmetryConfig, grid: BallGrid) -> tuple[np.ndarray, np.ndarray, int]:
-    """The plane radius ids, the profile rows Q_d and the number of rotation planes."""
-    return (*_plane_profile_basis(grid.points_per_axis)[:2], make_layout(cfg).tail_start // 2)
-
-
 @functools.cache
-def _tensor_action(n: int, alpha: int, m: tuple[int, ...],
-                   planes: int) -> tuple[tuple[SignedPerm, float], ...]:
+def _tensor_action(n: int, alpha: int, m: tuple[int, ...]) -> tuple[tuple[SignedPerm, float], ...]:
     """The sampling subgroup of (n, alpha, m) (any regime) as it acts on
     class coefficients: pairs (R, w) with sum_R w R c = E^T A E c, A the
     signed lattice average on the grid.
@@ -373,7 +361,7 @@ def _tensor_action(n: int, alpha: int, m: tuple[int, ...],
     splits a rotation plane.
     """
     cfg = SymmetryConfig(n, alpha, m)
-    elements = lattice_subgroup(cfg)
+    elements, planes = lattice_subgroup(cfg), make_layout(cfg).tail_start // 2
     weights: dict[SignedPerm, int] = {}
     for e in elements:
         src, sgn = e.perm.source, e.perm.signs
@@ -402,8 +390,8 @@ def _contract_planes(t: np.ndarray, ms: list[np.ndarray], first: int = 0) -> np.
 
 def class_shape(cfg: SymmetryConfig, grid: BallGrid) -> tuple[int, ...]:
     """Shape of a class-coefficient tensor: r per rotation plane, N per tail axis."""
-    _, rows, planes = _class_basis(cfg, grid)
-    return (rows.shape[1],) * planes + (grid.points_per_axis,) * (grid.n - 2 * planes)
+    planes, npts = make_layout(cfg).tail_start // 2, grid.points_per_axis
+    return (_plane_profile_basis(npts)[1].shape[1],) * planes + (npts,) * (grid.n - 2 * planes)
 
 
 def class_basis(cfg: SymmetryConfig, grid: BallGrid) -> tuple[np.ndarray, np.ndarray, int]:
@@ -416,7 +404,7 @@ def class_basis(cfg: SymmetryConfig, grid: BallGrid) -> tuple[np.ndarray, np.nda
     """
     shape = class_shape(cfg, grid)
     labels = np.arange(math.prod(shape))
-    action = _tensor_action(cfg.n, cfg.alpha, cfg.m, _class_basis(cfg, grid)[2])
+    action = _tensor_action(cfg.n, cfg.alpha, cfg.m)
     moved = [apply_perm_to_grid(labels.reshape(shape), perm).ravel() for perm, _ in action]
     low = np.min(moved or [labels], axis=0)  # each orbit's least index
     proj = sum((w * (row == low) for (_, w), row in zip(action, moved)), np.zeros(labels.size))
@@ -438,8 +426,7 @@ def _plane_radius_bins(grid: BallGrid, labels: list[np.ndarray], sizes: list[int
     return key * tails + grid.interior % tails
 
 
-def _class_hessian(energy: "DiscreteEnergy", cfg: SymmetryConfig,
-                   basis: tuple[np.ndarray, np.ndarray, int], key: np.ndarray) -> np.ndarray:
+def _class_hessian(energy: DiscreteEnergy, space: "_BinPass") -> np.ndarray:
     """H = S^T E^T L E S, L the Hessian of the masked, w_grad-weighted p = 2
     kinetic form: a diagonal term and, per axis k, a term over the interior
     pairs (x, x + e_k).  E is Q_d[ids] on each rotation plane and the
@@ -453,10 +440,10 @@ def _class_hessian(energy: "DiscreteEnergy", cfg: SymmetryConfig,
     H = G + G^T is exactly symmetric.  Lattice elements keep the
     mask and weights and carry axis k's pairs onto those of each axis in its
     orbit: the pair terms and the diagonal's neighbour sums are built for
-    one axis per orbit, times its size.  ``key``: the radius-id bins."""
-    g = energy.grid
-    ids, rows, planes = _class_basis(cfg, g)
-    col, val, dim = basis
+    one axis per orbit, times its size.  ``space``: the pass holding the
+    class space, S and the radius-id bins."""
+    g, ids, rows, planes = energy.grid, space.ids, space.rows, space.planes
+    col, val, dim = space.basis
     npts, (size, r) = g.points_per_axis, rows.shape
     tails = npts ** (g.n - 2 * planes)
     col, val = (np.ascontiguousarray(a.reshape(-1, tails).T) for a in (col, val))  # tail first
@@ -466,12 +453,12 @@ def _class_hessian(energy: "DiscreteEnergy", cfg: SymmetryConfig,
     ij, ji = (-1,) + (r, 1) * planes, (-1,) + (1, r) * planes  # i and i' of each plane's pair axes
     acc = np.zeros((dim + 1) ** 2)
     span = max(1, HESSIAN_BLOCK // r ** (2 * planes))  # tail indices per block
-    orbits = axis_orbits(cfg)
+    orbits = axis_orbits(space.cfg)
     for k in (None, *orbits):
         values = (0.5 * (2 * g.n * w[:-1] + sum(s * (w.take(fwd[a]) + w.take(bwd[a]))
                                                 for a, s in orbits.items())) if k is None else
                   np.where(fwd[k] < len(w) - 1, -orbits[k] * (w[:-1] + w.take(fwd[k])), 0.0))
-        tables, sizes, bins = [same] * planes, [size] * planes + [tails], key
+        tables, sizes, bins = [same] * planes, [size] * planes + [tails], space.key
         if k is not None and k < 2 * planes:  # on its plane, bin by the pair of radius ids
             e = npts if k % 2 == 0 else 1  # the flat step a -> a + e_k on the plane
             pair = ids * size  # the ids at a and a + e_k; a plane's last e nodes are outer
@@ -501,10 +488,13 @@ def _class_hessian(energy: "DiscreteEnergy", cfg: SymmetryConfig,
 
 
 class _BinPass:
-    """The class maps on plane-radius bins and a trial's pass at p = 2:
-    ``field`` gives values whose largest |.| is the field's peak, ``read``
-    a grid field's class coordinates, ``quotient_and_gradient(values, y)``
-    the quotient, its gradient and B^(p/q), ``coordinates`` a gradient's.
+    """The class space of cfg on the energy's grid (the plane radius ``ids``,
+    the profile rows Q_d, the plane count, the coefficient ``shape``, the
+    orbit ``basis`` S and the interior's radius-id bin ``key``), its maps and
+    a trial's pass at p = 2: ``coefficients`` gives S y, ``field`` values
+    whose largest |.| is the field's peak, ``read`` a grid field's class
+    coordinates, ``quotient_and_gradient(values, y)`` the quotient, its
+    gradient and B^(p/q), ``coordinates`` a gradient's.
 
     E c depends on each node only through its plane radii and tail index,
     so the class field is U = E_d c on the bins, E_d contracting each plane
@@ -519,13 +509,20 @@ class _BinPass:
     q h^n W |U|^(q-2) U.  A trial makes no grid- or interior-sized array.
     """
 
-    def __init__(self, energy: DiscreteEnergy, cfg: SymmetryConfig, basis: tuple, key: np.ndarray):
-        self.basis, self.p, self.q = basis, energy.params.p, energy.params.q
+    def __init__(self, energy: DiscreteEnergy, cfg: SymmetryConfig):
+        self.cfg, self.p, self.q = cfg, energy.params.p, energy.params.q
         self.grid = g = energy.grid
-        self.key, (_, self.rows, self.planes) = key, _class_basis(cfg, g)
-        shape = (len(self.rows),) * self.planes + (g.points_per_axis,) * (g.n - 2 * self.planes)
-        self.weights = np.bincount(key, energy._w_pot_in * g.cell_volume,
-                                   minlength=math.prod(shape)).reshape(shape)
+        self.ids, self.rows, _ = _plane_profile_basis(g.points_per_axis)
+        self.planes, self.shape = make_layout(cfg).tail_start // 2, class_shape(cfg, g)
+        self.basis = class_basis(cfg, g)
+        self.key = _plane_radius_bins(g, [self.ids] * self.planes, [len(self.rows)] * self.planes)
+        bins = (len(self.rows),) * self.planes + self.shape[self.planes:]
+        self.weights = np.bincount(self.key, energy._w_pot_in * g.cell_volume,
+                                   minlength=math.prod(bins)).reshape(bins)
+
+    def coefficients(self, y: np.ndarray) -> np.ndarray:  # S y
+        col, val, _ = self.basis
+        return (val * np.append(y, 0.0).take(col)).reshape(self.shape)
 
     def field(self, coefficients: np.ndarray) -> np.ndarray:
         return _contract_planes(coefficients, [self.rows] * self.planes)
@@ -572,11 +569,10 @@ def _axis_weights(grid: BallGrid, x: np.ndarray, plane: bool) -> np.ndarray:
     return _catmull_rom_matrix((x + grid.radius) / grid.h, grid.points_per_axis, radial=False)
 
 
-def _class_profile(coefficients: np.ndarray, grid: BallGrid, rho: np.ndarray,
+def _class_profile(coefficients: np.ndarray, grid: BallGrid, planes: int, rho: np.ndarray,
                    line: np.ndarray) -> np.ndarray:
     """The class field E c on the product of the plane radii rho (one axis per
     rotation plane, its second coordinate 0) and the tail coordinates line."""
-    planes = grid.n - coefficients.ndim  # c has one axis per plane and per tail axis
     prof = coefficients
     for ax in range(coefficients.ndim):  # each contraction moves the read axis last
         w = _axis_weights(grid, rho if ax < planes else line, ax < planes)
@@ -622,7 +618,7 @@ def reduced_level_estimate(coefficients: np.ndarray, cfg: SymmetryConfig, grid: 
     n_r = int(math.ceil(grid.radius / h_f))
     rho = (np.arange(n_r) + 0.5) * h_f
     line = -grid.radius + (np.arange(2 * n_r) + 0.5) * h_f
-    prof = _class_profile(coefficients, grid, rho, line)
+    prof = _class_profile(coefficients, grid, planes, rho, line)
     mesh = np.meshgrid(*([rho] * planes + [line] * (grid.n - 2 * planes)),
                        indexing="ij", sparse=True)
     p, q = params.p, params.q
@@ -660,13 +656,12 @@ def reduced_level_estimate(coefficients: np.ndarray, cfg: SymmetryConfig, grid: 
         return math.inf
 
 
-def interpolated_equivariance_bias(coefficients: np.ndarray, cfg: SymmetryConfig,
-                                   grid: BallGrid, bins: _BinPass) -> float:
+def interpolated_equivariance_bias(coefficients: np.ndarray, space: _BinPass) -> float:
     """Worst |E c(g x) - phi(g) E c(x)| / sup |E c| over interior nodes x and
     full-group elements g whose tail rotates its first two axes by
     theta_k = (k + 1) pi / (4 INTERPOLATED_SAMPLES), k < INTERPOLATED_SAMPLES,
-    for in-class c, read on ``bins``: the peak over all, the differences over
-    interior ones.
+    for c in the class ``space``, read on its bins: the peak over all, the
+    differences over interior ones.
 
     At alpha = 0, g moves plane radii only by the plane permutation of its
     twists, as the lattice element with the same twists and character does;
@@ -684,6 +679,7 @@ def interpolated_equivariance_bias(coefficients: np.ndarray, cfg: SymmetryConfig
     onto every other.  VariationalError at alpha > 0: pinwheel steps mix
     planes.
     """
+    cfg = space.cfg
     if cfg.alpha > 0:
         raise VariationalError(f"the interpolated bias needs alpha = 0, got {cfg.alpha}")
     if not cfg.tail_active:
@@ -694,17 +690,17 @@ def interpolated_equivariance_bias(coefficients: np.ndarray, cfg: SymmetryConfig
         rotation = np.eye(cfg.tail_dim)
         rotation[:2, :2] = ((math.cos(theta), -math.sin(theta)), (math.sin(theta), math.cos(theta)))
         rotations.append(rotation)
-    return _tail_bias(coefficients, grid, bins, rotations)
+    return _tail_bias(coefficients, space, rotations)
 
 
-def _tail_bias(coefficients: np.ndarray, grid: BallGrid, bins: _BinPass,
-               rotations: list[np.ndarray]) -> float:
+def _tail_bias(coefficients: np.ndarray, space: _BinPass, rotations: list[np.ndarray]) -> float:
     """max |E T_R c - E c| / sup |E c| over interior nodes and the tail
     matrices R in ``rotations``, T_R c reading the tail axes of c at R x_tail."""
-    peak = float(np.max(np.abs(bins.field(coefficients))))
+    peak = float(np.max(np.abs(space.field(coefficients))))
     if peak == 0.0:
         return 0.0
-    inside = np.bincount(bins.key, minlength=bins.weights.size).reshape(bins.weights.shape) > 0
+    grid = space.grid
+    inside = np.bincount(space.key, minlength=space.weights.size).reshape(space.weights.shape) > 0
     d = len(rotations[0])
     flat = coefficients.reshape(coefficients.shape[:-d] + (-1,))  # the tail axes as one
     nodes = np.indices((grid.points_per_axis,) * d).reshape(d, -1).T * grid.h - grid.radius
@@ -714,7 +710,7 @@ def _tail_bias(coefficients: np.ndarray, grid: BallGrid, bins: _BinPass,
         for x in (nodes @ rotation.T).T:
             rows = (rows[:, :, None] * _axis_weights(grid, x, False)[:, None]).reshape(len(x), -1)
         moved = (flat @ rows.T).reshape(coefficients.shape)
-        worst = max(worst, float(np.max(np.abs(bins.field(moved - coefficients)[inside]))))
+        worst = max(worst, float(np.max(np.abs(space.field(moved - coefficients)[inside]))))
     return worst / peak
 
 
@@ -861,34 +857,36 @@ def report_to_doc(report: SolveReport) -> str:
 
 
 def _save_checkpoint(path: str | Path, cfg: SymmetryConfig, grid: BallGrid,
-                     solver_exponent: float, iteration: int, step: float,
-                     y: np.ndarray, history: list[float]) -> None:
-    # the coordinates and the last relative step are the whole descent state
+                     params: ProblemParams, solver_exponent: float, iteration: int,
+                     step: float, y: np.ndarray, history: list[float]) -> None:
+    # the coordinates and the last relative step are the whole descent state;
+    # the problem is named by its config, grid, p, a, b and solver exponent
     write_array(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, grid, y,
                  alpha=cfg.alpha, m=list(cfg.m), regime=cfg.regime,
+                 p=params.p, a=params.a, b=params.b,
                  solver_exponent=solver_exponent, iteration=iteration, step=step,
                  history=[float(v) for v in history])
 
 
 def load_checkpoint(path: str | Path) -> dict:
-    """A checkpoint's solver state; VariationalError if the file is malformed
-    (a number written as a bool or a string included), holds a state the
-    solver never writes (a step outside (0, 1], an iteration that is not an
-    int >= 0, a history that is not a non-empty list of positive finite
-    levels), its grid cannot fit or its coordinates do not span the class."""
+    """A checkpoint's solver state and its problem's p, a and b;
+    VariationalError if the file is malformed (a number written as a bool
+    or a string included), holds a state the solver never writes (a step
+    outside (0, 1], an iteration that is not an int >= 0, a history that is
+    not a non-empty list of positive finite levels), its grid cannot fit or
+    its coordinates do not span the class."""
     try:
         header, grid, y = read_array(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
         cfg = SymmetryConfig(grid.n, header["alpha"], tuple(header["m"]),
                              regime=header["regime"])
         if not isinstance(header["history"], list):
             raise ValueError(f"history must be a list, got {header['history']!r}")
-        state = {"solver_exponent": exact_float(header["solver_exponent"], ValueError,
-                                                "solver_exponent must be a number, got {!r}"),
-                 "iteration": exact_int(header["iteration"], ValueError,
-                                        "iteration must be an integer >= 0, got {!r}", 0),
-                 "step": exact_float(header["step"], ValueError, "step must be a number, got {!r}"),
-                 "history": [exact_float(v, ValueError, "history entries must be numbers, got {!r}")
-                             for v in header["history"]]}
+        state = {key: exact_float(header[key], ValueError, f"{key} must be a number, got {{!r}}")
+                 for key in ("p", "a", "b", "solver_exponent", "step")}
+        state["iteration"] = exact_int(header["iteration"], ValueError,
+                                       "iteration must be an integer >= 0, got {!r}", 0)
+        state["history"] = [exact_float(v, ValueError, "history entries must be numbers, got {!r}")
+                            for v in header["history"]]
         # written as "not 0 < x" so that NaN is refused too
         if not 0.0 < state["step"] <= 1.0:
             raise ValueError(f"step must be finite and in (0, 1], got {state['step']}")
@@ -1007,9 +1005,10 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     The iterate lives in the coordinates y of the working class, the range
     of the circle averages over all rotation planes and the exact lattice
     symmetrization, with coefficients c = S y in the orthonormal orbit basis
-    S (``class_basis``): the iterate, direction and checkpoint are class
-    coordinates, and the iterate is never re-projected on the grid.  The
-    seed is read, before the metric is built, and each trial's peak and B
+    S, which the trial pass builds once with the rest of the class space:
+    the iterate, direction and checkpoint are class coordinates, and the
+    iterate is never re-projected on the grid.  The seed is read, before
+    the metric is built, and each trial's peak and B
     and the returned field are built, on plane-radius bins: no stage
     contracts a grid-sized tensor.
     The circle averages keep minimizing sequences inside the
@@ -1061,15 +1060,13 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     work = params.with_exponent(q_solver)
     energy = DiscreteEnergy(grid, work)
 
-    col, val, dim = basis = class_basis(cfg, grid)
-
-    def coefficients(y: np.ndarray) -> np.ndarray:  # S y
-        return (val * np.append(y, 0.0).take(col)).reshape(class_shape(cfg, grid))
-
     if resume_from is not None:
         state = load_checkpoint(resume_from)
         if state["config"] != cfg or state["grid"] != grid:
             raise VariationalError("checkpoint does not match the requested problem")
+        theirs, ours = (state["p"], state["a"], state["b"]), (params.p, params.a, params.b)
+        if theirs != ours:
+            raise VariationalError(f"checkpoint was produced for p, a, b = {theirs}, not {ours}")
         if not abs(state["solver_exponent"] - q_solver) <= 1e-12:  # NaN is refused too
             raise VariationalError("checkpoint was produced with a different exponent")
         y = state["coordinates"]
@@ -1077,18 +1074,17 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
             raise VariationalError("checkpoint field vanishes")
         start_iter, rho, history = state["iteration"], state["step"], list(state["history"])
 
-    # the seed is read, and a {0} class refused, before the metric is built
-    _refuse_unfit(grid, dim)
-    ids, rows, planes = _class_basis(cfg, grid)
-    key = _plane_radius_bins(grid, [ids] * planes, [len(rows)] * planes)  # the radius-id bins
+    # the class space; the seed is read, and a {0} class refused, before the metric is built
     if work.p == 2.0:
-        trials = _BinPass(energy, cfg, basis, key)
+        trials = _BinPass(energy, cfg)
     else:  # imported here, so a p = 2 solve never compiles the orbit pass
         from .orbits import _OrbitPass
-        trials = _OrbitPass(energy, cfg, basis, key)
+        trials = _OrbitPass(energy, cfg)
+    dim = trials.basis[2]
+    _refuse_unfit(grid, dim)
     if resume_from is None:
         y = trials.read(seed_field(cfg, grid))  # the seed: sup-normalized (peak 1), not kept
-        peak = float(np.max(np.abs(trials.field(coefficients(y)))))
+        peak = float(np.max(np.abs(trials.field(trials.coefficients(y)))))
         if peak <= 1e-8:
             raise UnsupportedConfigError(
                 f"the working class is {{0}}: projecting the seed onto it (circle "
@@ -1097,17 +1093,17 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
         y, start_iter, rho = y / peak, 0, 1.0
     # the metric: the p = 2 kinetic Hessian in class coordinates, inverted on
     # the directions that carry energy (the others leave the ball)
-    hessian = _class_hessian(energy, cfg, basis, key)
+    hessian = _class_hessian(energy, trials)
     if work.p == 2.0:  # the kinetic form is the quadratic form of H
         trials.hessian = hessian
     lam, vec = np.linalg.eigh(hessian)
     keep = lam > METRIC_CUT * lam[-1]
     lam, vec = lam[keep], vec[:, keep]
-    del hessian, key
+    del hessian
 
     # a trial's field is built from its sup-normalized coordinates, so the
     # field of a resumed iterate is the one its gradient was taken at
-    quot, grad, scale = trials.quotient_and_gradient(trials.field(coefficients(y)), y)
+    quot, grad, scale = trials.quotient_and_gradient(trials.field(trials.coefficients(y)), y)
     if resume_from is None:
         history = [energy.level_from_quotient(quot)]
     d = trials.coordinates(grad)  # the residual reads it
@@ -1130,7 +1126,7 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
             # step from the unmoved base point: the trial tends to y as the
             # step shrinks, so backtracking terminates while the slope is positive
             trial = y - trial_step * scale * direction
-            values = trials.field(coefficients(trial))
+            values = trials.field(trials.coefficients(trial))
             peak = float(np.max(np.abs(values)))
             if peak > 0.0:
                 values /= peak
@@ -1151,14 +1147,15 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
             break
         if (options.checkpoint_path and options.checkpoint_every
                 and it % options.checkpoint_every == 0):
-            _save_checkpoint(options.checkpoint_path, cfg, grid, q_solver, it, rho, y, history)
+            _save_checkpoint(options.checkpoint_path, cfg, grid, params, q_solver, it, rho, y,
+                             history)
 
     if options.checkpoint_path:
-        _save_checkpoint(options.checkpoint_path, cfg, grid, q_solver, it, rho, y, history)
+        _save_checkpoint(options.checkpoint_path, cfg, grid, params, q_solver, it, rho, y, history)
 
-    c = coefficients(y)
+    c = trials.coefficients(y)
     u = trials.field(c).take(trials.key)  # the class field on the interior
-    bias = interpolated_equivariance_bias(c, cfg, grid, trials)  # on the bins, before they go
+    bias = interpolated_equivariance_bias(c, trials)  # on the bins, before they go
     grad = values = trials = vec = None  # spent: d holds the final gradient's class coordinates
     rel = _relative_residual(y, d, quot)
     min_rel = min(min_rel, rel)

@@ -7,7 +7,8 @@ signed permutations acting on points and composed, the sampling subgroup
 built element by element, which the per-factor build is checked against,
 the quotient and its node
 gradient from one interior energy pass, which the solver's trial passes
-are checked against, the class synthesis E and its adjoint contracted over
+are checked against, the class space as a solve's trial pass builds it,
+the class synthesis E and its adjoint contracted over
 the whole cube, which the bin maps are checked against, the class
 projection through the tensor average that the pull-back through S is
 checked against, the pointwise read of a class profile that the
@@ -19,6 +20,7 @@ checked against, the all-pairs code closure that the
 orbit-representative one is checked against, the recursive multiplicity
 tuples that the flat enumeration is checked against, and a traced heap peak."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -54,12 +56,12 @@ from cknsym.variational import (
     UnsupportedConfigError,
     VariationalError,
     _axis_weights,
+    _BinPass,
     _catmull_rom_matrix,
-    _class_basis,
     _contract_planes,
     _plane_radius_bins,
     _tensor_action,
-    class_shape,
+    params_for_config,
 )
 
 
@@ -205,9 +207,8 @@ def lattice_subgroup_by_elements(cfg: SymmetryConfig) -> tuple[LatticeElement, .
 
 def tensor_average(coefficients: np.ndarray, cfg: SymmetryConfig) -> np.ndarray:
     """The sampling subgroup's signed average applied to class coefficients."""
-    planes = cfg.n - coefficients.ndim  # one axis per plane and per tail axis
     acc = np.zeros(coefficients.shape)
-    for perm, w in _tensor_action(cfg.n, cfg.alpha, cfg.m, planes):
+    for perm, w in _tensor_action(cfg.n, cfg.alpha, cfg.m):
         acc += w * apply_perm_to_grid(coefficients, perm)
     return acc
 
@@ -226,20 +227,28 @@ def plane_profile_by_nodes(points_per_axis: int) -> np.ndarray:
     return left[:, sing > 1e-6 * sing[0]]
 
 
+@functools.cache
+def class_space(cfg: SymmetryConfig, grid: BallGrid) -> _BinPass:
+    """The class space of cfg on grid as ``solve``'s p = 2 trial pass holds
+    it, for the energy of cfg's regime (without the metric, which its maps
+    do not read)."""
+    return _BinPass(DiscreteEnergy(grid, params_for_config(cfg)), cfg)
+
+
 def class_field(coefficients: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) -> np.ndarray:
     """The grid field E c of class coefficients c, each rotation plane's axis
     contracted with Q over the whole cube."""
-    ids, rows, planes = _class_basis(cfg, grid)
-    return _contract_planes(coefficients, [rows[ids]] * planes).reshape(grid.shape)
+    space = class_space(cfg, grid)
+    rows = space.rows[space.ids]
+    return _contract_planes(coefficients, [rows] * space.planes).reshape(grid.shape)
 
 
 def class_adjoint(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid) -> np.ndarray:
     """E^T u: each rotation plane of grid field u contracted with Q^T over
     the whole cube, leading plane first."""
-    ids, rows, planes = _class_basis(cfg, grid)
-    npts = grid.points_per_axis
-    split = (npts * npts,) * planes + (npts,) * (grid.n - 2 * planes)
-    return _contract_planes(np.reshape(values, split), [rows[ids].T] * planes)
+    space = class_space(cfg, grid)
+    split = (grid.points_per_axis ** 2,) * space.planes + space.shape[space.planes:]
+    return _contract_planes(np.reshape(values, split), [space.rows[space.ids].T] * space.planes)
 
 
 def class_coordinates(values: np.ndarray, cfg: SymmetryConfig, grid: BallGrid,
@@ -341,32 +350,24 @@ def quotient_and_gradient(energy: DiscreteEnergy,
     return k / b ** r, (gk - r * (k / b) * gb) / b ** r, b ** r
 
 
-def class_hessian_by_columns(energy: DiscreteEnergy, cfg: SymmetryConfig,
-                             basis: tuple[np.ndarray, np.ndarray, int]) -> np.ndarray:
+def class_hessian_by_columns(energy: DiscreteEnergy, space: _BinPass) -> np.ndarray:
     """S^T E^T L E S column by column, for a p = 2 energy: column j is the
     in-class kinetic gradient of the class field of S e_j, from one energy
     pass, read back through E^T and S^T."""
-    col, val, dim = basis
-    grid = energy.grid
+    cfg, grid, dim = space.cfg, energy.grid, space.basis[2]
     out = np.zeros((dim, dim))
-    for j in range(dim):
-        y = np.zeros(dim + 1)
-        y[j] = 1.0
-        c = (val * y[col]).reshape(class_shape(cfg, grid))
-        gk = energy.evaluate(class_field(c, cfg, grid).take(grid.interior))[2]
-        out[:, j] = class_coordinates(to_cube(grid, gk), cfg, grid, basis)
+    for j, y in enumerate(np.eye(dim)):
+        gk = energy.evaluate(class_field(space.coefficients(y), cfg, grid).take(grid.interior))[2]
+        out[:, j] = class_coordinates(to_cube(grid, gk), cfg, grid, space.basis)
     return out
 
 
-def class_hessian_per_tail(energy: DiscreteEnergy, cfg: SymmetryConfig,
-                           basis: tuple[np.ndarray, np.ndarray, int],
-                           key: np.ndarray) -> np.ndarray:
+def class_hessian_per_tail(energy: DiscreteEnergy, space: _BinPass) -> np.ndarray:
     """``variational._class_hessian`` with one contraction and one scatter
     per tail index, in the order the blocked build adds its terms: the
     blocked H is checked against it bit for bit."""
-    g = energy.grid
-    ids, rows, planes = _class_basis(cfg, g)
-    col, val, dim = basis
+    g, cfg, ids, rows, planes = energy.grid, space.cfg, space.ids, space.rows, space.planes
+    col, val, dim = space.basis
     npts, (size, r) = g.points_per_axis, rows.shape
     tails = npts ** (g.n - 2 * planes)
     col, val = col.reshape(-1, tails), val.reshape(-1, tails)
@@ -380,7 +381,7 @@ def class_hessian_per_tail(energy: DiscreteEnergy, cfg: SymmetryConfig,
         values = (0.5 * (2 * g.n * w[:-1] + sum(s * (w.take(fwd[a]) + w.take(bwd[a]))
                                                 for a, s in orbits.items())) if k is None else
                   np.where(fwd[k] < len(w) - 1, -orbits[k] * (w[:-1] + w.take(fwd[k])), 0.0))
-        tables, sizes, bins = [same] * planes, [size] * planes + [tails], key
+        tables, sizes, bins = [same] * planes, [size] * planes + [tails], space.key
         if k is not None and k < 2 * planes:  # on its plane, bin by the pair of radius ids
             e = npts if k % 2 == 0 else 1  # the flat step a -> a + e_k on the plane
             pair = ids * size  # the ids at a and a + e_k; a plane's last e nodes are outer

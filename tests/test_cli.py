@@ -260,6 +260,25 @@ def test_solve_resume_matches_uninterrupted_run(tmp_path):
     assert resumed["level"] == pytest.approx(full["level"], rel=1e-12)
 
 
+# each pair shares the solver exponent 3.5: q = 4 at p = 2 with a = b, and
+# 12 - 8.5 at p = 3, so only the stored p, a and b tell the problems apart
+@pytest.mark.parametrize("written, resumed", [
+    ("a: 0\nb: 0\n", "a: 0.4\nb: 0.4\n"),
+    ("a: 0\nb: 0\n", "p: 3\na: 0\nb: 0\nsubcritical_shift: 8.5\n")], ids=["weights", "p"])
+def test_solve_resume_refuses_a_checkpoint_of_another_problem(tmp_path, capsys, written, resumed):
+    """Resumed, the history would join the levels of two functionals."""
+    part = write_doc(tmp_path / "part.kv", SOLVE_DOC + written + "checkpoint_every: 4\n")
+    assert run("solve", "--config", part, "--out", str(tmp_path / "part")) == 0
+    capsys.readouterr()
+    doc = write_doc(tmp_path / "resume.kv", SOLVE_DOC + resumed
+                    + f"resume: {tmp_path / 'part' / 'checkpoint.dat'}\n")
+    assert run("solve", "--config", doc, "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "checkpoint was produced for p, a, b" in err
+    assert not (tmp_path / "out" / "report.txt").exists()
+
+
 def test_solve_missing_checkpoint_is_an_io_failure(tmp_path, capsys):
     doc = write_doc(tmp_path / "solve.kv",
                     SOLVE_DOC + f"resume: {tmp_path / 'absent.dat'}\n")
@@ -415,6 +434,13 @@ def _tensor_checkpoint(header: bytes) -> bytes:
     return json.dumps(old, sort_keys=True).encode() + b"\n" + bytes(3 * 8 * 64)
 
 
+def _version_4(header: bytes) -> bytes:
+    """The header of the same state in the version-4 layout, which did not
+    record the problem's p, a and b."""
+    old = {k: v for k, v in json.loads(header).items() if k not in ("p", "a", "b")}
+    return json.dumps({**old, "version": 4}, sort_keys=True).encode()
+
+
 def _with(header: bytes, **state) -> bytes:
     return json.dumps({**json.loads(header), **state}).encode()
 
@@ -423,7 +449,7 @@ def _with(header: bytes, **state) -> bytes:
 # last three hold numbers that a lenient reader would coerce into ones it writes
 @pytest.mark.parametrize("corruption",
                          ["garbage", "missing-n", "truncated", "version-1", "version-2",
-                          "version-3", "empty-history", "zero-step", "float-n", "string-radius",
+                          "version-3", "version-4", "empty-history", "zero-step", "float-n", "string-radius",
                           "string-step"])
 def test_solve_resume_from_a_corrupt_checkpoint_is_a_validation_error(
         tmp_path, capsys, corruption):
@@ -438,6 +464,7 @@ def test_solve_resume_from_a_corrupt_checkpoint_is_a_validation_error(
             "version-2": _tensor_checkpoint(header),
             # the same coordinates, read in a profile basis whose column signs may differ
             "version-3": _with(header, version=3) + b"\n" + payload,
+            "version-4": _version_4(header) + b"\n" + payload,
             "empty-history": _with(header, history=[]) + b"\n" + payload,
             "zero-step": _with(header, step=0.0) + b"\n" + payload,
             "float-n": _with(header, n=4.7) + b"\n" + payload,

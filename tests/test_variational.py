@@ -48,6 +48,7 @@ from helpers import (
     class_field,
     class_hessian_by_columns,
     class_hessian_per_tail,
+    class_space,
     class_values,
     dilation_invariance_gap,
     energy_gradient,
@@ -119,6 +120,19 @@ def test_homogeneity_exponent_is_positive_in_range():
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(VariationalError):
         ProblemParams(**kwargs)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("p", True), ("p", "2.5"), ("a", "0"), ("b", False), ("q", "3.5"), ("q", True),
+    ("p", None), ("a", 1j)])
+def test_params_refuse_exponents_that_are_not_numbers(name, value):
+    """A bool or a string would pass the range checks as the number it
+    converts to, and a string would raise a bare TypeError."""
+    with pytest.raises(VariationalError, match=f"^{name} must be a number, got "):
+        ProblemParams(**{"n": 4, "p": 2.0, "a": 0.1, "b": 0.2, name: value})
+    params = ProblemParams(4, 2, 0, 0, 5)  # ints within the float range are numbers
+    assert (params.p, params.a, params.b, params.q) == (2.0, 0.0, 0.0, 5.0)
+    assert all(type(v) is float for v in (params.p, params.a, params.b, params.q))
 
 
 def test_with_exponent_overrides_q_only():
@@ -241,16 +255,17 @@ def _oracle_energy_parts(energy, u):
     reproduce them bit for bit."""
     g = energy.grid
     q = energy.params.q
+    w_grad = to_cube(g, g.weight_values(energy.params.grad_weight_exponent))
     w_pot = to_cube(g, g.weight_values(energy.params.potential_weight_exponent))
     u = u * g.mask
     fw = forward_diffs(g, u)
     bw = backward_diffs(g, u)
     dens = energy._psi(np.sum(fw * fw, axis=0)) + energy._psi(np.sum(bw * bw, axis=0))
-    kin_value = float(0.5 * g.cell_volume * np.sum(energy._w_grad * dens))
+    kin_value = float(0.5 * g.cell_volume * np.sum(w_grad * dens))
     fw = forward_diffs(g, u)
     bw = backward_diffs(g, u)
-    sf = energy._sigma(np.sum(fw * fw, axis=0)) * energy._w_grad
-    sb = energy._sigma(np.sum(bw * bw, axis=0)) * energy._w_grad
+    sf = energy._sigma(np.sum(fw * fw, axis=0)) * w_grad
+    sb = energy._sigma(np.sum(bw * bw, axis=0)) * w_grad
     kin = forward_diffs_adjoint(g, sf[None] * fw) + backward_diffs_adjoint(g, sb[None] * bw)
     kin *= 0.5 * energy.params.p * g.cell_volume
     # |u|^(q-2) u as the solver reads it, 0 at u = 0; bit-identical to the
@@ -405,9 +420,9 @@ def test_nehari_projection_needs_nonzero_field():
     """The solver reads the Nehari scale off its trial pass, which refuses
     a zero field rather than divide by its zero B."""
     for p in (2.0, 3.0):
-        _, basis, trials = _trial_pass(CFG4, GRID4, p)
-        zero = np.zeros(basis[2])
-        values = trials.field(_coefficients(zero, CFG4, GRID4, basis))
+        _, trials = _trial_pass(CFG4, GRID4, p)
+        zero = np.zeros(trials.basis[2])
+        values = trials.field(trials.coefficients(zero))
         with pytest.raises(VariationalError, match="nonzero field"):
             trials.quotient_and_gradient(values, zero)
 
@@ -554,11 +569,10 @@ def test_class_map_kills_odd_plane_modes():
 def _oracle_class_coefficients(values, cfg, grid):
     """E^T symmetrize(u): the pull-back through the grid symmetrization that
     the solver ran before it averaged on the coefficient tensor."""
-    ids, rows, planes = variational._class_basis(cfg, grid)
-    npts = grid.points_per_axis
-    split = (npts * npts,) * planes + (npts,) * (grid.n - 2 * planes)
+    space = class_space(cfg, grid)
+    split = (grid.points_per_axis ** 2,) * space.planes + space.shape[space.planes:]
     return variational._contract_planes(symmetrize(values, cfg, grid).reshape(split),
-                                        [rows[ids].T] * planes)
+                                        [space.rows[space.ids].T] * space.planes)
 
 
 @pytest.mark.parametrize("cfg, grid", [
@@ -605,10 +619,11 @@ def test_seed_coordinates_match_the_symmetrized_seed(cfg, grid):
     """The solve's seed, the raw bump read through S^T E^T and scaled to a
     class-field peak of 1, equals the grid-symmetrized, sup-normalized bump
     read through S^T P E^T and scaled the same way."""
-    basis = class_basis(cfg, grid)
+    space = class_space(cfg, grid)
+    basis = space.basis
 
     def scaled(y):
-        return y / np.max(np.abs(class_field(_coefficients(y, cfg, grid, basis), cfg, grid)))
+        return y / np.max(np.abs(class_field(space.coefficients(y), cfg, grid)))
 
     u = seed_field(cfg, grid)
     sym = symmetrize(u, cfg, grid)
@@ -701,9 +716,9 @@ def test_class_hessian_matches_one_energy_pass_per_column(cfg, grid):
     masked, weighted p = 2 kinetic Hessian restricted to the class, and
     exactly symmetric."""
     energy = DiscreteEnergy(grid, params_for_config(cfg))
-    basis = class_basis(cfg, grid)
-    h = variational._class_hessian(energy, cfg, basis, _plane_bins(cfg, grid))
-    expect = class_hessian_by_columns(energy, cfg, basis)
+    space = class_space(cfg, grid)
+    h = variational._class_hessian(energy, space)
+    expect = class_hessian_by_columns(energy, space)
     assert np.max(np.abs(h - expect)) <= 1e-12 * np.max(np.abs(expect))
     assert np.array_equal(h, h.T)
 
@@ -719,9 +734,9 @@ def test_class_hessian_blocks_equal_the_per_tail_loop(cfg, grid):
     terms a loop over single tail indices adds, in its order: H is equal bit
     for bit, so a solve's field is too."""
     energy = DiscreteEnergy(grid, params_for_config(cfg))
-    basis, key = class_basis(cfg, grid), _plane_bins(cfg, grid)
-    h = variational._class_hessian(energy, cfg, basis, key)
-    assert np.array_equal(h, class_hessian_per_tail(energy, cfg, basis, key))
+    space = class_space(cfg, grid)
+    h = variational._class_hessian(energy, space)
+    assert np.array_equal(h, class_hessian_per_tail(energy, space))
 
 
 @pytest.mark.parametrize("cfg, grid", [(CFG4, GRID4),
@@ -732,52 +747,31 @@ def test_class_hessian_bins_one_shifted_plane_per_call(monkeypatch, cfg, grid):
     metric builds one pair term on a plane: one binning by pairs of radius
     ids, not one per plane axis."""
     energy = DiscreteEnergy(grid, params_for_config(cfg))
-    basis, key = class_basis(cfg, grid), _plane_bins(cfg, grid)
-    ids = variational._class_basis(cfg, grid)[0]
+    space = class_space(cfg, grid)
     real, paired = variational._plane_radius_bins, []
 
     def counted(g, labels, sizes):
-        paired.append(any(label is not ids for label in labels))
+        paired.append(any(label is not space.ids for label in labels))
         return real(g, labels, sizes)
 
     monkeypatch.setattr(variational, "_plane_radius_bins", counted)
-    variational._class_hessian(energy, cfg, basis, key)
+    variational._class_hessian(energy, space)
     assert paired == [True]
-
-
-def _plane_bins(cfg, grid):
-    """The interior's radius-id bins, as ``solve`` builds them."""
-    ids, rows, planes = variational._class_basis(cfg, grid)
-    return variational._plane_radius_bins(grid, [ids] * planes, [len(rows)] * planes)
-
-
-def _bin_map(cfg, grid):
-    """The class maps on the interior's plane-radius bins, as ``solve``'s
-    trial pass holds them (without the metric, which they do not read)."""
-    energy = DiscreteEnergy(grid, params_for_config(cfg))
-    return variational._BinPass(energy, cfg, class_basis(cfg, grid), _plane_bins(cfg, grid))
 
 
 def _trial_pass(cfg, grid, p=2.0):
     """The energy of cfg's regime at p and the solver exponent (halfway to
-    p where the solver's shift would pass it), its class basis and the pass
-    ``solve`` runs its trials through: the bin pass at p = 2, else the orbit pass."""
+    p where the solver's shift would pass it) and the pass ``solve`` runs
+    its trials through: the bin pass at p = 2, with its metric, else the
+    orbit pass."""
     params = params_for_config(cfg, p)
     q = params.q - 0.5 if params.q - 0.5 > p else (params.q + p) / 2.0
     energy = DiscreteEnergy(grid, params.with_exponent(q))
-    basis = class_basis(cfg, grid)
-    key = _plane_bins(cfg, grid)
     if p != 2.0:
-        return energy, basis, _OrbitPass(energy, cfg, basis, key)
-    trials = variational._BinPass(energy, cfg, basis, key)
-    trials.hessian = variational._class_hessian(energy, cfg, basis, key)
-    return energy, basis, trials
-
-
-def _coefficients(y, cfg, grid, basis):
-    """S y as a class-coefficient tensor."""
-    col, val, _ = basis
-    return (val * np.append(y, 0.0).take(col)).reshape(class_shape(cfg, grid))
+        return energy, _OrbitPass(energy, cfg)
+    trials = variational._BinPass(energy, cfg)
+    trials.hessian = variational._class_hessian(energy, trials)
+    return energy, trials
 
 
 MAP_CASES = [(CFG4, GRID4), (CFG4, BallGrid(4, 21, 1.0)),
@@ -795,11 +789,11 @@ def test_bin_maps_match_the_cube_maps(cfg, grid):
     pull-back of its sums per bin: both match the contractions over the
     whole cube within 1e-12 relative, and the gathered field is 0 off the
     interior."""
-    bins = _bin_map(cfg, grid)
+    bins = class_space(cfg, grid)
     basis = bins.basis
     rng = np.random.default_rng(28)
     for _ in range(2):
-        c = _coefficients(rng.standard_normal(basis[2]), cfg, grid, basis)
+        c = bins.coefficients(rng.standard_normal(basis[2]))
         got = to_cube(grid, bins.field(c).take(bins.key))  # as ``solve`` builds its field
         expect = class_field(c, cfg, grid) * grid.mask
         assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
@@ -838,11 +832,12 @@ def _assert_pass_matches_the_grid_pass(cfg, grid, p, seed):
     """The trial pass gives the peak, quotient, B^(p/q) and class gradient
     of the interior energy pass on the class field followed by S^T E^T, on
     random class vectors, within 1e-12 relative."""
-    energy, basis, trials = _trial_pass(cfg, grid, p)
+    energy, trials = _trial_pass(cfg, grid, p)
+    basis = trials.basis
     rng = np.random.default_rng(seed)
     for _ in range(2):
         y = rng.standard_normal(basis[2])
-        c = _coefficients(y, cfg, grid, basis)
+        c = trials.coefficients(y)
         u = class_field(c, cfg, grid)
         peak = float(np.max(np.abs(u)))
         quot, grad, scale = quotient_and_gradient(energy, u / peak)
@@ -891,11 +886,11 @@ def test_bin_pass_trial_makes_no_grid_array(cfg, grid, share, unit):
     """One p = 2 line-search trial, from coordinates to the accepted class
     gradient, holds bin tensors only: below half an interior vector at
     21^4 and a quarter of a grid array at 11^5 and 9^6."""
-    _, basis, bins = _trial_pass(cfg, grid)
-    y = np.random.default_rng(27).standard_normal(basis[2])
+    _, bins = _trial_pass(cfg, grid)
+    y = np.random.default_rng(27).standard_normal(bins.basis[2])
 
     def trial():
-        values = bins.field(_coefficients(y, cfg, grid, basis))
+        values = bins.field(bins.coefficients(y))
         peak = float(np.max(np.abs(values)))
         values /= peak
         bins.coordinates(bins.quotient_and_gradient(values, y / peak)[1])
@@ -914,7 +909,7 @@ def test_gradient_pull_back_copies_no_grid_array(cfg, grid):
     of a grid array at 11^5 and 0.07 at 9^6 in all: the contractions run
     leading plane first, so no transposed copy is made."""
     u = seed_field(cfg, grid)
-    bins = _bin_map(cfg, grid)  # builds the class tables
+    bins = class_space(cfg, grid)  # builds the class tables
     assert traced_peak(lambda: bins.read(u)) <= 0.15 * 8 * u.size
 
 
@@ -1154,10 +1149,10 @@ def test_class_profile_is_the_class_field_at_nodes(cfg, grid):
     c = rng.standard_normal(class_shape(cfg, grid))
     u = class_field(c, cfg, grid)
     npts, mid = grid.points_per_axis, grid.points_per_axis // 2
-    planes = grid.n - c.ndim
+    planes = class_space(cfg, grid).planes
     rho = grid.h * np.arange(mid + 1)
     line = -grid.radius + grid.h * np.arange(npts)
-    got = _class_profile(c, grid, rho, line)
+    got = _class_profile(c, grid, planes, rho, line)
     # node indices: each plane's first coordinate at radius k h, its second 0
     at = np.indices(got.shape)
     nodes = [i for k in range(planes) for i in (mid + at[k], np.full(got.shape, mid))]
@@ -1172,8 +1167,8 @@ def test_class_profile_is_the_class_field_at_nodes(cfg, grid):
     assert np.max(np.abs(class_values(c, grid, grid_points(grid)) - u.ravel())) <= bound
     # even in the signed plane radius, as the estimate's derivative assumes
     off = rho + 0.3 * grid.h
-    between = _class_profile(c, grid, off, line)
-    mirror = _class_profile(c, grid, -off, line) - between
+    between = _class_profile(c, grid, planes, off, line)
+    mirror = _class_profile(c, grid, planes, -off, line) - between
     assert np.max(np.abs(mirror)) <= bound
     # the profile's mesh as scattered points, each plane radius on a rotated ray
     mesh = np.meshgrid(*([off] * planes + [line] * (grid.n - 2 * planes)), indexing="ij")
@@ -1212,23 +1207,23 @@ def test_interpolated_bias_is_the_tail_defect(cfg, grid, low, high):
     bias is exactly 0 without an active tail; the active O(2) tail of
     (6, 0, (1, 0)) is only lattice-sampled, so there it is not."""
     c = class_coefficients(seed_field(cfg, grid), cfg, grid)
-    bins = _bin_map(cfg, grid)
-    bias = interpolated_equivariance_bias(c, cfg, grid, bins)
+    bins = class_space(cfg, grid)
+    bias = interpolated_equivariance_bias(c, bins)
     if low is None:
         assert bias == 0.0
     else:
         assert low < bias <= high
-    assert interpolated_equivariance_bias(3.0 * c, cfg, grid, bins) == pytest.approx(
+    assert interpolated_equivariance_bias(3.0 * c, bins) == pytest.approx(
         bias, rel=1e-9, abs=1e-15)
-    assert interpolated_equivariance_bias(np.zeros_like(c), cfg, grid, bins) == 0.0
+    assert interpolated_equivariance_bias(np.zeros_like(c), bins) == 0.0
 
 
 @pytest.mark.parametrize("cfg, grid", [(SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 5, 1.0)),
                                        (CFG4, BallGrid(4, 17, 1.0))], ids=["5^6", "17^4"])
 def test_interpolated_bias_peaks_below_half_a_solve(cfg, grid):
     c = class_coefficients(seed_field(cfg, grid), cfg, grid)
-    bins = _bin_map(cfg, grid)
-    peak = traced_peak(lambda: interpolated_equivariance_bias(c, cfg, grid, bins))
+    bins = class_space(cfg, grid)
+    peak = traced_peak(lambda: interpolated_equivariance_bias(c, bins))
     assert peak <= 0.25 * solve_peak_bytes(grid)
 
 
@@ -1239,10 +1234,10 @@ def test_interpolated_bias_matches_the_pointwise_read(cfg, grid):
     """The tail-factor read equals the pointwise read of the whole profile
     at moved interior nodes, for the seed's class coefficients and for the
     projection of a random field."""
-    bins = _bin_map(cfg, grid)
+    bins = class_space(cfg, grid)
     for u in (seed_field(cfg, grid), random_bumps(grid, np.random.default_rng(21))):
         c = class_coefficients(u, cfg, grid)
-        bias = interpolated_equivariance_bias(c, cfg, grid, bins)
+        bias = interpolated_equivariance_bias(c, bins)
         assert bias > 1e-6
         assert abs(bias - pointwise_bias(c, cfg, grid)) <= 1e-12
 
@@ -1257,15 +1252,15 @@ def test_interpolated_bias_reads_a_fundamental_domain_of_the_tail(grid):
     side, so the angles over (0, pi/4], pi/4 included, read what 64 angles
     over [0, pi/2) read, and at least what 8 seeded Haar-random tails read."""
     cfg = SymmetryConfig(6, 0, (1, 0))
-    bins = _bin_map(cfg, grid)
+    bins = class_space(cfg, grid)
     dense = [_tail_rotation(k * math.pi / 128) for k in range(64)]
     rng = np.random.default_rng(0)
     haar = [random_element(cfg, rng).tail for _ in range(variational.INTERPOLATED_SAMPLES)]
     for u in (seed_field(cfg, grid), random_bumps(grid, np.random.default_rng(21))):
         c = class_coefficients(u, cfg, grid)
-        bias = interpolated_equivariance_bias(c, cfg, grid, bins)
-        assert abs(bias - variational._tail_bias(c, grid, bins, dense)) <= 1e-12
-        assert bias >= variational._tail_bias(c, grid, bins, haar)
+        bias = interpolated_equivariance_bias(c, bins)
+        assert abs(bias - variational._tail_bias(c, bins, dense)) <= 1e-12
+        assert bias >= variational._tail_bias(c, bins, haar)
 
 
 @pytest.mark.parametrize("cfg, grid", [(CFG4, BallGrid(4, 13, 1.0)),
@@ -1274,11 +1269,11 @@ def test_interpolated_bias_reads_a_fundamental_domain_of_the_tail(grid):
 def test_interpolated_bias_without_an_active_tail_is_zero(cfg, grid):
     """The pointwise read gives rounding only where there is no active tail,
     and the tail-factor read gives exactly 0 there."""
-    bins = _bin_map(cfg, grid)
+    bins = class_space(cfg, grid)
     for u in (seed_field(cfg, grid), random_bumps(grid, np.random.default_rng(22))):
         c = class_coefficients(u, cfg, grid)
         assert pointwise_bias(c, cfg, grid) <= 1e-12
-        assert interpolated_equivariance_bias(c, cfg, grid, bins) == 0.0
+        assert interpolated_equivariance_bias(c, bins) == 0.0
 
 
 def test_interpolated_bias_refuses_a_pinwheel_class():
@@ -1288,7 +1283,7 @@ def test_interpolated_bias_refuses_a_pinwheel_class():
     c = class_coefficients(seed_field(cfg, GRID4), cfg, GRID4)
     assert pointwise_bias(c, cfg, GRID4) > 1.0
     with pytest.raises(VariationalError, match="alpha = 0"):
-        interpolated_equivariance_bias(c, cfg, GRID4, _bin_map(cfg, GRID4))
+        interpolated_equivariance_bias(c, class_space(cfg, GRID4))
 
 
 # --------------------------------------------------------------------------
@@ -1543,6 +1538,17 @@ def test_solve_options_refuse_counts_that_are_not_integers(name, value):
     assert getattr(SolveOptions(**{name: np.int64(3)}), name) == 3  # numpy integers are ints
 
 
+@pytest.mark.parametrize("name, value", [
+    ("tol", True), ("tol", "1e-5"), ("tol", None), ("subcritical_shift", False),
+    ("subcritical_shift", "0.5"), ("subcritical_shift", [0.5])])
+def test_solve_options_refuse_settings_that_are_not_numbers(name, value):
+    """tol = True would read as 1.0, and a string would raise a bare TypeError."""
+    with pytest.raises(VariationalError, match=f"^{name} must be a number, got "):
+        SolveOptions(**{name: value})
+    options = SolveOptions(**{name: 1})  # an int within the float range is a number
+    assert getattr(options, name) == 1.0 and type(getattr(options, name)) is float
+
+
 def test_solver_rejects_pinwheel_only_configs():
     with pytest.raises(UnsupportedConfigError):
         solve(SymmetryConfig(4, 1, ()), GRID4, options=SolveOptions(max_iters=4))
@@ -1645,25 +1651,28 @@ def test_checkpoint_must_match_the_problem(tmp_path):
         solve(CFG4, GRID4,
               options=SolveOptions(max_iters=4, subcritical_shift=0.75),
               resume_from=cp)
-    _save_checkpoint(cp, CFG4, GRID4, math.nan, 3, 0.1, np.linspace(1.0, 2.0, 28), [1.0])
+    _save_checkpoint(cp, CFG4, GRID4, params_for_config(CFG4), math.nan, 3, 0.1,
+                     np.linspace(1.0, 2.0, 28), [1.0])
     with pytest.raises(VariationalError, match="different exponent"):
         solve(CFG4, GRID4, options=SolveOptions(max_iters=4), resume_from=cp)
 
 
 def test_resume_rejects_a_vanishing_checkpoint_field(tmp_path):
     cp = tmp_path / "zero.ckpt"
-    q_solver = params_for_config(CFG4).q - 0.5
-    _save_checkpoint(cp, CFG4, GRID4, q_solver, 3, 0.1, np.zeros(28), [1.0])
+    params = params_for_config(CFG4)
+    q_solver = params.q - 0.5
+    _save_checkpoint(cp, CFG4, GRID4, params, q_solver, 3, 0.1, np.zeros(28), [1.0])
     with pytest.raises(VariationalError):
         solve(CFG4, GRID4, resume_from=cp)
 
 
 def test_load_checkpoint_refuses_coefficients_outside_the_class_shape(tmp_path):
     # the class of CFG4 at 9^4 has dimension 28; its coefficient tensor is 8 x 8
-    q_solver = params_for_config(CFG4).q - 0.5
+    params = params_for_config(CFG4)
+    q_solver = params.q - 0.5
     for name, shape in [("grid", GRID4.shape), ("short", (27,)), ("tensor", (8, 8))]:
         cp = tmp_path / f"{name}.ckpt"
-        _save_checkpoint(cp, CFG4, GRID4, q_solver, 3, 0.1, np.ones(shape), [1.0])
+        _save_checkpoint(cp, CFG4, GRID4, params, q_solver, 3, 0.1, np.ones(shape), [1.0])
         with pytest.raises(VariationalError, match="class dimension"):
             load_checkpoint(cp)
 
@@ -1707,8 +1716,9 @@ def _corrupt_checkpoints(tmp_path):
     """A garbage file, a header without n, a truncated payload, and a header
     per state in UNWRITTEN_STATES."""
     good = tmp_path / "good.ckpt"
-    q_solver = params_for_config(CFG4).q - 0.5
-    _save_checkpoint(good, CFG4, GRID4, q_solver, 3, 0.1, np.linspace(1.0, 2.0, 28), [1.0])
+    params = params_for_config(CFG4)
+    q_solver = params.q - 0.5
+    _save_checkpoint(good, CFG4, GRID4, params, q_solver, 3, 0.1, np.linspace(1.0, 2.0, 28), [1.0])
     header, payload = good.read_bytes().split(b"\n", 1)
     no_n = json.loads(header)
     del no_n["n"]
@@ -1726,15 +1736,16 @@ def _corrupt_checkpoints(tmp_path):
 @pytest.mark.parametrize("key, value", [
     ("n", 4.7), ("points_per_axis", "9"), ("radius", True), ("step", "0.5"), ("step", True),
     ("solver_exponent", "3.5"), ("solver_exponent", False), ("history", ["1e3", True]),
-    ("history", [True])],
+    ("history", [True]), ("p", "2"), ("a", False), ("b", "0.3")],
     ids=["n-float", "points-str", "radius-bool", "step-str", "step-bool", "exponent-str",
-         "exponent-bool", "history-str", "history-bool"])
+         "exponent-bool", "history-str", "history-bool", "p-str", "a-bool", "b-str"])
 def test_load_checkpoint_refuses_header_values_it_would_coerce(tmp_path, key, value):
     """Converted, each value reads as a state the solver writes (n: 4.7 as
     4, a history entry true as 1.0), so only its JSON type is wrong."""
     cp = tmp_path / "state.ckpt"
-    q_solver = params_for_config(CFG4).q - 0.5
-    _save_checkpoint(cp, CFG4, GRID4, q_solver, 3, 0.5, np.linspace(1.0, 2.0, 28), [1e3])
+    params = params_for_config(CFG4)
+    q_solver = params.q - 0.5
+    _save_checkpoint(cp, CFG4, GRID4, params, q_solver, 3, 0.5, np.linspace(1.0, 2.0, 28), [1e3])
     assert load_checkpoint(cp)["step"] == 0.5
     header, payload = cp.read_bytes().split(b"\n", 1)
     cp.write_bytes(json.dumps({**json.loads(header), key: value}).encode() + b"\n" + payload)
@@ -1746,8 +1757,8 @@ def test_load_checkpoint_refuses_a_grid_that_cannot_fit(tmp_path):
     # a header claiming 40001 points per axis over one coefficient: its
     # class tables alone would not fit in memory
     path = tmp_path / "huge.ckpt"
-    _save_checkpoint(path, CFG4, GRID4, params_for_config(CFG4).q - 0.5, 3, 0.1,
-                     np.ones(1), [1.0])
+    params = params_for_config(CFG4)
+    _save_checkpoint(path, CFG4, GRID4, params, params.q - 0.5, 3, 0.1, np.ones(1), [1.0])
     header, payload = path.read_bytes().split(b"\n", 1)
     path.write_bytes(json.dumps({**json.loads(header), "points_per_axis": 40001}).encode()
                      + b"\n" + payload)
@@ -1772,8 +1783,9 @@ def test_load_checkpoint_accepts_the_states_the_solver_writes(tmp_path):
     """The bounds of UNWRITTEN_STATES are tight: a full step, iteration 0 and
     a one-level history load."""
     cp = tmp_path / "edge.ckpt"
-    q_solver = params_for_config(CFG4).q - 0.5
-    _save_checkpoint(cp, CFG4, GRID4, q_solver, 0, 1.0, np.linspace(1.0, 2.0, 28), [1e-300])
+    params = params_for_config(CFG4)
+    q_solver = params.q - 0.5
+    _save_checkpoint(cp, CFG4, GRID4, params, q_solver, 0, 1.0, np.linspace(1.0, 2.0, 28), [1e-300])
     state = load_checkpoint(cp)
     assert (state["iteration"], state["step"], state["history"]) == (0, 1.0, [1e-300])
 
@@ -1786,7 +1798,7 @@ def test_checkpoint_writes_leave_no_temporary_file(tmp_path):
     state = load_checkpoint(cp)
     assert state["coordinates"].shape == (28,) and state["iteration"] == 3
     header = json.loads(cp.read_bytes().split(b"\n", 1)[0])
-    assert header["shape"] == [28] and header["version"] == 4 and "arrays" not in header
+    assert header["shape"] == [28] and header["version"] == 5 and "arrays" not in header
 
 
 def test_load_checkpoint_rejects_foreign_files(tmp_path):
