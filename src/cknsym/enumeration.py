@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import functools
 
 from .codes import DistinctVerdict, distinct_guaranteed
-from .kvdoc import DocumentError, format_kv, format_value, get_int, parse_kv, require_keys
+from .kvdoc import (DocumentError, format_kv, format_value, get_int, parse_kv, physical_memory,
+                    require_keys)
 from .symmetry import (
     REGIMES,
     InvalidConfigError,
@@ -53,7 +54,8 @@ def _multiplicity_tuples(k: int, budget: int) -> list[tuple[int, ...]]:
 
 def enumerate_configs(n: int, regime: str = "a_less_b",
                       alpha_max: int = 0) -> tuple[SymmetryConfig, ...]:
-    """All admissible configurations, ordered by (alpha, m) lexicographically."""
+    """All admissible configurations, ordered by (alpha, m) lexicographically;
+    refused before any is built when ``count_configs`` of them cannot fit."""
     if regime not in REGIMES:
         raise InvalidConfigError(f"unknown regime {regime!r}")
     if n < 4:
@@ -61,6 +63,12 @@ def enumerate_configs(n: int, regime: str = "a_less_b",
     if alpha_max < 0:
         raise InvalidConfigError(f"alpha_max must be >= 0, got {alpha_max}")
     k = k_of(n)
+    # per config: its own m (a k-tuple, 8 k + 40 bytes), itself (64), a slot in out and the result
+    need = count_configs(n, regime, alpha_max) * 8 * (k + 15)
+    if need > (have := physical_memory()):
+        raise InvalidConfigError(
+            f"enumerating n={n} to alpha_max={alpha_max} needs over {need / 2 ** 30:.3g} GiB, "
+            f"more than the {have / 2 ** 30:.3g} GiB of physical memory")
     out: list[SymmetryConfig] = []
     tuples = functools.cache(functools.partial(_multiplicity_tuples, k))  # one build per budget
     for alpha in range(alpha_max + 1):

@@ -6,11 +6,13 @@ deliberately dumber than TOML/YAML: every value is a string.  The value
 format lives here, in ``format_value`` and the typed readers, so every
 document writes and reads a number, flag or integer tuple the same way;
 floats carry 17 significant digits, which keeps round-trips exact.
+``physical_memory`` is the bound every memory refusal reads.
 """
 
 from __future__ import annotations
 
 import operator
+import os
 import sys
 
 
@@ -117,3 +119,7 @@ def get_ints(pairs: dict[str, str], key: str) -> tuple[int, ...]:
         return tuple(int(v) for v in raw.split(","))
     except ValueError as exc:
         raise DocumentError(f"key {key!r} must be comma-separated integers") from exc
+
+
+def physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

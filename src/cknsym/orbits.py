@@ -37,6 +37,10 @@ class _OrbitPass(_BinPass):
         self.stencil = np.concatenate([key.take(reps)[None],  # r, then its 2n neighbours
                                        *(key.take(t[:, reps]) for t in g.neighbours)])
 
+    def factor_metric(self) -> None:  # K is not H's form here, so H goes once factored
+        super().factor_metric()
+        del self.hessian
+
     def _kinetic(self, values: np.ndarray, y: np.ndarray) -> tuple:  # K, and its gradient's inputs
         n = self.bits.shape[1]
         ue = np.append(values.ravel(), 0.0).take(self.stencil)

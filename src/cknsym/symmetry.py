@@ -458,7 +458,7 @@ def async_rotation_matrix(theta: float) -> np.ndarray:
 def pinwheel_matrix(alpha: int, step: int = 1) -> np.ndarray:
     """Pinwheel generator power: cos(psi) I + sin(psi) C with psi = step*pi/2^(alpha+1).
 
-    ``C`` is the conjugating 2-cycle on C^2; since C^2 = -I the powers
+    C is the conjugating 2-cycle on C^2; since C^2 = -I the powers
     rotate inside the plane spanned by I and C, giving order 2^(alpha+2).
     """
     psi = step * math.pi / (1 << (alpha + 1))

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
@@ -56,7 +55,7 @@ from .grid import (
     read_array,
     write_array,
 )
-from .kvdoc import exact_float, exact_int, format_kv, format_value
+from .kvdoc import exact_float, exact_int, format_kv, format_value, physical_memory
 from .lattice import SignedPerm, apply_perm_to_grid, axis_orbits, interior_images, lattice_subgroup
 from .symmetry import (
     SymmetryConfig,
@@ -98,6 +97,8 @@ class ProblemParams:
     q: float | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", exact_int(
+            self.n, VariationalError, "n must be an integer >= 2, got {!r}", 2))
         for name in ("p", "a", "b") if self.q is None else ("p", "a", "b", "q"):
             object.__setattr__(self, name, exact_float(
                 getattr(self, name), VariationalError, f"{name} must be a number, got {{!r}}"))
@@ -426,7 +427,7 @@ def _plane_radius_bins(grid: BallGrid, labels: list[np.ndarray], sizes: list[int
     return key * tails + grid.interior % tails
 
 
-def _class_hessian(energy: DiscreteEnergy, space: "_BinPass") -> np.ndarray:
+def _class_hessian(space: "_BinPass") -> np.ndarray:
     """H = S^T E^T L E S, L the Hessian of the masked, w_grad-weighted p = 2
     kinetic form: a diagonal term and, per axis k, a term over the interior
     pairs (x, x + e_k).  E is Q_d[ids] on each rotation plane and the
@@ -441,14 +442,14 @@ def _class_hessian(energy: DiscreteEnergy, space: "_BinPass") -> np.ndarray:
     mask and weights and carry axis k's pairs onto those of each axis in its
     orbit: the pair terms and the diagonal's neighbour sums are built for
     one axis per orbit, times its size.  ``space``: the pass holding the
-    class space, S and the radius-id bins."""
-    g, ids, rows, planes = energy.grid, space.ids, space.rows, space.planes
+    class space, S, the radius-id bins and the energy whose weights L reads."""
+    g, ids, rows, planes = space.grid, space.ids, space.rows, space.planes
     col, val, dim = space.basis
     npts, (size, r) = g.points_per_axis, rows.shape
     tails = npts ** (g.n - 2 * planes)
     col, val = (np.ascontiguousarray(a.reshape(-1, tails).T) for a in (col, val))  # tail first
     fwd, bwd = g.neighbours
-    w = np.append(energy._w_grad_in, 0.0) * (g.cell_volume / g.h ** 2)  # zero sentinel
+    w = np.append(space.energy._w_grad_in, 0.0) * (g.cell_volume / g.h ** 2)  # zero sentinel
     same = (rows[:, :, None] * rows[:, None, :]).reshape(size, r * r).T
     ij, ji = (-1,) + (r, 1) * planes, (-1,) + (1, r) * planes  # i and i' of each plane's pair axes
     acc = np.zeros((dim + 1) ** 2)
@@ -489,12 +490,12 @@ def _class_hessian(energy: DiscreteEnergy, space: "_BinPass") -> np.ndarray:
 
 class _BinPass:
     """The class space of cfg on the energy's grid (the plane radius ``ids``,
-    the profile rows Q_d, the plane count, the coefficient ``shape``, the
-    orbit ``basis`` S and the interior's radius-id bin ``key``), its maps and
-    a trial's pass at p = 2: ``coefficients`` gives S y, ``field`` values
-    whose largest |.| is the field's peak, ``read`` a grid field's class
-    coordinates, ``quotient_and_gradient(values, y)`` the quotient, its
-    gradient and B^(p/q), ``coordinates`` a gradient's.
+    the profile rows Q_d, the plane count, the coefficient ``shape``, the orbit
+    ``basis`` S and the interior's radius-id bin ``key``), its maps and a
+    trial's pass at p = 2: ``coefficients`` gives S y, ``field`` values whose
+    largest |.| is the field's peak, ``read`` a grid field's class coordinates,
+    ``quotient_and_gradient(values, y)`` the quotient, its gradient and
+    B^(p/q), ``coordinates`` a gradient's, ``direction`` its metric step.
 
     E c depends on each node only through its plane radii and tail index,
     so the class field is U = E_d c on the bins, E_d contracting each plane
@@ -503,14 +504,14 @@ class _BinPass:
     vanishing off it is E_d^T of its sums per bin.  The cube is a product
     of planes and tail lines, so every bin holds a node: max |U| is the grid
     field's peak.  K = y^T H y / 2 exactly, H the p = 2 kinetic Hessian in
-    the class, which ``solve`` sets as ``hessian`` once the seed is read.  B
-    is h^n sum W |U|^q, W the interior potential weights summed per bin
-    (zero on bins off the ball), and its class gradient is S^T E_d^T of
+    the class, which ``factor_metric`` builds and keeps.  B is
+    h^n sum W |U|^q, W the interior potential weights summed per bin (zero
+    on bins off the ball), and its class gradient is S^T E_d^T of
     q h^n W |U|^(q-2) U.  A trial makes no grid- or interior-sized array.
     """
 
     def __init__(self, energy: DiscreteEnergy, cfg: SymmetryConfig):
-        self.cfg, self.p, self.q = cfg, energy.params.p, energy.params.q
+        self.energy, self.cfg, self.p, self.q = energy, cfg, energy.params.p, energy.params.q
         self.grid = g = energy.grid
         self.ids, self.rows, _ = _plane_profile_basis(g.points_per_axis)
         self.planes, self.shape = make_layout(cfg).tail_start // 2, class_shape(cfg, g)
@@ -519,6 +520,17 @@ class _BinPass:
         bins = (len(self.rows),) * self.planes + self.shape[self.planes:]
         self.weights = np.bincount(self.key, energy._w_pot_in * g.cell_volume,
                                    minlength=math.prod(bins)).reshape(bins)
+
+    def factor_metric(self) -> None:
+        """The metric H (``_class_hessian``) on its eigenvalues above METRIC_CUT
+        of the largest: the cut directions leave the ball and carry no energy."""
+        self.hessian = _class_hessian(self)
+        lam, vec = np.linalg.eigh(self.hessian)
+        keep = lam > METRIC_CUT * lam[-1]
+        self.lam, self.vec = lam[keep], vec[:, keep]
+
+    def direction(self, d: np.ndarray) -> np.ndarray:  # H^+ d, on the kept eigenvectors
+        return self.vec @ ((self.vec.T @ d) / self.lam)
 
     def coefficients(self, y: np.ndarray) -> np.ndarray:  # S y
         col, val, _ = self.basis
@@ -558,6 +570,13 @@ class _BinPass:
     def coordinates(self, gradient) -> np.ndarray:
         hy, gb, factor, scale = gradient
         return (hy - factor * self._pull_back(gb)) / scale
+
+
+def _trial_pass(energy: DiscreteEnergy, cfg: SymmetryConfig) -> _BinPass:
+    if energy.params.p == 2.0:
+        return _BinPass(energy, cfg)
+    from .orbits import _OrbitPass  # here, so a p = 2 solve never compiles the orbit pass
+    return _OrbitPass(energy, cfg)
 
 
 def _axis_weights(grid: BallGrid, x: np.ndarray, plane: bool) -> np.ndarray:
@@ -979,7 +998,7 @@ def _refuse_unfit(grid: BallGrid, dim: int = 0) -> None:
     """VariationalError when ``solve_peak_bytes`` and eigh's untraced LAPACK
     workspace (2.35 dim^2 floats, measured) exceed physical memory."""
     need = solve_peak_bytes(grid, dim) + int(2.35 * 8 * dim * dim)
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    have = physical_memory()
     if need > have:
         raise VariationalError(
             f"a solve on {grid.points_per_axis}^{grid.n} nodes needs about {need / 2 ** 30:.3g} "
@@ -1019,14 +1038,12 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     class's own profile and the interpolated bias reads their tail factor on
     the bins; neither resamples the grid field.
 
-    The metric H (``_class_hessian``, one term per axis orbit) is
-    diagonalized once per solve, and its eigenvalues below METRIC_CUT of the
-    largest, whose directions leave the ball and carry no energy, are cut.
-    Armijo runs on the quotient along -H^+ g with slope g . H^+ g, from the
-    step rho B^(p/q), where rho is the last accepted relative step (1, a
-    full metric step, on a fresh solve), halving down to MIN_STEP.  Each
-    trial costs one pass, whose gradient, if accepted, is pulled back into
-    class coordinates through the bins.  The equivariance, the
+    Armijo runs on the quotient along -H^+ g, the trial pass's metric step
+    (``direction``), with slope g . H^+ g, from the step rho B^(p/q), where
+    rho is the last accepted relative step (1, a full metric step, on a
+    fresh solve), halving down to MIN_STEP.  Each trial costs one pass,
+    whose gradient, if accepted, is pulled back into class coordinates
+    through the bins.  The equivariance, the
     symmetrization gap and the sign certificate of the returned field come
     from one pass on the interior (``grid_certificates``), exact as w is 0
     off it and every element keeps it.  A class that projects the seed
@@ -1075,11 +1092,7 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
         start_iter, rho, history = state["iteration"], state["step"], list(state["history"])
 
     # the class space; the seed is read, and a {0} class refused, before the metric is built
-    if work.p == 2.0:
-        trials = _BinPass(energy, cfg)
-    else:  # imported here, so a p = 2 solve never compiles the orbit pass
-        from .orbits import _OrbitPass
-        trials = _OrbitPass(energy, cfg)
+    trials = _trial_pass(energy, cfg)
     dim = trials.basis[2]
     _refuse_unfit(grid, dim)
     if resume_from is None:
@@ -1091,15 +1104,7 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
                 f"averages, then lattice symmetrization) leaves {peak:.2g} "
                 f"of its peak, so there is no sign-changing candidate to certify")
         y, start_iter, rho = y / peak, 0, 1.0
-    # the metric: the p = 2 kinetic Hessian in class coordinates, inverted on
-    # the directions that carry energy (the others leave the ball)
-    hessian = _class_hessian(energy, trials)
-    if work.p == 2.0:  # the kinetic form is the quadratic form of H
-        trials.hessian = hessian
-    lam, vec = np.linalg.eigh(hessian)
-    keep = lam > METRIC_CUT * lam[-1]
-    lam, vec = lam[keep], vec[:, keep]
-    del hessian
+    trials.factor_metric()
 
     # a trial's field is built from its sup-normalized coordinates, so the
     # field of a resumed iterate is the one its gradient was taken at
@@ -1119,7 +1124,7 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
             break
         # descend along the metric gradient H^+ d, whose slope is d . H^+ d;
         # at p = 2 the full step (relative step 1) is inverse iteration
-        direction = vec @ ((vec.T @ d) / lam)
+        direction = trials.direction(d)
         slope = float(d @ direction)
         trial_step = rho
         while trial_step >= MIN_STEP:
@@ -1156,7 +1161,7 @@ def solve(cfg: SymmetryConfig, grid: BallGrid, params: ProblemParams | None = No
     c = trials.coefficients(y)
     u = trials.field(c).take(trials.key)  # the class field on the interior
     bias = interpolated_equivariance_bias(c, trials)  # on the bins, before they go
-    grad = values = trials = vec = None  # spent: d holds the final gradient's class coordinates
+    grad = values = trials = None  # spent: d holds the final gradient's class coordinates
     rel = _relative_residual(y, d, quot)
     min_rel = min(min_rel, rel)
     p, q = work.p, work.q

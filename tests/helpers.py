@@ -350,11 +350,11 @@ def quotient_and_gradient(energy: DiscreteEnergy,
     return k / b ** r, (gk - r * (k / b) * gb) / b ** r, b ** r
 
 
-def class_hessian_by_columns(energy: DiscreteEnergy, space: _BinPass) -> np.ndarray:
-    """S^T E^T L E S column by column, for a p = 2 energy: column j is the
-    in-class kinetic gradient of the class field of S e_j, from one energy
-    pass, read back through E^T and S^T."""
-    cfg, grid, dim = space.cfg, energy.grid, space.basis[2]
+def class_hessian_by_columns(space: _BinPass) -> np.ndarray:
+    """S^T E^T L E S column by column, for the pass's energy at p = 2: column
+    j is the in-class kinetic gradient of the class field of S e_j, from one
+    energy pass, read back through E^T and S^T."""
+    energy, cfg, grid, dim = space.energy, space.cfg, space.grid, space.basis[2]
     out = np.zeros((dim, dim))
     for j, y in enumerate(np.eye(dim)):
         gk = energy.evaluate(class_field(space.coefficients(y), cfg, grid).take(grid.interior))[2]
@@ -362,17 +362,17 @@ def class_hessian_by_columns(energy: DiscreteEnergy, space: _BinPass) -> np.ndar
     return out
 
 
-def class_hessian_per_tail(energy: DiscreteEnergy, space: _BinPass) -> np.ndarray:
+def class_hessian_per_tail(space: _BinPass) -> np.ndarray:
     """``variational._class_hessian`` with one contraction and one scatter
     per tail index, in the order the blocked build adds its terms: the
     blocked H is checked against it bit for bit."""
-    g, cfg, ids, rows, planes = energy.grid, space.cfg, space.ids, space.rows, space.planes
+    g, cfg, ids, rows, planes = space.grid, space.cfg, space.ids, space.rows, space.planes
     col, val, dim = space.basis
     npts, (size, r) = g.points_per_axis, rows.shape
     tails = npts ** (g.n - 2 * planes)
     col, val = col.reshape(-1, tails), val.reshape(-1, tails)
     fwd, bwd = g.neighbours
-    w = np.append(energy._w_grad_in, 0.0) * (g.cell_volume / g.h ** 2)  # zero sentinel
+    w = np.append(space.energy._w_grad_in, 0.0) * (g.cell_volume / g.h ** 2)  # zero sentinel
     same = (rows[:, :, None] * rows[:, None, :]).reshape(size, r * r).T
     ij, ji = (r, 1) * planes, (1, r) * planes  # i and i' of each plane's pair axes
     acc = np.zeros((dim + 1) ** 2)

@@ -2,11 +2,13 @@
 
 import itertools
 import math
+import os
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import cknsym.enumeration as enumeration
 from cknsym.enumeration import (
     ConfigFamily,
     _multiplicity_tuples,
@@ -144,6 +146,24 @@ def test_tail_condition_filters_nonzero_weight_regime():
 def test_enumeration_rejects_bad_inputs(call, kwargs):
     with pytest.raises(InvalidConfigError):
         call(**kwargs)
+
+
+def test_an_enumeration_that_cannot_fit_is_refused_before_it_starts(monkeypatch):
+    """Each configuration holds its own m, a tuple of k ints, is 64 bytes
+    itself and takes a slot of the list built and of the tuple returned:
+    8 (k + 15) bytes at least.  ``count_configs`` of them above
+    physical memory are refused, with the error ``cknsym enumerate`` exits 2
+    on, before one is built; at that memory exactly, all are built."""
+    count = count_configs(12, alpha_max=1)
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": count * 8 * (k_of(12) + 15)}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    assert len(enumerate_configs(12, alpha_max=1)) == count
+    pages["SC_PHYS_PAGES"] -= 1
+    built = []
+    monkeypatch.setattr(enumeration, "SymmetryConfig", lambda *args, **_: built.append(args))
+    with pytest.raises(InvalidConfigError, match="physical memory"):
+        enumerate_configs(12, alpha_max=1)
+    assert not built
 
 
 # --------------------------------------------------------------------------

@@ -1,8 +1,15 @@
-"""Guards on the package source: no private helper is dead."""
+"""Guards on the package source: no private helper is dead, and no
+docstring or comment names code that is gone."""
 
 import ast
+import builtins
+import io
+import re
+import tokenize
 from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cknsym"
 
@@ -65,3 +72,69 @@ def test_the_guard_finds_dead_helpers():
         "b.py": "from .a import _used\nimport a\nprint(_used(), a._Pass)\n",
     }
     assert dead_private_names(sources) == ["a.py: _SPARE", "a.py: _spare", "a.py: _walk"]
+
+
+def _resolves(name: str, known: set[str]) -> bool:
+    """A dotted name resolves when it is a numpy attribute after ``np.``, or
+    when each of its parts is a known name."""
+    parts = name.split(".")
+    if parts[0] != "np":
+        return all(part in known for part in parts)
+    obj = np
+    for part in parts[1:]:
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def stale_doc_names(sources: dict[str, str]) -> list[str]:
+    """``file: name`` for each double-backticked dotted name, or callee of a
+    call form, in a docstring or comment of the sources (file name -> text)
+    that names nothing: no name the sources define or read, no builtin, no
+    numpy attribute after ``np.`` and no module of the package.  Other
+    double-backticked text, such as a formula or a document line, is not
+    read."""
+    trees = {file: ast.parse(text) for file, text in sources.items()}
+    known = set(dir(builtins)) | {Path(file).stem for file in sources} | {"cknsym"}
+    texts = []
+    for file, tree in trees.items():
+        for node in ast.walk(tree):
+            known.update(value for field in ("id", "attr", "name", "arg", "asname")
+                         if isinstance(value := getattr(node, field, None), str))
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                texts.append((file, ast.get_docstring(node, clean=False) or ""))
+        texts.extend((file, token.string) for token
+                     in tokenize.generate_tokens(io.StringIO(sources[file]).readline)
+                     if token.type == tokenize.COMMENT)
+    stale = set()
+    for file, text in texts:
+        for span in re.findall(r"``(.+?)``", text, re.S):
+            named = re.fullmatch(r"([A-Za-z_][\w.]*)(\(.*\))?", " ".join(span.split()))
+            if named and not _resolves(named.group(1), known):
+                stale.add(f"{file}: {named.group(1)}")
+    return sorted(stale)
+
+
+def test_every_name_a_docstring_or_comment_quotes_in_src_exists():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert stale_doc_names(sources) == []
+
+
+def test_the_guard_finds_stale_names_in_docs():
+    """Names defined or read in either module, builtins, numpy attributes and
+    the package's modules resolve, in docstrings and comments, bare, dotted
+    or called; formulas are not read; anything else is stale."""
+    sources = {
+        "a.py": ('"""Uses ``b.helper``, ``len(x)``, ``np.linalg.eigh`` and ``cknsym.b``;\n'
+                 'not ``gone(y)``, ``np.nothing`` or ``b.missing``; ``x + 1`` is a formula."""\n'
+                 "from .b import helper\n"
+                 "def f(x):  # reads ``helper`` and ``kept.attr``, not ``old_name``\n"
+                 "    return helper(x).attr\n"),
+        "b.py": ("def helper(y):\n"
+                 '    """``f`` and ``kept`` are read elsewhere; ``C`` is not."""\n'
+                 "    kept = y\n"
+                 "    return kept\n"),
+    }
+    assert stale_doc_names(sources) == ["a.py: b.missing", "a.py: gone", "a.py: np.nothing",
+                                        "a.py: old_name", "b.py: C"]

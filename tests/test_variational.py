@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -124,11 +125,13 @@ def test_invalid_params_rejected(kwargs):
 
 @pytest.mark.parametrize("name, value", [
     ("p", True), ("p", "2.5"), ("a", "0"), ("b", False), ("q", "3.5"), ("q", True),
-    ("p", None), ("a", 1j)])
+    ("p", None), ("a", 1j), ("n", "4"), ("n", None), ("n", 4.5), ("n", True)])
 def test_params_refuse_exponents_that_are_not_numbers(name, value):
     """A bool or a string would pass the range checks as the number it
-    converts to, and a string would raise a bare TypeError."""
-    with pytest.raises(VariationalError, match=f"^{name} must be a number, got "):
+    converts to, and a string would raise a bare TypeError; n is an integer
+    >= 2, as 1 < p < n needs."""
+    kind = "an integer >= 2" if name == "n" else "a number"
+    with pytest.raises(VariationalError, match=f"^{name} must be {kind}, got "):
         ProblemParams(**{"n": 4, "p": 2.0, "a": 0.1, "b": 0.2, name: value})
     params = ProblemParams(4, 2, 0, 0, 5)  # ints within the float range are numbers
     assert (params.p, params.a, params.b, params.q) == (2.0, 0.0, 0.0, 5.0)
@@ -715,10 +718,9 @@ def test_class_hessian_matches_one_energy_pass_per_column(cfg, grid):
     """The plane-factored build, one term per lattice orbit of axes, is the
     masked, weighted p = 2 kinetic Hessian restricted to the class, and
     exactly symmetric."""
-    energy = DiscreteEnergy(grid, params_for_config(cfg))
     space = class_space(cfg, grid)
-    h = variational._class_hessian(energy, space)
-    expect = class_hessian_by_columns(energy, space)
+    h = variational._class_hessian(space)
+    expect = class_hessian_by_columns(space)
     assert np.max(np.abs(h - expect)) <= 1e-12 * np.max(np.abs(expect))
     assert np.array_equal(h, h.T)
 
@@ -733,10 +735,9 @@ def test_class_hessian_blocks_equal_the_per_tail_loop(cfg, grid):
     """Blocks of tail indices (several at 5^6 and 9^5, one at 13^6) add the
     terms a loop over single tail indices adds, in its order: H is equal bit
     for bit, so a solve's field is too."""
-    energy = DiscreteEnergy(grid, params_for_config(cfg))
     space = class_space(cfg, grid)
-    h = variational._class_hessian(energy, space)
-    assert np.array_equal(h, class_hessian_per_tail(energy, space))
+    h = variational._class_hessian(space)
+    assert np.array_equal(h, class_hessian_per_tail(space))
 
 
 @pytest.mark.parametrize("cfg, grid", [(CFG4, GRID4),
@@ -746,7 +747,6 @@ def test_class_hessian_bins_one_shifted_plane_per_call(monkeypatch, cfg, grid):
     """Every plane axis of these classes lies in one lattice orbit, so the
     metric builds one pair term on a plane: one binning by pairs of radius
     ids, not one per plane axis."""
-    energy = DiscreteEnergy(grid, params_for_config(cfg))
     space = class_space(cfg, grid)
     real, paired = variational._plane_radius_bins, []
 
@@ -755,23 +755,63 @@ def test_class_hessian_bins_one_shifted_plane_per_call(monkeypatch, cfg, grid):
         return real(g, labels, sizes)
 
     monkeypatch.setattr(variational, "_plane_radius_bins", counted)
-    variational._class_hessian(energy, space)
+    variational._class_hessian(space)
     assert paired == [True]
 
 
 def _trial_pass(cfg, grid, p=2.0):
     """The energy of cfg's regime at p and the solver exponent (halfway to
     p where the solver's shift would pass it) and the pass ``solve`` runs
-    its trials through: the bin pass at p = 2, with its metric, else the
-    orbit pass."""
+    its trials through, its metric factored: the bin pass at p = 2, else
+    the orbit pass."""
     params = params_for_config(cfg, p)
     q = params.q - 0.5 if params.q - 0.5 > p else (params.q + p) / 2.0
     energy = DiscreteEnergy(grid, params.with_exponent(q))
-    if p != 2.0:
-        return energy, _OrbitPass(energy, cfg)
-    trials = variational._BinPass(energy, cfg)
-    trials.hessian = variational._class_hessian(energy, trials)
+    trials = variational._trial_pass(energy, cfg)
+    trials.factor_metric()
     return energy, trials
+
+
+METRIC_CASES = [(CFG4, GRID4), (SymmetryConfig(6, 0, (1, 0)), BallGrid(6, 5, 1.0))]
+
+
+@pytest.mark.parametrize("cfg, grid", METRIC_CASES, ids=["9^4", "5^6"])
+def test_metric_direction_inverts_h_on_the_kept_eigenvectors(cfg, grid):
+    """H direction(d) is d's component on the eigenvectors of H that the
+    factoring keeps, within 1e-10 relative, and direction(d) is orthogonal
+    to each one it cuts, those below METRIC_CUT of the largest eigenvalue
+    (15 of 28 at 9^4, 54 of 60 at 5^6)."""
+    _, trials = _trial_pass(cfg, grid)
+    lam, vec = np.linalg.eigh(trials.hessian)
+    kept = lam > variational.METRIC_CUT * lam[-1]
+    assert 0 < np.count_nonzero(kept) < len(lam)
+    for d in np.random.default_rng(32).standard_normal((3, len(lam))):
+        step = trials.direction(d)
+        part = vec[:, kept] @ (vec[:, kept].T @ d)
+        assert np.linalg.norm(trials.hessian @ step - part) <= 1e-10 * np.linalg.norm(part)
+        assert np.max(np.abs(vec[:, ~kept].T @ step)) <= 1e-10 * np.linalg.norm(step)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("cfg, grid", METRIC_CASES, ids=["9^4", "5^6"])
+def test_a_factored_pass_runs_a_trial_and_keeps_h_only_at_p_two(cfg, grid, p):
+    """Factoring the metric is all the setup a trial pass needs: right after
+    it, a trial on the seed gives the quotient of the seed's class field and
+    a finite metric step.  The bin pass keeps H, whose quadratic form is K
+    at p = 2; the orbit pass holds no dim x dim array once factored."""
+    energy, trials = _trial_pass(cfg, grid, p)
+    dim = trials.basis[2]
+    assert type(trials) is (variational._BinPass if p == 2.0 else _OrbitPass)
+    assert hasattr(trials, "hessian") == (p == 2.0)
+    assert any(isinstance(v, np.ndarray) and v.size == dim * dim
+               for v in vars(trials).values()) == (p == 2.0)
+    y = trials.read(seed_field(cfg, grid))
+    values = trials.field(trials.coefficients(y))
+    quot, grad, _ = trials.quotient_and_gradient(values, y)
+    assert quot == pytest.approx(energy.quotient(to_cube(grid, values.take(trials.key))),
+                                 rel=1e-12)
+    step = trials.direction(trials.coordinates(grad))
+    assert np.all(np.isfinite(step)) and np.any(step)
 
 
 MAP_CASES = [(CFG4, GRID4), (CFG4, BallGrid(4, 21, 1.0)),
@@ -1594,7 +1634,7 @@ def test_refusal_counts_the_untraced_eigh_workspace(monkeypatch):
     the solve once its class dimension is known."""
     have = solve_peak_bytes(GRID4, 28) + 8 * 28 * 28
     pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": have}
-    monkeypatch.setattr(variational.os, "sysconf", pages.__getitem__)
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     with pytest.raises(VariationalError, match="physical memory"):
         solve(CFG4, GRID4, options=SolveOptions(max_iters=1))
 
